@@ -75,13 +75,15 @@ type Options struct {
 	// and resumes it. Empty Dir (the default) keeps everything in
 	// memory with simulated crash semantics.
 	Dir string
-	// WALSegmentBytes overrides the WAL segment rotation threshold
-	// (file backend only; default wal.DefaultSegmentBytes).
+	// WALSegmentBytes overrides the WAL segment size: the rotation
+	// threshold, and what a new segment is preallocated to (file backend
+	// only; default wal.DefaultSegmentBytes).
 	WALSegmentBytes int64
 	// GroupCommitWindow, when positive, makes a commit that must force
 	// the log wait this long first so concurrent commits coalesce into
-	// one forced write. Zero (the default) still coalesces commits that
-	// arrive while a force is in flight, but never delays a force.
+	// one forced write. Zero (the default) never delays a force; a
+	// commit whose record another commit has already written still
+	// shares that commit's sync.
 	GroupCommitWindow time.Duration
 	// FaultInjector, when set, is installed at the disk, WAL, pager and
 	// reorganizer fault points (see internal/fault). It survives
@@ -671,20 +673,19 @@ func (db *DB) Tree() *btree.Tree { return db.tree }
 // --- durability and crash simulation ---
 
 // Checkpoint flushes all dirty pages and logs a sharp checkpoint (the
-// reorg table included when a reorganization is running). A quiescent
-// checkpoint — no active transactions, no reorganization in flight —
-// additionally applies WAL retention on the file backend: recovery
-// never reads below such a checkpoint (no loser undo chain and no
-// unit BEGIN can reach under it), so segments wholly below it are
-// deleted.
+// reorg table included when a reorganization is running). Clients keep
+// running beside it: the log tail is read first and becomes the
+// checkpoint's redo point, so whatever commits, begins or is logged
+// while the tables are copied and the pages flushed lies above it and
+// is replayed at restart (see wal.Checkpoint). A quiescent checkpoint —
+// no active transactions, no reorganization in flight — additionally
+// applies WAL retention on the file backend: recovery never reads below
+// such a checkpoint's redo point (no loser undo chain and no unit BEGIN
+// can reach under it), so segments wholly below it are deleted.
 func (db *DB) Checkpoint() error {
-	if err := db.pager.FlushAll(); err != nil {
-		return err
-	}
-	cp := wal.Checkpoint{
-		ActiveTxns: db.txns.ActiveSnapshot(),
-		NextTxnID:  db.txns.NextID(),
-	}
+	cp := wal.Checkpoint{RedoLSN: db.log.Tail()}
+	cp.ActiveTxns = db.txns.ActiveSnapshot()
+	cp.NextTxnID = db.txns.NextID()
 	db.mu.Lock()
 	reorging := db.reorg != nil
 	if reorging {
@@ -693,6 +694,9 @@ func (db *DB) Checkpoint() error {
 		cp.NextUnit = db.reorg.NextUnit()
 	}
 	db.mu.Unlock()
+	if err := db.pager.FlushAll(); err != nil {
+		return err
+	}
 	lsn := db.log.Append(cp)
 	if err := db.log.FlushTo(lsn); err != nil {
 		return err
@@ -706,7 +710,7 @@ func (db *DB) Checkpoint() error {
 		db.obs.Trace().Emit(obs.EvCheckpoint, lsn, q)
 	}
 	if quiescent {
-		return db.log.TruncateBelow(lsn)
+		return db.log.TruncateBelow(cp.RedoLSN)
 	}
 	return nil
 }
@@ -738,9 +742,11 @@ func (db *DB) Close() error {
 	return errors.Join(flushErr, pageErr, db.pager.Close(), db.log.Close())
 }
 
-// Crash simulates a system failure: all buffered pages and the
-// unforced log tail are lost; only the disk and the durable log
-// survive. Call Restart to recover.
+// Crash simulates a system failure: all buffered pages and the log
+// tail the device never received are lost; the disk and the durable log
+// survive. (On the file backend log bytes that were written but not yet
+// synced may survive too, as after a real power cut: see wal.Log.Crash.)
+// Call Restart to recover.
 func (db *DB) Crash() {
 	// The daemon does not survive a crash; recovery rebuilds it with
 	// fresh sensor state (Restart).

@@ -4,6 +4,7 @@
 package nolockio
 
 import (
+	"os"
 	"sync"
 	"time"
 )
@@ -93,4 +94,91 @@ func (p *pool) goodSuppressed(b []byte) {
 	//vet:allow(nolockio) -- fixture: the mutex is the simulated device's own serialization
 	_ = p.disk.Write(1, b)
 	p.mu.Unlock()
+}
+
+// SegmentedLog stubs the WAL's file device.
+type SegmentedLog struct{ cur *os.File }
+
+// write stubs framing the tail into the page cache: allowed under mu.
+func (s *SegmentedLog) write(b []byte) (int, error) { return len(b), nil }
+
+// sync stubs the device fsync.
+func (s *SegmentedLog) sync(f *os.File) error { return nil }
+
+// rotate stubs swapping a full segment for a fresh one.
+func (s *SegmentedLog) rotate(firstLSN uint64) error { return nil }
+
+// wlog mimics the WAL: a mutex, a file device, two watermarks.
+type wlog struct {
+	mu      sync.Mutex
+	seg     *SegmentedLog
+	written int
+	flushed int
+}
+
+// badFsyncUnderMu is the force path this repo used to have: the fsync
+// runs with the log mutex held, so every appender queues behind it.
+func (l *wlog) badFsyncUnderMu(tail []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n, _ := l.seg.write(tail)
+	l.written += n
+	if err := l.seg.cur.Sync(); err != nil { // want `call to File\.Sync while holding l\.mu`
+		return err
+	}
+	l.flushed = l.written
+	return nil
+}
+
+// badDeviceCallsUnderMu reaches the same fsync through the device's own
+// methods, and writes to the segment file directly.
+//
+//vet:holds(l.mu)
+func (l *wlog) badDeviceCallsUnderMu(tail []byte) {
+	_ = l.seg.sync(l.seg.cur)         // want `call to SegmentedLog\.sync while holding l\.mu`
+	_ = l.seg.rotate(1)               // want `call to SegmentedLog\.rotate while holding l\.mu`
+	_, _ = l.seg.cur.WriteAt(tail, 0) // want `call to File\.WriteAt while holding l\.mu`
+	_ = l.seg.cur.Truncate(0)         // want `call to File\.Truncate while holding l\.mu`
+}
+
+// goodPipelinedForce writes under the mutex, syncs with it released and
+// publishes under it again; the deferred re-lock is not a held region.
+//
+//vet:holds(l.mu)
+func (l *wlog) goodPipelinedForce(tail []byte) (err error) {
+	n, _ := l.seg.write(tail)
+	l.written += n
+	end, f := l.written, l.seg.cur
+	l.mu.Unlock()
+	defer func() {
+		l.mu.Lock()
+		if err == nil && end > l.flushed {
+			l.flushed = end
+		}
+	}()
+	return l.seg.sync(f)
+}
+
+// FileDisk stubs the page file: its mutex is the file's own
+// serialization, so positional I/O under it is the design.
+type FileDisk struct {
+	mu sync.Mutex
+	f  *os.File
+}
+
+// goodDeviceMutex writes and syncs the page file under the disk's mutex.
+func (d *FileDisk) goodDeviceMutex(b []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, err := d.f.WriteAt(b, 0); err != nil {
+		return err
+	}
+	return d.f.Sync()
+}
+
+// badDeviceMutexSleep shows the exemption covers the file calls only.
+func (d *FileDisk) badDeviceMutexSleep() {
+	d.mu.Lock()
+	time.Sleep(time.Millisecond) // want `call to time\.Sleep while holding d\.mu`
+	d.mu.Unlock()
 }

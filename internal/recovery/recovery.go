@@ -78,7 +78,13 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	cpLSN, cp, haveCP := log.LastCheckpoint()
 	redoFrom := uint64(1)
 	if haveCP {
+		// The checkpoint's tables were copied while transactions ran, at
+		// some moment after its redo point was read: replaying from that
+		// point, over those tables, ends in the state at the crash.
 		redoFrom = cpLSN
+		if cp.RedoLSN != 0 {
+			redoFrom = cp.RedoLSN
+		}
 		res.NextTxnID = cp.NextTxnID
 		res.NextUnit = cp.NextUnit
 	}
@@ -97,7 +103,7 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	if haveCP && cp.Reorg.HasUnit {
 		u := &unitState{}
 		err := log.Iterate(cp.Reorg.BeginLSN, func(lsn uint64, rec wal.Record) error {
-			if lsn >= cpLSN {
+			if lsn >= redoFrom {
 				return errStopIterate
 			}
 			switch r := rec.(type) {

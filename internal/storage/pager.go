@@ -685,14 +685,18 @@ func (p *Pager) FlushPage(id PageID) error {
 	return p.flushFrame(f, make(map[PageID]bool))
 }
 
-// FlushAll forces every dirty frame to disk (checkpoint support).
-// Frames are flushed in ascending page-id order for determinism.
+// FlushAll forces every dirty frame to disk (checkpoint support),
+// including the frame of every page change that was logged before the
+// call, even if its writer has yet to mark it dirty. Frames are flushed
+// in ascending page-id order for determinism.
 func (p *Pager) FlushAll() error {
 	var ids []PageID
 	for _, sh := range p.shards {
 		sh.lock(&p.stats)
 		for id, f := range sh.frames {
-			if f.dirty.Load() {
+			// A pinned clean frame may belong to a writer that has logged
+			// its change and not yet marked the frame dirty.
+			if f.dirty.Load() || f.pin.Load() > 0 {
 				ids = append(ids, id)
 			}
 		}
@@ -701,8 +705,19 @@ func (p *Pager) FlushAll() error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		f := p.lookup(id)
-		if f == nil || !f.dirty.Load() {
-			continue // flushed as a dependency of an earlier frame
+		if f == nil {
+			continue
+		}
+		if !f.dirty.Load() {
+			// Writers log, change the page and mark it dirty under the
+			// frame's write latch, so passing through the latch settles
+			// whether a change logged before this call is still on its way.
+			f.RLock()
+			dirty := f.dirty.Load()
+			f.RUnlock()
+			if !dirty {
+				continue // clean, or flushed as a dependency of an earlier frame
+			}
 		}
 		if err := p.flushFrame(f, make(map[PageID]bool)); err != nil {
 			return err

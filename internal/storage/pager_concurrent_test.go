@@ -135,13 +135,16 @@ func TestPagerConcurrentAllocateDeallocate(t *testing.T) {
 				} else {
 					id := mine[len(mine)-1]
 					mine = mine[:len(mine)-1]
+					// Give the page up in the books first: the moment
+					// Deallocate frees it, another goroutine's Allocate may
+					// legitimately be handed the same id.
+					mu.Lock()
+					owned[id]--
+					mu.Unlock()
 					if err := p.Deallocate(id, 0); err != nil {
 						errc <- err
 						return
 					}
-					mu.Lock()
-					owned[id]--
-					mu.Unlock()
 				}
 			}
 		}(g)

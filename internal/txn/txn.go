@@ -161,8 +161,11 @@ func (m *Manager) ActiveSnapshot() []wal.TxnInfo {
 		// A transaction that has not logged anything is invisible to
 		// restart analysis and must stay invisible to the checkpoint,
 		// or recovery would roll back (and log an end record for) a
-		// transaction that has no begin record.
-		if t.begun {
+		// transaction that has no begin record. One whose commit or end
+		// record is in the log is no longer active either, though it
+		// stays registered until its log force returns and its locks are
+		// released: listed, it would be undone as a loser.
+		if t.begun && t.status == Active {
 			out = append(out, wal.TxnInfo{ID: t.id, LastLSN: t.lastLSN})
 		}
 		t.mu.Unlock()

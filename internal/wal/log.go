@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,45 +24,66 @@ const logRetries = 4
 type LSN = uint64
 
 // Log is the append-only write-ahead log. Crash semantics: Crash()
-// discards everything past the flushed prefix, exactly what a real log
+// discards what the device never received, exactly what a real log
 // device guarantees.
 //
-// Concurrent FlushTo callers coalesce into one forced write (group
-// commit): the first becomes the leader and forces the whole tail;
-// the rest wait on a condition variable and usually find their LSN
-// durable when the leader finishes, saving a forced I/O each.
+// Forcing is a pipeline over two watermarks, written <= the tail and
+// flushed <= written. A committer whose record is not yet written hands
+// the whole unwritten tail to the device under mu (framing and a
+// page-cache write: microseconds), releases mu, syncs, re-takes mu and
+// publishes flushed = max(flushed, the end it wrote). A committer whose
+// record somebody else already wrote waits for a sync in flight and is
+// usually covered by it: a saved force, the group commit. Syncs may
+// overlap — a second committer with bytes of its own does not queue
+// behind the first one's fsync, and each sync covers everything written
+// before it started, so publishing its own end is always sound. mu is
+// never held across a sync, a segment rotation, retention or a fault
+// point at the force, so Append, Tail, Read, DurableLSN and the counter
+// accessors never wait for I/O. Both devices run this protocol; the
+// in-memory device just has nothing to write and nothing to fsync, so
+// unless a fault injector is wired it publishes on the spot.
 type Log struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled when a forced write completes
-	buf     []byte
-	flushed int // bytes durable (relative to base)
+	mu   sync.Mutex
+	cond *sync.Cond // broadcast when a watermark or a device flag changes
+	s    stream     // retained records; s.end is the tail
 
-	// base is the byte offset of buf[0] in the whole record stream:
-	// LSNs are stream offsets plus one, so the record at buf[i] has LSN
-	// base+i+1. base is zero for the in-memory device and advances on
-	// the file device when retention drops whole segments.
-	base uint64
-	// seg is the file device (nil for the in-memory log). All its
-	// methods run under l.mu.
+	// base is the retained base: records at stream offsets below it were
+	// dropped by retention (LSNs are stream offsets plus one). Zero for
+	// the in-memory device.
+	base    uint64
+	written uint64 // stream offset below which the device has the bytes
+	flushed uint64 // stream offset below which they are durable
+
+	// syncs counts device syncs in flight (mu released). busy marks the
+	// device exclusively owned — a segment rotation, retention, Crash or
+	// Close is moving files, so no write or sync may start; the owner
+	// first waits for syncs to drain. gathering is set while a committer
+	// sleeps out the group-commit window. waiters counts goroutines in
+	// cond.Wait so that the uncontended force never broadcasts.
+	syncs     int
+	busy      bool
+	gathering bool
+	waiters   int
+
+	// seg is the file device (nil for the in-memory log); see
+	// SegmentedLog for which of its methods need mu.
 	seg *SegmentedLog
 	// crashErr records a corruption error from a Crash-time re-scan of
 	// the segment directory; Crash cannot return it, so reads surface
 	// it instead.
 	crashErr error
 
-	// forcing is true while a leader owns the force in progress;
-	// forceGen increments when it finishes, so waiters can tell "the
-	// force I saw" from a later one.
-	forcing  bool
-	forceGen uint64
-	// window is the optional group-commit window: a leader holds the
-	// force open this long (off the mutex) so trailing commits can pile
-	// into the same forced write. Zero keeps the force immediate, which
-	// also keeps the single-threaded fault-hit sequence identical for
-	// the crash sweep.
+	// window is the optional group-commit window: the committer that is
+	// about to write holds the force open this long (off the mutex) so
+	// trailing commits append their records and ride its write. Zero
+	// keeps the force immediate, which also keeps the single-threaded
+	// fault-hit sequence identical for the crash sweep.
 	window time.Duration
 
 	inj *fault.Injector
+	// syncStall, when set by a test, runs with mu released right before
+	// the device sync of every force.
+	syncStall func()
 	// rngMu guards retryRNG: backoff sleeps run with mu released, so
 	// the RNG needs its own lock. Fixed seed keeps retry schedules
 	// deterministic under test.
@@ -75,7 +96,7 @@ type Log struct {
 	forcedWrites  atomic.Int64
 	bytesForced   atomic.Int64
 	groupLeaders  atomic.Int64
-	forcesSaved   atomic.Int64 // waiters whose force was absorbed by a leader
+	forcesSaved   atomic.Int64 // forces covered by somebody else's sync
 
 	// ring receives group-flush, rotation and truncation trace events
 	// (nil when no observer is wired). Emitting under l.mu is fine:
@@ -93,23 +114,18 @@ func NewLog() *Log {
 // OpenSegmentedLog opens (creating if needed) a file-backed log over
 // the segment files in dir, running recovery first: segments are
 // scanned in creation order, a ragged tail in the newest segment is
-// truncated as a torn write, and mid-stream damage fails with
+// zeroed out as a torn write, and mid-stream damage fails with
 // ErrWALCorrupt. The returned log's durable prefix is exactly what the
 // scan accepted.
 func OpenSegmentedLog(dir string, opts SegmentOptions) (*Log, error) {
-	seg, base, buf, err := recoverDir(dir, opts)
+	seg, base, s, err := recoverDir(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{
-		retryRNG: rand.New(rand.NewSource(0x109)),
-		seg:      seg,
-		base:     base,
-		buf:      buf,
-		flushed:  len(buf),
-	}
-	l.cond = sync.NewCond(&l.mu)
-	l.bytesAppended.Store(int64(base) + int64(len(buf)))
+	l := NewLog()
+	l.seg, l.base, l.s = seg, base, s
+	l.written, l.flushed = s.end, s.end
+	l.bytesAppended.Store(int64(s.end))
 	return l, nil
 }
 
@@ -129,10 +145,10 @@ func (l *Log) SetObserver(ring *obs.Ring) {
 	l.ring = ring
 }
 
-// SetGroupCommitWindow configures how long a commit leader waits (off
-// the mutex) before forcing, letting concurrent commits coalesce into
-// its forced write. Zero disables the wait; followers still coalesce
-// with an in-flight force.
+// SetGroupCommitWindow configures how long a committer about to write
+// waits (off the mutex) first, letting concurrent commits append and
+// ride its write. Zero disables the wait; committers still share syncs
+// already in flight.
 func (l *Log) SetGroupCommitWindow(d time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -151,6 +167,39 @@ func (l *Log) retryBackoff(attempt int) {
 	jitter := time.Duration(l.retryRNG.Int63n(int64(base)/2 + 1))
 	l.rngMu.Unlock()
 	time.Sleep(base/2 + jitter)
+}
+
+// wait blocks on cond (releasing l.mu) until the next wake.
+func (l *Log) wait() {
+	l.waiters++
+	l.cond.Wait()
+	l.waiters--
+}
+
+// wake rouses every waiter to re-check its condition.
+func (l *Log) wake() {
+	if l.waiters > 0 {
+		l.cond.Broadcast()
+	}
+}
+
+// acquireDevice takes exclusive ownership of the device: new forces
+// queue behind busy, and the syncs already in flight are drained, so
+// the owner may close, delete or swap files. Called with l.mu held; the
+// owner may release l.mu while it works.
+func (l *Log) acquireDevice() {
+	for l.busy {
+		l.wait()
+	}
+	l.busy = true
+	for l.syncs > 0 {
+		l.wait()
+	}
+}
+
+func (l *Log) releaseDevice() {
+	l.busy = false
+	l.wake()
 }
 
 // Append encodes and appends r, returning its LSN. The record is not
@@ -176,29 +225,9 @@ func (l *Log) Append(r Record) LSN {
 		l.retryBackoff(attempt + 1)
 		l.mu.Lock()
 	}
-	lsn := l.base + LSN(len(l.buf)) + 1
-	// Grow by doubling rather than append's ~1.25x large-slice policy:
-	// the in-memory device keeps the whole stream in one buffer, and at
-	// tens of megabytes the shallower growth schedule re-copies the full
-	// log often enough to dominate insert-heavy workloads.
-	if need := len(l.buf) + 4 + len(payload); need > cap(l.buf) {
-		newCap := 2 * cap(l.buf)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 1<<16 {
-			newCap = 1 << 16
-		}
-		nb := make([]byte, len(l.buf), newCap)
-		copy(nb, l.buf)
-		l.buf = nb
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, payload...)
-	l.bytesAppended.Store(int64(l.base) + int64(len(l.buf)))
-	return lsn
+	off := l.s.append(payload)
+	l.bytesAppended.Store(int64(l.s.end))
+	return off + 1
 }
 
 // Tail returns the LSN one past the last appended record (the next
@@ -206,12 +235,12 @@ func (l *Log) Append(r Record) LSN {
 func (l *Log) Tail() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base + LSN(len(l.buf)) + 1
+	return l.s.end + 1
 }
 
 // FlushTo makes the log durable at least through the record starting at
-// lsn. It satisfies storage.LogFlusher. Concurrent callers coalesce:
-// see groupForce.
+// lsn. It satisfies storage.LogFlusher. Concurrent callers share writes
+// and syncs: see forceTo.
 func (l *Log) FlushTo(lsn LSN) error {
 	if lsn == 0 {
 		return nil
@@ -221,11 +250,13 @@ func (l *Log) FlushTo(lsn LSN) error {
 	if lsn <= l.base {
 		return nil // below the retained base: durable by construction
 	}
-	start := int(lsn - 1 - l.base)
-	if start > len(l.buf) {
-		return fmt.Errorf("wal: flush beyond tail (lsn %d, tail %d)", lsn, l.base+LSN(len(l.buf))+1)
+	if lsn-1 > l.s.end {
+		return fmt.Errorf("wal: flush beyond tail (lsn %d, tail %d)", lsn, l.s.end+1)
 	}
-	return l.groupForce(func() bool { return start < l.flushed })
+	// One durable byte of the record implies all of it: flushed only
+	// ever lands on the end of a write, and a write ends on a record
+	// boundary.
+	return l.forceTo(min(lsn, l.s.end))
 }
 
 // DurableLSN returns the highest LSN known durable: every record whose
@@ -235,115 +266,155 @@ func (l *Log) FlushTo(lsn LSN) error {
 func (l *Log) DurableLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base + uint64(l.flushed)
+	return l.flushed
 }
 
-// Flush forces the entire log.
+// Flush forces everything appended so far.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.groupForce(func() bool { return l.flushed == len(l.buf) })
+	return l.forceTo(l.s.end)
 }
 
-// groupForce makes the log durable past the point described by done
-// (evaluated under l.mu), coalescing with any force already in flight:
-// if a leader is forcing, wait for it and re-check — a leader forces
-// the whole tail, so a waiter's LSN is usually covered and its forced
-// write saved. Otherwise become the leader. Called with l.mu held.
-func (l *Log) groupForce(done func() bool) error {
-	waited := false
-	for {
-		if done() {
-			if waited {
-				l.forcesSaved.Add(1)
+// forceTo returns once every byte below stream offset target is
+// durable. A caller whose bytes are already written while a sync is in
+// flight waits for that sync; anyone else forces the unwritten tail
+// itself, after sleeping out the group-commit window if one is set.
+// Called with l.mu held.
+//
+//vet:holds(l.mu)
+func (l *Log) forceTo(target uint64) error {
+	waited, gathered := false, false
+	for l.flushed < target {
+		switch {
+		case l.busy || l.gathering || (l.written >= target && l.syncs > 0):
+			waited = true
+			l.wait()
+		case l.window > 0 && !gathered:
+			// Hold the force open so trailing commits append their records
+			// and ride this write. The sleep runs off the mutex: appenders
+			// keep appending, other committers see gathering and wait.
+			gathered = true
+			l.gathering = true
+			l.mu.Unlock()
+			time.Sleep(l.window)
+			l.mu.Lock()
+			l.gathering = false
+			l.wake()
+		default:
+			waited = false
+			if err := l.force(); err != nil {
+				return err
 			}
-			return nil
 		}
-		if !l.forcing {
+	}
+	if waited {
+		l.forcesSaved.Add(1)
+	}
+	return nil
+}
+
+// force performs one forced write: the unwritten tail goes to the
+// device under l.mu (a full segment is swapped for a fresh one on the
+// way), then the device is synced with l.mu released and the new
+// durable end published. The wal.force fault point sits in front of
+// the sync. Transient faults there are retried with jittered backoff;
+// exhaustion degrades into storage.ErrIO, and the bytes stay written
+// for the next force to sync. Called with l.mu held and the device not
+// busy; returns with l.mu held.
+//
+//vet:holds(l.mu)
+func (l *Log) force() (err error) {
+	l.groupLeaders.Add(1)
+	from := l.written
+	var (
+		cur      *os.File // segment the sync is for
+		tearFrom int64    // where this force began writing in cur
+	)
+	if l.seg != nil {
+		cur, tearFrom = l.seg.cur, l.seg.curSize
+	}
+	for l.written < l.s.end {
+		if l.seg == nil {
+			l.written = l.s.end
 			break
 		}
-		waited = true
-		gen := l.forceGen
-		for l.forcing && l.forceGen == gen {
-			l.cond.Wait()
+		recs := l.s.from(l.written)
+		n, werr := l.seg.write(recs)
+		l.written += uint64(n)
+		if werr != nil {
+			return werr
+		}
+		if n < len(recs) {
+			// The segment is full and records remain. Rotating drains the
+			// syncs in flight and syncs the old segment itself, so
+			// everything written so far is durable when it returns.
+			if err := l.rotate(); err != nil {
+				return err
+			}
+			cur, tearFrom = l.seg.cur, l.seg.curSize
 		}
 	}
-	l.forcing = true
-	l.groupLeaders.Add(1)
-	// The defer (not inline code) releases leadership so a crash panic
-	// out of the fault point cannot leave forcing set — a wedged flag
-	// would hang every later FlushTo on the restarted system's log.
-	defer func() {
-		l.forcing = false
-		l.forceGen++
-		l.cond.Broadcast()
-	}()
-	if l.window > 0 {
-		// Hold the force open so trailing commits append their records
-		// and ride this forced write. The sleep runs off the mutex:
-		// appenders keep appending, and new FlushTo callers see forcing
-		// and queue up as followers.
-		l.mu.Unlock()
-		time.Sleep(l.window)
-		l.mu.Lock()
+	end := l.written
+	if cur == nil && l.inj == nil && l.syncStall == nil {
+		// The in-memory device with no injector wired has no sync to wait
+		// for and no fault point to pass: publish without letting go of
+		// the mutex.
+		l.publish(from, end)
+		return nil
 	}
-	return l.forceLocked()
-}
+	var tearTo int64
+	if cur != nil {
+		tearTo = l.seg.curSize
+	}
+	inj, stall, durable := l.inj, l.syncStall, l.flushed
 
-// forceLocked performs one forced write of the unflushed log tail,
-// consulting the wal.force fault point. A torn crash there leaves only
-// half of the tail durable (Crash truncates the ragged edge back to a
-// record boundary, as a real recovery scan would). Transient faults are
-// retried with jittered backoff; exhaustion degrades into storage.ErrIO.
-// Called with l.mu held (and the caller owning the forcing flag, which
-// is what lets the backoff sleep release the mutex safely).
-func (l *Log) forceLocked() error {
-	var err error
+	l.syncs++
+	l.mu.Unlock()
+	synced, torn := false, false
+	defer func() {
+		// Runs on a crash panic out of the fault point too: a count left
+		// behind would hang every later force on the restarted log.
+		l.mu.Lock()
+		l.syncs--
+		switch {
+		case synced:
+			l.publish(from, end)
+		case torn && cur == nil:
+			// Torn force on the in-memory device: half of what was not
+			// durable yet made it (Crash cuts the ragged edge back to a
+			// record boundary, as a recovery scan would).
+			if half := durable + (end-durable)/2; half > l.flushed {
+				l.flushed = half
+			}
+		}
+		l.wake()
+	}()
+
 	for attempt := 0; attempt <= logRetries; attempt++ {
 		if attempt > 0 {
-			l.mu.Unlock()
 			l.retryBackoff(attempt)
-			l.mu.Lock()
 		}
-		//vet:allow(nolockio) -- l.mu is the simulated log device's own serialization; the fault point models the device itself
-		err = l.inj.HitTorn(fault.WALForce, func() {
-			// Torn force: only the first half of the tail became durable.
-			if l.seg != nil {
-				// Write half of the framed tail to the real segment (the
-				// crash panic follows; the re-scan truncates the ragged
-				// edge back to a record boundary).
-				l.seg.tornForce(l.buf[l.flushed:], l.base+uint64(l.flushed)+1)
-			} else {
-				l.flushed += (len(l.buf) - l.flushed) / 2
+		err = inj.HitTorn(fault.WALForce, func() {
+			// Torn force: only the first half of the bytes this force put
+			// into the segment reached the media. The crash panic follows;
+			// the re-scan zeroes the ragged edge back to a record boundary.
+			torn = true
+			if cur != nil {
+				tearSegment(cur, tearFrom+(tearTo-tearFrom)/2, tearTo)
 			}
 		})
 		if err == nil {
-			segsBefore := int64(0)
-			if l.seg != nil {
-				segsBefore = l.seg.segmentsCreated
-				// Real device: frame and fsync the tail (rotating between
-				// records as segments fill). A write/sync failure here is a
-				// log-device failure and fails the force outright.
-				if werr := l.seg.force(l.buf[l.flushed:], l.base+uint64(l.flushed)+1); werr != nil {
-					return werr
-				}
+			if stall != nil {
+				stall()
 			}
-			// Durability must cover the whole record; flushing the whole
-			// buffer models a single forced write of the log tail. Records
-			// appended while a leader waited out the window (or a backoff)
-			// ride along here — that is the group commit.
-			forced := int64(len(l.buf) - l.flushed)
-			l.bytesForced.Add(forced)
-			l.flushed = len(l.buf)
-			l.forcedWrites.Add(1)
-			if l.ring != nil {
-				l.ring.Emit(obs.EvGroupFlush, uint64(forced), uint64(l.forcesSaved.Load()))
-				if l.seg != nil && l.seg.segmentsCreated > segsBefore {
-					l.ring.Emit(obs.EvWALRotate,
-						uint64(l.seg.segmentsCreated), uint64(len(l.seg.segments)))
-				}
+			if cur != nil {
+				// A sync failure is a log-device failure and fails the
+				// force outright.
+				err = l.seg.sync(cur)
 			}
-			return nil
+			synced = err == nil
+			return err
 		}
 		if !fault.IsTransient(err) {
 			return err
@@ -352,47 +423,89 @@ func (l *Log) forceLocked() error {
 	return fmt.Errorf("wal: force: %w (last: %v)", storage.ErrIO, err)
 }
 
-// Crash discards all unflushed records, then truncates any torn tail
-// back to the last complete record: a restart log scan stops at the
-// first record whose length prefix runs past the durable end, so bytes
-// of a half-forced record are unreadable garbage, not data.
+// publish records a completed force that wrote stream bytes [from, end)
+// and made everything below end durable. Called with l.mu held.
+func (l *Log) publish(from, end uint64) {
+	if end > l.flushed {
+		l.flushed = end
+	}
+	l.forcedWrites.Add(1)
+	l.bytesForced.Add(int64(end - from))
+	if l.ring != nil {
+		l.ring.Emit(obs.EvGroupFlush, end-from, uint64(l.forcesSaved.Load()))
+	}
+}
+
+// rotate swaps the full current segment for a fresh one: with the
+// device owned and l.mu released it syncs the old segment, creates and
+// zero-fills the next and closes the old one. Committers wait for it;
+// appenders do not. Called with l.mu held; returns with it held.
+//
+//vet:holds(l.mu)
+func (l *Log) rotate() error {
+	l.acquireDevice()
+	defer l.releaseDevice()
+	if !l.seg.full() {
+		return nil // another committer rotated while this one waited
+	}
+	end := l.written
+	l.mu.Unlock()
+	err := l.seg.rotate(end + 1)
+	l.mu.Lock()
+	if err != nil {
+		return err
+	}
+	if end > l.flushed {
+		l.flushed = end
+	}
+	if l.ring != nil {
+		created, _, live := l.seg.counts()
+		l.ring.Emit(obs.EvWALRotate, uint64(created), uint64(live))
+	}
+	return nil
+}
+
+// Crash discards every record the device never received, then cuts any
+// torn tail back to the last complete record: a restart log scan stops
+// at the first record whose length prefix runs past the durable end, so
+// bytes of a half-forced record are unreadable garbage, not data.
 //
 // On the file device, Crash is the simulated restart of the log
 // manager: the in-memory state is thrown away and rebuilt by re-running
-// the segment-directory recovery scan, which is also what truncates a
-// half-forced (torn) tail on real media. A scan failure (deliberate
-// corruption) is remembered and surfaced from the next read.
+// the segment-directory recovery scan, which is also what zeroes a
+// half-forced (torn) tail on real media. The process does not die, so
+// neither does the page cache: bytes a committer had written but not
+// yet synced when Crash landed may survive it, as they may survive a
+// real power cut. Only acknowledged forces are promised to. A scan
+// failure (deliberate corruption) is remembered and surfaced from the
+// next read.
+//
+// Crash drains the syncs in flight and is the one place that keeps
+// l.mu across file I/O: nothing may look at the log between the power
+// cut and the end of the re-scan.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.acquireDevice()
+	defer l.releaseDevice()
 	if l.seg != nil {
 		opts := SegmentOptions{SegmentBytes: l.seg.segBytes, FragmentBytes: l.seg.fragBytes}
 		dir := l.seg.dir
 		_ = l.seg.close()
-		seg, base, buf, err := recoverDir(dir, opts)
+		seg, base, s, err := recoverDir(dir, opts)
 		if err != nil {
 			l.crashErr = err
-			l.buf = nil
-			l.flushed = 0
+			l.s = stream{}
+			l.base, l.written, l.flushed = 0, 0, 0
 			return
 		}
-		l.seg, l.base, l.buf, l.flushed = seg, base, buf, len(buf)
+		l.seg, l.base, l.s = seg, base, s
 		l.crashErr = nil
-		l.bytesAppended.Store(int64(l.base) + int64(len(l.buf)))
-		return
+	} else {
+		l.s.cut(l.flushed)
 	}
-	l.buf = l.buf[:l.flushed]
-	off := 0
-	for off+4 <= len(l.buf) {
-		n := int(binary.LittleEndian.Uint32(l.buf[off:]))
-		if off+4+n > len(l.buf) {
-			break
-		}
-		off += 4 + n
-	}
-	l.buf = l.buf[:off]
-	l.flushed = off
-	l.bytesAppended.Store(int64(len(l.buf)))
+	l.written, l.flushed = l.s.end, l.s.end
+	l.bytesAppended.Store(int64(l.s.end))
 }
 
 // Close releases the file device's segment handle (a no-op for the
@@ -404,6 +517,8 @@ func (l *Log) Close() error {
 	if l.seg == nil {
 		return nil
 	}
+	l.acquireDevice()
+	defer l.releaseDevice()
 	return l.seg.close()
 }
 
@@ -418,45 +533,50 @@ func (l *Log) TruncateBelow(horizon LSN) error {
 	if l.seg == nil || horizon <= l.base {
 		return nil
 	}
-	deletedBefore := l.seg.segmentsDeleted
-	newBase, err := l.seg.retain(horizon)
+	l.acquireDevice()
+	defer l.releaseDevice()
+	l.mu.Unlock()
+	newBase, deleted, err := l.seg.retain(horizon)
+	l.mu.Lock()
 	if err != nil {
 		return err
 	}
 	if newBase-1 > l.base {
-		drop := int(newBase - 1 - l.base)
-		l.buf = append([]byte(nil), l.buf[drop:]...)
-		l.flushed -= drop
 		l.base = newBase - 1
+		l.s.dropBelow(l.base)
 	}
-	if l.ring != nil && l.seg.segmentsDeleted > deletedBefore {
-		l.ring.Emit(obs.EvWALTruncate,
-			uint64(l.seg.segmentsDeleted-deletedBefore), newBase)
+	if l.ring != nil && deleted > 0 {
+		l.ring.Emit(obs.EvWALTruncate, uint64(deleted), newBase)
 	}
 	return nil
 }
 
 // Fsyncs returns the number of fsyncs the file device has issued
-// (zero for the in-memory log).
+// (zero for the in-memory log). Lock-free.
 func (l *Log) Fsyncs() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.seg == nil {
-		return 0
+	if seg := l.device(); seg != nil {
+		return seg.fsyncs.Load()
 	}
-	return l.seg.fsyncs
+	return 0
 }
 
 // SegmentCounts returns the file device's lifetime segment counters:
 // segments created, segments deleted by retention, and segments
 // currently live (all zero for the in-memory log).
 func (l *Log) SegmentCounts() (created, deleted, live int64) {
+	if seg := l.device(); seg != nil {
+		return seg.counts()
+	}
+	return 0, 0, 0
+}
+
+// device returns the file device (nil for the in-memory log). Crash
+// replaces it, hence the mutex; its counters are atomics, so reading
+// them afterwards waits for nothing.
+func (l *Log) device() *SegmentedLog {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seg == nil {
-		return 0, 0, 0
-	}
-	return l.seg.segmentsCreated, l.seg.segmentsDeleted, int64(len(l.seg.segments))
+	return l.seg
 }
 
 // BytesAppended returns the total log volume generated (a primary
@@ -474,12 +594,13 @@ func (l *Log) ForcedWrites() int64 { return l.forcedWrites.Load() }
 // the forced I/Os group commit avoided. Lock-free.
 func (l *Log) ForcesSaved() int64 { return l.forcesSaved.Load() }
 
-// GroupLeaders returns the number of forced writes that were led on
-// behalf of a group (equal to ForcedWrites minus retries). Lock-free.
+// GroupLeaders returns the number of forced writes attempted (equal to
+// ForcedWrites plus the forces that failed). Lock-free.
 func (l *Log) GroupLeaders() int64 { return l.groupLeaders.Load() }
 
-// BytesForced returns the total bytes covered by forced writes; divided
-// by ForcedWrites it gives the mean group-commit batch size. Lock-free.
+// BytesForced returns the total bytes handed to the device by forced
+// writes; divided by ForcedWrites it gives the mean group-commit batch
+// size. Lock-free.
 func (l *Log) BytesForced() int64 { return l.bytesForced.Load() }
 
 // Read decodes the record at lsn and returns it with the next record's
@@ -487,10 +608,6 @@ func (l *Log) BytesForced() int64 { return l.bytesForced.Load() }
 func (l *Log) Read(lsn LSN) (Record, LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.readLocked(lsn)
-}
-
-func (l *Log) readLocked(lsn LSN) (Record, LSN, error) {
 	if lsn == 0 {
 		return nil, 0, fmt.Errorf("wal: read of LSN 0")
 	}
@@ -500,19 +617,15 @@ func (l *Log) readLocked(lsn LSN) (Record, LSN, error) {
 	if lsn <= l.base {
 		return nil, 0, fmt.Errorf("wal: LSN %d below retained base %d", lsn, l.base)
 	}
-	off := int(lsn - 1 - l.base)
-	if off+4 > len(l.buf) {
-		return nil, 0, fmt.Errorf("wal: LSN %d past tail", lsn)
-	}
-	n := int(binary.LittleEndian.Uint32(l.buf[off:]))
-	if off+4+n > len(l.buf) {
-		return nil, 0, fmt.Errorf("wal: record at LSN %d truncated", lsn)
-	}
-	r, err := Decode(l.buf[off+4 : off+4+n])
+	payload, next, err := l.s.record(lsn - 1)
 	if err != nil {
 		return nil, 0, err
 	}
-	return r, l.base + LSN(off+4+n) + 1, nil
+	r, err := Decode(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, next + 1, nil
 }
 
 // Iterate calls fn for every record with LSN >= from, in order. fn
@@ -530,10 +643,7 @@ func (l *Log) Iterate(from LSN, fn func(lsn LSN, r Record) error) error {
 	}
 	l.mu.Unlock()
 	for {
-		l.mu.Lock()
-		end := l.base + LSN(len(l.buf))
-		l.mu.Unlock()
-		if from-1 >= end {
+		if from >= l.Tail() {
 			return nil
 		}
 		r, next, err := l.Read(from)

@@ -360,15 +360,24 @@ type Pass3Snap struct {
 	SideFileHead storage.PageID
 }
 
-// Checkpoint is a sharp checkpoint: all dirty pages were flushed before
-// it was written, so redo starts here. It embeds the reorg table (§5)
-// and pass-3 state (§7.3).
+// Checkpoint is a sharp checkpoint: every page change logged below
+// RedoLSN was flushed before it was written, so redo starts at RedoLSN.
+// It embeds the reorg table (§5) and pass-3 state (§7.3).
+//
+// RedoLSN is the log tail read before the tables were snapshotted and
+// the pages flushed. Transactions keep logging while a checkpoint is
+// taken, so the tables describe some moment between RedoLSN and the
+// checkpoint record itself; restart analysis replays every record from
+// RedoLSN on over them, which lands on the true state at the crash
+// whatever that moment was. Zero (a record written before the field
+// existed, or by hand in a test) means the checkpoint's own LSN.
 type Checkpoint struct {
 	ActiveTxns []TxnInfo
 	Reorg      ReorgTableSnap
 	Pass3      Pass3Snap
 	NextTxnID  uint64
 	NextUnit   uint64
+	RedoLSN    uint64
 }
 
 func (TxnBegin) recordType() Type      { return TTxnBegin }
@@ -627,6 +636,7 @@ func Encode(r Record) []byte {
 		e.page(v.Pass3.SideFileHead)
 		e.u64(v.NextTxnID)
 		e.u64(v.NextUnit)
+		e.u64(v.RedoLSN)
 	case Split:
 		e.page(v.Left)
 		e.page(v.Right)
@@ -746,6 +756,9 @@ func Decode(b []byte) (Record, error) {
 		c.Pass3.SideFileHead = d.page()
 		c.NextTxnID = d.u64()
 		c.NextUnit = d.u64()
+		if d.err == nil && d.off < len(d.b) {
+			c.RedoLSN = d.u64()
+		}
 		r = c
 	case TSplit:
 		r = Split{Left: d.page(), Right: d.page(), Level: d.u32(),

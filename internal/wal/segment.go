@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -47,6 +49,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // first/middle.../last fragment chain; the chain never spans a
 // rotation (rotation happens only between logical records), so
 // reassembly is purely sequential within one segment.
+//
+// A segment is created zero-filled to SegmentBytes, so a force
+// overwrites blocks the file system has already allocated instead of
+// growing the file — the fsync then has no size or extent metadata to
+// journal. The log in a segment therefore ends not at EOF but at the
+// first frame header that is all zero (no frame has one: its type byte
+// is never 0), with nothing but zeros after it. A segment written
+// before preallocation simply ends at EOF; both open.
 const (
 	segHeaderSize = 32
 	recFrameSize  = 9
@@ -60,8 +70,9 @@ const (
 	recLast   = 4
 )
 
-// DefaultSegmentBytes is the rotation threshold: a segment that has
-// grown past it is closed and a new one opened before the next record.
+// DefaultSegmentBytes is the rotation threshold, and the size a new
+// segment is preallocated to: a segment that has grown to it is closed
+// and a new one opened before the next record.
 const DefaultSegmentBytes = 1 << 20
 
 // DefaultFragmentBytes caps a single frame's payload; larger logical
@@ -71,7 +82,8 @@ const DefaultFragmentBytes = 32 << 10
 
 // SegmentOptions configures the file-backed log device.
 type SegmentOptions struct {
-	// SegmentBytes is the rotation threshold (DefaultSegmentBytes if 0).
+	// SegmentBytes is the rotation threshold and preallocated segment
+	// size (DefaultSegmentBytes if 0).
 	SegmentBytes int64
 	// FragmentBytes caps one frame's payload (DefaultFragmentBytes if 0).
 	FragmentBytes int
@@ -85,9 +97,18 @@ type segmentInfo struct {
 }
 
 // SegmentedLog is the file device behind a Log: timestamped segment
-// files with per-record CRC frames, size-based rotation, torn-tail
-// truncation on recovery, and retention. It has no locking of its own —
-// every method runs under the owning Log's mutex.
+// files with per-record CRC frames, preallocation, size-based rotation,
+// torn-tail repair on recovery, and retention. It has no locking of its
+// own; the owning Log keeps these rules:
+//
+//   - write (frame the records, one page-cache write) runs under the
+//     Log's mutex and only while the device is not owned (Log.busy);
+//   - sync runs with the mutex released, on a file handle read under
+//     the mutex, any number at a time;
+//   - rotate, retain and close run with the device owned — no write can
+//     start and no sync is in flight — and, except close, with the
+//     mutex released;
+//   - the counters are atomics, readable at any time.
 type SegmentedLog struct {
 	dir       string
 	segBytes  int64
@@ -95,15 +116,43 @@ type SegmentedLog struct {
 
 	segments []segmentInfo // oldest first; last entry is the open segment
 	cur      *os.File
-	curSize  int64
+	curSize  int64 // offset in cur of the next frame
 	seq      uint64
+	frames   []byte // write's framing buffer, reused from force to force
 
-	fsyncs          int64
-	segmentsCreated int64
-	segmentsDeleted int64
+	opened          int64 // segments found when the directory was opened
+	fsyncs          atomic.Int64
+	segmentsCreated atomic.Int64
+	segmentsDeleted atomic.Int64
+}
+
+// maxFrameBuf bounds the framing buffer kept between forces; one bulk
+// force must not pin megabytes for the life of the log.
+const maxFrameBuf = 256 << 10
+
+// zeroes is the shared source of zero bytes for preallocating segments
+// and blanking torn tails; it is never written to.
+var zeroes [64 << 10]byte
+
+// zeroRange overwrites f's bytes [from, to) with zeros.
+func zeroRange(f *os.File, from, to int64) error {
+	for from < to {
+		n := min(to-from, int64(len(zeroes)))
+		if _, err := f.WriteAt(zeroes[:n], from); err != nil {
+			return err
+		}
+		from += n
+	}
+	return nil
 }
 
 func (s *SegmentedLog) segPath(name string) string { return filepath.Join(s.dir, name) }
+
+// counts returns segments created, deleted and currently live.
+func (s *SegmentedLog) counts() (created, deleted, live int64) {
+	created, deleted = s.segmentsCreated.Load(), s.segmentsDeleted.Load()
+	return created, deleted, s.opened + created - deleted
+}
 
 // syncDir fsyncs the segment directory so a just-created or
 // just-deleted name survives a crash.
@@ -121,7 +170,8 @@ func (s *SegmentedLog) syncDir() error {
 }
 
 // createSegment opens a fresh segment whose first record will carry
-// firstLSN, makes it the current segment, and syncs the directory.
+// firstLSN, zero-fills it to the segment size, makes it the current
+// segment (closing the one before) and syncs the directory.
 func (s *SegmentedLog) createSegment(firstLSN uint64) error {
 	s.seq++
 	created := time.Now().UnixNano()
@@ -130,20 +180,23 @@ func (s *SegmentedLog) createSegment(firstLSN uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	hdr := make([]byte, segHeaderSize)
-	copy(hdr, segMagic)
+	var hdr [segHeaderSize]byte
+	copy(hdr[:], segMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], segVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], firstLSN)
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(created))
-	if _, err := f.WriteAt(hdr, 0); err != nil {
+	_, err = f.WriteAt(hdr[:], 0)
+	if err == nil {
+		err = zeroRange(f, segHeaderSize, s.segBytes)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: create segment: %w", err)
-	}
-	s.fsyncs++
+	s.fsyncs.Add(1)
 	if err := s.syncDir(); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: sync segment dir: %w", err)
@@ -157,7 +210,7 @@ func (s *SegmentedLog) createSegment(firstLSN uint64) error {
 	s.cur = f
 	s.curSize = segHeaderSize
 	s.segments = append(s.segments, segmentInfo{name: name, firstLSN: firstLSN, created: created})
-	s.segmentsCreated++
+	s.segmentsCreated.Add(1)
 	return nil
 }
 
@@ -192,114 +245,95 @@ func (s *SegmentedLog) frameRecord(dst, payload []byte) []byte {
 	return appendFrame(dst, recLast, payload)
 }
 
-// force durably appends the unflushed log tail. tail is a sequence of
-// complete in-memory records ([len u32][payload]); startLSN is the LSN
-// of the first. Rotation happens between logical records; every
-// segment the force touched is fsynced before force returns.
-func (s *SegmentedLog) force(tail []byte, startLSN uint64) error {
-	if len(tail) == 0 {
-		return nil
-	}
-	var pending []byte
+// write frames records — complete in-memory records ([len u32][payload])
+// back to back — into the current segment with one page-cache write and
+// returns how many of their bytes it consumed. It stops short when the
+// segment reaches its size: rotation happens between logical records,
+// and the caller rotates before writing the rest. Nothing is durable
+// until a sync.
+func (s *SegmentedLog) write(recs []byte) (int, error) {
+	pending := s.frames[:0]
 	off := 0
-	for off < len(tail) {
-		n := int(binary.LittleEndian.Uint32(tail[off:]))
-		payload := tail[off+4 : off+4+n]
-		if s.curSize+int64(len(pending)) >= s.segBytes {
-			// Rotate: flush and fsync what this force already framed into
-			// the full segment, then open a new one for the next record.
-			if err := s.writeOut(pending); err != nil {
-				return err
-			}
-			pending = pending[:0]
-			if err := s.sync(); err != nil {
-				return err
-			}
-			if err := s.createSegment(startLSN + uint64(off)); err != nil {
-				return err
-			}
-		}
-		pending = s.frameRecord(pending, payload)
+	for off < len(recs) && s.curSize+int64(len(pending)) < s.segBytes {
+		n := int(binary.LittleEndian.Uint32(recs[off:]))
+		pending = s.frameRecord(pending, recs[off+4:off+4+n])
 		off += 4 + n
 	}
-	if err := s.writeOut(pending); err != nil {
-		return err
+	if cap(pending) <= maxFrameBuf {
+		s.frames = pending[:0]
 	}
-	return s.sync()
-}
-
-// writeOut appends framed bytes to the current segment.
-func (s *SegmentedLog) writeOut(b []byte) error {
-	if len(b) == 0 {
-		return nil
+	if len(pending) == 0 {
+		return 0, nil
 	}
-	n, err := s.cur.WriteAt(b, s.curSize)
+	n, err := s.cur.WriteAt(pending, s.curSize)
 	if err != nil {
-		return fmt.Errorf("wal: segment write: %w", err)
+		return 0, fmt.Errorf("wal: segment write: %w", err)
 	}
-	if n < len(b) {
-		return fmt.Errorf("wal: segment write: %d of %d bytes: short write", n, len(b))
+	if n < len(pending) {
+		return 0, fmt.Errorf("wal: segment write: %d of %d bytes: short write", n, len(pending))
 	}
 	s.curSize += int64(n)
-	return nil
+	return off, nil
 }
 
-// sync fsyncs the current segment.
-func (s *SegmentedLog) sync() error {
-	if err := s.cur.Sync(); err != nil {
+// full reports whether the current segment has reached its size, so
+// the next record belongs in a new one.
+func (s *SegmentedLog) full() bool { return s.curSize >= s.segBytes }
+
+// rotate makes everything written to the current segment durable and
+// replaces it with a fresh segment whose first record will carry
+// firstLSN.
+func (s *SegmentedLog) rotate(firstLSN uint64) error {
+	if err := s.sync(s.cur); err != nil {
+		return err
+	}
+	return s.createSegment(firstLSN)
+}
+
+// sync fsyncs segment file f.
+func (s *SegmentedLog) sync(f *os.File) error {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("wal: segment sync: %w", err)
 	}
-	s.fsyncs++
+	s.fsyncs.Add(1)
 	return nil
 }
 
-// tornForce models a crash in the middle of a forced write: only the
-// first half of the framed tail reaches the current segment (ragged —
-// it can end mid-frame or mid-fragment-chain), and it is synced so the
-// partial bytes genuinely survive. The caller panics with the crash
-// fault right after; recovery's scan classifies the ragged edge as a
-// torn tail and truncates it.
-func (s *SegmentedLog) tornForce(tail []byte, startLSN uint64) {
-	var framed []byte
-	off := 0
-	for off < len(tail) {
-		n := int(binary.LittleEndian.Uint32(tail[off:]))
-		framed = s.frameRecord(framed, tail[off+4:off+4+n])
-		off += 4 + n
+// tearSegment models a crash in the middle of a forced write: of the
+// bytes the force put into f, those in [from, to) never reached the
+// media (ragged — from can fall mid-frame or mid-fragment-chain), and
+// the loss is synced so it genuinely survives. The caller panics with
+// the crash fault right after; recovery's scan classifies the ragged
+// edge as a torn tail and blanks it.
+func tearSegment(f *os.File, from, to int64) {
+	if zeroRange(f, from, to) == nil {
+		_ = f.Sync()
 	}
-	half := framed[:len(framed)/2]
-	if len(half) == 0 {
-		return
-	}
-	if _, err := s.cur.WriteAt(half, s.curSize); err == nil {
-		_ = s.cur.Sync()
-	}
-	// curSize is deliberately not advanced: the process is about to die
-	// (crash panic); the re-scan rebuilds all device state from disk.
 }
 
 // retain deletes every segment whose entire contents lie strictly
 // below horizon (every record in segment i is below segment i+1's
 // firstLSN). The current segment is never deleted. It returns the
-// firstLSN of the oldest retained segment — the new retained base.
-func (s *SegmentedLog) retain(horizon uint64) (newBase uint64, err error) {
+// firstLSN of the oldest retained segment — the new retained base —
+// and how many segments it deleted.
+func (s *SegmentedLog) retain(horizon uint64) (newBase uint64, deleted int, err error) {
 	drop := 0
 	for drop < len(s.segments)-1 && s.segments[drop+1].firstLSN <= horizon {
 		drop++
 	}
-	for i := 0; i < drop; i++ {
-		if err := os.Remove(s.segPath(s.segments[i].name)); err != nil {
-			return s.segments[0].firstLSN, fmt.Errorf("wal: retention: %w", err)
+	for ; deleted < drop; deleted++ {
+		if err := os.Remove(s.segPath(s.segments[deleted].name)); err != nil {
+			return s.segments[0].firstLSN, deleted, fmt.Errorf("wal: retention: %w", err)
 		}
-		s.segmentsDeleted++
+		s.segmentsDeleted.Add(1)
 	}
 	if drop > 0 {
 		s.segments = append([]segmentInfo(nil), s.segments[drop:]...)
 		if err := s.syncDir(); err != nil {
-			return s.segments[0].firstLSN, fmt.Errorf("wal: retention: %w", err)
+			return s.segments[0].firstLSN, deleted, fmt.Errorf("wal: retention: %w", err)
 		}
 	}
-	return s.segments[0].firstLSN, nil
+	return s.segments[0].firstLSN, deleted, nil
 }
 
 // close releases the current segment handle (idempotent).
@@ -336,16 +370,22 @@ func listSegments(dir string) ([]string, error) {
 type scanResult struct {
 	records  [][]byte // reassembled logical record payloads
 	goodSize int64    // file offset just past the last good frame
+	dataEnd  int64    // file offset just past the last non-zero byte
 	torn     bool     // a ragged tail was found (only legal in the last segment)
 }
 
 // scanSegment reads one segment's frames, reassembling fragment
 // chains. last says whether this is the newest segment: only there may
-// a bad tail be classified as a torn write. The classification rule:
-// a frame that runs past EOF, or a trailing region that cannot be a
-// complete frame, or an unfinished fragment chain at EOF is a torn
-// tail (truncate); a complete frame with a bad CRC — or any damage
-// with more log after it — is ErrWALCorrupt.
+// a bad tail be classified as a torn write.
+//
+// The data of a segment ends at its last non-zero byte: past it lie
+// the zeros of preallocation, or EOF. A frame whose last byte is zero
+// may reach beyond that point and is still whole — a frame stands or
+// falls by its CRC. The classification rule: a frame that runs past
+// EOF, or a bad-CRC frame with no data after it, or an unfinished
+// fragment chain at the end of the data is a torn tail (blank it); a
+// bad-CRC frame with data after it — or any damage in a non-final
+// segment — is ErrWALCorrupt.
 func scanSegment(path string, last bool) (segmentInfo, scanResult, error) {
 	var info segmentInfo
 	var res scanResult
@@ -369,6 +409,7 @@ func scanSegment(path string, last bool) (segmentInfo, scanResult, error) {
 	fragStart := int64(-1)
 	var frag []byte
 	res.goodSize = off
+	res.dataEnd = max(off, int64(len(bytes.TrimRight(data, "\x00"))))
 
 	tornAt := func(at int64) (segmentInfo, scanResult, error) {
 		if !last {
@@ -379,7 +420,7 @@ func scanSegment(path string, last bool) (segmentInfo, scanResult, error) {
 		return info, res, nil
 	}
 
-	for off < int64(len(data)) {
+	for off < res.dataEnd {
 		if off+recFrameSize > int64(len(data)) {
 			return tornAt(off)
 		}
@@ -393,9 +434,9 @@ func scanSegment(path string, last bool) (segmentInfo, scanResult, error) {
 		crc := crc32.Checksum(data[off+8:off+9], castagnoli)
 		crc = crc32.Update(crc, castagnoli, data[off+recFrameSize:end])
 		if crc != wantCRC {
-			if last && end == int64(len(data)) {
-				// Bad CRC on the very last frame: the classic torn sector
-				// run at the tail of the newest segment — truncate.
+			if last && end >= res.dataEnd {
+				// Bad CRC and nothing but zeros behind the frame: the write
+				// that was in flight at the tail of the newest segment.
 				return tornAt(off)
 			}
 			return info, res, fmt.Errorf("wal: scan %s: frame CRC %08x != %08x at offset %d: %w",
@@ -437,19 +478,19 @@ func scanSegment(path string, last bool) (segmentInfo, scanResult, error) {
 		}
 	}
 	if fragStart >= 0 {
-		// Unfinished fragment chain at EOF: a force died between
-		// fragments. Truncate back to the chain's first frame.
+		// Unfinished fragment chain at the end of the data: a force died
+		// between fragments. Cut back to the chain's first frame.
 		return tornAt(fragStart)
 	}
 	return info, res, nil
 }
 
-// recoverDir scans dir's segments in creation order, truncating a torn
+// recoverDir scans dir's segments in creation order, blanking a torn
 // tail in the newest segment and rebuilding the in-memory record
 // stream. It returns the device (with the newest segment reopened for
 // appending), the stream's base (LSN of the first retained byte minus
-// one), and the concatenated [len][payload] stream.
-func recoverDir(dir string, opts SegmentOptions) (*SegmentedLog, uint64, []byte, error) {
+// one), and the retained stream.
+func recoverDir(dir string, opts SegmentOptions) (*SegmentedLog, uint64, stream, error) {
 	s := &SegmentedLog{
 		dir:       dir,
 		segBytes:  opts.SegmentBytes,
@@ -463,23 +504,24 @@ func recoverDir(dir string, opts SegmentOptions) (*SegmentedLog, uint64, []byte,
 	}
 	names, err := listSegments(dir)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("wal: list segments: %w", err)
+		return nil, 0, stream{}, fmt.Errorf("wal: list segments: %w", err)
 	}
 	if len(names) == 0 {
 		if err := s.createSegment(1); err != nil {
-			return nil, 0, nil, err
+			return nil, 0, stream{}, err
 		}
-		return s, 0, nil, nil
+		return s, 0, stream{}, nil
 	}
+	s.opened = int64(len(names))
 
 	var (
 		base uint64
-		buf  []byte
+		recs stream
 	)
 	for i, name := range names {
 		info, res, err := scanSegment(filepath.Join(dir, name), i == len(names)-1)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, stream{}, err
 		}
 		// seq continues past every name ever used so a new segment's name
 		// sorts after all existing ones.
@@ -490,38 +532,37 @@ func recoverDir(dir string, opts SegmentOptions) (*SegmentedLog, uint64, []byte,
 		}
 		if i == 0 {
 			base = info.firstLSN - 1
-		} else if want := base + uint64(len(buf)) + 1; info.firstLSN != want {
-			return nil, 0, nil, fmt.Errorf("wal: segment %s firstLSN %d != expected %d (gap or overlap): %w",
+			recs.end = base
+		} else if want := recs.end + 1; info.firstLSN != want {
+			return nil, 0, stream{}, fmt.Errorf("wal: segment %s firstLSN %d != expected %d (gap or overlap): %w",
 				name, info.firstLSN, want, ErrWALCorrupt)
 		}
 		for _, payload := range res.records {
-			var hdr [4]byte
-			binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-			buf = append(buf, hdr[:]...)
-			buf = append(buf, payload...)
+			recs.append(payload)
 		}
 		s.segments = append(s.segments, info)
 		if i == len(names)-1 {
 			f, ferr := os.OpenFile(filepath.Join(dir, name), os.O_RDWR, 0o644)
 			if ferr != nil {
-				return nil, 0, nil, fmt.Errorf("wal: reopen segment: %w", ferr)
+				return nil, 0, stream{}, fmt.Errorf("wal: reopen segment: %w", ferr)
 			}
 			if res.torn {
-				// Physically truncate the ragged tail so later appends
-				// never interleave with garbage.
-				if terr := f.Truncate(res.goodSize); terr != nil {
-					f.Close()
-					return nil, 0, nil, fmt.Errorf("wal: truncate torn tail: %w", terr)
+				// Blank the ragged tail so later appends never interleave
+				// with garbage, and make the blanking durable before any of
+				// them: the file keeps its allocated size.
+				terr := zeroRange(f, res.goodSize, res.dataEnd)
+				if terr == nil {
+					terr = f.Sync()
 				}
-				if serr := f.Sync(); serr != nil {
+				if terr != nil {
 					f.Close()
-					return nil, 0, nil, fmt.Errorf("wal: truncate torn tail: %w", serr)
+					return nil, 0, stream{}, fmt.Errorf("wal: blank torn tail: %w", terr)
 				}
-				s.fsyncs++
+				s.fsyncs.Add(1)
 			}
 			s.cur = f
 			s.curSize = res.goodSize
 		}
 	}
-	return s, base, buf, nil
+	return s, base, recs, nil
 }

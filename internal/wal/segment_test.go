@@ -122,126 +122,6 @@ func TestSegmentFragmentedRecord(t *testing.T) {
 	}
 }
 
-// TestSegmentTornTailTruncates damages the CRC of the final frame in
-// the newest segment: recovery must classify it as a torn write,
-// truncate it, and carry on — the earlier records survive.
-func TestSegmentTornTailTruncates(t *testing.T) {
-	dir := t.TempDir()
-	l := openSeg(t, dir, SegmentOptions{})
-	l.Append(TxnBegin{Txn: 1})
-	last := l.Append(TxnCommit{Txn: 1})
-	if err := l.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	names := segFiles(t, dir)
-	if len(names) != 1 {
-		t.Fatalf("segments = %v, want 1", names)
-	}
-	path := filepath.Join(dir, names[0])
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := int64(len(raw))
-	raw[len(raw)-1] ^= 0xFF // corrupt the last frame's payload tail
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2 := openSeg(t, dir, SegmentOptions{})
-	defer l2.Close()
-	got := collect(t, l2)
-	if len(got) != 1 {
-		t.Fatalf("recovered %d records after torn tail, want 1", len(got))
-	}
-	if _, ok := got[1].(TxnBegin); !ok {
-		t.Fatalf("surviving record = %#v, want TxnBegin", got)
-	}
-	if _, ok := got[last]; ok {
-		t.Fatalf("torn record at LSN %d survived recovery", last)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() >= before {
-		t.Errorf("torn tail not physically truncated: size %d, was %d", st.Size(), before)
-	}
-}
-
-// TestSegmentMidStreamCorruptionRefuses damages a record that has more
-// log after it (same segment): recovery must fail with ErrWALCorrupt
-// rather than truncate away durable records.
-func TestSegmentMidStreamCorruptionRefuses(t *testing.T) {
-	dir := t.TempDir()
-	l := openSeg(t, dir, SegmentOptions{})
-	first := l.Append(TxnBegin{Txn: 1})
-	for i := 0; i < 10; i++ {
-		l.Append(TxnCommit{Txn: uint64(i + 2)})
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	_ = first
-
-	names := segFiles(t, dir)
-	path := filepath.Join(dir, names[0])
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte in the first record's payload, well before EOF.
-	raw[segHeaderSize+recFrameSize] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := OpenSegmentedLog(dir, SegmentOptions{}); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("open over mid-stream damage = %v, want ErrWALCorrupt", err)
-	}
-}
-
-// TestSegmentNonFinalDamageRefuses damages the newest record of an
-// older (non-final) segment: even a clean-looking tail there is
-// mid-stream corruption, because a later segment exists.
-func TestSegmentNonFinalDamageRefuses(t *testing.T) {
-	dir := t.TempDir()
-	opts := SegmentOptions{SegmentBytes: 256}
-	l := openSeg(t, dir, opts)
-	for i := 0; i < 50; i++ {
-		l.Append(TxnCommit{Txn: uint64(i + 1)})
-		if err := l.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	names := segFiles(t, dir)
-	if len(names) < 2 {
-		t.Fatalf("segments = %v, want at least 2", names)
-	}
-	path := filepath.Join(dir, names[0])
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSegmentedLog(dir, opts); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("open over damaged non-final segment = %v, want ErrWALCorrupt", err)
-	}
-}
-
 // TestSegmentRetention drops fully-covered old segments on
 // TruncateBelow and keeps every surviving LSN readable.
 func TestSegmentRetention(t *testing.T) {

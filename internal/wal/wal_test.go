@@ -45,7 +45,7 @@ func allRecordSamples() []Record {
 			Pass3: Pass3Snap{Active: true, ReorgBit: true, CK: []byte("ck"),
 				HasStableKey: true, StableKey: []byte("sk"), NewRoot: 99,
 				NewHeight: 2, SideFileHead: 88},
-			NextTxnID: 12, NextUnit: 7,
+			NextTxnID: 12, NextUnit: 7, RedoLSN: 90,
 		},
 		Split{Left: 5, Right: 6, Level: 0, Sep: []byte("m"),
 			Moved: [][]byte{[]byte("cell1"), []byte("cell2")}, RightNext: 9,
@@ -92,6 +92,22 @@ func TestDecodeErrors(t *testing.T) {
 	b := Encode(Update{Txn: 1, Page: 2, Op: OpInsert, Key: []byte("long-key")})
 	if _, err := Decode(b[:len(b)-3]); err == nil {
 		t.Error("truncated record should fail")
+	}
+}
+
+// TestDecodeCheckpointWithoutRedoLSN reads a checkpoint record as it
+// was written before the RedoLSN field existed (the field is the last
+// eight bytes): it decodes, with RedoLSN zero.
+func TestDecodeCheckpointWithoutRedoLSN(t *testing.T) {
+	want := Checkpoint{ActiveTxns: []TxnInfo{{ID: 3, LastLSN: 9}}, NextTxnID: 12, NextUnit: 7,
+		Reorg: ReorgTableSnap{LK: []byte{}}, Pass3: Pass3Snap{CK: []byte{}, StableKey: []byte{}}}
+	enc := Encode(Checkpoint{ActiveTxns: want.ActiveTxns, NextTxnID: 12, NextUnit: 7, RedoLSN: 5})
+	got, err := Decode(enc[:len(enc)-8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %#v, want %#v", got, want)
 	}
 }
 
