@@ -1,48 +1,20 @@
 package repro_test
 
-// Benchmark harness: one benchmark per experiment in DESIGN.md /
-// EXPERIMENTS.md (E1–E9) plus micro-benchmarks of the primitive
-// operations. The same code paths back cmd/reorg-bench, which prints
-// the full tables; the benchmarks report the headline figures as
-// custom metrics so `go test -bench=.` regenerates every number.
+// Micro-benchmarks of the primitive operations: entry points for
+// profiling (`go test -run '^$' -bench Get -cpuprofile ...`), with no
+// checked-in numbers. The performance record is bench/ (BENCHMARK.json);
+// the paper's tables come from `reorg-bench exp`.
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	repro "repro"
-	"repro/internal/baseline"
-	"repro/internal/experiments"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
-
-func benchParams(records int) experiments.Params {
-	return experiments.Params{Records: records, ValueSize: 48,
-		PageSize: 4096, Seed: 42}
-}
-
-// mustSparse builds the standard sparse database for a benchmark.
-func mustSparse(b *testing.B, records int, keep float64) (*repro.DB, func(int) bool) {
-	b.Helper()
-	db, err := repro.Open(repro.Options{PageSize: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := workload.Load(db, records, 48, "random", 42); err != nil {
-		b.Fatal(err)
-	}
-	pred, err := workload.Sparsify(db, records, keep)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return db, pred
-}
-
-// --- E1: Table 1 ---
 
 // BenchmarkE1LockManager exercises the lock manager's hot path; the
 // compatibility matrix itself is pinned by TestTable1Compatibility.
@@ -59,297 +31,6 @@ func BenchmarkE1LockManager(b *testing.B) {
 		}
 	})
 }
-
-// --- E2: the three passes (Figures 1-2) ---
-
-func BenchmarkE2ThreePassReorg(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db, _ := mustSparse(b, 10000, 0.25)
-		before, _ := db.GatherStats()
-		b.StartTimer()
-		if _, err := db.Reorganize(repro.DefaultReorgConfig()); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		after, _ := db.GatherStats()
-		b.ReportMetric(float64(before.LeafPages), "leaves-before")
-		b.ReportMetric(float64(after.LeafPages), "leaves-after")
-		b.ReportMetric(after.AvgLeafFill, "fill-after")
-		b.ReportMetric(float64(after.OutOfOrderPairs), "inversions-after")
-		b.StartTimer()
-	}
-}
-
-// Per-pass benchmarks (ablation of Figure 1's stages).
-func BenchmarkE2Pass1CompactOnly(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db, _ := mustSparse(b, 10000, 0.25)
-		r := db.Reorganizer(repro.ReorgConfig{TargetFill: 0.9, CarefulWriting: true})
-		b.StartTimer()
-		if err := r.CompactLeaves(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE2Pass2SwapOnly(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db, _ := mustSparse(b, 10000, 0.25)
-		r := db.Reorganizer(repro.ReorgConfig{TargetFill: 0.9, CarefulWriting: true})
-		if err := r.CompactLeaves(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := r.SwapLeaves(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE2Pass3RebuildOnly(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db, _ := mustSparse(b, 10000, 0.25)
-		r := db.Reorganizer(repro.ReorgConfig{TargetFill: 0.9, CarefulWriting: true})
-		if err := r.CompactLeaves(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := r.RebuildInternal(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E3: Find-Free-Space heuristic (§6.1) ---
-
-func BenchmarkE3SwapReduction(b *testing.B) {
-	for _, pol := range []struct {
-		name string
-		p    repro.Placement
-	}{
-		{"heuristic", repro.PlacementHeuristic},
-		{"first-fit", repro.PlacementFirstFit},
-		{"in-place", repro.PlacementInPlace},
-	} {
-		b.Run(pol.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db, _ := mustSparse(b, 10000, 0.25)
-				b.StartTimer()
-				m, err := db.Reorganize(repro.ReorgConfig{TargetFill: 0.9,
-					Placement: pol.p, SwapPass: true, CarefulWriting: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(m.Get(metrics.Pass2Swaps)), "swaps")
-				b.ReportMetric(float64(m.Get(metrics.Pass2Moves)), "moves")
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-// --- E4: concurrency vs whole-file locking (§8) ---
-
-func benchConcurrent(b *testing.B, reorg func(db *repro.DB) error) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db, _ := mustSparse(b, 10000, 0.25)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		var stats workload.ClientStats
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats = workload.RunClients(db, 8, 0, workload.Balanced, 10000, 48, stop)
-		}()
-		time.Sleep(30 * time.Millisecond)
-		b.StartTimer()
-		err := reorg(db)
-		b.StopTimer()
-		if rest := 300*time.Millisecond - stats.Elapsed; rest > 0 {
-			time.Sleep(rest)
-		}
-		close(stop)
-		wg.Wait()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Check(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(stats.Throughput(), "user-ops/s")
-		b.ReportMetric(float64(stats.MaxNanos)/1e6, "max-lat-ms")
-		b.StartTimer()
-	}
-}
-
-func BenchmarkE4ConcurrencyPaper(b *testing.B) {
-	benchConcurrent(b, func(db *repro.DB) error {
-		_, err := db.Reorganize(repro.DefaultReorgConfig())
-		return err
-	})
-}
-
-func BenchmarkE4ConcurrencySmith90(b *testing.B) {
-	benchConcurrent(b, func(db *repro.DB) error {
-		return baseline.New(db.Tree(), baseline.Config{TargetFill: 0.9, SwapPass: true}).Run()
-	})
-}
-
-// --- E5: forward recovery (§5.1) ---
-
-func BenchmarkE5ForwardRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		rows, err := experiments.E5ForwardRecovery(benchParams(8000))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.System == "paper (forward recovery)" {
-				b.ReportMetric(r.RestartMillis, "restart-ms")
-				b.ReportMetric(r.FillPostRec, "fill-after-recovery")
-			}
-		}
-		b.StartTimer()
-	}
-}
-
-// --- E6: log volume (§5) ---
-
-func BenchmarkE6LogVolume(b *testing.B) {
-	for _, careful := range []bool{true, false} {
-		name := "full-content"
-		if careful {
-			name = "careful-writing"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db, _ := mustSparse(b, 10000, 0.25)
-				before := db.LogBytes()
-				b.StartTimer()
-				m, err := db.Reorganize(repro.ReorgConfig{TargetFill: 0.9, CarefulWriting: careful})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				bytes := db.LogBytes() - before
-				moved := m.Get(metrics.RecordsMoved)
-				if moved > 0 {
-					b.ReportMetric(float64(bytes)/float64(moved), "log-bytes/record")
-				}
-				b.StartTimer()
-			}
-		})
-	}
-	b.Run("smith90-block-images", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			db, _ := mustSparse(b, 10000, 0.25)
-			before := db.LogBytes()
-			bl := baseline.New(db.Tree(), baseline.Config{TargetFill: 0.9})
-			b.StartTimer()
-			if err := bl.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			bytes := db.LogBytes() - before
-			moved := bl.Metrics().Get(metrics.RecordsMoved)
-			if moved > 0 {
-				b.ReportMetric(float64(bytes)/float64(moved), "log-bytes/record")
-			}
-			b.StartTimer()
-		}
-	})
-}
-
-// --- E7: granularity (§8) ---
-
-func BenchmarkE7Granularity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		rows, err := experiments.E7Granularity(benchParams(8000))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Fill == 0.125 {
-				key := "units"
-				if r.System != "paper (d-page units)" {
-					key = "block-txns"
-				}
-				b.ReportMetric(float64(r.Ops), key)
-			}
-		}
-		b.StartTimer()
-	}
-}
-
-// --- E8: range-scan I/O (§1 motivation) ---
-
-func BenchmarkE8RangeScan(b *testing.B) {
-	for _, reorg := range []bool{false, true} {
-		name := "sparse"
-		if reorg {
-			name = "reorganized"
-		}
-		b.Run(name, func(b *testing.B) {
-			db, err := repro.Open(repro.Options{PageSize: 4096, BufferPoolPages: 24})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := workload.Load(db, 10000, 48, "random", 42); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := workload.Sparsify(db, 10000, 0.25); err != nil {
-				b.Fatal(err)
-			}
-			if reorg {
-				if _, err := db.Reorganize(repro.DefaultReorgConfig()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			readsBefore := db.IOStats().Reads
-			seeksBefore := db.Seeks()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := (i * 997) % 10000
-				count := 0
-				if err := db.Scan(workload.Key(lo), nil, func(_, _ []byte) bool {
-					count++
-					return count < 200
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			readsAfter := db.IOStats().Reads
-			b.ReportMetric(float64(readsAfter-readsBefore)/float64(b.N), "reads/scan")
-			b.ReportMetric(float64(db.Seeks()-seeksBefore)/float64(b.N), "seeks/scan")
-		})
-	}
-}
-
-// --- E9: pass-3 availability (§7.5) ---
-
-func BenchmarkE9Pass3Availability(b *testing.B) {
-	benchConcurrent(b, func(db *repro.DB) error {
-		r := db.Reorganizer(repro.ReorgConfig{TargetFill: 0.9})
-		if err := r.CompactLeaves(); err != nil {
-			return err
-		}
-		return r.RebuildInternal()
-	})
-}
-
-// --- micro-benchmarks of the primitives ---
 
 func BenchmarkInsert(b *testing.B) {
 	db, _ := repro.Open(repro.Options{PageSize: 4096})
@@ -525,7 +206,16 @@ func BenchmarkDelete(b *testing.B) {
 func BenchmarkCrashRestart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db, _ := mustSparse(b, 5000, 0.25)
+		db, err := repro.Open(repro.Options{PageSize: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := workload.Load(db, 5000, 48, "random", 42); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := workload.Sparsify(db, 5000, 0.25); err != nil {
+			b.Fatal(err)
+		}
 		db.Crash()
 		b.StartTimer()
 		if _, err := db.Restart(); err != nil {

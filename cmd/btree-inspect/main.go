@@ -174,10 +174,11 @@ func dumpMetricsJSON(db *repro.DB) {
 // dumpMetrics renders the observability state for humans: one quantile
 // row per operation kind, the occupancy cells, and the trace tail.
 func dumpMetrics(db *repro.DB) {
+	snap := db.MetricsSnapshot()
 	fmt.Println("\nlatency quantiles (ns):")
 	fmt.Printf("  %-14s %9s %10s %10s %10s %10s %10s\n",
 		"op", "count", "p50", "p90", "p99", "p999", "max")
-	for _, r := range db.LatencyQuantiles() {
+	for _, r := range snap.Latencies {
 		fmt.Printf("  %-14s %9d %10d %10d %10d %10d %10d\n", r.Op, r.Count,
 			r.P50.Nanoseconds(), r.P90.Nanoseconds(), r.P99.Nanoseconds(),
 			r.P999.Nanoseconds(), r.Max.Nanoseconds())
@@ -203,7 +204,7 @@ func dumpMetrics(db *repro.DB) {
 		occ.Free.HighWater, occ.Free.Allocated, occ.Free.Free,
 		occ.Free.FreeRuns, occ.Free.LargestFreeRun)
 
-	wa := db.WriteAmp()
+	wa := snap.WriteAmp
 	fmt.Printf("\nwrite amplification: logical %d B, WAL %d B (%.2fx), pages %d B (%.2fx), total %.2fx\n",
 		wa.LogicalBytes, wa.WALBytes, wa.WALAmp, wa.PageBytes, wa.PageAmp, wa.TotalAmp)
 

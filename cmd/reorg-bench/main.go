@@ -1,627 +1,149 @@
-// Command reorg-bench regenerates every experiment table in
-// EXPERIMENTS.md: the paper's Table 1, the three-pass behaviour of
-// Figures 1–2, and the quantified comparisons against the Tandem-style
-// baseline (§6.1 swap reduction, §8 concurrency, §5.1 forward
-// recovery, §5 log volume, granularity, range-scan I/O, and pass-3
-// availability).
+// Command reorg-bench reproduces the paper's results and checks the
+// implementation against them. It has three subcommands, each with its
+// own flags:
 //
-// Usage:
+//	reorg-bench exp   [-records N] [-pagesize N] [-valuesize N] [-seed N] [e1..e9]
+//	reorg-bench check [-seed N] [-histories N] [-crashes N] [-crashhit N] [-clients N] [-ops N]
+//	                  [-noshrink] [-daemon] [-backend mem|file] [-dir D]
+//	reorg-bench sweep [-stride N] [-maxruns N] [-daemon] [-backend mem|file] [-dir D] [-walseg N]
 //
-//	reorg-bench [-exp all|e1|e2|...|e12] [-records N] [-pagesize N]
-//	reorg-bench -sweep [-stride N] [-maxruns N] [-backend mem|file] [-dir D] [-daemon]
-//	reorg-bench -check [-seed N] [-histories N] [-crashes N] [-crashhit N] [-backend mem|file] [-daemon]
-//	reorg-bench -bench6 [-benchout BENCH_PR6.json]
-//	reorg-bench -bench7 [-bench7out BENCH_PR7.json]
-//	reorg-bench -bench9 [-bench9out BENCH_PR9.json]
-//	reorg-bench -bench9compare [-bench9out BENCH_PR9.json]
-//	reorg-bench -bench10 [-bench10out BENCH_PR10.json]
-//	reorg-bench -tracedump trace.json
+// exp regenerates the experiment tables of EXPERIMENTS.md (E1–E9): the
+// paper's Table 1, the three-pass behaviour of Figures 1–2, and the
+// quantified comparisons against the Tandem-style baseline (§6.1 swap
+// reduction, §8 concurrency, §5.1 forward recovery, §5 log volume,
+// granularity, range-scan I/O, and pass-3 availability). Without a name
+// it renders all nine.
 //
-// The -sweep mode runs experiment E5b instead: the exhaustive
-// crash-schedule sweep over every fault-point hit of a scripted
-// reorganization (see internal/fault/sweep). With -backend file each
-// crash run executes against the file-backed page store and segmented
-// WAL in a fresh directory under -dir (a temp dir by default).
+// check runs the deterministic property-check harness (internal/check):
+// a clean reorg-equivalence run with the structure oracle at every pass
+// boundary, a budget of random concurrent histories verified for
+// linearizability, and a spread of crash-point equivalence schedules.
+// Every failure prints a one-line repro command in this spelling.
 //
-// The -check mode runs the deterministic property-check harness
-// (internal/check): a clean reorg-equivalence run with the structure
-// oracle at every pass boundary, a budget of random concurrent
-// histories verified for linearizability, and a spread of crash-point
-// equivalence schedules. Every failure prints a one-line repro command
-// whose flags match this binary exactly. -backend file moves the
-// equivalence and crash-schedule legs onto the file backend.
+// sweep runs E5b, the exhaustive crash-schedule sweep over every
+// fault-point hit of a scripted reorganization (internal/fault/sweep).
 //
-// The -bench6 mode runs an identical load/checkpoint/reorganize/scan
-// workload on both the in-memory and file backends and writes the
-// timings plus media counters side by side as JSON (BENCH_PR6.json).
+// With -backend file, check and sweep run against the file-backed page
+// store and segmented WAL in fresh directories under -dir (a temp dir by
+// default).
 //
-// The -bench7 mode measures the node-layout hot paths — record-at-a-
-// time insert, 256-record batched insert, and random point gets — on
-// both backends, and writes BENCH_PR7.json with speedups against the
-// BENCH_PR2.json baseline when that file is present.
-//
-// The -bench9 mode measures tail latency of a Zipfian read-mostly
-// workload with and without a concurrent reorganization on both
-// backends (the E11 cells), plus the hot-path cost of the always-on
-// observability layer, and writes BENCH_PR9.json. -bench9compare
-// re-measures and fails when a get-p99 cell regressed beyond tolerance
-// against that file. -tracedump reorganizes a file-backed tree under
-// load and dumps the event-trace ring as JSON.
+// System performance is not measured here: bench/ is the benchmark
+// (BENCHMARK.json, bench/README.md).
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"math/rand"
+	"io"
 	"os"
-	"path/filepath"
-	"strings"
-	"time"
-
-	repro "repro"
-	"repro/internal/check"
-	"repro/internal/experiments"
-	"repro/internal/fault/sweep"
-	"repro/internal/workload"
+	"strconv"
 )
 
+const usage = `usage: reorg-bench <subcommand> [flags]
+
+  exp [flags] [e1..e9]   regenerate the paper's experiment tables (all nine without a name)
+  check [flags]          property-check harness: equivalence, linearizability, crash schedules
+  sweep [flags]          E5b exhaustive crash-schedule sweep
+
+"reorg-bench <subcommand> -h" lists a subcommand's flags.
+`
+
+// errUsage reports a rejected command line. Whoever returns it has
+// already told the user what was wrong, on the error writer.
+var errUsage = errors.New("bad command line")
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, e1..e12")
-	records := flag.Int("records", 20000, "records loaded before sparsification")
-	pageSize := flag.Int("pagesize", 4096, "page size in bytes")
-	valueSize := flag.Int("valuesize", 48, "record value size in bytes")
-	seed := flag.Int64("seed", 42, "workload seed")
-	doSweep := flag.Bool("sweep", false, "run the E5b crash-schedule sweep and exit")
-	gcWindow := flag.Duration("gcwindow", 0, "e10: group-commit window (0 = coalesce in-flight only)")
-	stride := flag.Int("stride", 1, "sweep: crash at every stride-th hit")
-	maxRuns := flag.Int("maxruns", 0, "sweep: cap on crash runs (0 = all)")
-	doCheck := flag.Bool("check", false, "run the property-check harness and exit")
-	histories := flag.Int("histories", 100, "check: random concurrent histories to verify (0 = none)")
-	crashes := flag.Int("crashes", 10, "check: crash-point equivalence schedules (0 = none)")
-	crashHit := flag.Int("crashhit", 0, "check: run one equivalence crash repro at this fault-point hit")
-	clients := flag.Int("clients", 0, "check: override derived history client count")
-	opsPer := flag.Int("ops", 0, "check: override derived history ops-per-client")
-	noShrink := flag.Bool("noshrink", false, "check: skip shrinking failing histories")
-	daemonOn := flag.Bool("daemon", false, "check/sweep: enable the autonomous-daemon arm")
-	backend := flag.String("backend", "mem", "sweep/check: storage backend (mem or file)")
-	dir := flag.String("dir", "", "file backend: parent directory for run directories (default: system temp)")
-	walSeg := flag.Int64("walseg", 0, "file backend: WAL segment size in bytes (0 = default)")
-	doBench := flag.Bool("bench6", false, "run the mem-vs-file backend comparison and exit")
-	benchOut := flag.String("benchout", "BENCH_PR6.json", "bench6: output JSON path")
-	doBench7 := flag.Bool("bench7", false, "run the node-layout hot-path benchmark and exit")
-	bench7Out := flag.String("bench7out", "BENCH_PR7.json", "bench7: output JSON path")
-	doBench9 := flag.Bool("bench9", false, "run the tail-latency benchmark (E11 cells + observability overhead) and exit")
-	bench9Out := flag.String("bench9out", "BENCH_PR9.json", "bench9: output JSON path; bench9compare: baseline path")
-	doBench9Cmp := flag.Bool("bench9compare", false, "re-measure bench9 and fail on get-p99 regression vs -bench9out")
-	doBench10 := flag.Bool("bench10", false, "run the daemon steady-state benchmark (E12 cells) and exit")
-	bench10Out := flag.String("bench10out", "BENCH_PR10.json", "bench10: output JSON path")
-	traceDump := flag.String("tracedump", "", "reorganize a file-backed tree under load and dump the trace ring as JSON to this path, then exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	switch *backend {
-	case "mem", "file":
+// run dispatches to a subcommand and maps its outcome to an exit code:
+// 0 success (or -h), 1 the run failed, 2 the command line was rejected.
+func run(args []string, out, errw io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(errw, usage)
+		return 2
+	}
+	var err error
+	switch args[0] {
+	case "exp":
+		err = runExp(args[1:], out, errw)
+	case "check":
+		err = runCheck(args[1:], out, errw)
+	case "sweep":
+		err = runSweep(args[1:], out, errw)
+	case "-h", "-help", "--help":
+		fmt.Fprint(out, usage)
+		return 0
 	default:
-		log.Fatalf("unknown backend %q (want mem or file)", *backend)
+		fmt.Fprintf(errw, "reorg-bench: unknown subcommand %q\n%s", args[0], usage)
+		return 2
 	}
-
-	if *doBench {
-		runBench(*records, *valueSize, *pageSize, *seed, *walSeg, *benchOut)
-		return
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	}
-	if *doBench7 {
-		runBench7(*records, *valueSize, *pageSize, *seed, *walSeg, *bench7Out)
-		return
-	}
-	if *doBench9 {
-		runBench9(*records, *valueSize, *pageSize, *seed, *bench9Out)
-		return
-	}
-	if *doBench9Cmp {
-		runBench9Compare(*records, *valueSize, *pageSize, *seed, *bench9Out)
-		return
-	}
-	if *doBench10 {
-		runBench10(*records, *valueSize, *pageSize, *seed, *bench10Out)
-		return
-	}
-	if *traceDump != "" {
-		runTraceDump(*records, *valueSize, *pageSize, *seed, *traceDump)
-		return
-	}
-	if *doSweep {
-		runSweep(*stride, *maxRuns, *backend, *dir, *walSeg, *daemonOn)
-		return
-	}
-	if *doCheck {
-		runCheck(*seed, *histories, *crashes, *crashHit, *clients, *opsPer, !*noShrink, *backend, *dir, *daemonOn)
-		return
-	}
-
-	p := experiments.Params{Records: *records, ValueSize: *valueSize,
-		PageSize: *pageSize, Seed: *seed}
-
-	want := func(name string) bool {
-		return *exp == "all" || strings.EqualFold(*exp, name)
-	}
-	out := os.Stdout
-	start := time.Now()
-
-	if want("e1") {
-		if _, err := experiments.E1LockTable().WriteTo(out); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if want("e2") {
-		res, err := experiments.E2ThreePass(p)
-		if err != nil {
-			log.Fatalf("E2: %v", err)
-		}
-		_, _ = res.Table().WriteTo(out)
-	}
-	if want("e3") {
-		rows, err := experiments.E3SwapReduction(p)
-		if err != nil {
-			log.Fatalf("E3: %v", err)
-		}
-		_, _ = experiments.E3Table(rows).WriteTo(out)
-	}
-	if want("e4") {
-		rows, err := experiments.E4Concurrency(p, []int{4, 8, 16})
-		if err != nil {
-			log.Fatalf("E4: %v", err)
-		}
-		_, _ = experiments.E4Table(rows).WriteTo(out)
-	}
-	if want("e5") {
-		rows, err := experiments.E5ForwardRecovery(p)
-		if err != nil {
-			log.Fatalf("E5: %v", err)
-		}
-		_, _ = experiments.E5Table(rows).WriteTo(out)
-	}
-	if want("e6") {
-		rows, err := experiments.E6LogVolume(p)
-		if err != nil {
-			log.Fatalf("E6: %v", err)
-		}
-		_, _ = experiments.E6Table(rows).WriteTo(out)
-	}
-	if want("e7") {
-		rows, err := experiments.E7Granularity(p)
-		if err != nil {
-			log.Fatalf("E7: %v", err)
-		}
-		_, _ = experiments.E7Table(rows).WriteTo(out)
-	}
-	if want("e8") {
-		rows, err := experiments.E8RangeScanIO(p)
-		if err != nil {
-			log.Fatalf("E8: %v", err)
-		}
-		_, _ = experiments.E8Table(rows).WriteTo(out)
-	}
-	if want("e9") {
-		rows, err := experiments.E9Pass3Availability(p)
-		if err != nil {
-			log.Fatalf("E9: %v", err)
-		}
-		_, _ = experiments.E9Table(rows).WriteTo(out)
-	}
-	if want("e10") {
-		rows, err := experiments.E10Scaling(p, []int{1, 2, 4, 8}, *gcWindow)
-		if err != nil {
-			log.Fatalf("E10: %v", err)
-		}
-		_, _ = experiments.E10Table(rows).WriteTo(out)
-	}
-	if want("e11") {
-		cfg := experiments.E11Config{Dir: *dir}
-		if *exp != "all" {
-			// An explicit -exp e11 honours -backend; "all" runs both.
-			cfg.Backend = *backend
-		}
-		rows, err := experiments.E11TailLatency(p, cfg)
-		if err != nil {
-			log.Fatalf("E11: %v", err)
-		}
-		_, _ = experiments.E11Table(rows).WriteTo(out)
-	}
-	if want("e12") {
-		cfg := experiments.E12Config{Dir: *dir}
-		if *exp != "all" {
-			// An explicit -exp e12 honours -backend; "all" runs both.
-			cfg.Backend = *backend
-		}
-		rows, err := experiments.E12DaemonSteadyState(p, cfg)
-		if err != nil {
-			log.Fatalf("E12: %v", err)
-		}
-		_, _ = experiments.E12Table(rows).WriteTo(out)
-	}
-	fmt.Fprintf(out, "\ntotal: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(errw, "reorg-bench %s: %v\n", args[0], err)
+	return 1
 }
 
-// checkDir resolves the file-backend parent directory for -check: the
-// harness puts each run in a fresh subdirectory of the returned path.
-// An empty return means the in-memory backend.
-func checkDir(backend, dir string) (string, func()) {
-	if backend != "file" {
-		return "", func() {}
-	}
-	if dir != "" {
-		return dir, func() {}
-	}
-	tmp, err := os.MkdirTemp("", "reorg-check-")
-	if err != nil {
-		log.Fatalf("check: temp dir: %v", err)
-	}
-	return tmp, func() { _ = os.RemoveAll(tmp) }
+// newFlagSet returns the flag set of one subcommand. Parse errors and
+// the flag listing go to errw.
+func newFlagSet(name string, errw io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("reorg-bench "+name, flag.ContinueOnError)
+	fs.SetOutput(errw)
+	return fs
 }
 
-// runCheck executes the property-check harness. A crashhit > 0 runs a
-// single equivalence crash repro; otherwise the full smoke budget.
-// Exits non-zero on any violation, after printing the repro line.
-func runCheck(seed int64, histories, crashes, crashHit, clients, opsPer int, shrink bool, backend, dir string, daemonOn bool) {
-	start := time.Now()
-	runDir, cleanup := checkDir(backend, dir)
-	defer cleanup()
-	if crashHit > 0 {
-		res, err := check.Equiv(check.EquivConfig{Seed: seed, CrashHit: crashHit, Dir: runDir, Daemon: daemonOn})
-		if err != nil {
-			log.Fatalf("check: crash repro (seed %d, hit %d): %v", seed, crashHit, err)
+// parse runs fs over args. A flag the set does not define — one that
+// belongs to another subcommand, say — is a usage error like any other.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return errUsage // fs.Parse has printed the reason and the flags
+}
+
+// reject prints why the command line was refused, then the flags.
+func reject(fs *flag.FlagSet, format string, a ...any) error {
+	fmt.Fprintf(fs.Output(), "%s: %s\n", fs.Name(), fmt.Sprintf(format, a...))
+	fs.Usage()
+	return errUsage
+}
+
+// requirePositive rejects a count that was given and is not positive.
+// Flags left at their default are not looked at: several defaults are 0
+// for "derive it" or "no limit", which nobody can ask for by number.
+func requirePositive(fs *flag.FlagSet, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for _, name := range names {
+			// Parse accepted the value, so it is an integer.
+			if v, _ := strconv.ParseInt(f.Value.String(), 10, 64); f.Name == name && v <= 0 && err == nil {
+				err = reject(fs, "-%s must be positive, got %d", name, v)
+			}
 		}
-		fmt.Printf("check: crash repro ok (seed %d, hit %d): crashed=%v restarts=%d side=%d records=%d (%v)\n",
-			seed, crashHit, res.Crashed, res.Restarts, res.SideApplied, res.Records,
-			time.Since(start).Round(time.Millisecond))
-		return
-	}
-	cfg := check.SmokeConfig{
-		Seed:           seed,
-		Histories:      histories,
-		CrashSchedules: crashes,
-		Shrink:         shrink,
-		Dir:            runDir,
-		Daemon:         daemonOn,
-		HistoryClients: clients,
-		HistoryOps:     opsPer,
-		Logf:           log.Printf,
-	}
-	// Flag value 0 means "run none"; SmokeConfig uses negative for that
-	// (its zero value selects the default budget).
-	if histories == 0 {
-		cfg.Histories = -1
-	}
-	if crashes == 0 {
-		cfg.CrashSchedules = -1
-	}
-	res, err := check.Smoke(cfg)
-	if err != nil {
-		log.Fatalf("check: %v", err)
-	}
-	fmt.Printf("check: ok — %d histories linearizable, %d crash schedules equivalent (%d fault-point hits), %d side-file applies (%v)\n",
-		res.Histories, res.CrashRuns, res.Hits, res.SideApplied,
-		time.Since(start).Round(time.Millisecond))
-}
-
-// runSweep executes E5b: enumerate every fault-point hit in the
-// scripted workload, then crash at each one and verify recovery. With
-// daemonOn the workload's reorganization is daemon-driven instead of
-// explicit passes (see sweep.Config.Daemon).
-func runSweep(stride, maxRuns int, backend, dir string, walSeg int64, daemonOn bool) {
-	start := time.Now()
-	res, err := sweep.Run(sweep.Config{
-		Stride:          stride,
-		MaxRuns:         maxRuns,
-		Torn:            true,
-		Backend:         backend,
-		Dir:             dir,
-		WALSegmentBytes: walSeg,
-		Daemon:          daemonOn,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
 	})
-	if err != nil {
-		log.Fatalf("sweep: %v", err)
-	}
-	shape := "passes"
-	if daemonOn {
-		shape = "daemon"
-	}
-	fmt.Printf("\nE5b crash-schedule sweep [%s backend, %s workload] (%v)\n",
-		backend, shape, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  fault-point hits enumerated  %d\n", res.TotalHits)
-	fmt.Printf("  distinct fault points        %d\n", len(res.Points))
-	fmt.Printf("  crash runs verified          %d\n", res.CrashRuns)
-	fmt.Printf("  torn-log runs verified       %d\n", res.TornRuns)
-	fmt.Printf("  units forward-completed      %d\n", res.ForwardCompleted)
-	fmt.Printf("  pass-3 builds abandoned      %d\n", res.Pass3Abandoned)
-	fmt.Printf("  pass-3 switches completed    %d\n", res.Pass3Completed)
-	for _, p := range res.Points {
-		fmt.Printf("    %s\n", p)
-	}
+	return err
 }
 
-// benchRow is one backend's column in the BENCH_PR6.json comparison.
-type benchRow struct {
-	Backend      string           `json:"backend"`
-	LoadMS       float64          `json:"load_ms"`
-	CheckpointMS float64          `json:"checkpoint_ms"`
-	ReorgMS      float64          `json:"reorg_ms"`
-	ScanMS       float64          `json:"scan_ms"`
-	CloseMS      float64          `json:"close_ms"`
-	ScannedRecs  int              `json:"scanned_records"`
-	DiskReads    int64            `json:"disk_reads"`
-	DiskWrites   int64            `json:"disk_writes"`
-	Counters     map[string]int64 `json:"counters"`
+// storage holds the flags that put a run on the file backend.
+type storage struct {
+	backend string
+	dir     string
 }
 
-// benchReport is the top-level BENCH_PR6.json document.
-type benchReport struct {
-	Generated string     `json:"generated"`
-	Records   int        `json:"records"`
-	ValueSize int        `json:"value_size"`
-	PageSize  int        `json:"page_size"`
-	Seed      int64      `json:"seed"`
-	Backends  []benchRow `json:"backends"`
+func (s *storage) register(fs *flag.FlagSet) {
+	fs.StringVar(&s.backend, "backend", "mem", "storage backend: mem or file")
+	fs.StringVar(&s.dir, "dir", "", "file backend: parent directory for run directories (default: system temp)")
 }
 
-// benchOne runs the fixed load/checkpoint/reorganize/scan workload on
-// one backend and returns its timing and counter column.
-func benchOne(backend string, records, valueSize, pageSize int, seed, walSeg int64) benchRow {
-	row := benchRow{Backend: backend}
-	opts := repro.Options{PageSize: pageSize}
-	if backend == "file" {
-		tmp, err := os.MkdirTemp("", "reorg-bench6-")
-		if err != nil {
-			log.Fatalf("bench6: temp dir: %v", err)
-		}
-		defer os.RemoveAll(tmp)
-		opts.Dir = tmp
-		opts.WALSegmentBytes = walSeg
+func (s *storage) validate(fs *flag.FlagSet) error {
+	if s.backend != "mem" && s.backend != "file" {
+		return reject(fs, "unknown -backend %q (want mem or file)", s.backend)
 	}
-	db, err := repro.Open(opts)
-	if err != nil {
-		log.Fatalf("bench6 [%s]: open: %v", backend, err)
-	}
-
-	t0 := time.Now()
-	if err := workload.Load(db, records, valueSize, "random", seed); err != nil {
-		log.Fatalf("bench6 [%s]: load: %v", backend, err)
-	}
-	row.LoadMS = msSince(t0)
-
-	t0 = time.Now()
-	if err := db.Checkpoint(); err != nil {
-		log.Fatalf("bench6 [%s]: checkpoint: %v", backend, err)
-	}
-	row.CheckpointMS = msSince(t0)
-
-	t0 = time.Now()
-	if _, err := db.Reorganize(repro.DefaultReorgConfig()); err != nil {
-		log.Fatalf("bench6 [%s]: reorganize: %v", backend, err)
-	}
-	row.ReorgMS = msSince(t0)
-
-	t0 = time.Now()
-	if err := db.Scan(nil, nil, func(key, val []byte) bool {
-		row.ScannedRecs++
-		return true
-	}); err != nil {
-		log.Fatalf("bench6 [%s]: scan: %v", backend, err)
-	}
-	row.ScanMS = msSince(t0)
-
-	ds := db.IOStats()
-	row.DiskReads, row.DiskWrites = ds.Reads, ds.Writes
-	row.Counters = db.PerfCounters().Snapshot()
-
-	t0 = time.Now()
-	if err := db.Close(); err != nil {
-		log.Fatalf("bench6 [%s]: close: %v", backend, err)
-	}
-	row.CloseMS = msSince(t0)
-	return row
-}
-
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t)) / float64(time.Millisecond)
-}
-
-// runBench executes the same workload on both backends and writes the
-// side-by-side comparison as JSON.
-func runBench(records, valueSize, pageSize int, seed, walSeg int64, outPath string) {
-	rep := benchReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Records:   records,
-		ValueSize: valueSize,
-		PageSize:  pageSize,
-		Seed:      seed,
-	}
-	for _, backend := range []string{"mem", "file"} {
-		fmt.Printf("bench6: running %s backend (%d records)...\n", backend, records)
-		row := benchOne(backend, records, valueSize, pageSize, seed, walSeg)
-		rep.Backends = append(rep.Backends, row)
-		fmt.Printf("bench6: %-4s load=%.1fms checkpoint=%.1fms reorg=%.1fms scan=%.1fms close=%.1fms bytesWritten=%d fsyncs=%d\n",
-			backend, row.LoadMS, row.CheckpointMS, row.ReorgMS, row.ScanMS, row.CloseMS,
-			row.Counters["disk.bytes.written"], row.Counters["disk.fsyncs"]+row.Counters["wal.fsyncs"])
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatalf("bench6: marshal: %v", err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		log.Fatalf("bench6: write %s: %v", outPath, err)
-	}
-	fmt.Printf("bench6: wrote %s\n", outPath)
-}
-
-// bench7Row is one backend's column in the BENCH_PR7.json hot-path
-// comparison (the node-layout rework: prefix slots, truncated
-// separators, batched inserts).
-type bench7Row struct {
-	Backend        string  `json:"backend"`
-	InsertNsPerOp  float64 `json:"insert_ns_per_op"`
-	BatchNsPerOp   float64 `json:"batch_insert_ns_per_op"`
-	GetNsPerOp     float64 `json:"get_ns_per_op"`
-	BatchSpeedup   float64 `json:"batch_speedup_vs_insert"`
-	LeafPages      int     `json:"leaf_pages"`
-	InternalPages  int     `json:"internal_pages"`
-	AvgLeafFillPct float64 `json:"avg_leaf_fill_pct"`
-}
-
-// bench7Report is the top-level BENCH_PR7.json document. The pr2
-// block echoes the "after" figures of BENCH_PR2.json (if present next
-// to the output path) so the speedup this PR claims is measured
-// against the last recorded baseline on the same machine.
-type bench7Report struct {
-	Generated        string      `json:"generated"`
-	Records          int         `json:"records"`
-	ValueSize        int         `json:"value_size"`
-	PageSize         int         `json:"page_size"`
-	Seed             int64       `json:"seed"`
-	Methodology      string      `json:"methodology"`
-	Backends         []bench7Row `json:"backends"`
-	PR2InsertNs      float64     `json:"pr2_insert_ns_per_op,omitempty"`
-	PR2GetNs         float64     `json:"pr2_get_ns_per_op,omitempty"`
-	InsertSpeedupPR2 float64     `json:"insert_speedup_vs_pr2,omitempty"`
-	GetSpeedupPR2    float64     `json:"get_speedup_vs_pr2,omitempty"`
-}
-
-// bench7One measures the three hot paths on one backend: record-at-a-
-// time insert, batched insert (256-record batches), and point gets over
-// the loaded tree.
-func bench7One(backend string, records, valueSize, pageSize int, seed, walSeg int64) bench7Row {
-	row := bench7Row{Backend: backend}
-	open := func(tag string) (*repro.DB, func()) {
-		opts := repro.Options{PageSize: pageSize}
-		cleanup := func() {}
-		if backend == "file" {
-			tmp, err := os.MkdirTemp("", "reorg-bench7-")
-			if err != nil {
-				log.Fatalf("bench7: temp dir: %v", err)
-			}
-			cleanup = func() { os.RemoveAll(tmp) }
-			opts.Dir = tmp
-			opts.WALSegmentBytes = walSeg
-		}
-		db, err := repro.Open(opts)
-		if err != nil {
-			log.Fatalf("bench7 [%s]: open %s: %v", backend, tag, err)
-		}
-		return db, cleanup
-	}
-
-	// Record-at-a-time inserts.
-	db, cleanup := open("insert")
-	t0 := time.Now()
-	for i := 0; i < records; i++ {
-		if err := db.Insert(workload.Key(i), workload.Value(i, valueSize)); err != nil {
-			log.Fatalf("bench7 [%s]: insert: %v", backend, err)
-		}
-	}
-	row.InsertNsPerOp = float64(time.Since(t0)) / float64(records)
-	if err := db.Close(); err != nil {
-		log.Fatalf("bench7 [%s]: close: %v", backend, err)
-	}
-	cleanup()
-
-	// Batched inserts, 256 records per call (the workload.Load batch).
-	db, cleanup = open("batch")
-	const batch = 256
-	keys := make([][]byte, 0, batch)
-	vals := make([][]byte, 0, batch)
-	t0 = time.Now()
-	for lo := 0; lo < records; lo += batch {
-		keys, vals = keys[:0], vals[:0]
-		for i := lo; i < lo+batch && i < records; i++ {
-			keys = append(keys, workload.Key(i))
-			vals = append(vals, workload.Value(i, valueSize))
-		}
-		if err := db.InsertBatch(keys, vals); err != nil {
-			log.Fatalf("bench7 [%s]: batch insert: %v", backend, err)
-		}
-	}
-	row.BatchNsPerOp = float64(time.Since(t0)) / float64(records)
-	if row.BatchNsPerOp > 0 {
-		row.BatchSpeedup = row.InsertNsPerOp / row.BatchNsPerOp
-	}
-
-	// Point gets over the batch-loaded tree, pseudo-random order.
-	const gets = 200000
-	rng := rand.New(rand.NewSource(seed))
-	t0 = time.Now()
-	for i := 0; i < gets; i++ {
-		if _, err := db.Get(workload.Key(rng.Intn(records))); err != nil {
-			log.Fatalf("bench7 [%s]: get: %v", backend, err)
-		}
-	}
-	row.GetNsPerOp = float64(time.Since(t0)) / float64(gets)
-
-	stats, err := db.GatherStats()
-	if err != nil {
-		log.Fatalf("bench7 [%s]: stats: %v", backend, err)
-	}
-	row.LeafPages = stats.LeafPages
-	row.InternalPages = stats.InternalPages
-	row.AvgLeafFillPct = stats.AvgLeafFill * 100
-	if err := db.Close(); err != nil {
-		log.Fatalf("bench7 [%s]: close: %v", backend, err)
-	}
-	cleanup()
-	return row
-}
-
-// runBench7 measures the hot paths on both backends and writes the
-// comparison as JSON, pulling the PR2 baseline in for the speedup
-// figures when BENCH_PR2.json sits next to the output path.
-func runBench7(records, valueSize, pageSize int, seed, walSeg int64, outPath string) {
-	rep := bench7Report{
-		Generated:   time.Now().UTC().Format(time.RFC3339),
-		Records:     records,
-		ValueSize:   valueSize,
-		PageSize:    pageSize,
-		Seed:        seed,
-		Methodology: "wall-clock over full runs; insert/batch ns are per record over the whole load, gets are 200k random points over the loaded tree",
-	}
-	for _, backend := range []string{"mem", "file"} {
-		fmt.Printf("bench7: running %s backend (%d records)...\n", backend, records)
-		row := bench7One(backend, records, valueSize, pageSize, seed, walSeg)
-		rep.Backends = append(rep.Backends, row)
-		fmt.Printf("bench7: %-4s insert=%.0fns/op batch=%.0fns/op (%.2fx) get=%.0fns/op leaves=%d internals=%d fill=%.1f%%\n",
-			backend, row.InsertNsPerOp, row.BatchNsPerOp, row.BatchSpeedup,
-			row.GetNsPerOp, row.LeafPages, row.InternalPages, row.AvgLeafFillPct)
-	}
-	if pr2, err := os.ReadFile(filepath.Join(filepath.Dir(outPath), "BENCH_PR2.json")); err == nil {
-		var doc struct {
-			After map[string]struct {
-				NsPerOp float64 `json:"ns_per_op"`
-			} `json:"after"`
-		}
-		if json.Unmarshal(pr2, &doc) == nil {
-			rep.PR2InsertNs = doc.After["BenchmarkInsert-8"].NsPerOp
-			rep.PR2GetNs = doc.After["BenchmarkGet-8"].NsPerOp
-			mem := rep.Backends[0]
-			if rep.PR2InsertNs > 0 && mem.InsertNsPerOp > 0 {
-				rep.InsertSpeedupPR2 = rep.PR2InsertNs / mem.InsertNsPerOp
-			}
-			if rep.PR2GetNs > 0 && mem.GetNsPerOp > 0 {
-				rep.GetSpeedupPR2 = rep.PR2GetNs / mem.GetNsPerOp
-			}
-			fmt.Printf("bench7: vs PR2 baseline insert %.2fx, get %.2fx\n",
-				rep.InsertSpeedupPR2, rep.GetSpeedupPR2)
-		}
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatalf("bench7: marshal: %v", err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		log.Fatalf("bench7: write %s: %v", outPath, err)
-	}
-	fmt.Printf("bench7: wrote %s\n", outPath)
+	return nil
 }

@@ -53,38 +53,21 @@ func tickUntilIdle(t *testing.T, db *DB, maxTicks int) int64 {
 	return d.Metrics().Get(metrics.DaemonIncrements)
 }
 
-// TestDaemonSteadyStateOccupancyUnderChurn is the seeded end-to-end
-// simulation: a delete-heavy churn workload drives regions sparse over
-// and over, the manually-ticked daemon reorganizes behind it, and
-// steady-state leaf occupancy must hold at or above the policy floor.
-// Fixed seed, virtual scheduling, no wall-clock sleeps.
-func TestDaemonSteadyStateOccupancyUnderChurn(t *testing.T) {
-	const n = 4000
-	cfg := daemon.DefaultConfig()
-	cfg.Manual = true
-	cfg.Ranges = 8
-	cfg.UnitsPerTick = 8
-	cfg.MinLeaves = 2
-	db, err := Open(Options{PageSize: 1024, Daemon: &cfg,
-		DaemonClock: daemon.NewVirtualClock(time.Time{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+// churn runs the seeded delete-heavy waves against a database loaded
+// with n sequential records and returns the keys left alive. Each of
+// the four waves deletes two thirds of one quarter of the key space
+// (deletes never merge leaves, so the region goes sparse), appends fresh
+// keys at the tail, then calls settle.
+func churn(t *testing.T, db *DB, n int, settle func()) map[int]bool {
+	t.Helper()
 	if err := workload.Load(db, n, 64, "seq", 42); err != nil {
 		t.Fatal(err)
 	}
-
 	live := make(map[int]bool, n)
 	for i := 0; i < n; i++ {
 		live[i] = true
 	}
 	next := n
-
-	// Four churn waves: each deletes two thirds of one quarter of the
-	// key space (deletes never merge leaves, so the region goes sparse)
-	// and appends fresh keys at the tail, then lets the daemon catch
-	// up. The daemon sees the damage through its occupancy scans alone.
 	for wave := 0; wave < 4; wave++ {
 		lo, hi := wave*n/4, (wave+1)*n/4
 		for i := lo; i < hi; i++ {
@@ -102,16 +85,51 @@ func TestDaemonSteadyStateOccupancyUnderChurn(t *testing.T) {
 			live[next] = true
 			next++
 		}
-		tickUntilIdle(t, db, 400)
+		settle()
 	}
+	return live
+}
+
+// TestDaemonSteadyStateOccupancyUnderChurn is the seeded end-to-end
+// simulation: a delete-heavy churn workload drives regions sparse over
+// and over, the manually-ticked daemon reorganizes behind it, and
+// steady-state leaf occupancy must hold at or above the policy floor —
+// and above what the same waves leave behind with no daemon. The daemon
+// sees the damage through its occupancy scans alone. Fixed seed,
+// virtual scheduling, no wall-clock sleeps.
+func TestDaemonSteadyStateOccupancyUnderChurn(t *testing.T) {
+	const n = 4000
+	cfg := daemon.DefaultConfig()
+	cfg.Manual = true
+	cfg.Ranges = 8
+	cfg.UnitsPerTick = 8
+	cfg.MinLeaves = 2
+	db, err := Open(Options{PageSize: 1024, Daemon: &cfg,
+		DaemonClock: daemon.NewVirtualClock(time.Time{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	live := churn(t, db, n, func() { tickUntilIdle(t, db, 400) })
+
+	control, err := Open(Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer control.Close()
+	churn(t, control, n, func() {})
 
 	d := db.Daemon()
 	if units := d.Metrics().Get(metrics.DaemonUnits); units == 0 {
 		t.Fatal("daemon ran no reorganization units under churn")
 	}
 	floor := d.Config().FloorFill
-	if fill := weightedFill(t, db); fill < floor {
+	fill := weightedFill(t, db)
+	if fill < floor {
 		t.Fatalf("steady-state fill %.3f below the policy floor %.3f", fill, floor)
+	}
+	if off := weightedFill(t, control); fill <= off {
+		t.Fatalf("daemon did not hold occupancy: fill %.3f with it, %.3f without", fill, off)
 	}
 
 	// The tree the daemon reorganized is still the tree: structural

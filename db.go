@@ -94,7 +94,7 @@ type Options struct {
 	// and logical-byte accounting entirely (no time.Now per operation).
 	// The default — observability on — costs two clock reads and one
 	// atomic add per operation; this switch exists so the overhead can
-	// be measured honestly (reorg-bench -bench9 does).
+	// be measured honestly (bench/ reports it as obs.overhead_frac).
 	DisableObservability bool
 	// TraceCapacity sets the event ring size in events (rounded up to a
 	// power of two; 0 = obs.DefaultTraceCap).
@@ -544,9 +544,24 @@ func (db *DB) Delete(key []byte) error {
 	return err
 }
 
-// Scan runs a range scan in its own transaction.
+// Scan runs a range scan in its own transaction. When the transaction
+// is retried (the scan lost a deadlock, or the tree switched under it)
+// the new attempt resumes just past the last record already handed to
+// fn, so fn sees every key at most once and in order; replaying from lo
+// would hand it the prefix twice.
 func (db *DB) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
-	return db.timedAuto(db.hScan, func(t *Txn) error { return t.Scan(lo, hi, fn) })
+	var last []byte // last key handed to fn; Tree.Scan passes a fresh copy per record
+	return db.timedAuto(db.hScan, func(t *Txn) error {
+		from := lo
+		if last != nil {
+			// The smallest key after last.
+			from = append(append([]byte(nil), last...), 0)
+		}
+		return t.Scan(from, hi, func(k, v []byte) bool {
+			last = k
+			return fn(k, v)
+		})
+	})
 }
 
 // Count counts records in [lo, hi].
@@ -807,20 +822,9 @@ func (db *DB) Check() error { return db.tree.Check() }
 type IOSnapshot = storage.IOSnapshot
 
 // IOStats returns the cumulative disk statistics — reads, writes,
-// seeks, byte volumes and fsyncs — as one struct.
+// seeks (non-sequential reads: pass 2's contiguity benefit shows up
+// there), byte volumes and fsyncs — as one struct.
 func (db *DB) IOStats() IOSnapshot { return db.disk.Stats().Snapshot() }
-
-// IOStats3 returns cumulative reads, writes and seeks in one call.
-//
-// Deprecated: use IOStats, which returns every counter in one struct.
-func (db *DB) IOStats3() (reads, writes, seeks int64) {
-	s := db.disk.Stats().Snapshot()
-	return s.Reads, s.Writes, s.Seeks
-}
-
-// Seeks returns the number of non-sequential disk reads (pass 2's
-// contiguity benefit shows up here).
-func (db *DB) Seeks() int64 { return db.disk.Stats().Seeks.Load() }
 
 // LogBytes returns the total log volume appended.
 func (db *DB) LogBytes() int64 { return db.log.BytesAppended() }
@@ -872,16 +876,6 @@ func (db *DB) PageSize() int { return db.pager.PageSize() }
 // benchmarks and tools read histograms and the trace ring through it.
 func (db *DB) Obs() *obs.Set { return db.obs }
 
-// LatencyQuantiles returns one quantile row (count, p50/p90/p99/p999,
-// max) per operation kind that has recorded at least one sample. Nil
-// when observability is disabled.
-func (db *DB) LatencyQuantiles() []obs.QuantileRow {
-	if db.obs == nil {
-		return nil
-	}
-	return db.obs.Quantiles()
-}
-
 // TraceSnapshot returns the events currently held in the trace ring,
 // oldest first (at most Options.TraceCapacity; older events have been
 // overwritten). Nil when observability is disabled.
@@ -916,34 +910,29 @@ func (db *DB) Occupancy(n int) (obs.Occupancy, error) {
 	return out, nil
 }
 
-// WriteAmp reports write amplification: logical bytes the application
-// wrote versus WAL bytes appended and page bytes written to disk.
-// Meaningful only with observability on (logical bytes otherwise 0).
-func (db *DB) WriteAmp() obs.WriteAmp {
-	var w obs.WriteAmp
-	if db.obs != nil {
-		w.LogicalBytes = db.obs.LogicalBytes()
-	}
-	w.WALBytes = db.log.BytesAppended()
-	w.PageBytes = db.disk.Stats().Snapshot().BytesWritten
-	w.Fill()
-	return w
-}
-
-// MetricsSnapshot bundles the full observability state — perf counters,
-// latency quantiles, occupancy gauges, write amplification and the
-// trace-ring event count — for the debug endpoint and btree-inspect.
+// MetricsSnapshot bundles the full observability state for the debug
+// endpoint and btree-inspect: perf counters, occupancy gauges, write
+// amplification (logical bytes the application wrote versus WAL bytes
+// appended and page bytes written to disk) and, with observability on,
+// one latency quantile row per operation kind that has a sample and the
+// trace-ring event count. With observability off Latencies is nil and
+// the logical byte count 0.
 func (db *DB) MetricsSnapshot() obs.MetricsSnapshot {
 	snap := obs.MetricsSnapshot{
 		TSUnixNano: time.Now().UnixNano(),
 		Counters:   db.PerfCounters().Snapshot(),
-		Latencies:  db.LatencyQuantiles(),
 	}
-	wa := db.WriteAmp()
-	snap.WriteAmp = &wa
+	wa := obs.WriteAmp{
+		WALBytes:  db.log.BytesAppended(),
+		PageBytes: db.disk.Stats().Snapshot().BytesWritten,
+	}
 	if db.obs != nil {
+		snap.Latencies = db.obs.Quantiles()
 		snap.Events = db.obs.Trace().Emitted()
+		wa.LogicalBytes = db.obs.LogicalBytes()
 	}
+	wa.Fill()
+	snap.WriteAmp = &wa
 	if occ, err := db.Occupancy(8); err == nil {
 		snap.Occupancy = &occ
 	}

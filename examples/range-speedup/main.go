@@ -21,8 +21,7 @@ const (
 
 func measure(db *repro.DB, label string) {
 	stats, _ := db.GatherStats()
-	r0 := db.IOStats().Reads
-	s0 := db.Seeks()
+	before := db.IOStats()
 	for i := 0; i < scans; i++ {
 		lo := (i * 7919) % nRecords
 		count := 0
@@ -34,10 +33,10 @@ func measure(db *repro.DB, label string) {
 			log.Fatal(err)
 		}
 	}
-	r1 := db.IOStats().Reads
+	after := db.IOStats()
 	fmt.Printf("%-22s %3d leaves  fill %.2f  %2d inversions  %6.2f reads/scan  %6.2f seeks/scan\n",
 		label, stats.LeafPages, stats.AvgLeafFill, stats.OutOfOrderPairs,
-		float64(r1-r0)/scans, float64(db.Seeks()-s0)/scans)
+		float64(after.Reads-before.Reads)/scans, float64(after.Seeks-before.Seeks)/scans)
 }
 
 func main() {

@@ -3,6 +3,7 @@ package btree
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/kv"
 	"repro/internal/lock"
@@ -13,10 +14,11 @@ import (
 // Scan calls fn for every record with lo <= key <= hi (hi nil means
 // unbounded) in key order, stopping early when fn returns false. It
 // follows the leaf side pointers with S lock coupling; when the next
-// leaf is held RX by the reorganizer the scan falls back to a fresh
-// descent on the successor key (the reader protocol's forgo-and-wait,
-// expressed as re-seek). Scanned leaves are downgraded to IS locks held
-// to end of transaction.
+// leaf is held RX by the reorganizer the scan gives up the coupling
+// lock, waits until the reorganizer is done with that leaf, and falls
+// back to a fresh descent on the successor key (the reader protocol's
+// forgo-and-wait, expressed as re-seek). Scanned leaves are downgraded
+// to IS locks held to end of transaction.
 func (t *Tree) Scan(tx *txn.Txn, lo, hi []byte, fn func(key, val []byte) bool) error {
 	owner := tx.ID()
 	if err := t.lockTree(owner, lock.IS); err != nil {
@@ -85,8 +87,24 @@ func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, lo, hi []byte,
 		// Couple to the next leaf before releasing the current one.
 		lockErr := t.locks.LockOpts(owner, pageRes(next), lock.S, lock.Opt{ForgoOnRX: true})
 		if errors.Is(lockErr, lock.ErrReorgConflict) {
+			// Forgo, then wait the reorganizer out before the caller
+			// re-seeks past `last`. Re-seeking at once would spin: the
+			// fresh descent lands on this same leaf and meets the same RX
+			// lock, and because the scan never blocks, the lock manager
+			// cannot see that the reorganizer in turn waits for the IS
+			// lock this scan keeps here until end of transaction. The
+			// instant-duration request puts the scan into the waits-for
+			// graph, so such a cycle is broken (the reorganizer is always
+			// the victim) and every re-seek follows a release of `next`.
 			t.finishLeaf(owner, leaf)
-			return false, last, nil // caller re-seeks past `last`
+			waitStart := time.Now()
+			if err := t.locks.LockInstant(owner, pageRes(next), lock.S); err != nil {
+				return true, last, err
+			}
+			if t.hForgoWait != nil {
+				t.hForgoWait.Record(time.Since(waitStart))
+			}
+			return false, last, nil
 		}
 		if lockErr != nil {
 			t.finishLeaf(owner, leaf)

@@ -55,7 +55,7 @@ func TestEquivWithCrashSchedules(t *testing.T) {
 		cfg.CrashHit = hit
 		res, err := check.Equiv(cfg)
 		if err != nil {
-			t.Fatalf("crash at hit %d/%d: %v\nrepro: reorg-bench -check -seed 4 -crashhit %d",
+			t.Fatalf("crash at hit %d/%d: %v\nrepro: reorg-bench check -seed 4 -crashhit %d",
 				hit, hits, err, hit)
 		}
 		if !res.Crashed {
@@ -92,7 +92,7 @@ func TestEquivDaemonArmCrashSchedules(t *testing.T) {
 		cfg.CrashHit = hit
 		res, err := check.Equiv(cfg)
 		if err != nil {
-			t.Fatalf("daemon crash at hit %d/%d: %v\nrepro: reorg-bench -check -seed 6 -crashhit %d -daemon",
+			t.Fatalf("daemon crash at hit %d/%d: %v\nrepro: reorg-bench check -seed 6 -crashhit %d -daemon",
 				hit, hits, err, hit)
 		}
 		if res.Crashed {

@@ -19,7 +19,7 @@ import "testing"
 // The hits land inside the "pass3" step, in the cleanup tail after the
 // root switch. Repro for any of these:
 //
-//	reorg-bench -check -seed <seed> -crashhit <hit>
+//	reorg-bench check -seed <seed> -crashhit <hit>
 func TestEquivRegressionPass3CleanupLeaks(t *testing.T) {
 	cases := []struct {
 		seed int64
@@ -33,7 +33,7 @@ func TestEquivRegressionPass3CleanupLeaks(t *testing.T) {
 	for _, c := range cases {
 		res, err := Equiv(EquivConfig{Seed: c.seed, CrashHit: c.hit})
 		if err != nil {
-			t.Errorf("seed %d hit %d (%s): %v\nrepro: reorg-bench -check -seed %d -crashhit %d",
+			t.Errorf("seed %d hit %d (%s): %v\nrepro: reorg-bench check -seed %d -crashhit %d",
 				c.seed, c.hit, c.bug, err, c.seed, c.hit)
 			continue
 		}

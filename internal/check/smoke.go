@@ -145,7 +145,7 @@ func Smoke(cfg SmokeConfig) (*SmokeResult, error) {
 	// --- clean equivalence + structure oracle on every pass boundary
 	eq, err := Equiv(EquivConfig{Seed: cfg.Seed, Dir: cfg.Dir, Daemon: cfg.Daemon})
 	if err != nil {
-		return res, fmt.Errorf("%w\nrepro: reorg-bench -check -seed %d -histories 0 -crashes 0%s",
+		return res, fmt.Errorf("%w\nrepro: reorg-bench check -seed %d -histories 0 -crashes 0%s",
 			err, cfg.Seed, daemonFlag)
 	}
 	res.SideApplied = eq.SideApplied
@@ -168,11 +168,11 @@ func Smoke(cfg SmokeConfig) (*SmokeResult, error) {
 			hcfg.OpsPerClient = cfg.HistoryOps
 		}
 		if err := runOneHistory(hcfg); err != nil {
-			repro := fmt.Sprintf("reorg-bench -check -seed %d -histories 1 -crashes 0", seed)
+			repro := fmt.Sprintf("reorg-bench check -seed %d -histories 1 -crashes 0", seed)
 			if cfg.Shrink {
 				if small := shrinkHistory(hcfg); small != hcfg {
 					repro = fmt.Sprintf(
-						"reorg-bench -check -seed %d -histories 1 -crashes 0 -clients %d -ops %d",
+						"reorg-bench check -seed %d -histories 1 -crashes 0 -clients %d -ops %d",
 						seed, small.Clients, small.OpsPerClient)
 				}
 			}
@@ -189,7 +189,7 @@ func Smoke(cfg SmokeConfig) (*SmokeResult, error) {
 	if cfg.CrashSchedules > 0 {
 		hits, err := EquivHits(EquivConfig{Seed: cfg.Seed, Dir: cfg.Dir, Daemon: cfg.Daemon})
 		if err != nil {
-			return res, fmt.Errorf("%w\nrepro: reorg-bench -check -seed %d -histories 0 -crashes 0%s",
+			return res, fmt.Errorf("%w\nrepro: reorg-bench check -seed %d -histories 0 -crashes 0%s",
 				err, cfg.Seed, daemonFlag)
 		}
 		res.Hits = hits
@@ -200,7 +200,7 @@ func Smoke(cfg SmokeConfig) (*SmokeResult, error) {
 		for j := 0; j < cfg.CrashSchedules; j++ {
 			hit := 1 + j*(hits-1)/denom
 			if _, err := Equiv(EquivConfig{Seed: cfg.Seed, CrashHit: hit, Dir: cfg.Dir, Daemon: cfg.Daemon}); err != nil {
-				return res, fmt.Errorf("crash schedule %d/%d (hit %d of %d): %w\nrepro: reorg-bench -check -seed %d -histories 0 -crashes 0 -crashhit %d%s",
+				return res, fmt.Errorf("crash schedule %d/%d (hit %d of %d): %w\nrepro: reorg-bench check -seed %d -histories 0 -crashes 0 -crashhit %d%s",
 					j+1, cfg.CrashSchedules, hit, hits, err, cfg.Seed, hit, daemonFlag)
 			}
 			res.CrashRuns++

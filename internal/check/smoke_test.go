@@ -7,7 +7,7 @@ import (
 )
 
 // A reduced smoke budget keeps this in tier-1 time; CI's check-smoke
-// job runs the full default budget via reorg-bench -check.
+// job runs the full default budget via reorg-bench check.
 func TestSmokeReducedBudget(t *testing.T) {
 	res, err := check.Smoke(check.SmokeConfig{
 		Seed:           1,

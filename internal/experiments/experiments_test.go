@@ -6,8 +6,7 @@ import (
 )
 
 // Small-scale smoke tests so the experiment harness itself is covered
-// by `go test ./...`; full-scale runs live in cmd/reorg-bench and the
-// root benchmarks.
+// by `go test ./...`; full-scale runs are `reorg-bench exp`.
 
 func smallParams() Params {
 	return Params{Records: 2500, ValueSize: 32, PageSize: 1024, Seed: 7}
@@ -152,35 +151,4 @@ func TestE8ReorgReducesIO(t *testing.T) {
 			sparse.SeeksPerScan, full.SeeksPerScan)
 	}
 	_ = render(t, E8Table(rows))
-}
-
-func TestE12DaemonHoldsOccupancy(t *testing.T) {
-	// Two waves at small scale: enough churn for the daemon-off cell to
-	// decay visibly and the daemon-on cell to reorganize, without the
-	// full five-wave steady-state run (that lives in bench10).
-	rows, err := E12DaemonSteadyState(smallParams(), E12Config{
-		Waves: 2, Clients: 2, Ops: 200, Backend: "mem"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var finalOn, finalOff E12Row
-	for _, r := range rows {
-		if r.Daemon {
-			finalOn = r
-		} else {
-			finalOff = r
-		}
-	}
-	if finalOn.Units == 0 {
-		t.Error("daemon cell ran no reorganization units")
-	}
-	if finalOn.Fill <= finalOff.Fill {
-		t.Errorf("daemon did not hold occupancy: on=%.2f off=%.2f",
-			finalOn.Fill, finalOff.Fill)
-	}
-	if finalOn.Gets == 0 || finalOn.GetP99 <= 0 {
-		t.Errorf("no foreground get samples in the daemon cell: gets=%d p99=%v",
-			finalOn.Gets, finalOn.GetP99)
-	}
-	_ = render(t, E12Table(rows))
 }

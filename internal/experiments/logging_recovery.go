@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	repro "repro"
 	"repro/internal/baseline"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
+
+// errInjected is the crash sentinel for E5.
+var errInjected = errors.New("injected crash")
 
 // --- E5: forward recovery vs rollback (§5.1 vs [Smi90]) ---
 
@@ -264,179 +265,4 @@ func E7Table(rows []E7Row) *Table {
 			f2(r.PagesPerOp), d(r.LockRequests)})
 	}
 	return t
-}
-
-// --- E8: range-query I/O before/after reorganization (§1 motivation) ---
-
-// E8Row is one stage's scan cost.
-type E8Row struct {
-	Stage        string
-	Leaves       int
-	AvgFill      float64
-	Inversions   int
-	ReadsPerScan float64
-	SeeksPerScan float64
-}
-
-// E8RangeScanIO measures physical reads per 200-record range scan with
-// a small buffer pool, at each reorganization stage.
-func E8RangeScanIO(p Params) ([]E8Row, error) {
-	stages := []struct {
-		name string
-		cfg  *repro.ReorgConfig
-	}{
-		{"sparse (no reorg)", nil},
-		{"after pass 1", &repro.ReorgConfig{TargetFill: 0.9, CarefulWriting: true}},
-		{"after passes 1+2", &repro.ReorgConfig{TargetFill: 0.9, SwapPass: true, CarefulWriting: true}},
-		{"after passes 1+2+3", &repro.ReorgConfig{TargetFill: 0.9, SwapPass: true, InternalPass: true, CarefulWriting: true}},
-	}
-	var rows []E8Row
-	for _, st := range stages {
-		db, err := repro.Open(repro.Options{PageSize: p.PageSize, BufferPoolPages: 24})
-		if err != nil {
-			return nil, err
-		}
-		if err := workload.Load(db, p.Records, p.ValueSize, "random", p.Seed); err != nil {
-			return nil, err
-		}
-		if _, err := workload.Sparsify(db, p.Records, 0.25); err != nil {
-			return nil, err
-		}
-		if st.cfg != nil {
-			if _, err := db.Reorganize(*st.cfg); err != nil {
-				return nil, err
-			}
-		}
-		stats, _ := db.GatherStats()
-		// Warm nothing: random scan starts defeat the small pool.
-		const scans = 200
-		readsBefore := db.IOStats().Reads
-		seeksBefore := db.Seeks()
-		rng := newRNG(p.Seed)
-		for i := 0; i < scans; i++ {
-			lo := rng.Intn(p.Records)
-			count := 0
-			if err := db.Scan(workload.Key(lo), nil, func(_, _ []byte) bool {
-				count++
-				return count < 200
-			}); err != nil {
-				return nil, err
-			}
-		}
-		readsAfter := db.IOStats().Reads
-		rows = append(rows, E8Row{Stage: st.name, Leaves: stats.LeafPages,
-			AvgFill: stats.AvgLeafFill, Inversions: stats.OutOfOrderPairs,
-			ReadsPerScan: float64(readsAfter-readsBefore) / scans,
-			SeeksPerScan: float64(db.Seeks()-seeksBefore) / scans})
-	}
-	return rows, nil
-}
-
-// E8Table renders the stages.
-func E8Table(rows []E8Row) *Table {
-	t := &Table{Title: "E8 / §1: physical reads per 200-record range scan",
-		Header: []string{"stage", "leaves", "avg fill", "inversions", "reads/scan", "seeks/scan"}}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Stage, di(r.Leaves), f2(r.AvgFill),
-			di(r.Inversions), f2(r.ReadsPerScan), f2(r.SeeksPerScan)})
-	}
-	return t
-}
-
-// --- E9: availability during pass 3 (§7.5) ---
-
-// E9Row is one availability measurement.
-type E9Row struct {
-	Phase      string
-	Throughput float64
-	AvgLatency time.Duration
-	MaxLatency time.Duration
-	BlockedMs  float64
-}
-
-// E9Pass3Availability compares client service while the internal-page
-// rebuild runs (one S lock at a time + brief switch) against an idle
-// control and against the baseline's whole-file swap pass.
-func E9Pass3Availability(p Params) ([]E9Row, error) {
-	var rows []E9Row
-	run := func(name string, reorg func(db *repro.DB) error) error {
-		db, _, err := buildSparse(p, 0.25)
-		if err != nil {
-			return err
-		}
-		// Compact first so only the measured phase runs with clients.
-		if _, err := db.Reorganize(repro.ReorgConfig{TargetFill: 0.9, CarefulWriting: true}); err != nil {
-			return err
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		var stats workload.ClientStats
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats = workload.RunClients(db, 8, 0, workload.Balanced,
-				p.Records, p.ValueSize, stop)
-		}()
-		time.Sleep(50 * time.Millisecond) // client ramp-up
-		start := time.Now()
-		blockedBefore := db.LockStats().UserWaitNanos.Load()
-		var rerr error
-		if reorg != nil {
-			rerr = reorg(db)
-		}
-		if rest := 400*time.Millisecond - time.Since(start); rest > 0 {
-			time.Sleep(rest)
-		}
-		close(stop)
-		wg.Wait()
-		if rerr != nil {
-			return rerr
-		}
-		if err := db.Check(); err != nil {
-			return err
-		}
-		rows = append(rows, E9Row{Phase: name,
-			Throughput: stats.Throughput(), AvgLatency: stats.AvgLatency(),
-			MaxLatency: time.Duration(stats.MaxNanos),
-			BlockedMs:  float64(db.LockStats().UserWaitNanos.Load()-blockedBefore) / 1e6})
-		return nil
-	}
-	if err := run("control (no reorg)", nil); err != nil {
-		return nil, err
-	}
-	if err := run("pass 3 (S lock + switch)", func(db *repro.DB) error {
-		r := db.Reorganizer(repro.ReorgConfig{TargetFill: 0.9})
-		return r.RebuildInternal()
-	}); err != nil {
-		return nil, err
-	}
-	if err := run("smith90 swap pass (file X)", func(db *repro.DB) error {
-		b := baseline.New(db.Tree(), baseline.Config{TargetFill: 0.9, SwapPass: true})
-		return b.Run()
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// E9Table renders the comparison.
-func E9Table(rows []E9Row) *Table {
-	t := &Table{Title: "E9 / §7.5: client service during internal-page reorganization",
-		Header: []string{"phase", "ops/s", "avg lat", "max lat", "blocked(ms)"}}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Phase, f0(r.Throughput),
-			ms(r.AvgLatency), ms(r.MaxLatency), f0(r.BlockedMs)})
-	}
-	return t
-}
-
-// newRNG is a tiny seeded linear-congruential generator so experiments
-// are reproducible without pulling math/rand state around.
-type lcg struct{ s uint64 }
-
-func newRNG(seed int64) *lcg { return &lcg{s: uint64(seed)*2862933555777941757 + 3037000493} }
-
-func (r *lcg) Intn(n int) int {
-	r.s = r.s*6364136223846793005 + 1442695040888963407
-	return int((r.s >> 33) % uint64(n))
 }

@@ -49,24 +49,6 @@ func (s *IOStats) Snapshot() IOSnapshot {
 	}
 }
 
-// Snapshot3 returns reads, writes and seeks.
-//
-// Deprecated: use Snapshot, which returns every counter in one struct
-// instead of sprouting numbered variants.
-func (s *IOStats) Snapshot3() (reads, writes, seeks int64) {
-	v := s.Snapshot()
-	return v.Reads, v.Writes, v.Seeks
-}
-
-// Bytes returns the media byte counters: bytes read, bytes written and
-// fsyncs issued.
-//
-// Deprecated: use Snapshot.
-func (s *IOStats) Bytes() (read, written, fsyncs int64) {
-	v := s.Snapshot()
-	return v.BytesRead, v.BytesWritten, v.Fsyncs
-}
-
 // Disk is stable storage: whatever Write (and MarkFree) has made
 // stable survives a crash; buffered frames do not. Two implementations
 // exist: MemDisk, the in-memory simulation the tests and experiments

@@ -128,9 +128,9 @@ func TestRebuildFreeMap(t *testing.T) {
 	p2.Unfix(g)
 }
 
-// TestSnapshot3Seeks checks the seek model: a read is a seek unless it
+// TestSnapshotSeeks checks the seek model: a read is a seek unless it
 // targets the page immediately after the previous read.
-func TestSnapshot3Seeks(t *testing.T) {
+func TestSnapshotSeeks(t *testing.T) {
 	d := NewDisk(MinPageSize)
 	buf := make([]byte, MinPageSize)
 	for _, id := range []PageID{3, 4, 5, 9, 10, 2} {
@@ -138,12 +138,12 @@ func TestSnapshot3Seeks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, w, s := d.Stats().Snapshot3()
-	if r != 6 || w != 0 {
-		t.Fatalf("Snapshot3 reads/writes = %d/%d, want 6/0", r, w)
+	s := d.Stats().Snapshot()
+	if s.Reads != 6 || s.Writes != 0 {
+		t.Fatalf("reads/writes = %d/%d, want 6/0", s.Reads, s.Writes)
 	}
 	// Seeks: 3 (cold), 9 (gap), 2 (backwards); 4, 5, 10 are sequential.
-	if s != 3 {
-		t.Errorf("Snapshot3 seeks = %d, want 3", s)
+	if s.Seeks != 3 {
+		t.Errorf("seeks = %d, want 3", s.Seeks)
 	}
 }

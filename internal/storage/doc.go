@@ -28,8 +28,8 @@
 // reorganization buys (paper §6, range-scan experiment E8). Writes do
 // not move the model's arm: the simulated device writes through a
 // cache, as the paper's testbed did, so write scheduling is not
-// charged against read locality. Snapshot3 exposes reads, writes and
-// seeks together for tools that report all three.
+// charged against read locality. IOStats.Snapshot exposes reads, writes
+// and seeks together for tools that report all three.
 //
 // Fault injection: Disk.Read, Disk.Write and the pager's flush/evict
 // paths consult an optional fault.Injector (disk.read, disk.write,

@@ -149,7 +149,7 @@ func TestObsDisabled(t *testing.T) {
 	if evs := db.TraceSnapshot(); evs != nil {
 		t.Fatalf("TraceSnapshot returned %d events with observability disabled", len(evs))
 	}
-	if rows := db.LatencyQuantiles(); rows != nil {
-		t.Fatalf("LatencyQuantiles returned %d rows with observability disabled", len(rows))
+	if rows := db.MetricsSnapshot().Latencies; rows != nil {
+		t.Fatalf("MetricsSnapshot returned %d latency rows with observability disabled", len(rows))
 	}
 }
