@@ -147,8 +147,7 @@ func BenchmarkMixedParallel(b *testing.B) {
 // reports how many forced log writes the run needed per commit
 // (forces/op < 1 is group commit working).
 func BenchmarkCommitGroup(b *testing.B) {
-	db, _ := repro.Open(repro.Options{PageSize: 4096,
-		GroupCommitWindow: 200 * time.Microsecond})
+	db, _ := repro.Open(repro.Options{PageSize: 4096})
 	var worker atomic.Int64
 	before := db.PerfCounters().Snapshot()
 	b.ResetTimer()

@@ -71,6 +71,7 @@ func runSweep(args []string, out, errw io.Writer) error {
 	fmt.Fprintf(out, "  crash runs verified          %d\n", res.CrashRuns)
 	fmt.Fprintf(out, "  torn-log runs verified       %d\n", res.TornRuns)
 	fmt.Fprintf(out, "  units forward-completed      %d\n", res.ForwardCompleted)
+	fmt.Fprintf(out, "  crashed again inside restart %d\n", res.DoubleCrashRuns)
 	fmt.Fprintf(out, "  pass-3 builds abandoned      %d\n", res.Pass3Abandoned)
 	fmt.Fprintf(out, "  pass-3 switches completed    %d\n", res.Pass3Completed)
 	for _, p := range res.Points {

@@ -79,12 +79,6 @@ type Options struct {
 	// threshold, and what a new segment is preallocated to (file backend
 	// only; default wal.DefaultSegmentBytes).
 	WALSegmentBytes int64
-	// GroupCommitWindow, when positive, makes a commit that must force
-	// the log wait this long first so concurrent commits coalesce into
-	// one forced write. Zero (the default) never delays a force; a
-	// commit whose record another commit has already written still
-	// shares that commit's sync.
-	GroupCommitWindow time.Duration
 	// FaultInjector, when set, is installed at the disk, WAL, pager and
 	// reorganizer fault points (see internal/fault). It survives
 	// Restart: recovery runs against the same injector, so sweeps must
@@ -272,7 +266,6 @@ func Open(opts Options) (*DB, error) {
 		existing = disk.NumPages() > 1
 	}
 	db.log.SetInjector(db.inj)
-	db.log.SetGroupCommitWindow(opts.GroupCommitWindow)
 	db.disk.SetInjector(db.inj)
 	if existing {
 		res, err := recovery.Restart(db.disk, db.log)

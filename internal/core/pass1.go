@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/kv"
 	"repro/internal/lock"
-	"repro/internal/pageops"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -98,95 +98,127 @@ func (r *Reorganizer) compactBase(base *storage.Frame, entries []baseEntry) erro
 			r.stopped = true
 			return nil
 		}
-		group, frames, total, err := r.acquireGroup(entries, i, capacity)
-		if err != nil {
-			if errors.Is(err, errUnitAborted) {
-				// Deadlock victim while assembling the group: retry the
-				// position a few times (the winning transaction needs a
-				// moment to finish), then move past it.
-				if retries < r.cfg.MaxUnitRetries {
-					retries++
-					retryBackoff(retries)
-					continue
-				}
-				retries = 0
-				i++
-				continue
-			}
+		n, err := r.compactUnit(base, entries, i, capacity)
+		switch {
+		case err == nil && n >= 2:
+			r.unitsRun++
+		case errors.Is(err, errUnitAborted) && retries < r.cfg.MaxUnitRetries:
+			// Deadlock victim: retry the position a few times (the winning
+			// transaction needs a moment to finish), then move past it.
+			retries++
+			retryBackoff(retries)
+			continue
+		case err != nil && !errors.Is(err, errUnitAborted):
 			return err
 		}
-		if len(group) < 2 {
-			for _, f := range frames {
-				r.unlock(f.ID())
-				r.tree.Pager().Unfix(f)
-			}
-			if len(group) == 1 {
-				r.noteFinished(group[0].child)
-			}
-			retries = 0
-			i++
-			continue
-		}
-		_ = total
-		err = r.executeCompactUnit(base, entries, i, group, frames)
-		if err != nil {
-			if errors.Is(err, errUnitAborted) && retries < r.cfg.MaxUnitRetries {
-				retries++
-				retryBackoff(retries)
-				continue
-			}
-			if !errors.Is(err, errUnitAborted) {
-				return err
-			}
-		} else {
-			r.unitsRun++
-		}
 		retries = 0
-		i += len(group)
+		i += max(n, 1)
 	}
 	return nil
 }
 
-// acquireGroup RX-locks consecutive leaves starting at index i while
-// their combined payload fits the target capacity. It returns the
-// locked frames (caller releases on every path).
-func (r *Reorganizer) acquireGroup(entries []baseEntry, i, capacity int) ([]baseEntry, []*storage.Frame, int, error) {
-	var (
-		frames []*storage.Frame
-		total  int
-	)
-	release := func() {
-		for _, f := range frames {
-			r.unlock(f.ID())
-			r.tree.Pager().Unfix(f)
+// compactUnit runs one compaction unit over the group of leaves that
+// starts at entries[i] — acquire, BEGIN, body, END — and reports how
+// many entries the group covered. A leaf that fills a page by itself is
+// a group of one: no unit runs. The caller holds R on the base.
+func (r *Reorganizer) compactUnit(base *storage.Frame, entries []baseEntry, i, capacity int) (int, error) {
+	u := &unit{r: r}
+	n, err := r.compactGroup(u, base, entries, i, capacity)
+	u.release()
+	if err != nil || n < 2 {
+		return n, err
+	}
+	return n, r.event("compact.end")
+}
+
+// compactGroup is compactUnit up to END: whatever it locks and pins is
+// recorded in u, on every way out.
+func (r *Reorganizer) compactGroup(u *unit, base *storage.Frame, entries []baseEntry, i, capacity int) (int, error) {
+	frames, err := r.acquireGroup(u, entries[i:], capacity)
+	n := len(frames)
+	if err != nil || n < 2 {
+		if n == 1 {
+			r.noteFinished(frames[0].ID())
+		}
+		return n, err
+	}
+
+	// Lock the chain neighbours before any record moves (§4.3): RX for
+	// children of the same base page, X otherwise.
+	frames[0].RLock()
+	pred := frames[0].Data().Prev()
+	frames[0].RUnlock()
+	frames[n-1].RLock()
+	succ := frames[n-1].Data().Next()
+	frames[n-1].RUnlock()
+	neighbourMode := func(sameBase bool) lock.Mode {
+		if sameBase {
+			return lock.RX
+		}
+		return lock.X
+	}
+	if err := u.lock(pred, neighbourMode(i > 0)); err != nil {
+		return n, err
+	}
+	if err := u.lock(succ, neighbourMode(i+n < len(entries))); err != nil {
+		return n, err
+	}
+
+	// Find-Free-Space: choose a destination page (§6.1).
+	dest, newPlace, err := r.chooseDest(frames[0])
+	if err != nil {
+		return n, err
+	}
+	srcs := frames[1:] // an in-place destination keeps its records
+	if newPlace {
+		srcs = frames
+		u.pinned = append(u.pinned, dest)
+		if err := u.lock(dest.ID(), lock.RX); err != nil {
+			_ = u.dealloc(dest) // best effort: what fails to free is a leaked page
+			return n, err
 		}
 	}
-	j := i
-	for j < len(entries) {
-		id := entries[j].child
-		if err := r.lockLeaf(id, lock.RX); err != nil {
-			release()
-			return nil, nil, 0, err
+
+	leafIDs := make([]storage.PageID, 0, n)
+	for _, f := range frames {
+		leafIDs = append(leafIDs, f.ID())
+	}
+	b := r.beginUnit(wal.ReorgBegin{RType: wal.RCompact,
+		BasePages: []storage.PageID{base.ID()}, LeafPages: leafIDs,
+		Dest: dest.ID(), NewPlace: newPlace,
+		Preds: []storage.PageID{pred}, Succs: []storage.PageID{succ}}, dest)
+	if err := u.event("compact.begin"); err != nil {
+		return n, err
+	}
+	return n, r.finishCompact(u, b, base, dest, srcs)
+}
+
+// acquireGroup RX-locks and pins consecutive leaves, first entry on,
+// while their combined payload fits the target capacity, and returns
+// the frames of those that do; the leaf that no longer fits is dropped
+// again.
+func (r *Reorganizer) acquireGroup(u *unit, entries []baseEntry, capacity int) ([]*storage.Frame, error) {
+	var frames []*storage.Frame
+	total := 0
+	for _, e := range entries {
+		if err := u.lock(e.child, lock.RX); err != nil {
+			return nil, err
 		}
-		f, err := r.tree.Pager().Fix(id)
+		f, err := u.fix(e.child)
 		if err != nil {
-			r.unlock(id)
-			release()
-			return nil, nil, 0, err
+			return nil, err
 		}
 		f.RLock()
 		used := usedPayload(f.Data())
 		f.RUnlock()
 		if len(frames) > 0 && total+used > capacity {
-			r.unlock(id)
-			r.tree.Pager().Unfix(f)
+			u.drop(f)
 			break
 		}
 		frames = append(frames, f)
 		total += used
-		j++
 	}
-	return entries[i:j], frames, total, nil
+	return frames, nil
 }
 
 // noteFinished records that a leaf's final position is known (L of the
@@ -197,230 +229,130 @@ func (r *Reorganizer) noteFinished(id storage.PageID) {
 	}
 }
 
-// executeCompactUnit runs one compaction unit. The caller holds R on
-// the base and RX on the group frames; this function always releases
-// the group locks and pins before returning.
-func (r *Reorganizer) executeCompactUnit(base *storage.Frame, entries []baseEntry,
-	i int, group []baseEntry, frames []*storage.Frame) (err error) {
-	owner := r.owner
-	locks := r.tree.Locks()
-	pg := r.tree.Pager()
-	releaseFrames := func() {
-		for _, f := range frames {
-			r.unlock(f.ID())
-		}
-	}
-	unfixFrames := func() {
-		for _, f := range frames {
-			pg.Unfix(f)
-		}
+// finishCompact is the body of a compaction unit (pass 1) and of a
+// move unit (pass 2: a compaction of one leaf into a chosen page),
+// written the way the paper describes forward recovery (§5.1): from the
+// BEGIN record and the pages as they stand, bring the unit to its END
+// state. Live, it runs right after BEGIN; at restart CompleteUnit
+// enters it with whatever the crashed run left to do. The unit holds R
+// on base, RX on the members and the destination, and the locks on the
+// chain neighbours; srcs are the members other than the destination.
+func (r *Reorganizer) finishCompact(u *unit, b wal.ReorgBegin, base, dest *storage.Frame, srcs []*storage.Frame) error {
+	movedStage, modifiedStage := "compact.moved", "compact.modified"
+	if b.RType == wal.RMove {
+		movedStage, modifiedStage = "move.moved", "move.modified"
 	}
 
-	// Original chain endpoints (for side-pointer fixes and undo).
-	frames[0].RLock()
-	pred := frames[0].Data().Prev()
-	frames[0].RUnlock()
-	lastF := frames[len(frames)-1]
-	lastF.RLock()
-	succ := lastF.Data().Next()
-	lastF.RUnlock()
-
-	// Lock the chain neighbours before any record moves (§4.3): RX for
-	// children of the same base page, X otherwise.
-	lockNeighbour := func(id storage.PageID, sameBase bool) error {
-		if id == storage.InvalidPage {
-			return nil
-		}
-		mode := lock.X
-		if sameBase {
-			mode = lock.RX
-		}
-		return r.lockLeaf(id, mode)
-	}
-	if err := lockNeighbour(pred, i > 0); err != nil {
-		releaseFrames()
-		unfixFrames()
-		return err
-	}
-	if err := lockNeighbour(succ, i+len(group) < len(entries)); err != nil {
-		if pred != storage.InvalidPage {
-			r.unlock(pred)
-		}
-		releaseFrames()
-		unfixFrames()
-		return err
-	}
-	releaseNeighbours := func() {
-		if pred != storage.InvalidPage {
-			r.unlock(pred)
-		}
-		if succ != storage.InvalidPage {
-			r.unlock(succ)
-		}
-	}
-
-	// Find-Free-Space: choose a destination page (§6.1).
-	dest, newPlace, err := r.chooseDest(frames[0])
-	if err != nil {
-		releaseNeighbours()
-		releaseFrames()
-		unfixFrames()
-		return err
-	}
-	if newPlace {
-		if err := r.lockLeaf(dest.ID(), lock.RX); err != nil {
-			pg.Unfix(dest)
-			_ = pg.Deallocate(dest.ID(), 0)
-			releaseNeighbours()
-			releaseFrames()
-			unfixFrames()
-			return err
-		}
-	}
-
-	unit := r.nextUnit
-	r.nextUnit++
-	leafIDs := make([]storage.PageID, 0, len(group))
-	for _, g := range group {
-		leafIDs = append(leafIDs, g.child)
-	}
-	begin := wal.ReorgBegin{Unit: unit, RType: wal.RCompact,
-		BasePages: []storage.PageID{base.ID()}, LeafPages: leafIDs,
-		Dest: dest.ID(), NewPlace: newPlace,
-		Preds: []storage.PageID{pred}, Succs: []storage.PageID{succ}}
-	r.beginUnit(begin)
-	if err := r.event("compact.begin"); err != nil {
-		return err
-	}
-
-	// Move records (remembering them for deadlock undo, §5.2).
-	var moved []movedSet
-	captureCells := func(f *storage.Frame) [][]byte {
-		f.RLock()
-		defer f.RUnlock()
-		out := make([][]byte, 0, f.Data().NumSlots())
-		for k := 0; k < f.Data().NumSlots(); k++ {
-			out = append(out, append([]byte(nil), f.Data().Cell(k)...))
-		}
-		return out
-	}
-	for idx, f := range frames {
-		if !newPlace && idx == 0 {
-			continue // in-place destination keeps its records
-		}
-		cells := captureCells(f)
-		if _, err := r.moveRecords(unit, f, dest); err != nil {
-			releaseNeighbours()
-			releaseFrames()
-			unfixFrames()
-			if newPlace {
-				r.unlock(dest.ID())
-				pg.Unfix(dest)
-			}
+	// Move whatever the sources still hold (remembered for §5.2 undo).
+	moved := make([]movedSet, 0, len(srcs))
+	for _, f := range srcs {
+		cells := leafCells(f)
+		if err := r.moveRecords(b.Unit, f, dest, cells); err != nil {
 			return err
 		}
 		moved = append(moved, movedSet{org: f, cells: cells})
-		if err := r.event("compact.moved"); err != nil {
+		if err := u.event(movedStage); err != nil {
 			return err
 		}
 	}
 
 	// Rewire the leaf chain around the destination.
-	if err := r.setChainPointers(dest.ID(), pred, succ); err != nil {
-		releaseNeighbours()
-		releaseFrames()
-		unfixFrames()
-		if newPlace {
-			r.unlock(dest.ID())
-			pg.Unfix(dest)
-		}
+	if err := r.setChainPointers(dest.ID(), b.Preds[0], b.Succs[0]); err != nil {
 		return err
 	}
 
 	// Upgrade the base lock R -> X to post the new keys (§4.1.1). A
-	// deadlock here undoes the unit's moves (§5.2).
-	if upErr := locks.Lock(owner, pageRes(base.ID()), lock.X); upErr != nil {
-		r.undoUnitMoves(unit, moved, dest, group, pred, succ)
-		r.endUnit(unit, nil)
+	// deadlock here undoes the unit's moves (§5.2) and ends the unit
+	// with no LK.
+	owner, locks := r.owner, r.tree.Locks()
+	if err := locks.Lock(owner, pageRes(base.ID()), lock.X); err != nil {
+		r.undoUnitMoves(b, moved, dest)
+		r.endUnit(b.Unit, nil)
 		r.c.unitsDeadlocked.Add(1)
-		releaseNeighbours()
-		releaseFrames()
-		unfixFrames()
-		if newPlace {
-			r.unlock(dest.ID())
-			dlsn := r.tree.Log().Append(wal.Dealloc{Page: dest.ID()})
-			pg.Unfix(dest)
-			_ = pg.Deallocate(dest.ID(), dlsn)
+		if b.NewPlace {
+			_ = u.dealloc(dest) // best effort, as above
 		}
 		return errUnitAborted
 	}
-
-	// MODIFY: drop the emptied entries; point the group's entry at the
-	// destination.
-	m := wal.ReorgModify{Unit: unit, Base: base.ID()}
-	for _, g := range group[1:] {
-		m.Removes = append(m.Removes, g.key)
-	}
-	if newPlace {
-		m.Replaces = []wal.IndexReplace{{OldKey: group[0].key,
-			NewKey: group[0].key, NewChild: dest.ID()}}
-	}
-	if err := r.applyModify(m, base); err != nil {
-		locks.Downgrade(owner, pageRes(base.ID()), lock.R)
-		releaseNeighbours()
-		releaseFrames()
-		unfixFrames()
-		if newPlace {
-			r.unlock(dest.ID())
-			pg.Unfix(dest)
-		}
-		return fmt.Errorf("core: modify base %d: %w", base.ID(), err)
+	var err error
+	if m := modifyFor(base, b); len(m.Removes)+len(m.Replaces) > 0 {
+		err = r.applyModify(m, base)
 	}
 	locks.Downgrade(owner, pageRes(base.ID()), lock.R)
-	if err := r.event("compact.modified"); err != nil {
+	if err != nil {
+		return fmt.Errorf("core: modify base %d: %w", base.ID(), err)
+	}
+	if err := u.event(modifiedStage); err != nil {
 		return err
 	}
 
-	// Largest key processed (for LK in the reorg table).
-	dest.RLock()
+	// LK is pass 1's restart position (§5): pass 2 does not advance it.
 	var largest []byte
-	if n := dest.Data().NumSlots(); n > 0 {
-		largest = append([]byte(nil), kv.SlotKey(dest.Data(), n-1)...)
+	if b.RType == wal.RCompact {
+		dest.RLock()
+		if n := dest.Data().NumSlots(); n > 0 {
+			largest = append(largest, kv.SlotKey(dest.Data(), n-1)...)
+		}
+		dest.RUnlock()
 	}
-	dest.RUnlock()
 
-	// Deallocate the emptied source pages (careful-writing dependencies
-	// force the destination to disk first).
-	unfixFrames()
-	for idx, g := range group {
-		if !newPlace && idx == 0 {
+	// Deallocate the emptied sources (careful-writing dependencies force
+	// the destination to disk first). END is logged even when a free
+	// fails: the unit's changes are all made, and a unit left open would
+	// be finished a second time by a later restart.
+	for _, f := range srcs {
+		f.RLock()
+		freed := f.Data().Type() == storage.PageFree // by the crashed run
+		f.RUnlock()
+		if freed {
 			continue
 		}
-		if err := r.deallocLeaf(g.child); err != nil {
-			r.endUnit(unit, largest)
-			releaseNeighbours()
-			releaseFrames()
-			if newPlace {
-				r.unlock(dest.ID())
-				pg.Unfix(dest)
-			}
-			return err
+		if err = u.dealloc(f); err != nil {
+			break
 		}
 	}
-
-	r.endUnit(unit, largest)
+	r.endUnit(b.Unit, largest)
+	if err != nil {
+		return err
+	}
+	if b.RType == wal.RMove {
+		r.c.unitsMove.Add(1)
+		r.c.pass2Moves.Add(1)
+		return nil
+	}
 	r.noteFinished(dest.ID())
 	r.c.unitsCompact.Add(1)
-	if newPlace {
+	if b.NewPlace {
 		r.c.pagesAllocated.Add(1)
 	}
-	releaseNeighbours()
-	releaseFrames()
-	if newPlace {
-		r.unlock(dest.ID())
-		pg.Unfix(dest)
+	return nil
+}
+
+// modifyFor derives a compaction unit's MODIFY from the base page as it
+// stands: of the entries that point at a member of the unit, the first
+// is the compacted leaf's and must point at the destination; the rest
+// go. Empty when the base page already shows the unit's END state.
+func modifyFor(base *storage.Frame, b wal.ReorgBegin) wal.ReorgModify {
+	m := wal.ReorgModify{Unit: b.Unit, Base: base.ID()}
+	base.RLock()
+	defer base.RUnlock()
+	p := base.Data()
+	first := true
+	for i := 0; i < p.NumSlots(); i++ {
+		k, c := kv.DecodeIndexCell(p.Cell(i))
+		if c != b.Dest && !slices.Contains(b.LeafPages, c) {
+			continue
+		}
+		key := append([]byte(nil), k...)
+		switch {
+		case !first:
+			m.Removes = append(m.Removes, key)
+		case c != b.Dest:
+			m.Replaces = []wal.IndexReplace{{OldKey: key, NewKey: key, NewChild: b.Dest}}
+		}
+		first = false
 	}
-	return r.event("compact.end")
+	return m
 }
 
 // chooseDest implements Find-Free-Space: a "good" empty page per the
@@ -463,12 +395,11 @@ type movedSet struct {
 // undoUnitMoves reverses a unit's record moves and chain rewiring after
 // a deadlock at the base-lock upgrade (§5.2). Each reversal is logged
 // as a full-content MOVE so recovery can redo it.
-func (r *Reorganizer) undoUnitMoves(unit uint64, moved []movedSet,
-	dest *storage.Frame, group []baseEntry, pred, succ storage.PageID) {
+func (r *Reorganizer) undoUnitMoves(b wal.ReorgBegin, moved []movedSet, dest *storage.Frame) {
 	pg := r.tree.Pager()
 	for i := len(moved) - 1; i >= 0; i-- {
 		ms := moved[i]
-		mv := wal.ReorgMove{Unit: unit, PrevLSN: r.table.prevLSN(),
+		mv := wal.ReorgMove{Unit: b.Unit, PrevLSN: r.table.prevLSN(),
 			Org: dest.ID(), Dest: ms.org.ID(), Full: true, Records: ms.cells}
 		lsn := r.tree.Log().Append(mv)
 		r.table.record(lsn)
@@ -493,25 +424,12 @@ func (r *Reorganizer) undoUnitMoves(unit uint64, moved []movedSet,
 		ms.org.Unlock()
 		pg.MarkDirty(ms.org, lsn)
 	}
-	// Restore the original chain: pred -> g0 -> g1 ... -> succ.
-	chain := make([]storage.PageID, 0, len(group)+2)
-	chain = append(chain, pred)
-	for _, g := range group {
-		chain = append(chain, g.child)
-	}
-	chain = append(chain, succ)
+	// Restore the original chain: pred -> members in order -> succ.
+	chain := append(append([]storage.PageID{b.Preds[0]}, b.LeafPages...), b.Succs[0])
 	for idx := 1; idx < len(chain)-1; idx++ {
-		_ = r.logUpd(wal.Update{Page: chain[idx], Op: wal.OpSetPrev,
-			NewVal: pageops.EncodeChild(chain[idx-1])})
-		_ = r.logUpd(wal.Update{Page: chain[idx], Op: wal.OpSetNext,
-			NewVal: pageops.EncodeChild(chain[idx+1])})
+		_ = r.setPtr(chain[idx], wal.OpSetPrev, chain[idx-1])
+		_ = r.setPtr(chain[idx], wal.OpSetNext, chain[idx+1])
 	}
-	if pred != storage.InvalidPage {
-		_ = r.logUpd(wal.Update{Page: pred, Op: wal.OpSetNext,
-			NewVal: pageops.EncodeChild(chain[1])})
-	}
-	if succ != storage.InvalidPage {
-		_ = r.logUpd(wal.Update{Page: succ, Op: wal.OpSetPrev,
-			NewVal: pageops.EncodeChild(chain[len(chain)-2])})
-	}
+	_ = r.setPtr(chain[0], wal.OpSetNext, chain[1])
+	_ = r.setPtr(chain[len(chain)-1], wal.OpSetPrev, chain[len(chain)-2])
 }

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/kv"
 	"repro/internal/lock"
-	"repro/internal/pageops"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -68,7 +69,7 @@ func (r *Reorganizer) SwapLeaves() error {
 		}
 		free := r.tree.Pager().FirstFreeIn(prevAssigned, maxID+1)
 		if free != storage.InvalidPage && (minOcc == 0 || free < minOcc) && free != cur[k] {
-			moved, err := r.moveLeafUnit(leaves[k].key, cur[k], free)
+			moved, err := r.moveUnit(leaves[k].key, cur[k], free)
 			if err != nil {
 				return fmt.Errorf("pass2 move: %w", err)
 			}
@@ -148,153 +149,80 @@ func verifyEntry(base *storage.Frame, key []byte, want storage.PageID) bool {
 	return child == want
 }
 
-// moveLeafUnit moves one leaf to the chosen empty page (a Move-type
-// unit: one base page, new-place). Returns false when skipped.
-func (r *Reorganizer) moveLeafUnit(key []byte, from, to storage.PageID) (bool, error) {
-	owner := r.owner
-	locks := r.tree.Locks()
-	pg := r.tree.Pager()
+// moveUnit moves one leaf to the chosen empty page: a Move-type unit
+// (one base page, new-place), which is a compaction of a single leaf
+// into a destination pass 2 picked — the same body finishes it.
+// Returns false when the unit was skipped.
+func (r *Reorganizer) moveUnit(key []byte, from, to storage.PageID) (bool, error) {
+	u := &unit{r: r}
+	err := r.moveLeaf(u, key, from, to)
+	u.release()
+	if err != nil {
+		return false, skipAborted(err)
+	}
+	return true, r.event("move.end")
+}
 
+// moveLeaf is moveUnit up to END; a skip comes back as errUnitAborted.
+func (r *Reorganizer) moveLeaf(u *unit, key []byte, from, to storage.PageID) error {
 	rootID, _ := r.tree.Root()
 	base, err := r.descendToBase(rootID, key, lock.R)
 	if err != nil {
-		return false, err
+		return err
 	}
-	defer r.tree.ReleaseBase(owner, base)
+	u.adoptBase(base)
 	if !verifyEntry(base, key, from) {
-		return false, nil
+		return errUnitAborted
 	}
-	if err := r.lockLeaf(from, lock.RX); err != nil {
-		if errors.Is(err, errUnitAborted) {
-			return false, nil
-		}
-		return false, err
+	if err := u.lock(from, lock.RX); err != nil {
+		return err
 	}
-	defer r.unlock(from)
-	leaf, err := pg.Fix(from)
+	leaf, err := u.fix(from)
 	if err != nil {
-		return false, err
+		return err
 	}
-	leafPinned := true
-	unfixLeaf := func() {
-		if leafPinned {
-			pg.Unfix(leaf)
-			leafPinned = false
-		}
-	}
-	defer unfixLeaf()
-
 	leaf.RLock()
 	pred, succ := leaf.Data().Prev(), leaf.Data().Next()
 	leaf.RUnlock()
 	for _, nb := range []storage.PageID{pred, succ} {
-		if nb == storage.InvalidPage {
-			continue
-		}
-		if err := r.lockLeaf(nb, lock.X); err != nil {
-			if pred != storage.InvalidPage && nb == succ {
-				r.unlock(pred)
-			}
-			if errors.Is(err, errUnitAborted) {
-				return false, nil
-			}
-			return false, err
+		if err := u.lock(nb, lock.X); err != nil {
+			return err
 		}
 	}
-	releaseNbs := func() {
-		if pred != storage.InvalidPage {
-			r.unlock(pred)
-		}
-		if succ != storage.InvalidPage {
-			r.unlock(succ)
-		}
-	}
-
-	dest, err := pg.AllocateAt(to, storage.PageLeaf)
+	dest, err := r.tree.Pager().AllocateAt(to, storage.PageLeaf)
 	if err != nil {
-		releaseNbs()
-		return false, nil // the page was taken meanwhile
+		return errUnitAborted // the page was taken meanwhile
 	}
-	if err := r.lockLeaf(to, lock.RX); err != nil {
-		pg.Unfix(dest)
-		_ = pg.Deallocate(to, 0)
-		releaseNbs()
-		if errors.Is(err, errUnitAborted) {
-			return false, nil
-		}
-		return false, err
+	u.pinned = append(u.pinned, dest)
+	if err := u.lock(to, lock.RX); err != nil {
+		_ = u.dealloc(dest) // best effort: what fails to free is a leaked page
+		return err
 	}
-	releaseDest := func() {
-		r.unlock(to)
-		pg.Unfix(dest)
-	}
-
-	unit := r.nextUnit
-	r.nextUnit++
-	r.beginUnit(wal.ReorgBegin{Unit: unit, RType: wal.RMove,
+	b := r.beginUnit(wal.ReorgBegin{RType: wal.RMove,
 		BasePages: []storage.PageID{base.ID()},
 		LeafPages: []storage.PageID{from}, Dest: to, NewPlace: true,
-		Preds: []storage.PageID{pred}, Succs: []storage.PageID{succ}})
-
-	if err := r.event("move.begin"); err != nil {
-		return false, err
+		Preds: []storage.PageID{pred}, Succs: []storage.PageID{succ}}, dest)
+	if err := u.event("move.begin"); err != nil {
+		return err
 	}
-	leaf.RLock()
-	origCells := make([][]byte, 0, leaf.Data().NumSlots())
-	for i := 0; i < leaf.Data().NumSlots(); i++ {
-		origCells = append(origCells, append([]byte(nil), leaf.Data().Cell(i)...))
-	}
-	leaf.RUnlock()
-	if _, err := r.moveRecords(unit, leaf, dest); err != nil {
-		releaseDest()
-		releaseNbs()
-		return false, err
-	}
-	if err := r.setChainPointers(to, pred, succ); err != nil {
-		releaseDest()
-		releaseNbs()
-		return false, err
-	}
-	if err := locks.Lock(owner, pageRes(base.ID()), lock.X); err != nil {
-		// Deadlock at upgrade: undo the single move (§5.2).
-		r.undoUnitMoves(unit, []movedSet{{org: leaf, cells: origCells}}, dest,
-			[]baseEntry{{key: key, child: from}}, pred, succ)
-		r.endUnit(unit, nil)
-		releaseDest()
-		releaseNbs()
-		dlsn := r.tree.Log().Append(wal.Dealloc{Page: to})
-		_ = pg.Deallocate(to, dlsn)
-		r.c.unitsDeadlocked.Add(1)
-		return false, nil
-	}
-	m := wal.ReorgModify{Unit: unit, Base: base.ID(),
-		Replaces: []wal.IndexReplace{{OldKey: key, NewKey: key, NewChild: to}}}
-	if err := r.applyModify(m, base); err != nil {
-		locks.Downgrade(owner, pageRes(base.ID()), lock.R)
-		releaseDest()
-		releaseNbs()
-		return false, fmt.Errorf("core: pass2 modify: %w", err)
-	}
-	locks.Downgrade(owner, pageRes(base.ID()), lock.R)
-
-	unfixLeaf()
-	if err := r.deallocLeaf(from); err != nil {
-		releaseDest()
-		releaseNbs()
-		return false, err
-	}
-	r.endUnit(unit, nil)
-	r.c.unitsMove.Add(1)
-	r.c.pass2Moves.Add(1)
-	releaseDest()
-	releaseNbs()
-	return true, r.event("move.end")
+	return r.finishCompact(u, b, base, dest, []*storage.Frame{leaf})
 }
 
 // swapUnit exchanges the contents of pages pa and pb (leaves keyed ka
 // and kb), updating both parents (a Swap-type unit, §4.1). Returns
 // false when skipped due to conflicts.
 func (r *Reorganizer) swapUnit(ka []byte, pa storage.PageID, kb []byte, pb storage.PageID) (bool, error) {
+	u := &unit{r: r}
+	err := r.swapPair(u, ka, pa, kb, pb)
+	u.release()
+	if err != nil {
+		return false, skipAborted(err)
+	}
+	return true, r.event("swap.end")
+}
+
+// swapPair is swapUnit up to END; a skip comes back as errUnitAborted.
+func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte, pb storage.PageID) error {
 	owner := r.owner
 	locks := r.tree.Locks()
 	pg := r.tree.Pager()
@@ -302,58 +230,42 @@ func (r *Reorganizer) swapUnit(ka []byte, pa storage.PageID, kb []byte, pb stora
 	rootID, _ := r.tree.Root()
 	baseA, err := r.descendToBase(rootID, ka, lock.R)
 	if err != nil {
-		return false, err
+		return err
 	}
+	u.adoptBase(baseA)
 	// The second descent can deadlock against updaters while R is held
 	// on baseA; skip the unit in that case rather than retrying under
 	// the held lock.
 	baseB, err := r.tree.DescendToBaseOf(owner, rootID, kb, lock.R)
-	if err != nil {
-		r.tree.ReleaseBase(owner, baseA)
-		if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout) {
-			return false, nil
-		}
-		return false, err
+	if isTransient(err) {
+		return errUnitAborted
 	}
-	sameBase := baseA.ID() == baseB.ID()
-	releaseBases := func() {
-		r.tree.ReleaseBase(owner, baseA)
-		if !sameBase {
-			r.tree.ReleaseBase(owner, baseB)
-		} else {
-			pg.Unfix(baseB)
-		}
+	if err != nil {
+		return err
+	}
+	u.adoptBase(baseB)
+	bases := []*storage.Frame{baseA}
+	if baseB.ID() != baseA.ID() {
+		bases = append(bases, baseB)
 	}
 	if !verifyEntry(baseA, ka, pa) || !verifyEntry(baseB, kb, pb) {
-		releaseBases()
-		return false, nil
+		return errUnitAborted
 	}
 
 	// RX both leaves, then X their chain neighbours (excluding each
 	// other), all before any data moves (§4.3).
-	if err := r.lockLeaf(pa, lock.RX); err != nil {
-		releaseBases()
-		return false, skipAborted(err)
+	for _, id := range []storage.PageID{pa, pb} {
+		if err := u.lock(id, lock.RX); err != nil {
+			return err
+		}
 	}
-	if err := r.lockLeaf(pb, lock.RX); err != nil {
-		r.unlock(pa)
-		releaseBases()
-		return false, skipAborted(err)
-	}
-	fa, err := pg.Fix(pa)
+	fa, err := u.fix(pa)
 	if err != nil {
-		r.unlock(pa)
-		r.unlock(pb)
-		releaseBases()
-		return false, err
+		return err
 	}
-	fb, err := pg.Fix(pb)
+	fb, err := u.fix(pb)
 	if err != nil {
-		pg.Unfix(fa)
-		r.unlock(pa)
-		r.unlock(pb)
-		releaseBases()
-		return false, err
+		return err
 	}
 	fa.RLock()
 	predA, succA := fa.Data().Prev(), fa.Data().Next()
@@ -361,58 +273,21 @@ func (r *Reorganizer) swapUnit(ka []byte, pa storage.PageID, kb []byte, pb stora
 	fb.RLock()
 	predB, succB := fb.Data().Prev(), fb.Data().Next()
 	fb.RUnlock()
-	var nbs []storage.PageID
 	for _, nb := range []storage.PageID{predA, succA, predB, succB} {
-		if nb == storage.InvalidPage || nb == pa || nb == pb {
-			continue
+		if err := u.lock(nb, lock.X); err != nil {
+			return err
 		}
-		dup := false
-		for _, got := range nbs {
-			if got == nb {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if err := r.lockLeaf(nb, lock.X); err != nil {
-			for _, got := range nbs {
-				r.unlock(got)
-			}
-			pg.Unfix(fa)
-			pg.Unfix(fb)
-			r.unlock(pa)
-			r.unlock(pb)
-			releaseBases()
-			return false, skipAborted(err)
-		}
-		nbs = append(nbs, nb)
-	}
-	releaseAll := func() {
-		for _, got := range nbs {
-			r.unlock(got)
-		}
-		pg.Unfix(fa)
-		pg.Unfix(fb)
-		r.unlock(pa)
-		r.unlock(pb)
-		releaseBases()
 	}
 
-	unit := r.nextUnit
-	r.nextUnit++
-	bases := []storage.PageID{baseA.ID()}
-	if !sameBase {
-		bases = append(bases, baseB.ID())
-	}
-	r.beginUnit(wal.ReorgBegin{Unit: unit, RType: wal.RSwap,
-		BasePages: bases, LeafPages: []storage.PageID{pa, pb},
+	b := wal.ReorgBegin{RType: wal.RSwap, LeafPages: []storage.PageID{pa, pb},
 		Preds: []storage.PageID{predA, predB},
-		Succs: []storage.PageID{succA, succB}})
-	if err := r.event("swap.begin"); err != nil {
-		releaseAll()
-		return false, err
+		Succs: []storage.PageID{succA, succB}}
+	for _, base := range bases {
+		b.BasePages = append(b.BasePages, base.ID())
+	}
+	b = r.beginUnit(b, nil)
+	if err := u.event("swap.begin"); err != nil {
+		return err
 	}
 
 	// Log the full pre-swap image of page A (§5: "no way to avoid
@@ -422,120 +297,171 @@ func (r *Reorganizer) swapUnit(ka []byte, pa storage.PageID, kb []byte, pb stora
 	fa.RLock()
 	imgA := append([]byte(nil), fa.Data()...)
 	fa.RUnlock()
-	sw := wal.ReorgSwap{Unit: unit, PrevLSN: r.table.prevLSN(),
+	sw := wal.ReorgSwap{Unit: b.Unit, PrevLSN: r.table.prevLSN(),
 		PageA: pa, PageB: pb, ImageA: imgA}
 	lsn := r.tree.Log().Append(sw)
 	r.table.record(lsn)
 	pg.AddWriteDep(pb, pa)
 	// Between the SWAP record and the in-memory exchange: a crash here
 	// must redo the whole swap from ImageA.
-	if err := r.event("swap.logged"); err != nil {
-		releaseAll()
-		return false, err
+	if err := u.event("swap.logged"); err != nil {
+		return err
 	}
 
 	SwapPages(fa, fb, lsn)
 	pg.MarkDirty(fa, lsn)
 	pg.MarkDirty(fb, lsn)
-	if err := r.event("swap.moved"); err != nil {
-		return false, err
+	if err := u.event("swap.moved"); err != nil {
+		return err
 	}
 
 	// Neighbour pointer fixes: whoever pointed at pa now points at pb
 	// and vice versa.
-	fix := func(nb storage.PageID, op wal.Op, to storage.PageID) error {
-		if nb == storage.InvalidPage || nb == pa || nb == pb {
-			return nil
-		}
-		return r.logUpd(wal.Update{Page: nb, Op: op, NewVal: pageops.EncodeChild(to)})
-	}
-	if err := errFirst(
-		fix(predA, wal.OpSetNext, pb),
-		fix(succA, wal.OpSetPrev, pb),
-		fix(predB, wal.OpSetNext, pa),
-		fix(succB, wal.OpSetPrev, pa),
-	); err != nil {
-		releaseAll()
-		return false, err
+	if err := r.pointNeighbours(b, pb, pa); err != nil {
+		return err
 	}
 
-	// Upgrade both parents and post the pointer changes.
-	if err := locks.Lock(owner, pageRes(baseA.ID()), lock.X); err != nil {
-		r.undoSwap(unit, fa, fb, predA, succA, predB, succB)
-		r.endUnit(unit, nil)
-		releaseAll()
-		r.c.unitsDeadlocked.Add(1)
-		return false, nil
-	}
-	if !sameBase {
-		if err := locks.Lock(owner, pageRes(baseB.ID()), lock.X); err != nil {
-			locks.Downgrade(owner, pageRes(baseA.ID()), lock.R)
-			r.undoSwap(unit, fa, fb, predA, succA, predB, succB)
-			r.endUnit(unit, nil)
-			releaseAll()
+	// Upgrade both parents and post the pointer changes. A deadlock
+	// here undoes the swap (§5.2) and ends the unit with no LK.
+	for _, base := range bases {
+		if err := locks.Lock(owner, pageRes(base.ID()), lock.X); err != nil {
+			r.undoSwap(b, fa, fb)
+			r.endUnit(b.Unit, nil)
 			r.c.unitsDeadlocked.Add(1)
-			return false, nil
+			return errUnitAborted
 		}
 	}
-	ma := wal.ReorgModify{Unit: unit, Base: baseA.ID(),
+	ma := wal.ReorgModify{Unit: b.Unit, Base: baseA.ID(),
 		Replaces: []wal.IndexReplace{{OldKey: ka, NewKey: ka, NewChild: pb}}}
-	mb := wal.ReorgModify{Unit: unit, Base: baseB.ID(),
+	mb := wal.ReorgModify{Unit: b.Unit, Base: baseB.ID(),
 		Replaces: []wal.IndexReplace{{OldKey: kb, NewKey: kb, NewChild: pa}}}
-	if sameBase {
+	if len(bases) == 1 {
 		ma.Replaces = append(ma.Replaces, mb.Replaces...)
 	}
 	if err := r.applyModify(ma, baseA); err != nil {
-		releaseAll()
-		return false, err
+		return err
 	}
-	if !sameBase {
+	if len(bases) == 2 {
 		if err := r.applyModify(mb, baseB); err != nil {
-			releaseAll()
-			return false, err
+			return err
 		}
 		locks.Downgrade(owner, pageRes(baseB.ID()), lock.R)
 	}
 	locks.Downgrade(owner, pageRes(baseA.ID()), lock.R)
 
-	r.endUnit(unit, nil)
+	r.endUnit(b.Unit, nil)
 	r.c.unitsSwap.Add(1)
 	r.c.pass2Swaps.Add(1)
-	releaseAll()
-	return true, r.event("swap.end")
+	return nil
+}
+
+// pointNeighbours makes the chain neighbours the swap's BEGIN record
+// names — other than the swapped pair itself, whose own pointers
+// travelled with their contents — point at toA where they pointed at
+// page A and at toB where they pointed at page B.
+func (r *Reorganizer) pointNeighbours(b wal.ReorgBegin, toA, toB storage.PageID) error {
+	fix := func(nb storage.PageID, op wal.Op, to storage.PageID) error {
+		if slices.Contains(b.LeafPages, nb) {
+			return nil
+		}
+		return r.setPtr(nb, op, to)
+	}
+	return errFirst(
+		fix(b.Preds[0], wal.OpSetNext, toA),
+		fix(b.Succs[0], wal.OpSetPrev, toA),
+		fix(b.Preds[1], wal.OpSetNext, toB),
+		fix(b.Succs[1], wal.OpSetPrev, toB))
 }
 
 // undoSwap reverses a swap after a deadlock at the upgrade (§5.2): a
 // swap is its own inverse, so it is re-logged and re-applied, and the
 // neighbour pointers are restored.
-func (r *Reorganizer) undoSwap(unit uint64, fa, fb *storage.Frame,
-	predA, succA, predB, succB storage.PageID) {
-	pa, pb := fa.ID(), fb.ID()
+func (r *Reorganizer) undoSwap(b wal.ReorgBegin, fa, fb *storage.Frame) {
 	fa.RLock()
 	imgA := append([]byte(nil), fa.Data()...)
 	fa.RUnlock()
-	sw := wal.ReorgSwap{Unit: unit, PrevLSN: r.table.prevLSN(),
-		PageA: pa, PageB: pb, ImageA: imgA}
+	sw := wal.ReorgSwap{Unit: b.Unit, PrevLSN: r.table.prevLSN(),
+		PageA: fa.ID(), PageB: fb.ID(), ImageA: imgA}
 	lsn := r.tree.Log().Append(sw)
 	r.table.record(lsn)
 	SwapPages(fa, fb, lsn)
 	r.tree.Pager().MarkDirty(fa, lsn)
 	r.tree.Pager().MarkDirty(fb, lsn)
-	fix := func(nb storage.PageID, op wal.Op, to storage.PageID) {
-		if nb == storage.InvalidPage || nb == pa || nb == pb {
-			return
+	_ = r.pointNeighbours(b, fa.ID(), fb.ID())
+}
+
+// healSwap finishes a swap unit at restart. The post-redo page contents
+// are ground truth (their own side pointers travelled with them), so
+// the chain neighbours and parent entries are healed to match wherever
+// the contents ended up — correct regardless of how far the swap, or a
+// deadlock-undo re-swap, had progressed.
+func (r *Reorganizer) healSwap(b wal.ReorgBegin, leaves, bases []*storage.Frame) error {
+	lowMarks := make(map[storage.PageID][]byte, 2)
+	for _, f := range leaves {
+		f.RLock()
+		prev, next := f.Data().Prev(), f.Data().Next()
+		if f.Data().NumSlots() > 0 {
+			lowMarks[f.ID()] = append([]byte(nil), kv.SlotKey(f.Data(), 0)...)
 		}
-		_ = r.logUpd(wal.Update{Page: nb, Op: op, NewVal: pageops.EncodeChild(to)})
+		f.RUnlock()
+		if err := errFirst(r.setPtr(prev, wal.OpSetNext, f.ID()),
+			r.setPtr(next, wal.OpSetPrev, f.ID())); err != nil {
+			return err
+		}
 	}
-	fix(predA, wal.OpSetNext, pa)
-	fix(succA, wal.OpSetPrev, pa)
-	fix(predB, wal.OpSetNext, pb)
-	fix(succB, wal.OpSetPrev, pb)
+	// Heal parent entries: an entry must point at the page whose low
+	// record key lies within the entry's key range.
+	for _, base := range bases {
+		m := wal.ReorgModify{Unit: b.Unit, Base: base.ID()}
+		base.RLock()
+		p := base.Data()
+		n := p.NumSlots()
+		for i := 0; i < n; i++ {
+			k, c := kv.DecodeIndexCell(p.Cell(i))
+			if !slices.Contains(b.LeafPages, c) {
+				continue
+			}
+			var hi []byte
+			if i+1 < n {
+				hi = kv.SlotKey(p, i+1)
+			}
+			// Both members can qualify when the entry is the last on its
+			// base page: hi is unknown there, but the entry's true range
+			// ends at the next separator in the level, and the content
+			// belonging to that later separator has the larger low mark —
+			// so the smaller qualifying low mark is the one this entry
+			// routes to.
+			correct := c
+			var correctLow []byte
+			for _, page := range b.LeafPages {
+				lm := lowMarks[page]
+				if lm == nil || bytes.Compare(lm, k) < 0 || (hi != nil && bytes.Compare(lm, hi) >= 0) {
+					continue
+				}
+				if correctLow == nil || bytes.Compare(lm, correctLow) < 0 {
+					correct, correctLow = page, lm
+				}
+			}
+			if correct != c {
+				key := append([]byte(nil), k...)
+				m.Replaces = append(m.Replaces,
+					wal.IndexReplace{OldKey: key, NewKey: key, NewChild: correct})
+			}
+		}
+		base.RUnlock()
+		if len(m.Replaces) > 0 {
+			if err := r.applyModify(m, base); err != nil {
+				return err
+			}
+		}
+	}
+	r.endUnit(b.Unit, nil)
+	return nil
 }
 
 // SwapPages exchanges the record contents and side pointers of two
-// latched-by-caller... it takes both write latches itself (in id order)
-// and fixes self-references for adjacent leaves. Exported for use by
-// forward recovery.
+// pages. It takes both write latches itself (in id order) and fixes
+// self-references for adjacent leaves. Exported for redo.
 func SwapPages(fa, fb *storage.Frame, lsn uint64) {
 	first, second := fa, fb
 	if first.ID() > second.ID() {

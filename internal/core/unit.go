@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/kv"
@@ -74,19 +75,105 @@ func (r *Reorganizer) descendToBase(rootID storage.PageID, k []byte, mode lock.M
 	}
 }
 
-// lockLeaf acquires mode on a leaf for the reorganizer, translating a
-// deadlock victimisation into errUnitAborted.
-func (r *Reorganizer) lockLeaf(id storage.PageID, mode lock.Mode) error {
-	err := r.tree.Locks().Lock(r.owner, pageRes(id), mode)
-	if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout) {
-		r.c.unitsDeadlocked.Add(1)
+// unit is one reorganization unit's hold on the system: the page locks
+// it took and the frames it pinned, recorded as they are acquired so
+// that the unit lets go of all of them in one place (release).
+type unit struct {
+	r      *Reorganizer
+	locked []storage.PageID
+	pinned []*storage.Frame
+	// crashed is set when an event hook fails after BEGIN: a simulated
+	// crash, see release.
+	crashed bool
+}
+
+// lock acquires mode on a page for the unit (a deadlock victimisation
+// comes back as errUnitAborted). No page and a page the unit already
+// holds — swapped leaves can be each other's neighbours — are skipped.
+func (u *unit) lock(id storage.PageID, mode lock.Mode) error {
+	if id == storage.InvalidPage || slices.Contains(u.locked, id) {
+		return nil
+	}
+	err := u.r.tree.Locks().Lock(u.r.owner, pageRes(id), mode)
+	if isTransient(err) {
+		u.r.c.unitsDeadlocked.Add(1)
 		return errUnitAborted
+	}
+	if err == nil {
+		u.locked = append(u.locked, id)
 	}
 	return err
 }
 
-func (r *Reorganizer) unlock(id storage.PageID) {
-	r.tree.Locks().Unlock(r.owner, pageRes(id))
+// fix pins a page for the unit.
+func (u *unit) fix(id storage.PageID) (*storage.Frame, error) {
+	f, err := u.r.tree.Pager().Fix(id)
+	if err == nil {
+		u.pinned = append(u.pinned, f)
+	}
+	return f, err
+}
+
+// adoptBase hands the unit a base page a descent returned R-locked and
+// pinned (two descents may have reached the same page: one lock, two
+// pins).
+func (u *unit) adoptBase(f *storage.Frame) {
+	if !slices.Contains(u.locked, f.ID()) {
+		u.locked = append(u.locked, f.ID())
+	}
+	u.pinned = append(u.pinned, f)
+}
+
+// event reports a stage of the unit to the fault injector and the
+// event hook.
+func (u *unit) event(stage string) error {
+	err := u.r.event(stage)
+	u.crashed = u.crashed || err != nil
+	return err
+}
+
+// unpin hands one of the unit's pins back before release: a page must
+// be unpinned to be freed (dealloc, drop's only other caller).
+func (u *unit) unpin(f *storage.Frame) {
+	u.pinned = slices.DeleteFunc(u.pinned, func(p *storage.Frame) bool { return p == f })
+	u.r.tree.Pager().Unfix(f)
+}
+
+// drop gives back, lock and pin, a leaf that was taken only to be
+// measured and does not join the unit.
+func (u *unit) drop(f *storage.Frame) {
+	u.unpin(f)
+	u.locked = slices.DeleteFunc(u.locked, func(id storage.PageID) bool { return id == f.ID() })
+	u.r.tree.Locks().Unlock(u.r.owner, pageRes(f.ID()))
+}
+
+// dealloc logs and performs the deallocation of a page the unit holds
+// pinned.
+func (u *unit) dealloc(f *storage.Frame) error {
+	r := u.r
+	u.unpin(f)
+	lsn := r.tree.Log().Append(wal.Dealloc{Page: f.ID()})
+	r.table.record(lsn)
+	r.c.pagesFreed.Add(1)
+	return r.tree.Pager().Deallocate(f.ID(), lsn)
+}
+
+// release is the one place a unit lets go of what it holds, on every
+// way out: skipped, aborted, failed or finished. The exception is
+// an event error, which is a simulated crash: past the first physical
+// change of a unit a reader must never see it half-done, so whatever
+// the unit holds stays held until Crash() discards the lock table and
+// the pool (an injected crash panics straight past this call).
+func (u *unit) release() {
+	if u.crashed {
+		return
+	}
+	for _, f := range u.pinned {
+		u.r.tree.Pager().Unfix(f)
+	}
+	for _, id := range u.locked {
+		u.r.tree.Locks().Unlock(u.r.owner, pageRes(id))
+	}
 }
 
 // usedPayload is the byte budget a leaf's records consume in a
@@ -95,65 +182,60 @@ func usedPayload(p storage.Page) int {
 	return p.UsedBytes() + storage.SlotSize*p.NumSlots()
 }
 
-// logUpd appends a system update record and applies it (side-pointer
-// fixes inside reorganization units; redone by generic recovery).
-func (r *Reorganizer) logUpd(u wal.Update) error {
-	u.Txn = 0
-	lsn := r.tree.Log().Append(u)
-	return pageops.Apply(r.tree.Pager(), u, lsn)
+// leafCells copies out every record of a leaf; nil for a page that is
+// no longer one (forward recovery can meet a source the interrupted run
+// had already freed).
+func leafCells(f *storage.Frame) [][]byte {
+	f.RLock()
+	defer f.RUnlock()
+	p := f.Data()
+	if p.Type() != storage.PageLeaf {
+		return nil
+	}
+	out := make([][]byte, 0, p.NumSlots())
+	for i := 0; i < p.NumSlots(); i++ {
+		out = append(out, append([]byte(nil), p.Cell(i)...))
+	}
+	return out
+}
+
+// setPtr points one side pointer of page at to (no page: nothing to
+// do), logged as a system update that generic recovery redoes.
+func (r *Reorganizer) setPtr(page storage.PageID, op wal.Op, to storage.PageID) error {
+	if page == storage.InvalidPage {
+		return nil
+	}
+	u := wal.Update{Page: page, Op: op, NewVal: pageops.EncodeChild(to)}
+	return pageops.Apply(r.tree.Pager(), u, r.tree.Log().Append(u))
 }
 
 // setChainPointers rewires dest's own side pointers and its neighbours'
-// (logged as system updates, idempotent at redo).
+// (idempotent at redo).
 func (r *Reorganizer) setChainPointers(dest, pred, succ storage.PageID) error {
-	if err := r.logUpd(wal.Update{Page: dest, Op: wal.OpSetPrev,
-		NewVal: pageops.EncodeChild(pred)}); err != nil {
-		return err
-	}
-	if err := r.logUpd(wal.Update{Page: dest, Op: wal.OpSetNext,
-		NewVal: pageops.EncodeChild(succ)}); err != nil {
-		return err
-	}
-	if pred != storage.InvalidPage {
-		if err := r.logUpd(wal.Update{Page: pred, Op: wal.OpSetNext,
-			NewVal: pageops.EncodeChild(dest)}); err != nil {
-			return err
-		}
-	}
-	if succ != storage.InvalidPage {
-		if err := r.logUpd(wal.Update{Page: succ, Op: wal.OpSetPrev,
-			NewVal: pageops.EncodeChild(dest)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return errFirst(
+		r.setPtr(dest, wal.OpSetPrev, pred),
+		r.setPtr(dest, wal.OpSetNext, succ),
+		r.setPtr(pred, wal.OpSetNext, dest),
+		r.setPtr(succ, wal.OpSetPrev, dest))
 }
 
-// moveRecords moves every record from org into dest inside the current
-// unit: one MOVE log record (keys only under careful writing, full
-// cells otherwise), chained through the reorg table, then the physical
-// move. Under careful writing an org->dest write-ordering dependency is
-// installed so the source image can never overtake the destination.
-func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame) (int, error) {
-	org.RLock()
-	n := org.Data().NumSlots()
-	cells := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		cells = append(cells, append([]byte(nil), org.Data().Cell(i)...))
+// moveRecords moves cells, every record of org, into dest inside the
+// current unit: one MOVE log record (keys only under careful writing,
+// full cells otherwise), chained through the reorg table, then the
+// physical move. Under careful writing an org->dest write-ordering
+// dependency is installed so the source image can never overtake the
+// destination. A record dest already holds is left alone.
+func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame, cells [][]byte) error {
+	if len(cells) == 0 {
+		return nil
 	}
-	org.RUnlock()
-	if n == 0 {
-		return 0, nil
-	}
-
 	recs := cells
 	if r.cfg.CarefulWriting {
-		keys := make([][]byte, 0, n)
+		recs = make([][]byte, 0, len(cells))
 		for _, c := range cells {
 			k, _ := kv.DecodeLeafCell(c)
-			keys = append(keys, append([]byte(nil), k...))
+			recs = append(recs, k)
 		}
-		recs = keys
 	}
 	mv := wal.ReorgMove{Unit: unit, PrevLSN: r.table.prevLSN(),
 		Org: org.ID(), Dest: dest.ID(), Full: !r.cfg.CarefulWriting,
@@ -165,7 +247,7 @@ func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame) (int, e
 	var err error
 	for _, c := range cells {
 		k, v := kv.DecodeLeafCell(c)
-		if ierr := kv.LeafInsert(dest.Data(), k, v); ierr != nil {
+		if ierr := kv.LeafInsert(dest.Data(), k, v); ierr != nil && !errors.Is(ierr, kv.ErrExists) {
 			err = fmt.Errorf("core: move into %d: %w", dest.ID(), ierr)
 			break
 		}
@@ -174,7 +256,7 @@ func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame) (int, e
 	dest.Unlock()
 	r.tree.Pager().MarkDirty(dest, lsn)
 	if err != nil {
-		return 0, err
+		return err
 	}
 
 	org.Lock()
@@ -186,8 +268,8 @@ func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame) (int, e
 	if r.cfg.CarefulWriting {
 		r.tree.Pager().AddWriteDep(org.ID(), dest.ID())
 	}
-	r.c.recordsMoved.Add(int64(n))
-	return n, nil
+	r.c.recordsMoved.Add(int64(len(cells)))
+	return nil
 }
 
 // applyModify logs a MODIFY record (chained) and applies the base-page
@@ -206,8 +288,8 @@ func (r *Reorganizer) applyModify(m wal.ReorgModify, base *storage.Frame) error 
 }
 
 // ApplyModifyToPage performs a MODIFY's entry edits on a latched base
-// page, idempotently (presence-checked) so redo and forward recovery
-// can share it.
+// page, idempotently (presence-checked) so the live unit, redo and
+// forward recovery share it.
 func ApplyModifyToPage(p storage.Page, m wal.ReorgModify) error {
 	for _, key := range m.Removes {
 		if slot, found := kv.Search(p, key); found {
@@ -242,9 +324,12 @@ func ApplyModifyToPage(p storage.Page, m wal.ReorgModify) error {
 	return nil
 }
 
-// beginUnit logs BEGIN (only after every lock is held, §5) and records
-// it in the reorg table.
-func (r *Reorganizer) beginUnit(b wal.ReorgBegin) uint64 {
+// beginUnit gives the unit its id, logs BEGIN (only after every lock is
+// held, §5) and records it in the reorg table. dest is the unit's
+// pinned destination (nil for a swap).
+func (r *Reorganizer) beginUnit(b wal.ReorgBegin, dest *storage.Frame) wal.ReorgBegin {
+	b.Unit = r.nextUnit
+	r.nextUnit++
 	lsn := r.tree.Log().Append(b)
 	r.table.beginUnit(b.Unit, lsn)
 	r.unitStart = time.Now()
@@ -255,22 +340,19 @@ func (r *Reorganizer) beginUnit(b wal.ReorgBegin) uint64 {
 		}
 		r.ring.Emit(obs.EvReorgUnitStart, b.Unit, newPlace)
 	}
-	if b.NewPlace && b.Dest != storage.InvalidPage {
+	if b.NewPlace {
 		// Stamp the fresh destination page with the BEGIN LSN so its
 		// formatting is ordered against redo.
-		if f, err := r.tree.Pager().Fix(b.Dest); err == nil {
-			f.Lock()
-			f.Data().SetLSN(lsn)
-			f.Unlock()
-			r.tree.Pager().MarkDirty(f, lsn)
-			r.tree.Pager().Unfix(f)
-		}
+		dest.Lock()
+		dest.Data().SetLSN(lsn)
+		dest.Unlock()
+		r.tree.Pager().MarkDirty(dest, lsn)
 	}
-	return lsn
+	return b
 }
 
-// endUnit logs END, updates LK, and forces the log so a finished unit
-// survives (its pages may still be volatile; redo re-creates them).
+// endUnit logs END and updates LK. The record is not forced: a unit
+// whose END is lost is finished again, forward, at restart.
 func (r *Reorganizer) endUnit(unit uint64, largestKey []byte) {
 	e := wal.ReorgEnd{Unit: unit, PrevLSN: r.table.prevLSN(),
 		LargestKey: append([]byte(nil), largestKey...)}
@@ -286,10 +368,71 @@ func (r *Reorganizer) endUnit(unit uint64, largestKey []byte) {
 	}
 }
 
-// deallocLeaf logs and performs a page deallocation inside a unit.
-func (r *Reorganizer) deallocLeaf(id storage.PageID) error {
-	lsn := r.tree.Log().Append(wal.Dealloc{Page: id})
-	r.table.record(lsn)
-	r.c.pagesFreed.Add(1)
-	return r.tree.Pager().Deallocate(id, lsn)
+// CompleteUnit is forward recovery (§5.1). Restart calls it, after redo
+// and undo, for the one unit whose BEGIN has no END: the locks the
+// BEGIN record names are re-acquired — uncontended, the database is not
+// open for traffic yet — and the unit is carried to its END by the code
+// that runs it live. r is built without CarefulWriting, so what is
+// still to move is logged as full-content MOVEs (a second crash has no
+// source pre-state to read values from); the log is forced at the end.
+func (r *Reorganizer) CompleteUnit(b wal.ReorgBegin, beginLSN uint64) error {
+	r.table.beginUnit(b.Unit, beginLSN)
+	u := &unit{r: r}
+	err := r.resumeUnit(u, b)
+	u.release()
+	if err != nil {
+		return err
+	}
+	return r.tree.Log().Flush()
+}
+
+// resumeUnit re-acquires what the BEGIN record names, in the live
+// unit's order, and enters the unit's body.
+func (r *Reorganizer) resumeUnit(u *unit, b wal.ReorgBegin) error {
+	swap := b.RType == wal.RSwap
+	switch {
+	case swap && len(b.LeafPages) == 2 && len(b.BasePages) > 0:
+	case (b.RType == wal.RCompact || b.RType == wal.RMove) &&
+		len(b.BasePages) == 1 && len(b.Preds) == 1 && len(b.Succs) == 1:
+	default:
+		return fmt.Errorf("core: malformed BEGIN of unit %d (type %v)", b.Unit, b.RType)
+	}
+	lockFix := func(ids []storage.PageID, mode lock.Mode) ([]*storage.Frame, error) {
+		frames := make([]*storage.Frame, 0, len(ids))
+		for _, id := range ids {
+			if err := u.lock(id, mode); err != nil {
+				return nil, err
+			}
+			f, err := u.fix(id)
+			if err != nil {
+				return nil, err
+			}
+			frames = append(frames, f)
+		}
+		return frames, nil
+	}
+	bases, err := lockFix(b.BasePages, lock.R)
+	if err != nil {
+		return err
+	}
+	leaves, err := lockFix(b.LeafPages, lock.RX)
+	if err != nil {
+		return err
+	}
+	for _, nb := range append(append([]storage.PageID(nil), b.Preds...), b.Succs...) {
+		if err := u.lock(nb, lock.X); err != nil {
+			return err
+		}
+	}
+	if swap {
+		return r.healSwap(b, leaves, bases)
+	}
+	// In-place, the destination is the first member: locked already,
+	// pinned once more.
+	dests, err := lockFix([]storage.PageID{b.Dest}, lock.RX)
+	if err != nil {
+		return err
+	}
+	srcs := slices.DeleteFunc(leaves, func(f *storage.Frame) bool { return f.ID() == b.Dest })
+	return r.finishCompact(u, b, bases[0], dests[0], srcs)
 }

@@ -14,6 +14,13 @@
 //     forward-completed (implied by the first three plus scan order),
 //   - the recovered database accepts new work (liveness probe).
 //
+// Every schedule whose restart forward-completes a reorganization unit
+// is then run again with a second crash armed at each wal.append hit
+// inside that restart (the log and disk keep the injector across a
+// restart), followed by a second restart held to the same invariants:
+// forward completion is the live unit's own code and must be idempotent
+// under a crash of its own.
+//
 // The workload is strictly single-goroutine so the hit sequence is
 // deterministic: "concurrent" updates are injected from the
 // reorganizer's OnEvent hook at stages where the reorganizer holds no
@@ -79,6 +86,10 @@ type Config struct {
 	Torn bool
 	// MaxRuns caps the number of crash runs (0 = unlimited).
 	MaxRuns int
+	// SecondCrashStride arms the second crash of the double-crash leg at
+	// every SecondCrashStride-th wal.append hit inside a unit-completing
+	// restart (default 1 = every hit).
+	SecondCrashStride int
 	// Backend selects the storage backend: "mem" (default) or "file".
 	// The file backend gives every run a fresh directory under Dir, so
 	// each crash recovers against real page and segment files.
@@ -121,6 +132,9 @@ func (c Config) withDefaults() Config {
 	if c.Stride <= 0 {
 		c.Stride = 1
 	}
+	if c.SecondCrashStride <= 0 {
+		c.SecondCrashStride = 1
+	}
 	if c.Backend == "" {
 		c.Backend = "mem"
 	}
@@ -134,9 +148,11 @@ type Result struct {
 	TotalHits int
 	// Points is the sorted set of distinct fault points hit.
 	Points []string
-	// CrashRuns and TornRuns count the crash re-runs performed.
-	CrashRuns int
-	TornRuns  int
+	// CrashRuns and TornRuns count the crash re-runs performed;
+	// DoubleCrashRuns those of them that crashed again inside restart.
+	CrashRuns       int
+	TornRuns        int
+	DoubleCrashRuns int
 	// ForwardCompleted counts restarts that finished an in-flight
 	// reorganization unit forward; Pass3Abandoned/Pass3Completed count
 	// the two pass-3 reconciliation outcomes.
@@ -585,12 +601,20 @@ func Run(cfg Config) (*Result, error) {
 			}
 			break
 		}
-		if err := runOne(cfg, i, false, res); err != nil {
+		appends, err := runOne(cfg, i, false, 0, res)
+		if err != nil {
 			return res, fmt.Errorf("crash at hit %d (%s): %w", i, trace[i-1], err)
 		}
 		res.CrashRuns++
+		for k := int64(1); k <= appends; k += int64(cfg.SecondCrashStride) {
+			if _, err := runOne(cfg, i, false, k, nil); err != nil {
+				return res, fmt.Errorf("crash at hit %d (%s), then at wal.append %d of the restart: %w",
+					i, trace[i-1], k, err)
+			}
+			res.DoubleCrashRuns++
+		}
 		if cfg.Torn && trace[i-1] == fault.WALForce {
-			if err := runOne(cfg, i, true, res); err != nil {
+			if _, err := runOne(cfg, i, true, 0, res); err != nil {
 				return res, fmt.Errorf("torn crash at hit %d (%s): %w", i, trace[i-1], err)
 			}
 			res.TornRuns++
@@ -603,12 +627,17 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // runOne re-runs the script with a crash armed at the given post-Open
-// hit index, then restarts and verifies.
-func runOne(cfg Config, hit int, torn bool, res *Result) error {
+// hit index, then restarts and verifies. With second > 0 that restart
+// is itself crashed, at its second-th wal.append hit, and it is the
+// restart after that one which must satisfy the invariants. The outcome
+// is tallied into res (nil: not tallied); the return value is how many
+// wal.append hits a unit-completing restart made — the second-crash
+// schedules of this hit — and 0 for any other restart.
+func runOne(cfg Config, hit int, torn bool, second int64, res *Result) (int64, error) {
 	inj := fault.New(cfg.Seed)
 	s, err := newScript(cfg, inj) // Open runs uninjected (nothing armed)
 	if err != nil {
-		return fmt.Errorf("open: %w", err)
+		return 0, fmt.Errorf("open: %w", err)
 	}
 	defer func() {
 		inj.Disarm() // cleanup's Close must not trip a still-armed crash
@@ -617,27 +646,50 @@ func runOne(cfg Config, hit int, torn bool, res *Result) error {
 	inj.ArmCrashAtSeq(inj.Seq()+int64(hit), torn)
 	crash, err := fault.Catch(s.run)
 	if err != nil {
-		return fmt.Errorf("script failed before the armed crash: %w", err)
+		return 0, fmt.Errorf("script failed before the armed crash: %w", err)
 	}
 	if crash == nil {
-		return fmt.Errorf("script completed without reaching hit %d", hit)
+		return 0, fmt.Errorf("script completed without reaching hit %d", hit)
 	}
 	inj.Disarm() // recovery must not be re-injected
 	s.db.Crash()
+	if second > 0 {
+		inj.Arm(fault.WALAppend, fault.Schedule{Kind: fault.KindCrash,
+			OnHit: inj.HitCounts()[fault.WALAppend] + second})
+		crash, err := fault.Catch(func() error {
+			_, err := s.db.Restart()
+			return err
+		})
+		if err != nil {
+			return 0, fmt.Errorf("restart failed before its armed crash: %w", err)
+		}
+		if crash == nil {
+			return 0, fmt.Errorf("restart completed without reaching its wal.append hit %d", second)
+		}
+		inj.Disarm()
+		s.db.Crash()
+	}
+	before := inj.HitCounts()[fault.WALAppend]
 	info, err := s.db.Restart()
 	if err != nil {
-		return fmt.Errorf("restart: %w", err)
+		return 0, fmt.Errorf("restart: %w", err)
 	}
+	var appends int64
 	if info.UnitCompleted {
-		res.ForwardCompleted++
+		appends = inj.HitCounts()[fault.WALAppend] - before
 	}
-	if info.Pass3Abandoned {
-		res.Pass3Abandoned++
+	if res != nil {
+		if info.UnitCompleted {
+			res.ForwardCompleted++
+		}
+		if info.Pass3Abandoned {
+			res.Pass3Abandoned++
+		}
+		if info.Pass3Completed {
+			res.Pass3Completed++
+		}
 	}
-	if info.Pass3Completed {
-		res.Pass3Completed++
-	}
-	return s.verify()
+	return appends, s.verify()
 }
 
 func gcd(a, b int) int {

@@ -10,7 +10,9 @@ import (
 // hit in the scripted workload, crash at each one (every Stride-th in
 // -short mode), restart, and verify the recovery invariants.
 func TestCrashSweep(t *testing.T) {
-	cfg := Config{Torn: true, Logf: t.Logf}
+	// Every unit-completing restart is crashed again, at every fifth of
+	// its wal.append hits; `reorg-bench sweep` runs the leg in full.
+	cfg := Config{Torn: true, SecondCrashStride: 5, Logf: t.Logf}
 	if testing.Short() {
 		cfg.Stride = 7
 		cfg.Torn = false
@@ -25,9 +27,9 @@ func TestCrashSweep(t *testing.T) {
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
-	t.Logf("sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units, %d/%d pass3 abandoned/completed",
+	t.Logf("sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units (%d crashed again inside restart), %d/%d pass3 abandoned/completed",
 		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted,
-		res.Pass3Abandoned, res.Pass3Completed)
+		res.DoubleCrashRuns, res.Pass3Abandoned, res.Pass3Completed)
 
 	// The script must exercise every reorganization unit type and the
 	// root-switch window, or the sweep is not testing what it claims.
@@ -56,6 +58,9 @@ func TestCrashSweep(t *testing.T) {
 		}
 		if res.ForwardCompleted == 0 {
 			t.Error("no restart ever forward-completed an in-flight unit")
+		}
+		if res.DoubleCrashRuns == 0 {
+			t.Error("no unit-completing restart was ever crashed a second time")
 		}
 		if res.Pass3Abandoned == 0 {
 			t.Error("no restart ever reclaimed an interrupted pass-3 build")
@@ -93,7 +98,7 @@ func TestEnumerateDeterministic(t *testing.T) {
 // fault points — crashes there leave the policy mid-decision, and the
 // rebuilt daemon after Restart must not matter to recovery.
 func TestCrashSweepDaemon(t *testing.T) {
-	cfg := Config{Daemon: true, Logf: t.Logf}
+	cfg := Config{Daemon: true, SecondCrashStride: 5, Logf: t.Logf}
 	if testing.Short() {
 		cfg.Stride = 7
 	} else {
@@ -110,8 +115,8 @@ func TestCrashSweepDaemon(t *testing.T) {
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
-	t.Logf("daemon sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units",
-		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted)
+	t.Logf("daemon sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units (%d crashed again inside restart)",
+		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted, res.DoubleCrashRuns)
 
 	// The daemon shape must reach its scheduler seams and drive real
 	// pass-1 units through them.
@@ -146,7 +151,10 @@ func TestCrashSweepFileBackend(t *testing.T) {
 		// (crash-during-rotation coverage comes free with every hit that
 		// lands inside a force that rotates).
 		WALSegmentBytes: 4096,
-		Logf:            t.Logf,
+		// A run against files costs ~20 ms: one second crash per
+		// unit-completing restart.
+		SecondCrashStride: 8,
+		Logf:              t.Logf,
 	}
 	if testing.Short() {
 		cfg.Stride = 11
@@ -159,8 +167,8 @@ func TestCrashSweepFileBackend(t *testing.T) {
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
-	t.Logf("file sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units",
-		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted)
+	t.Logf("file sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units (%d crashed again inside restart)",
+		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted, res.DoubleCrashRuns)
 	if !testing.Short() && res.TornRuns == 0 {
 		t.Error("no torn-log runs despite Torn: true")
 	}

@@ -3,10 +3,11 @@
 // replay of reorganization MOVE/SWAP/MODIFY records under careful
 // writing), rollback of loser transactions, and the paper's Forward
 // Recovery — an interrupted reorganization unit is finished, not
-// undone (§5.1). An interrupted internal-page reorganization (pass 3)
-// is reclaimed: its new-place pages and side file are deallocated and
-// the reorganization bit cleared (if the switch record made it to the
-// log, the switch is completed instead).
+// undone (§5.1), by handing its BEGIN record to the reorganizer's own
+// unit code (core.CompleteUnit). An interrupted internal-page
+// reorganization (pass 3) is reclaimed: its new-place pages and side
+// file are deallocated and the reorganization bit cleared (if the
+// switch record made it to the log, the switch is completed instead).
 package recovery
 
 import (
@@ -14,8 +15,10 @@ import (
 	"fmt"
 
 	"repro/internal/btree"
+	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/lock"
+	"repro/internal/pageops"
 	"repro/internal/sidefile"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -59,8 +62,6 @@ type txnState struct {
 type unitState struct {
 	begin    wal.ReorgBegin
 	beginLSN uint64
-	moves    []wal.ReorgMove
-	swaps    []wal.ReorgSwap
 	ended    bool
 }
 
@@ -112,14 +113,6 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 					u.begin = r
 					u.beginLSN = lsn
 				}
-			case wal.ReorgMove:
-				if r.Unit == cp.Reorg.Unit {
-					u.moves = append(u.moves, r)
-				}
-			case wal.ReorgSwap:
-				if r.Unit == cp.Reorg.Unit {
-					u.swaps = append(u.swaps, r)
-				}
 			case wal.ReorgEnd:
 				if r.Unit == cp.Reorg.Unit {
 					u.ended = true
@@ -164,23 +157,25 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 			if st := active[r.Txn]; st != nil {
 				st.lastLSN = lsn
 			}
-			return redoUpdate(pager, r, lsn)
+			return pageops.Redo(pager, r.Page, r.Op, r.Key, r.NewVal, lsn)
 		case wal.CLR:
 			if st := active[r.Txn]; st != nil {
 				st.lastLSN = lsn
 			}
-			return redoCLR(pager, r, lsn)
+			return pageops.Redo(pager, r.Page, r.Op, r.Key, r.NewVal, lsn)
 		case wal.Split:
-			return pageopsApplySplit(pager, r, lsn)
+			return pageops.ApplySplit(pager, r, lsn)
 		case wal.RootSplit:
-			return pageopsApplyRootSplit(pager, r, lsn)
+			return pageops.ApplyRootSplit(pager, r, lsn)
 		case wal.FreeChain:
-			return pageopsApplyFreeChain(pager, r, lsn)
+			return pageops.ApplyFreeChain(pager, r, lsn)
 		case wal.Alloc:
 			allocs = append(allocs, r)
 			return redoAlloc(pager, r, lsn)
 		case wal.Dealloc:
-			return redoDealloc(pager, r, lsn)
+			// A page that observed a later operation stays (it may have
+			// been reused before the crash).
+			return pageops.DeallocateIfUnseen(pager, r.Page, lsn)
 		case wal.ReorgBegin:
 			unit = &unitState{begin: r, beginLSN: lsn}
 			if r.Unit > maxUnit {
@@ -188,14 +183,8 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 			}
 			return redoReorgBegin(pager, r, lsn)
 		case wal.ReorgMove:
-			if unit != nil && unit.begin.Unit == r.Unit {
-				unit.moves = append(unit.moves, r)
-			}
 			return redoMove(pager, r, lsn)
 		case wal.ReorgSwap:
-			if unit != nil && unit.begin.Unit == r.Unit {
-				unit.swaps = append(unit.swaps, r)
-			}
 			return redoSwap(pager, r, lsn)
 		case wal.ReorgModify:
 			return redoModify(pager, r, lsn)
@@ -275,9 +264,12 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		res.BaselineRolledBack = true
 	}
 
-	// --- forward recovery: finish the in-flight reorganization unit ---
+	// --- forward recovery (§5.1): the one possibly-incomplete unit is
+	// finished, not rolled back, and by the reorganizer's own code — it
+	// re-acquires the locks the BEGIN record names and carries on ---
 	if unit != nil && !unit.ended {
-		if err := completeUnit(pager, log, unit); err != nil {
+		reorg := core.New(tree, core.Config{})
+		if err := reorg.CompleteUnit(unit.begin, unit.beginLSN); err != nil {
 			return nil, fmt.Errorf("recovery: forward recovery of unit %d: %w",
 				unit.begin.Unit, err)
 		}

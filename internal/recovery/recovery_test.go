@@ -305,6 +305,53 @@ func TestSwapForwardRecovery(t *testing.T) {
 	verifyRecords(t, res, present, 1500)
 }
 
+// TestSwapForwardRecoveryShuffledLoad is TestSwapForwardRecovery on a
+// tree whose leaves are out of key order on disk (a sequential load
+// gives pass 2 no swap to do, and that test skips): crash at each stage
+// of the first swap unit; restart must finish it forward — nothing
+// swapped yet, only logged, or swapped with neighbours and parents
+// still pointing the old way.
+func TestSwapForwardRecoveryShuffledLoad(t *testing.T) {
+	for _, stage := range []string{"swap.begin", "swap.logged", "swap.moved"} {
+		t.Run(stage, func(t *testing.T) {
+			e := newEnv(t, 1024)
+			const n, keep = 2000, 4
+			for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+				e.put(t, i)
+			}
+			present := func(i int) bool {
+				return i < n && (i%keep == 0 || i%(keep*7) == 1)
+			}
+			for i := 0; i < n; i++ {
+				if !present(i) {
+					e.del(t, i)
+				}
+			}
+			r := core.New(e.tree, core.Config{
+				TargetFill: 0.9, SwapPass: true,
+				OnEvent: func(s string) error {
+					if s == stage {
+						_ = e.log.Flush()
+						return errCrash
+					}
+					return nil
+				},
+			})
+			if err := r.CompactLeaves(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.SwapLeaves(); !errors.Is(err, errCrash) {
+				t.Fatalf("expected a crash inside a swap unit, got %v", err)
+			}
+			res := e.crash(t)
+			if !res.UnitCompleted {
+				t.Error("swap unit not completed forward")
+			}
+			verifyRecords(t, res, present, n)
+		})
+	}
+}
+
 // TestPass3CrashAbandonsCleanly crashes during the internal rebuild and
 // verifies the old tree stays authoritative and all new-place pages and
 // the side file are reclaimed.

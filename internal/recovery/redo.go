@@ -5,33 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kv"
-	"repro/internal/pageops"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
-
-// redoUpdate re-applies a logical page operation under the pageLSN
-// test.
-func redoUpdate(pg *storage.Pager, r wal.Update, lsn uint64) error {
-	return pageops.Redo(pg, r.Page, r.Op, r.Key, r.NewVal, lsn)
-}
-
-// redoCLR re-applies a compensation record (same mechanics as Update).
-func redoCLR(pg *storage.Pager, r wal.CLR, lsn uint64) error {
-	return pageops.Redo(pg, r.Page, r.Op, r.Key, r.NewVal, lsn)
-}
-
-func pageopsApplySplit(pg *storage.Pager, r wal.Split, lsn uint64) error {
-	return pageops.ApplySplit(pg, r, lsn)
-}
-
-func pageopsApplyRootSplit(pg *storage.Pager, r wal.RootSplit, lsn uint64) error {
-	return pageops.ApplyRootSplit(pg, r, lsn)
-}
-
-func pageopsApplyFreeChain(pg *storage.Pager, r wal.FreeChain, lsn uint64) error {
-	return pageops.ApplyFreeChain(pg, r, lsn)
-}
 
 // redoAlloc reformats an allocated page (pass-3 builder and side-file
 // pages). The allocation stamped the page with this LSN at run time, so
@@ -52,12 +28,6 @@ func redoAlloc(pg *storage.Pager, r wal.Alloc, lsn uint64) error {
 	f.Data().SetLSN(lsn)
 	pg.MarkDirty(f, lsn)
 	return nil
-}
-
-// redoDealloc frees a page unless it already observed a later
-// operation (it may have been reused before the crash).
-func redoDealloc(pg *storage.Pager, r wal.Dealloc, lsn uint64) error {
-	return pageops.DeallocateIfUnseen(pg, r.Page, lsn)
 }
 
 // redoReorgBegin formats a new-place destination leaf (the unit

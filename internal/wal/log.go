@@ -57,13 +57,11 @@ type Log struct {
 	// syncs counts device syncs in flight (mu released). busy marks the
 	// device exclusively owned — a segment rotation, retention, Crash or
 	// Close is moving files, so no write or sync may start; the owner
-	// first waits for syncs to drain. gathering is set while a committer
-	// sleeps out the group-commit window. waiters counts goroutines in
+	// first waits for syncs to drain. waiters counts goroutines in
 	// cond.Wait so that the uncontended force never broadcasts.
-	syncs     int
-	busy      bool
-	gathering bool
-	waiters   int
+	syncs   int
+	busy    bool
+	waiters int
 
 	// seg is the file device (nil for the in-memory log); see
 	// SegmentedLog for which of its methods need mu.
@@ -72,13 +70,6 @@ type Log struct {
 	// the segment directory; Crash cannot return it, so reads surface
 	// it instead.
 	crashErr error
-
-	// window is the optional group-commit window: the committer that is
-	// about to write holds the force open this long (off the mutex) so
-	// trailing commits append their records and ride its write. Zero
-	// keeps the force immediate, which also keeps the single-threaded
-	// fault-hit sequence identical for the crash sweep.
-	window time.Duration
 
 	inj *fault.Injector
 	// syncStall, when set by a test, runs with mu released right before
@@ -143,16 +134,6 @@ func (l *Log) SetObserver(ring *obs.Ring) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ring = ring
-}
-
-// SetGroupCommitWindow configures how long a committer about to write
-// waits (off the mutex) first, letting concurrent commits append and
-// ride its write. Zero disables the wait; committers still share syncs
-// already in flight.
-func (l *Log) SetGroupCommitWindow(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.window = d
 }
 
 // retryBackoff sleeps briefly before a transient-fault retry with
@@ -279,33 +260,20 @@ func (l *Log) Flush() error {
 // forceTo returns once every byte below stream offset target is
 // durable. A caller whose bytes are already written while a sync is in
 // flight waits for that sync; anyone else forces the unwritten tail
-// itself, after sleeping out the group-commit window if one is set.
-// Called with l.mu held.
+// itself. Called with l.mu held.
 //
 //vet:holds(l.mu)
 func (l *Log) forceTo(target uint64) error {
-	waited, gathered := false, false
+	waited := false
 	for l.flushed < target {
-		switch {
-		case l.busy || l.gathering || (l.written >= target && l.syncs > 0):
+		if l.busy || (l.written >= target && l.syncs > 0) {
 			waited = true
 			l.wait()
-		case l.window > 0 && !gathered:
-			// Hold the force open so trailing commits append their records
-			// and ride this write. The sleep runs off the mutex: appenders
-			// keep appending, other committers see gathering and wait.
-			gathered = true
-			l.gathering = true
-			l.mu.Unlock()
-			time.Sleep(l.window)
-			l.mu.Lock()
-			l.gathering = false
-			l.wake()
-		default:
-			waited = false
-			if err := l.force(); err != nil {
-				return err
-			}
+			continue
+		}
+		waited = false
+		if err := l.force(); err != nil {
+			return err
 		}
 	}
 	if waited {

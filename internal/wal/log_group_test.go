@@ -3,16 +3,14 @@ package wal
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestGroupForceCoalesces has K goroutines append a record each and
-// force it. With a group-commit window the forces must coalesce: fewer
-// than K forced writes, every record durable, and the saved/performed
-// accounting must cover all K requests.
+// force it: every record must be durable and the saved/performed
+// accounting must cover all K requests. (That a force rides a sync in
+// flight is pinned by TestConcurrentCommittersShareSyncs.)
 func TestGroupForceCoalesces(t *testing.T) {
 	l := NewLog()
-	l.SetGroupCommitWindow(time.Millisecond)
 
 	const K = 12
 	var wg sync.WaitGroup
@@ -35,9 +33,6 @@ func TestGroupForceCoalesces(t *testing.T) {
 		}
 	}
 
-	if f := l.ForcedWrites(); f >= K {
-		t.Errorf("forced writes = %d, want < %d", f, K)
-	}
 	if f, s := l.ForcedWrites(), l.ForcesSaved(); f+s < K {
 		t.Errorf("forces %d + saved %d < %d requests", f, s, K)
 	}
