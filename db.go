@@ -698,8 +698,6 @@ func (db *DB) Checkpoint() error {
 	reorging := db.reorg != nil
 	if reorging {
 		cp.Reorg = db.reorg.TableSnapshot()
-		cp.Pass3 = db.reorg.Pass3Snapshot()
-		cp.NextUnit = db.reorg.NextUnit()
 	}
 	db.mu.Unlock()
 	if err := db.pager.FlushAll(); err != nil {

@@ -68,11 +68,6 @@ type Config struct {
 	// write-ordering dependencies instead (§5); disabled, MOVE records
 	// carry full record contents.
 	CarefulWriting bool
-	// StablePointEvery forces completed new-tree pages to disk after
-	// this many base pages during pass 3 (default 5, §7.3).
-	StablePointEvery int
-	// MaxUnitRetries bounds deadlock retries per unit (default 3).
-	MaxUnitRetries int
 	// StartKey resumes pass 1 from the base page covering this key
 	// (the paper's LK restart position, §5; recovery.Result.ReorgLK).
 	StartKey []byte
@@ -114,20 +109,13 @@ func (c Config) withDefaults() Config {
 	if c.TargetFill <= 0 || c.TargetFill > 1 {
 		c.TargetFill = 0.9
 	}
-	if c.StablePointEvery <= 0 {
-		c.StablePointEvery = 5
-	}
-	if c.MaxUnitRetries <= 0 {
-		c.MaxUnitRetries = 3
-	}
 	return c
 }
 
 // DefaultConfig reorganizes all three passes with the paper's settings.
 func DefaultConfig() Config {
 	return Config{TargetFill: 0.9, Placement: PlacementHeuristic,
-		SwapPass: true, InternalPass: true, CarefulWriting: true,
-		StablePointEvery: 5, MaxUnitRetries: 3}
+		SwapPass: true, InternalPass: true, CarefulWriting: true}
 }
 
 // reorgTable is the paper's in-memory reorganization system table (§5):
@@ -279,22 +267,6 @@ func (r *Reorganizer) Metrics() *metrics.Counters { return r.m }
 // TableSnapshot exports the reorg table for a checkpoint.
 func (r *Reorganizer) TableSnapshot() wal.ReorgTableSnap {
 	return r.table.snapshot()
-}
-
-// Pass3Snapshot exports pass-3 progress for a checkpoint.
-func (r *Reorganizer) Pass3Snapshot() wal.Pass3Snap {
-	return r.pass3.snapshot()
-}
-
-// NextUnit returns the next unit id (checkpointed so restarted systems
-// keep unit ids monotone).
-func (r *Reorganizer) NextUnit() uint64 { return r.nextUnit }
-
-// SetNextUnit restores the unit id generator after restart.
-func (r *Reorganizer) SetNextUnit(u uint64) {
-	if u > r.nextUnit {
-		r.nextUnit = u
-	}
 }
 
 // LK returns the largest key of the last finished reorganization unit

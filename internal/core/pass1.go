@@ -81,6 +81,9 @@ func (r *Reorganizer) CompactLeaves() error {
 	return nil
 }
 
+// maxUnitRetries bounds the deadlock retries of one unit position.
+const maxUnitRetries = 3
+
 // compactBase forms and executes compaction units under one base page.
 // The caller holds R on the base.
 func (r *Reorganizer) compactBase(base *storage.Frame, entries []baseEntry) error {
@@ -102,7 +105,7 @@ func (r *Reorganizer) compactBase(base *storage.Frame, entries []baseEntry) erro
 		switch {
 		case err == nil && n >= 2:
 			r.unitsRun++
-		case errors.Is(err, errUnitAborted) && retries < r.cfg.MaxUnitRetries:
+		case errors.Is(err, errUnitAborted) && retries < maxUnitRetries:
 			// Deadlock victim: retry the position a few times (the winning
 			// transaction needs a moment to finish), then move past it.
 			retries++

@@ -23,18 +23,6 @@ type pass3State struct {
 	allRead  bool   // every base page has been read: all updates go to the side file
 	ck       []byte // low mark of the base page currently being read
 	sf       *sidefile.SideFile
-	newRoot  storage.PageID
-}
-
-func (s *pass3State) snapshot() wal.Pass3Snap {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := wal.Pass3Snap{Active: s.active, ReorgBit: s.active,
-		CK: append([]byte(nil), s.ck...), NewRoot: s.newRoot}
-	if s.sf != nil {
-		snap.SideFileHead = s.sf.Head()
-	}
-	return snap
 }
 
 func (s *pass3State) start(sf *sidefile.SideFile) {
@@ -43,7 +31,6 @@ func (s *pass3State) start(sf *sidefile.SideFile) {
 	s.active, s.switched, s.allRead = true, false, false
 	s.ck = nil
 	s.sf = sf
-	s.newRoot = storage.InvalidPage
 }
 
 func (s *pass3State) setCK(ck []byte) {
@@ -69,14 +56,6 @@ func (s *pass3State) finish() {
 	defer s.mu.Unlock()
 	s.active, s.switched, s.allRead = false, false, false
 	s.sf = nil
-}
-
-// GetCurrent returns CK, the low mark of the base page the reorganizer
-// is currently reading (§7.1's Get_Current).
-func (r *Reorganizer) GetCurrent() []byte {
-	r.pass3.mu.Lock()
-	defer r.pass3.mu.Unlock()
-	return append([]byte(nil), r.pass3.ck...)
 }
 
 // OnBaseUpdate implements btree.ReorgHook (§7.2): an updater holding X
@@ -216,7 +195,7 @@ func (r *Reorganizer) RebuildInternal() error {
 			return err
 		}
 		basesRead++
-		if basesRead%r.cfg.StablePointEvery == 0 {
+		if basesRead%stablePointEvery == 0 {
 			if err := r.stablePoint(b, lastKey); err != nil {
 				return err
 			}
@@ -228,9 +207,6 @@ func (r *Reorganizer) RebuildInternal() error {
 	if err != nil {
 		return err
 	}
-	r.pass3.mu.Lock()
-	r.pass3.newRoot = newRoot
-	r.pass3.mu.Unlock()
 	if err := b.flushAll(); err != nil {
 		return err
 	}
@@ -324,6 +300,10 @@ func (r *Reorganizer) RebuildInternal() error {
 	return nil
 }
 
+// stablePointEvery is how many base pages pass 3 reads between two
+// stable points (§7.3).
+const stablePointEvery = 5
+
 // stablePoint forces the builder's pages to disk and logs the stable
 // key (§7.3). After it, log records before the stable key are no
 // longer needed to rebuild the new tree.
@@ -353,9 +333,6 @@ func (r *Reorganizer) applySideEntry(newRoot *storage.PageID, e sidefile.Entry) 
 			return err
 		}
 		*newRoot = root
-		r.pass3.mu.Lock()
-		r.pass3.newRoot = root
-		r.pass3.mu.Unlock()
 		return nil
 	case wal.OpDelete:
 		return newTreeDelete(r.tree.Pager(), *newRoot, e.Key)
@@ -365,9 +342,28 @@ func (r *Reorganizer) applySideEntry(newRoot *storage.PageID, e sidefile.Entry) 
 }
 
 // discardOldInternals deallocates the old tree's internal pages after
-// all old-tree transactions have drained.
+// all old-tree transactions have drained. A crash inside the loop needs
+// no particular order: ReclaimPass3 finds what is left by page type.
 func (r *Reorganizer) discardOldInternals(oldRoot storage.PageID) error {
 	pg := r.tree.Pager()
+	internals, err := internalsUnder(pg, oldRoot)
+	if err != nil {
+		return err
+	}
+	for i := len(internals) - 1; i >= 0; i-- {
+		lsn := r.tree.Log().Append(wal.Dealloc{Page: internals[i]})
+		if err := pg.Deallocate(internals[i], lsn); err != nil {
+			return err
+		}
+		r.c.pagesFreed.Add(1)
+	}
+	return nil
+}
+
+// internalsUnder lists the internal pages of the tree rooted at root,
+// parents before children; the leaves are not visited. A page it cannot
+// read is an error, never a shorter list.
+func internalsUnder(pg *storage.Pager, root storage.PageID) ([]storage.PageID, error) {
 	var internals []storage.PageID
 	var walk func(id storage.PageID) error
 	walk = func(id storage.PageID) error {
@@ -377,14 +373,9 @@ func (r *Reorganizer) discardOldInternals(oldRoot storage.PageID) error {
 		}
 		f.RLock()
 		p := f.Data()
-		if p.Type() != storage.PageInternal {
-			f.RUnlock()
-			pg.Unfix(f)
-			return nil
-		}
-		level := p.Aux()
 		var children []storage.PageID
-		if level > 1 {
+		internal := p.Type() == storage.PageInternal
+		if internal && p.Aux() > 1 {
 			for i := 0; i < p.NumSlots(); i++ {
 				_, c := kv.DecodeIndexCell(p.Cell(i))
 				children = append(children, c)
@@ -392,6 +383,9 @@ func (r *Reorganizer) discardOldInternals(oldRoot storage.PageID) error {
 		}
 		f.RUnlock()
 		pg.Unfix(f)
+		if !internal {
+			return nil
+		}
 		internals = append(internals, id)
 		for _, c := range children {
 			if err := walk(c); err != nil {
@@ -400,20 +394,67 @@ func (r *Reorganizer) discardOldInternals(oldRoot storage.PageID) error {
 		}
 		return nil
 	}
-	if err := walk(oldRoot); err != nil {
-		return err
+	if err := walk(root); err != nil {
+		return nil, err
 	}
-	// Free children before parents (reverse of the pre-order walk): a
-	// crash mid-loop then leaves the still-allocated pages as a connected
-	// subtree under oldRoot, which restart's re-walk can find and finish.
-	for i := len(internals) - 1; i >= 0; i-- {
-		lsn := r.tree.Log().Append(wal.Dealloc{Page: internals[i]})
-		if err := pg.Deallocate(internals[i], lsn); err != nil {
-			return err
+	return internals, nil
+}
+
+// ReclaimPass3 is how restart cleans up a pass 3 that did not finish;
+// recovery.Restart calls it when the anchor's reorganization bit is
+// set. sw is the last SwitchRoot record redo saw, nil if none. That
+// record is the switch's commit point (the new tree and the final
+// side-file drain are forced before it is appended), so if it is
+// durable and the anchor still names its OldRoot the switch is finished
+// forward rather than abandoning a fully-built tree.
+//
+// Everything else is read off the page states, not off any list kept or
+// logged while the pass ran. completed: every page a pass 3 allocates
+// goes past the high-water mark, the side-file head first, so the
+// anchor's root is this pass's new tree exactly when it lies above the
+// anchor's side-file head (a SwitchRoot record naming the root may be
+// an earlier pass's, and this pass's may lie below the redo point).
+// Garbage: every side-file page, and every internal page the root does
+// not reach — the old tree after the switch, the half-built new tree
+// before it. A scan of stable types is authoritative only here,
+// single-threaded and after a FlushAll; the live tail of
+// RebuildInternal walks from the old root it holds under X. The bit is
+// cleared last, so a crash inside the reclaim re-enters it and finds
+// the remainder the same way.
+func ReclaimPass3(tree *btree.Tree, sw *wal.SwitchRoot) (completed bool, err error) {
+	pg, log := tree.Pager(), tree.Log()
+	root, _ := tree.Root()
+	if sw != nil && sw.OldRoot == root {
+		if err := tree.SwitchRoot(sw.NewRoot, sw.NewEpoch); err != nil {
+			return false, fmt.Errorf("pass3 reclaim: completing root switch: %w", err)
 		}
-		r.c.pagesFreed.Add(1)
+		root = sw.NewRoot
 	}
-	return nil
+	_, sideHead := tree.ReorgState()
+	completed = root > sideHead
+	if err := pg.FlushAll(); err != nil {
+		return false, err
+	}
+	live, err := internalsUnder(pg, root)
+	if err != nil {
+		return false, fmt.Errorf("pass3 reclaim: walking the live tree: %w", err)
+	}
+	keep := make(map[storage.PageID]bool, len(live))
+	for _, id := range live {
+		keep[id] = true
+	}
+	for i, typ := range pg.Disk().ScanTypes() {
+		id := storage.PageID(i)
+		garbage := typ == storage.PageSideFile || typ == storage.PageInternal && !keep[id]
+		if !garbage {
+			continue
+		}
+		lsn := log.Append(wal.Dealloc{Page: id})
+		if err := pg.Deallocate(id, lsn); err != nil {
+			return false, err
+		}
+	}
+	return completed, tree.SetReorgBit(false, storage.InvalidPage)
 }
 
 func treeHeightOf(pg *storage.Pager, root storage.PageID) (int, error) {

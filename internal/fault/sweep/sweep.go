@@ -87,8 +87,8 @@ type Config struct {
 	// MaxRuns caps the number of crash runs (0 = unlimited).
 	MaxRuns int
 	// SecondCrashStride arms the second crash of the double-crash leg at
-	// every SecondCrashStride-th wal.append hit inside a unit-completing
-	// restart (default 1 = every hit).
+	// every SecondCrashStride-th wal.append hit inside a restart that
+	// completes a unit or cleans up a pass 3 (default 1 = every hit).
 	SecondCrashStride int
 	// Backend selects the storage backend: "mem" (default) or "file".
 	// The file backend gives every run a fresh directory under Dir, so
@@ -631,8 +631,9 @@ func Run(cfg Config) (*Result, error) {
 // is itself crashed, at its second-th wal.append hit, and it is the
 // restart after that one which must satisfy the invariants. The outcome
 // is tallied into res (nil: not tallied); the return value is how many
-// wal.append hits a unit-completing restart made — the second-crash
-// schedules of this hit — and 0 for any other restart.
+// wal.append hits a restart made that completed a unit or cleaned up a
+// pass 3 — the second-crash schedules of this hit — and 0 for any
+// other restart.
 func runOne(cfg Config, hit int, torn bool, second int64, res *Result) (int64, error) {
 	inj := fault.New(cfg.Seed)
 	s, err := newScript(cfg, inj) // Open runs uninjected (nothing armed)
@@ -675,7 +676,7 @@ func runOne(cfg Config, hit int, torn bool, second int64, res *Result) (int64, e
 		return 0, fmt.Errorf("restart: %w", err)
 	}
 	var appends int64
-	if info.UnitCompleted {
+	if info.UnitCompleted || info.Pass3Abandoned || info.Pass3Completed {
 		appends = inj.HitCounts()[fault.WALAppend] - before
 	}
 	if res != nil {

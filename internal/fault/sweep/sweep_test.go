@@ -10,8 +10,9 @@ import (
 // hit in the scripted workload, crash at each one (every Stride-th in
 // -short mode), restart, and verify the recovery invariants.
 func TestCrashSweep(t *testing.T) {
-	// Every unit-completing restart is crashed again, at every fifth of
-	// its wal.append hits; `reorg-bench sweep` runs the leg in full.
+	// Every restart that completes a unit or cleans up a pass 3 is
+	// crashed again, at every fifth of its wal.append hits;
+	// `reorg-bench sweep` runs the leg in full.
 	cfg := Config{Torn: true, SecondCrashStride: 5, Logf: t.Logf}
 	if testing.Short() {
 		cfg.Stride = 7

@@ -34,8 +34,6 @@ func TestCheckpointMidUnitRecovers(t *testing.T) {
 						ActiveTxns: e.txns.ActiveSnapshot(),
 						NextTxnID:  e.txns.NextID(),
 						Reorg:      r.TableSnapshot(),
-						Pass3:      r.Pass3Snapshot(),
-						NextUnit:   r.NextUnit(),
 					}
 					lsn := e.log.Append(cp)
 					if err := e.log.FlushTo(lsn); err != nil {
@@ -63,9 +61,6 @@ func TestCheckpointMidUnitRecovers(t *testing.T) {
 		t.Error("unit begun before the checkpoint was not completed forward")
 	}
 	verifyRecords(t, res, present, 1200)
-	if res.NextUnit == 0 {
-		t.Error("unit id generator not restored")
-	}
 }
 
 // TestResumeFromLK: restart reports LK (the largest key of the last

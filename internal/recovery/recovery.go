@@ -5,9 +5,8 @@
 // Recovery — an interrupted reorganization unit is finished, not
 // undone (§5.1), by handing its BEGIN record to the reorganizer's own
 // unit code (core.CompleteUnit). An interrupted internal-page
-// reorganization (pass 3) is reclaimed: its new-place pages and side
-// file are deallocated and the reorganization bit cleared (if the
-// switch record made it to the log, the switch is completed instead).
+// reorganization (pass 3) is cleaned up by the reorganizer's own code
+// as well (core.ReclaimPass3).
 package recovery
 
 import (
@@ -16,10 +15,8 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/core"
-	"repro/internal/kv"
 	"repro/internal/lock"
 	"repro/internal/pageops"
-	"repro/internal/sidefile"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -46,7 +43,6 @@ type Result struct {
 	// compaction where it left off.
 	ReorgLK   []byte
 	NextTxnID uint64
-	NextUnit  uint64
 }
 
 // errStopIterate ends a bounded log scan early.
@@ -87,7 +83,6 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 			redoFrom = cp.RedoLSN
 		}
 		res.NextTxnID = cp.NextTxnID
-		res.NextUnit = cp.NextUnit
 	}
 	active := map[uint64]*txnState{}
 	if haveCP {
@@ -131,10 +126,8 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	// --- redo pass: repeat history from the checkpoint ---
 	unit := preUnit
 	var (
-		allocs     []wal.Alloc
 		lastSwitch *wal.SwitchRoot
 		maxTxn     uint64
-		maxUnit    uint64
 		baseOp     *wal.BaselineBegin // in-flight baseline block op
 	)
 	err := log.Iterate(redoFrom, func(lsn uint64, rec wal.Record) error {
@@ -170,7 +163,6 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		case wal.FreeChain:
 			return pageops.ApplyFreeChain(pager, r, lsn)
 		case wal.Alloc:
-			allocs = append(allocs, r)
 			return redoAlloc(pager, r, lsn)
 		case wal.Dealloc:
 			// A page that observed a later operation stays (it may have
@@ -178,9 +170,6 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 			return pageops.DeallocateIfUnseen(pager, r.Page, lsn)
 		case wal.ReorgBegin:
 			unit = &unitState{begin: r, beginLSN: lsn}
-			if r.Unit > maxUnit {
-				maxUnit = r.Unit
-			}
 			return redoReorgBegin(pager, r, lsn)
 		case wal.ReorgMove:
 			return redoMove(pager, r, lsn)
@@ -204,7 +193,6 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		case wal.SwitchRoot:
 			cp := r
 			lastSwitch = &cp
-			allocs = nil // the new tree is live: its pages must stay
 		case wal.StableKey, wal.Checkpoint:
 			// bookkeeping only
 		}
@@ -215,9 +203,6 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	}
 	if res.NextTxnID <= maxTxn {
 		res.NextTxnID = maxTxn + 1
-	}
-	if res.NextUnit <= maxUnit {
-		res.NextUnit = maxUnit + 1
 	}
 	txns.SetNextID(res.NextTxnID)
 
@@ -276,48 +261,12 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		res.UnitCompleted = true
 		res.CompletedUnit = unit.begin.Unit
 	}
-	bit, sfHead := tree.ReorgState()
-	if bit {
-		root, _ := tree.Root()
-		switchedDurably := lastSwitch != nil && lastSwitch.NewRoot == root
-		// The SwitchRoot log record is the switch's commit point: the new
-		// tree and the final side-file drain are forced to disk before it
-		// is appended. If the record is durable but the anchor flip never
-		// reached disk (anchor still names OldRoot), finish the switch
-		// forward instead of abandoning a fully-built tree.
-		if !switchedDurably && lastSwitch != nil && lastSwitch.OldRoot == root {
-			if err := tree.SwitchRoot(lastSwitch.NewRoot, lastSwitch.NewEpoch); err != nil {
-				return nil, fmt.Errorf("recovery: completing root switch: %w", err)
-			}
-			switchedDurably = true
+	if bit, _ := tree.ReorgState(); bit {
+		completed, err := core.ReclaimPass3(tree, lastSwitch)
+		if err != nil {
+			return nil, fmt.Errorf("recovery: %w", err)
 		}
-		if switchedDurably {
-			// Crash after the switch but before cleanup: finish the
-			// discard of the old internal pages and the side file.
-			if err := discardTree(pager, log, lastSwitch.OldRoot); err != nil {
-				return nil, err
-			}
-			if sfHead != storage.InvalidPage {
-				if err := sidefile.DestroyChain(pager, log, sfHead); err != nil {
-					return nil, err
-				}
-			}
-			res.Pass3Completed = true
-		} else {
-			// Abandon the interrupted internal reorganization: the old
-			// tree remains authoritative; reclaim every page the pass
-			// allocated (builder pages and the side-file chain).
-			for _, a := range allocs {
-				lsn := log.Append(wal.Dealloc{Page: a.Page})
-				if err := pager.Deallocate(a.Page, lsn); err != nil {
-					return nil, err
-				}
-			}
-			res.Pass3Abandoned = true
-		}
-		if err := tree.SetReorgBit(false, storage.InvalidPage); err != nil {
-			return nil, err
-		}
+		res.Pass3Completed, res.Pass3Abandoned = completed, !completed
 	}
 
 	// Restart checkpoint: everything recovery produced becomes stable,
@@ -330,53 +279,4 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// discardTree deallocates the internal pages of the tree rooted at
-// root, skipping pages already freed.
-func discardTree(pager *storage.Pager, log *wal.Log, root storage.PageID) error {
-	var internals []storage.PageID
-	var walk func(id storage.PageID) error
-	walk = func(id storage.PageID) error {
-		f, err := pager.Fix(id)
-		if err != nil {
-			return err
-		}
-		f.RLock()
-		p := f.Data()
-		if p.Type() != storage.PageInternal {
-			f.RUnlock()
-			pager.Unfix(f)
-			return nil
-		}
-		level := p.Aux()
-		var children []storage.PageID
-		if level > 1 {
-			for i := 0; i < p.NumSlots(); i++ {
-				_, c := kv.DecodeIndexCell(p.Cell(i))
-				children = append(children, c)
-			}
-		}
-		f.RUnlock()
-		pager.Unfix(f)
-		internals = append(internals, id)
-		for _, c := range children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(root); err != nil {
-		return err
-	}
-	// Children before parents, mirroring the reorganizer's own discard:
-	// the undiscarded remainder always stays reachable from root.
-	for i := len(internals) - 1; i >= 0; i-- {
-		lsn := log.Append(wal.Dealloc{Page: internals[i]})
-		if err := pager.Deallocate(internals[i], lsn); err != nil {
-			return err
-		}
-	}
-	return nil
 }

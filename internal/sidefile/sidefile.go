@@ -279,43 +279,31 @@ func (s *SideFile) deleteEntry(page storage.PageID, e Entry) error {
 	return nil
 }
 
-// Destroy deallocates the whole chain (after the switch completes, or
-// when abandoning an interrupted internal reorganization at restart).
+// Destroy deallocates the whole chain once the switch is complete.
+// Restart does not come through here: core.ReclaimPass3 frees whatever
+// side-file pages a crash leaves by page type, so the order (tail
+// first) carries no recovery meaning.
 func (s *SideFile) Destroy() error {
 	s.mu.Lock()
 	head := s.head
 	s.head, s.tail, s.pending = storage.InvalidPage, storage.InvalidPage, 0
 	s.mu.Unlock()
-	return DestroyChain(s.pager, s.log, head)
-}
-
-// DestroyChain deallocates a side-file chain starting at head. Pages
-// are freed tail-first so that a crash mid-destroy leaves a valid
-// prefix chain hanging off the anchor's side-file pointer — restart
-// re-walks it and frees the rest. The walk stops at the first page
-// that is no longer typed as a side-file page (already freed, and
-// possibly reused, by an interrupted earlier destroy).
-func DestroyChain(pager *storage.Pager, log *wal.Log, head storage.PageID) error {
 	var chain []storage.PageID
 	for id := head; id != storage.InvalidPage; {
-		f, err := pager.Fix(id)
+		f, err := s.pager.Fix(id)
 		if err != nil {
 			return err
 		}
 		f.RLock()
-		typ := f.Data().Type()
 		next := f.Data().Next()
 		f.RUnlock()
-		pager.Unfix(f)
-		if typ != storage.PageSideFile {
-			break
-		}
+		s.pager.Unfix(f)
 		chain = append(chain, id)
 		id = next
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		lsn := log.Append(wal.Dealloc{Page: chain[i]})
-		if err := pager.Deallocate(chain[i], lsn); err != nil {
+		lsn := s.log.Append(wal.Dealloc{Page: chain[i]})
+		if err := s.pager.Deallocate(chain[i], lsn); err != nil {
 			return err
 		}
 	}

@@ -348,35 +348,23 @@ type ReorgTableSnap struct {
 	HasLK    bool
 }
 
-// Pass3Snap records internal-page reorganization progress.
-type Pass3Snap struct {
-	Active       bool
-	ReorgBit     bool
-	CK           []byte // low mark of base page being read
-	StableKey    []byte // most recent stable key
-	HasStableKey bool
-	NewRoot      storage.PageID
-	NewHeight    uint32
-	SideFileHead storage.PageID
-}
-
 // Checkpoint is a sharp checkpoint: every page change logged below
 // RedoLSN was flushed before it was written, so redo starts at RedoLSN.
-// It embeds the reorg table (§5) and pass-3 state (§7.3).
+// It embeds the reorg table (§5) and holds nothing restart does not
+// read: an interrupted pass 3 is cleaned up from the page states
+// (core.ReclaimPass3), not from checkpointed progress.
 //
 // RedoLSN is the log tail read before the tables were snapshotted and
 // the pages flushed. Transactions keep logging while a checkpoint is
 // taken, so the tables describe some moment between RedoLSN and the
 // checkpoint record itself; restart analysis replays every record from
 // RedoLSN on over them, which lands on the true state at the crash
-// whatever that moment was. Zero (a record written before the field
-// existed, or by hand in a test) means the checkpoint's own LSN.
+// whatever that moment was. Zero (a record built by hand in a test)
+// means the checkpoint's own LSN.
 type Checkpoint struct {
 	ActiveTxns []TxnInfo
 	Reorg      ReorgTableSnap
-	Pass3      Pass3Snap
 	NextTxnID  uint64
-	NextUnit   uint64
 	RedoLSN    uint64
 }
 
@@ -626,16 +614,7 @@ func Encode(r Record) []byte {
 		e.u64(v.Reorg.LastLSN)
 		e.boolean(v.Reorg.HasLK)
 		e.bytes(v.Reorg.LK)
-		e.boolean(v.Pass3.Active)
-		e.boolean(v.Pass3.ReorgBit)
-		e.bytes(v.Pass3.CK)
-		e.boolean(v.Pass3.HasStableKey)
-		e.bytes(v.Pass3.StableKey)
-		e.page(v.Pass3.NewRoot)
-		e.u32(v.Pass3.NewHeight)
-		e.page(v.Pass3.SideFileHead)
 		e.u64(v.NextTxnID)
-		e.u64(v.NextUnit)
 		e.u64(v.RedoLSN)
 	case Split:
 		e.page(v.Left)
@@ -746,19 +725,8 @@ func Decode(b []byte) (Record, error) {
 		c.Reorg.LastLSN = d.u64()
 		c.Reorg.HasLK = d.boolean()
 		c.Reorg.LK = d.bytesv()
-		c.Pass3.Active = d.boolean()
-		c.Pass3.ReorgBit = d.boolean()
-		c.Pass3.CK = d.bytesv()
-		c.Pass3.HasStableKey = d.boolean()
-		c.Pass3.StableKey = d.bytesv()
-		c.Pass3.NewRoot = d.page()
-		c.Pass3.NewHeight = d.u32()
-		c.Pass3.SideFileHead = d.page()
 		c.NextTxnID = d.u64()
-		c.NextUnit = d.u64()
-		if d.err == nil && d.off < len(d.b) {
-			c.RedoLSN = d.u64()
-		}
+		c.RedoLSN = d.u64()
 		r = c
 	case TSplit:
 		r = Split{Left: d.page(), Right: d.page(), Level: d.u32(),

@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -263,5 +265,30 @@ func TestSegmentNonFinalDamageRefuses(t *testing.T) {
 	}
 	if _, err := OpenSegmentedLog(dir, opts); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("open over damaged non-final segment = %v, want ErrWALCorrupt", err)
+	}
+}
+
+// TestSegmentOldVersionRefuses opens a directory whose segment says
+// format version 1 (checkpoint records with the pass-3 and unit-id
+// fields): the header check refuses it rather than misread a record.
+func TestSegmentOldVersionRefuses(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
+	l.Append(Checkpoint{NextTxnID: 3, RedoLSN: 1})
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	path := filepath.Join(dir, segFiles(t, dir)[0])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], 1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenSegmentedLog(dir, SegmentOptions{})
+	if err == nil || !strings.Contains(err.Error(), "segment version 1 unsupported") {
+		t.Fatalf("open over a version-1 segment = %v, want the version error", err)
 	}
 }

@@ -42,10 +42,7 @@ func allRecordSamples() []Record {
 			ActiveTxns: []TxnInfo{{ID: 3, LastLSN: 9}, {ID: 4, LastLSN: 11}},
 			Reorg: ReorgTableSnap{HasUnit: true, Unit: 6, BeginLSN: 100,
 				LastLSN: 140, HasLK: true, LK: []byte("kk")},
-			Pass3: Pass3Snap{Active: true, ReorgBit: true, CK: []byte("ck"),
-				HasStableKey: true, StableKey: []byte("sk"), NewRoot: 99,
-				NewHeight: 2, SideFileHead: 88},
-			NextTxnID: 12, NextUnit: 7, RedoLSN: 90,
+			NextTxnID: 12, RedoLSN: 90,
 		},
 		Split{Left: 5, Right: 6, Level: 0, Sep: []byte("m"),
 			Moved: [][]byte{[]byte("cell1"), []byte("cell2")}, RightNext: 9,
@@ -60,7 +57,6 @@ func allRecordSamples() []Record {
 			Images: [][]byte{[]byte("new7"), []byte("new8")}},
 		Checkpoint{ // minimal checkpoint (decode yields empty, not nil, byte fields)
 			Reorg: ReorgTableSnap{LK: []byte{}},
-			Pass3: Pass3Snap{CK: []byte{}, StableKey: []byte{}},
 		},
 	}
 }
@@ -93,21 +89,11 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(b[:len(b)-3]); err == nil {
 		t.Error("truncated record should fail")
 	}
-}
-
-// TestDecodeCheckpointWithoutRedoLSN reads a checkpoint record as it
-// was written before the RedoLSN field existed (the field is the last
-// eight bytes): it decodes, with RedoLSN zero.
-func TestDecodeCheckpointWithoutRedoLSN(t *testing.T) {
-	want := Checkpoint{ActiveTxns: []TxnInfo{{ID: 3, LastLSN: 9}}, NextTxnID: 12, NextUnit: 7,
-		Reorg: ReorgTableSnap{LK: []byte{}}, Pass3: Pass3Snap{CK: []byte{}, StableKey: []byte{}}}
-	enc := Encode(Checkpoint{ActiveTxns: want.ActiveTxns, NextTxnID: 12, NextUnit: 7, RedoLSN: 5})
-	got, err := Decode(enc[:len(enc)-8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %#v, want %#v", got, want)
+	// Every checkpoint field is mandatory: there is no shorter, older
+	// encoding that still decodes.
+	b = Encode(Checkpoint{NextTxnID: 12, RedoLSN: 5})
+	if _, err := Decode(b[:len(b)-8]); err == nil {
+		t.Error("checkpoint without its RedoLSN should fail")
 	}
 }
 
