@@ -183,10 +183,17 @@ func (l *Log) releaseDevice() {
 	l.wake()
 }
 
+// appendBufBytes sizes the stack buffer Append encodes into: a replace
+// update with a 12-byte key and two 48-byte values encodes to 122 bytes
+// (TestEncodedSizes). A larger record (a split, a page image) grows the
+// buffer onto the heap.
+const appendBufBytes = 256
+
 // Append encodes and appends r, returning its LSN. The record is not
 // durable until a flush covers it.
 func (l *Log) Append(r Record) LSN {
-	payload := Encode(r)
+	var buf [appendBufBytes]byte
+	payload := appendRecord(buf[:0], r)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Append has no error return (30+ call sites rely on log writes

@@ -7,53 +7,59 @@ import (
 
 // TestGroupForceCoalesces has K goroutines append a record each and
 // force it: every record must be durable and the saved/performed
-// accounting must cover all K requests. (That a force rides a sync in
-// flight is pinned by TestConcurrentCommittersShareSyncs.)
+// accounting must cover all K requests. The first force's sync is held
+// until the other K-1 requests wait on it, so they coalesce on every
+// device and schedule: one force, K-1 saved. (Without the stall a request
+// whose record an earlier force already made durable counts as neither.)
 func TestGroupForceCoalesces(t *testing.T) {
-	l := NewLog()
+	eachDevice(t, func(t *testing.T, l *Log) {
+		const K = 12
+		entered, release := stallFirstSync(l)
+		var appended, done sync.WaitGroup
+		appended.Add(K)
+		errs := make([]error, K)
+		for i := 0; i < K; i++ {
+			done.Add(1)
+			go func(i int) {
+				defer done.Done()
+				lsn := l.Append(TxnCommit{Txn: uint64(i + 1)})
+				appended.Done()
+				appended.Wait()
+				errs[i] = l.FlushTo(lsn)
+			}(i)
+		}
+		<-entered
+		awaitWaiters(t, l, K-1)
+		release(false)
+		done.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("FlushTo %d: %v", i, err)
+			}
+		}
 
-	const K = 12
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	start := make(chan struct{})
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			lsn := l.Append(TxnCommit{Txn: uint64(i + 1)})
-			errs[i] = l.FlushTo(lsn)
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("FlushTo %d: %v", i, err)
+		if f, s := l.ForcedWrites(), l.ForcesSaved(); f != 1 || s != K-1 {
+			t.Errorf("forces %d, saved %d for %d requests; want 1 and %d", f, s, K, K-1)
 		}
-	}
-
-	if f, s := l.ForcedWrites(), l.ForcesSaved(); f+s < K {
-		t.Errorf("forces %d + saved %d < %d requests", f, s, K)
-	}
-	// Every record must be durable: Crash keeps the flushed prefix.
-	l.Crash()
-	seen := map[uint64]bool{}
-	if err := l.Iterate(1, func(_ LSN, r Record) error {
-		if c, ok := r.(TxnCommit); ok {
-			seen[c.Txn] = true
+		// Every record must be durable: Crash keeps the flushed prefix.
+		l.Crash()
+		seen := map[uint64]bool{}
+		if err := l.Iterate(1, func(_ LSN, r Record) error {
+			if c, ok := r.(TxnCommit); ok {
+				seen[c.Txn] = true
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= K; i++ {
-		if !seen[uint64(i)] {
-			t.Errorf("commit %d not durable after coalesced force", i)
+		for i := 1; i <= K; i++ {
+			if !seen[uint64(i)] {
+				t.Errorf("commit %d not durable after coalesced force", i)
+			}
 		}
-	}
-	t.Logf("%d requests -> %d forces, %d saved, %d bytes forced",
-		K, l.ForcedWrites(), l.ForcesSaved(), l.BytesForced())
+		t.Logf("%d requests -> %d forces, %d saved, %d bytes forced",
+			K, l.ForcedWrites(), l.ForcesSaved(), l.BytesForced())
+	})
 }
 
 // TestFlushToSingleThreadedUnchanged pins the single-caller semantics

@@ -12,7 +12,9 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/storage"
 )
@@ -390,38 +392,90 @@ func (FreeChain) recordType() Type     { return TFreeChain }
 func (BaselineBegin) recordType() Type { return TBaselineBegin }
 func (BaselineEnd) recordType() Type   { return TBaselineEnd }
 
-// --- encoding ---
+// --- encoding (log format 3) ---
+//
+// A record is its type byte followed by its fields in declaration order:
+//
+//   - every integer — ids, LSNs, page ids, levels, the epoch, a page's
+//     type and aux word — is a uvarint;
+//   - the Op, RType and bool fields are one byte each;
+//   - a byte string is a uvarint length and its bytes;
+//   - a page list, and a list of index entries or active transactions,
+//     is a uvarint count and then its elements;
+//   - a [][]byte list is front-coded: a uvarint count, then per element
+//     the length of the prefix it shares with the element before it
+//     (zero for the first), the length of the rest, and the rest. Sorted
+//     keys and the leaf cells that start with them share their leading
+//     bytes, so a keys-only MOVE logs little more than each key's last
+//     digits; an unsorted list just shares less.
+//
+// Decode is strict and never panics: every length and count is checked
+// against the bytes left before anything is allocated, and a varint too
+// large for its field, a shared prefix longer than the element before
+// it, or bytes left over after the last field are errors.
+//
+// What a round trip keeps: a decoded byte string is never nil (an empty
+// one decodes as []byte{}), and a decoded list of any kind with no
+// elements is nil.
 
-type enc struct{ b []byte }
+// enc is an encoding in progress: each method appends one field and
+// returns the extended buffer, append-style, so a caller's buffer stays
+// wherever the caller put it.
+type enc []byte
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) boolean(v bool) {
+func (e enc) u8(v uint8) enc  { return append(e, v) }
+func (e enc) uv(v uint64) enc { return binary.AppendUvarint(e, v) }
+func (e enc) boolean(v bool) enc {
 	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+		return e.u8(1)
 	}
+	return e.u8(0)
 }
-func (e *enc) page(p storage.PageID) { e.u32(uint32(p)) }
-func (e *enc) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.b = append(e.b, b...)
-}
-func (e *enc) byteSlices(bs [][]byte) {
-	e.u32(uint32(len(bs)))
-	for _, b := range bs {
-		e.bytes(b)
-	}
-}
-func (e *enc) pages(ps []storage.PageID) {
-	e.u32(uint32(len(ps)))
+func (e enc) page(p storage.PageID) enc { return e.uv(uint64(p)) }
+func (e enc) bytes(b []byte) enc        { return append(e.uv(uint64(len(b))), b...) }
+func (e enc) pages(ps []storage.PageID) enc {
+	e = e.uv(uint64(len(ps)))
 	for _, p := range ps {
-		e.page(p)
+		e = e.page(p)
 	}
+	return e
 }
+
+// list front-codes bs, each element against the one before it.
+func (e enc) list(bs [][]byte) enc {
+	e = e.uv(uint64(len(bs)))
+	var prev []byte
+	for _, b := range bs {
+		n := sharedPrefix(prev, b)
+		e = e.uv(uint64(n)).bytes(b[n:])
+		prev = b
+	}
+	return e
+}
+
+// sharedPrefix returns the length of the longest common prefix of a and b.
+func sharedPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// maxListBytes bounds what one decoded [][]byte list may hold. Front
+// coding lets a short record name long elements — an element equal to
+// the one before it costs two or three bytes whatever its length — so
+// without a bound a few kilobytes of hostile log could make Decode
+// allocate gigabytes. The largest list any writer logs is a baseline
+// operation's page images: a few pages of at most 64 KiB.
+const maxListBytes = 16 << 20
+
+var (
+	errTruncated = errors.New("wal: truncated record")
+	errOverflow  = errors.New("wal: varint too large for its field")
+)
 
 type dec struct {
 	b   []byte
@@ -429,234 +483,203 @@ type dec struct {
 	err error
 }
 
-func (d *dec) fail() {
+func (d *dec) fail(err error) {
 	if d.err == nil {
-		d.err = fmt.Errorf("wal: truncated record")
+		d.err = err
 	}
 }
+
+func (d *dec) left() int { return len(d.b) - d.off }
+
 func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
+	if d.err != nil || d.left() < 1 {
+		d.fail(errTruncated)
 		return 0
 	}
 	v := d.b[d.off]
 	d.off++
 	return v
 }
-func (d *dec) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.b) {
-		d.fail()
+
+// uv reads a uvarint no larger than limit.
+func (d *dec) uv(limit uint64) uint64 {
+	if d.err != nil {
 		return 0
 	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
+	v, n := binary.Uvarint(d.b[d.off:])
+	switch {
+	case n == 0:
+		d.fail(errTruncated)
+		return 0
+	case n < 0 || v > limit:
+		d.fail(errOverflow)
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-func (d *dec) boolean() bool        { return d.u8() != 0 }
-func (d *dec) page() storage.PageID { return storage.PageID(d.u32()) }
-func (d *dec) bytesv() []byte {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, d.b[d.off:])
 	d.off += n
 	return v
 }
-func (d *dec) byteSlices() [][]byte {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > len(d.b) {
-		d.fail()
-		return nil
+
+func (d *dec) u64() uint64          { return d.uv(math.MaxUint64) }
+func (d *dec) u32() uint32          { return uint32(d.uv(math.MaxUint32)) }
+func (d *dec) page() storage.PageID { return storage.PageID(d.u32()) }
+func (d *dec) boolean() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail(fmt.Errorf("wal: bool byte %d", v))
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.bytesv())
-	}
-	return out
+	return v == 1
 }
+
+// count reads a length or element count whose elements take at least
+// per bytes each, refusing one the bytes left cannot hold.
+func (d *dec) count(per int) int {
+	v := d.u64()
+	if d.err == nil && v > uint64(d.left()/per) {
+		d.fail(errTruncated)
+		return 0
+	}
+	return int(v)
+}
+
+func (d *dec) bytesv() []byte {
+	n := d.count(1)
+	if d.err != nil {
+		return nil
+	}
+	v := make([]byte, n)
+	d.off += copy(v, d.b[d.off:])
+	return v
+}
+
 func (d *dec) pagesv() []storage.PageID {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n*4 > len(d.b) {
-		d.fail()
+	n := d.count(1)
+	if d.err != nil || n == 0 {
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]storage.PageID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.page())
+	out := make([]storage.PageID, n)
+	for i := range out {
+		out[i] = d.page()
 	}
 	return out
 }
 
-// Encode serialises a record as [type byte | payload].
-func Encode(r Record) []byte {
-	e := &enc{b: make([]byte, 0, 64)}
-	e.u8(uint8(r.recordType()))
+// list decodes a front-coded list, each element its shared prefix
+// copied from the element before it followed by its own suffix.
+func (d *dec) list() [][]byte {
+	n := d.count(2)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := make([][]byte, n)
+	var prev []byte
+	total := 0
+	for i := range out {
+		shared := d.u64()
+		if d.err == nil && shared > uint64(len(prev)) {
+			d.fail(fmt.Errorf("wal: front-coded prefix %d longer than the %d-byte element before it", shared, len(prev)))
+		}
+		suffix := d.count(1)
+		if d.err != nil {
+			return nil
+		}
+		if total += int(shared) + suffix; total > maxListBytes {
+			d.fail(fmt.Errorf("wal: list decodes to more than %d bytes", maxListBytes))
+			return nil
+		}
+		e := make([]byte, int(shared)+suffix)
+		copy(e, prev[:shared])
+		d.off += copy(e[shared:], d.b[d.off:d.off+suffix])
+		out[i], prev = e, e
+	}
+	return out
+}
+
+// Encode serialises a record in the log's format.
+func Encode(r Record) []byte { return appendRecord(nil, r) }
+
+// appendRecord appends r's encoding to dst and returns the extended
+// slice. It keeps no reference to r, so a record built at a call to
+// Log.Append can stay on the caller's stack; that is why every case
+// writes its own type byte — calling r.recordType() through the
+// interface, or formatting r, would move r to the heap.
+func appendRecord(dst []byte, r Record) []byte {
+	e := enc(dst)
 	switch v := r.(type) {
 	case TxnBegin:
-		e.u64(v.Txn)
+		e = e.u8(uint8(TTxnBegin)).uv(v.Txn)
 	case TxnCommit:
-		e.u64(v.Txn)
-		e.u64(v.PrevLSN)
+		e = e.u8(uint8(TTxnCommit)).uv(v.Txn).uv(v.PrevLSN)
 	case TxnAbort:
-		e.u64(v.Txn)
-		e.u64(v.PrevLSN)
+		e = e.u8(uint8(TTxnAbort)).uv(v.Txn).uv(v.PrevLSN)
 	case TxnEnd:
-		e.u64(v.Txn)
-		e.u64(v.PrevLSN)
+		e = e.u8(uint8(TTxnEnd)).uv(v.Txn).uv(v.PrevLSN)
 	case Update:
-		e.u64(v.Txn)
-		e.u64(v.PrevLSN)
-		e.page(v.Page)
-		e.u8(uint8(v.Op))
-		e.bytes(v.Key)
-		e.bytes(v.OldVal)
-		e.bytes(v.NewVal)
+		e = e.u8(uint8(TUpdate)).uv(v.Txn).uv(v.PrevLSN).page(v.Page).u8(uint8(v.Op)).
+			bytes(v.Key).bytes(v.OldVal).bytes(v.NewVal)
 	case CLR:
-		e.u64(v.Txn)
-		e.u64(v.UndoNext)
-		e.page(v.Page)
-		e.u8(uint8(v.Op))
-		e.bytes(v.Key)
-		e.bytes(v.NewVal)
+		e = e.u8(uint8(TCLR)).uv(v.Txn).uv(v.UndoNext).page(v.Page).u8(uint8(v.Op)).
+			bytes(v.Key).bytes(v.NewVal)
 	case ReorgBegin:
-		e.u64(v.Unit)
-		e.u8(uint8(v.RType))
-		e.pages(v.BasePages)
-		e.pages(v.LeafPages)
-		e.page(v.Dest)
-		e.boolean(v.NewPlace)
-		e.pages(v.Preds)
-		e.pages(v.Succs)
+		e = e.u8(uint8(TReorgBegin)).uv(v.Unit).u8(uint8(v.RType)).
+			pages(v.BasePages).pages(v.LeafPages).page(v.Dest).boolean(v.NewPlace).
+			pages(v.Preds).pages(v.Succs)
 	case ReorgMove:
-		e.u64(v.Unit)
-		e.u64(v.PrevLSN)
-		e.page(v.Org)
-		e.page(v.Dest)
-		e.boolean(v.Full)
-		e.byteSlices(v.Records)
+		e = e.u8(uint8(TReorgMove)).uv(v.Unit).uv(v.PrevLSN).page(v.Org).page(v.Dest).
+			boolean(v.Full).list(v.Records)
 	case ReorgSwap:
-		e.u64(v.Unit)
-		e.u64(v.PrevLSN)
-		e.page(v.PageA)
-		e.page(v.PageB)
-		e.bytes(v.ImageA)
+		e = e.u8(uint8(TReorgSwap)).uv(v.Unit).uv(v.PrevLSN).page(v.PageA).page(v.PageB).
+			bytes(v.ImageA)
 	case ReorgModify:
-		e.u64(v.Unit)
-		e.u64(v.PrevLSN)
-		e.page(v.Base)
-		e.byteSlices(v.Removes)
-		e.u32(uint32(len(v.Replaces)))
+		e = e.u8(uint8(TReorgModify)).uv(v.Unit).uv(v.PrevLSN).page(v.Base).list(v.Removes)
+		e = e.uv(uint64(len(v.Replaces)))
 		for _, r := range v.Replaces {
-			e.bytes(r.OldKey)
-			e.bytes(r.NewKey)
-			e.page(r.NewChild)
+			e = e.bytes(r.OldKey).bytes(r.NewKey).page(r.NewChild)
 		}
-		e.u32(uint32(len(v.Inserts)))
+		e = e.uv(uint64(len(v.Inserts)))
 		for _, in := range v.Inserts {
-			e.bytes(in.Key)
-			e.page(in.Child)
+			e = e.bytes(in.Key).page(in.Child)
 		}
 	case ReorgEnd:
-		e.u64(v.Unit)
-		e.u64(v.PrevLSN)
-		e.bytes(v.LargestKey)
+		e = e.u8(uint8(TReorgEnd)).uv(v.Unit).uv(v.PrevLSN).bytes(v.LargestKey)
 	case Alloc:
-		e.page(v.Page)
-		e.u16(uint16(v.Typ))
-		e.u32(v.Aux)
+		e = e.u8(uint8(TAlloc)).page(v.Page).uv(uint64(v.Typ)).uv(uint64(v.Aux))
 	case Dealloc:
-		e.page(v.Page)
+		e = e.u8(uint8(TDealloc)).page(v.Page)
 	case StableKey:
-		e.bytes(v.Key)
-		e.page(v.NewRoot)
-		e.u32(v.NewHeight)
+		e = e.u8(uint8(TStableKey)).bytes(v.Key).page(v.NewRoot).uv(uint64(v.NewHeight))
 	case SwitchRoot:
-		e.page(v.OldRoot)
-		e.page(v.NewRoot)
-		e.u32(v.NewHeight)
-		e.u64(v.NewEpoch)
+		e = e.u8(uint8(TSwitchRoot)).page(v.OldRoot).page(v.NewRoot).
+			uv(uint64(v.NewHeight)).uv(v.NewEpoch)
 	case Checkpoint:
-		e.u32(uint32(len(v.ActiveTxns)))
+		e = e.u8(uint8(TCheckpoint)).uv(uint64(len(v.ActiveTxns)))
 		for _, t := range v.ActiveTxns {
-			e.u64(t.ID)
-			e.u64(t.LastLSN)
+			e = e.uv(t.ID).uv(t.LastLSN)
 		}
-		e.boolean(v.Reorg.HasUnit)
-		e.u64(v.Reorg.Unit)
-		e.u64(v.Reorg.BeginLSN)
-		e.u64(v.Reorg.LastLSN)
-		e.boolean(v.Reorg.HasLK)
-		e.bytes(v.Reorg.LK)
-		e.u64(v.NextTxnID)
-		e.u64(v.RedoLSN)
+		e = e.boolean(v.Reorg.HasUnit).uv(v.Reorg.Unit).uv(v.Reorg.BeginLSN).
+			uv(v.Reorg.LastLSN).boolean(v.Reorg.HasLK).bytes(v.Reorg.LK).
+			uv(v.NextTxnID).uv(v.RedoLSN)
 	case Split:
-		e.page(v.Left)
-		e.page(v.Right)
-		e.u32(v.Level)
-		e.bytes(v.Sep)
-		e.byteSlices(v.Moved)
-		e.page(v.RightNext)
-		e.page(v.NextPage)
-		e.page(v.Base)
-		e.bytes(v.BaseOldKey)
-		e.bytes(v.BaseNewKey)
+		e = e.u8(uint8(TSplit)).page(v.Left).page(v.Right).uv(uint64(v.Level)).
+			bytes(v.Sep).list(v.Moved).page(v.RightNext).page(v.NextPage).page(v.Base).
+			bytes(v.BaseOldKey).bytes(v.BaseNewKey)
 	case RootSplit:
-		e.page(v.Root)
-		e.page(v.Low)
-		e.page(v.High)
-		e.u32(v.Level)
-		e.bytes(v.Sep)
-		e.byteSlices(v.LowCells)
-		e.byteSlices(v.HiCells)
+		e = e.u8(uint8(TRootSplit)).page(v.Root).page(v.Low).page(v.High).
+			uv(uint64(v.Level)).bytes(v.Sep).list(v.LowCells).list(v.HiCells)
 	case BaselineBegin:
-		e.u64(v.Seq)
-		e.pages(v.Pages)
-		e.byteSlices(v.Images)
+		e = e.u8(uint8(TBaselineBegin)).uv(v.Seq).pages(v.Pages).list(v.Images)
 	case BaselineEnd:
-		e.u64(v.Seq)
-		e.pages(v.Pages)
-		e.byteSlices(v.Images)
+		e = e.u8(uint8(TBaselineEnd)).uv(v.Seq).pages(v.Pages).list(v.Images)
 	case FreeChain:
-		e.page(v.Survivor)
-		e.bytes(v.EntryKey)
-		e.pages(v.Dealloc)
-		e.page(v.Leaf)
-		e.page(v.PrevLeaf)
-		e.page(v.NextLeaf)
+		e = e.u8(uint8(TFreeChain)).page(v.Survivor).bytes(v.EntryKey).
+			pages(v.Dealloc).page(v.Leaf).page(v.PrevLeaf).page(v.NextLeaf)
 	default:
-		panic(fmt.Sprintf("wal: cannot encode %T", r))
+		panic("wal: Encode takes a record value, not a pointer or nil")
 	}
-	return e.b
+	return e
 }
 
-// Decode parses a record produced by Encode.
+// Decode parses a record produced by Encode. Any other input — short,
+// long, or malformed anywhere — yields an error.
 func Decode(b []byte) (Record, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("wal: empty record")
@@ -685,27 +708,30 @@ func Decode(b []byte) (Record, error) {
 			NewPlace: d.boolean(), Preds: d.pagesv(), Succs: d.pagesv()}
 	case TReorgMove:
 		r = ReorgMove{Unit: d.u64(), PrevLSN: d.u64(), Org: d.page(),
-			Dest: d.page(), Full: d.boolean(), Records: d.byteSlices()}
+			Dest: d.page(), Full: d.boolean(), Records: d.list()}
 	case TReorgSwap:
 		r = ReorgSwap{Unit: d.u64(), PrevLSN: d.u64(), PageA: d.page(),
 			PageB: d.page(), ImageA: d.bytesv()}
 	case TReorgModify:
 		m := ReorgModify{Unit: d.u64(), PrevLSN: d.u64(), Base: d.page(),
-			Removes: d.byteSlices()}
-		nr := int(d.u32())
-		for i := 0; i < nr && d.err == nil; i++ {
-			m.Replaces = append(m.Replaces, IndexReplace{
-				OldKey: d.bytesv(), NewKey: d.bytesv(), NewChild: d.page()})
+			Removes: d.list()}
+		if n := d.count(3); n > 0 {
+			m.Replaces = make([]IndexReplace, n)
+			for i := range m.Replaces {
+				m.Replaces[i] = IndexReplace{OldKey: d.bytesv(), NewKey: d.bytesv(), NewChild: d.page()}
+			}
 		}
-		ni := int(d.u32())
-		for i := 0; i < ni && d.err == nil; i++ {
-			m.Inserts = append(m.Inserts, IndexEntry{Key: d.bytesv(), Child: d.page()})
+		if n := d.count(2); n > 0 {
+			m.Inserts = make([]IndexEntry, n)
+			for i := range m.Inserts {
+				m.Inserts[i] = IndexEntry{Key: d.bytesv(), Child: d.page()}
+			}
 		}
 		r = m
 	case TReorgEnd:
 		r = ReorgEnd{Unit: d.u64(), PrevLSN: d.u64(), LargestKey: d.bytesv()}
 	case TAlloc:
-		r = Alloc{Page: d.page(), Typ: storage.PageType(d.u16()), Aux: d.u32()}
+		r = Alloc{Page: d.page(), Typ: storage.PageType(d.uv(math.MaxUint16)), Aux: d.u32()}
 	case TDealloc:
 		r = Dealloc{Page: d.page()}
 	case TStableKey:
@@ -715,9 +741,11 @@ func Decode(b []byte) (Record, error) {
 			NewHeight: d.u32(), NewEpoch: d.u64()}
 	case TCheckpoint:
 		c := Checkpoint{}
-		n := int(d.u32())
-		for i := 0; i < n && d.err == nil; i++ {
-			c.ActiveTxns = append(c.ActiveTxns, TxnInfo{ID: d.u64(), LastLSN: d.u64()})
+		if n := d.count(2); n > 0 {
+			c.ActiveTxns = make([]TxnInfo, n)
+			for i := range c.ActiveTxns {
+				c.ActiveTxns[i] = TxnInfo{ID: d.u64(), LastLSN: d.u64()}
+			}
 		}
 		c.Reorg.HasUnit = d.boolean()
 		c.Reorg.Unit = d.u64()
@@ -730,23 +758,26 @@ func Decode(b []byte) (Record, error) {
 		r = c
 	case TSplit:
 		r = Split{Left: d.page(), Right: d.page(), Level: d.u32(),
-			Sep: d.bytesv(), Moved: d.byteSlices(), RightNext: d.page(),
+			Sep: d.bytesv(), Moved: d.list(), RightNext: d.page(),
 			NextPage: d.page(), Base: d.page(), BaseOldKey: d.bytesv(),
 			BaseNewKey: d.bytesv()}
 	case TRootSplit:
 		r = RootSplit{Root: d.page(), Low: d.page(), High: d.page(),
-			Level: d.u32(), Sep: d.bytesv(), LowCells: d.byteSlices(),
-			HiCells: d.byteSlices()}
+			Level: d.u32(), Sep: d.bytesv(), LowCells: d.list(),
+			HiCells: d.list()}
 	case TFreeChain:
 		r = FreeChain{Survivor: d.page(), EntryKey: d.bytesv(),
 			Dealloc: d.pagesv(), Leaf: d.page(), PrevLeaf: d.page(),
 			NextLeaf: d.page()}
 	case TBaselineBegin:
-		r = BaselineBegin{Seq: d.u64(), Pages: d.pagesv(), Images: d.byteSlices()}
+		r = BaselineBegin{Seq: d.u64(), Pages: d.pagesv(), Images: d.list()}
 	case TBaselineEnd:
-		r = BaselineEnd{Seq: d.u64(), Pages: d.pagesv(), Images: d.byteSlices()}
+		r = BaselineEnd{Seq: d.u64(), Pages: d.pagesv(), Images: d.list()}
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", typ)
+	}
+	if d.err == nil && d.off != len(b) {
+		d.fail(fmt.Errorf("wal: %d bytes after the end of a %v record", len(b)-d.off, typ))
 	}
 	if d.err != nil {
 		return nil, d.err

@@ -32,8 +32,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 //	off  size  field
 //	  0     8  magic "RBTWSEG1"
-//	  8     4  format version (little-endian, currently 2: the checkpoint
-//	           record lost its pass-3 and unit-id fields; version 1 is refused)
+//	  8     4  format version (little-endian, currently 3: records are
+//	           varint- and front-coded, see Encode; older versions are refused)
 //	 12     4  reserved (zero)
 //	 16     8  firstLSN — LSN of the first record in this segment
 //	 24     8  creation time (unix nanoseconds)
@@ -62,7 +62,7 @@ const (
 	segHeaderSize = 32
 	recFrameSize  = 9
 	segMagic      = "RBTWSEG1"
-	segVersion    = 2
+	segVersion    = 3
 	segSuffix     = ".wal"
 
 	recFull   = 1

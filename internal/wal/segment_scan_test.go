@@ -269,8 +269,8 @@ func TestSegmentNonFinalDamageRefuses(t *testing.T) {
 }
 
 // TestSegmentOldVersionRefuses opens a directory whose segment says
-// format version 1 (checkpoint records with the pass-3 and unit-id
-// fields): the header check refuses it rather than misread a record.
+// format version 2 (fixed-width record fields): the header check
+// refuses it rather than misread a record.
 func TestSegmentOldVersionRefuses(t *testing.T) {
 	dir := t.TempDir()
 	l := openSeg(t, dir, SegmentOptions{})
@@ -283,12 +283,12 @@ func TestSegmentOldVersionRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[8:], 1)
+	binary.LittleEndian.PutUint32(raw[8:], 2)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenSegmentedLog(dir, SegmentOptions{})
-	if err == nil || !strings.Contains(err.Error(), "segment version 1 unsupported") {
-		t.Fatalf("open over a version-1 segment = %v, want the version error", err)
+	if err == nil || !strings.Contains(err.Error(), "segment version 2 unsupported") {
+		t.Fatalf("open over a version-2 segment = %v, want the version error", err)
 	}
 }
