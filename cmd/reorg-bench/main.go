@@ -5,7 +5,7 @@
 //	reorg-bench exp   [-records N] [-pagesize N] [-valuesize N] [-seed N] [e1..e9]
 //	reorg-bench check [-seed N] [-histories N] [-crashes N] [-crashhit N] [-clients N] [-ops N]
 //	                  [-noshrink] [-daemon] [-backend mem|file] [-dir D]
-//	reorg-bench sweep [-stride N] [-maxruns N] [-daemon] [-backend mem|file] [-dir D] [-walseg N]
+//	reorg-bench sweep [-stride N] [-maxruns N] [-daemon] [-backend mem|file] [-dir D] [-walseg N] [-ckpt N]
 //
 // exp regenerates the experiment tables of EXPERIMENTS.md (E1–E9): the
 // paper's Table 1, the three-pass behaviour of Figures 1–2, and the
@@ -22,6 +22,9 @@
 //
 // sweep runs E5b, the exhaustive crash-schedule sweep over every
 // fault-point hit of a scripted reorganization (internal/fault/sweep).
+// -ckpt N lowers the automatic-checkpoint interval to N log bytes, so
+// crashes land inside checkpoints taken after commits, inside units and
+// inside pass 3.
 //
 // With -backend file, check and sweep run against the file-backed page
 // store and segmented WAL in fresh directories under -dir (a temp dir by

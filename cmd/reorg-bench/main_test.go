@@ -62,6 +62,9 @@ func TestCommandLines(t *testing.T) {
 		{"sweep", "-maxruns 0", false},
 		{"sweep", "-maxruns -1", false},
 		{"sweep", "-walseg 0", false},
+		{"sweep", "-ckpt 4096 -backend file", true},
+		{"sweep", "-ckpt 0", false},
+		{"sweep", "-ckpt 4096 -daemon", false},
 		{"sweep", "-backend tape", false},
 		{"sweep", "-seed 1", false},
 		{"sweep", "-records 100", false},

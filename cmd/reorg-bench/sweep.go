@@ -14,6 +14,7 @@ type sweepOpts struct {
 	stride  int
 	maxRuns int
 	walSeg  int64
+	ckpt    int64
 	daemon  bool
 }
 
@@ -24,6 +25,7 @@ func parseSweep(args []string, errw io.Writer) (sweepOpts, error) {
 	fs.IntVar(&o.stride, "stride", 1, "crash at every stride-th hit")
 	fs.IntVar(&o.maxRuns, "maxruns", 0, "cap on crash runs (default: all)")
 	fs.Int64Var(&o.walSeg, "walseg", 0, "file backend: WAL segment size in bytes (default: the library's)")
+	fs.Int64Var(&o.ckpt, "ckpt", 0, "lower the automatic-checkpoint interval to this many log bytes and checkpoint inside units and pass 3 (default: the library's interval)")
 	fs.BoolVar(&o.daemon, "daemon", false, "drive the reorganization through the autonomous daemon instead of explicit passes")
 	if err := parse(fs, args); err != nil {
 		return o, err
@@ -34,7 +36,10 @@ func parseSweep(args []string, errw io.Writer) (sweepOpts, error) {
 	if err := o.storage.validate(fs); err != nil {
 		return o, err
 	}
-	return o, requirePositive(fs, "stride", "maxruns", "walseg")
+	if o.ckpt > 0 && o.daemon {
+		return o, reject(fs, "-ckpt applies to the passes workload, not -daemon")
+	}
+	return o, requirePositive(fs, "stride", "maxruns", "walseg", "ckpt")
 }
 
 // runSweep executes E5b: enumerate every fault-point hit in the
@@ -52,6 +57,7 @@ func runSweep(args []string, out, errw io.Writer) error {
 		Backend:         o.backend,
 		Dir:             o.dir,
 		WALSegmentBytes: o.walSeg,
+		CheckpointEvery: o.ckpt,
 		Daemon:          o.daemon,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(out, format+"\n", args...)
@@ -74,6 +80,10 @@ func runSweep(args []string, out, errw io.Writer) error {
 	fmt.Fprintf(out, "  crashed again inside restart %d\n", res.DoubleCrashRuns)
 	fmt.Fprintf(out, "  pass-3 builds abandoned      %d\n", res.Pass3Abandoned)
 	fmt.Fprintf(out, "  pass-3 switches completed    %d\n", res.Pass3Completed)
+	if o.ckpt > 0 {
+		fmt.Fprintf(out, "  automatic checkpoints        %d (every %d log bytes)\n", res.AutoCheckpoints, o.ckpt)
+		fmt.Fprintf(out, "  checkpoints inside a reorg   %d\n", res.HookCheckpoints)
+	}
 	for _, p := range res.Points {
 		fmt.Fprintf(out, "    %s\n", p)
 	}

@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/btree"
@@ -166,6 +167,17 @@ type DB struct {
 	// ErrReorgBusy instead of silently overwriting db.reorg under a
 	// concurrent checkpoint.
 	reorgBusy bool
+
+	// ckptMu serializes checkpoints, manual and automatic alike, so the
+	// last checkpoint record in the log is always that of the last
+	// truncation: its redo point never lies below the retained base.
+	// ckptRunning elects the one committer that runs a due automatic
+	// checkpoint; ckptAuto counts automatic checkpoints started and
+	// ckptFailed the checkpoints of either kind that failed.
+	ckptMu      sync.Mutex
+	ckptRunning atomic.Bool
+	ckptAuto    atomic.Int64
+	ckptFailed  atomic.Int64
 
 	// Autonomous reorganization daemon (nil when Options.Daemon unset).
 	// daemonOpts/daemonClk are kept so Restart can rebuild the daemon
@@ -392,15 +404,24 @@ func (t *Txn) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 // Commit commits (running deferred free-at-empty work first).
 // Read-only transactions (no log records) are not worth a histogram
 // sample: the commit is a lock release, and counting it would drown the
-// durability cost the commit histogram exists to show.
+// durability cost the commit histogram exists to show. A logged commit
+// that succeeds then takes an automatic checkpoint if one is due (see
+// Checkpoint); its locks are released by then.
 func (t *Txn) Commit() error {
-	h := t.db.hCommit
-	if h == nil || t.inner.LastLSN() == 0 {
+	if t.inner.LastLSN() == 0 {
 		return t.db.tree.Commit(t.inner)
 	}
-	start := time.Now()
-	err := t.db.tree.Commit(t.inner)
-	h.Record(time.Since(start))
+	var err error
+	if h := t.db.hCommit; h == nil {
+		err = t.db.tree.Commit(t.inner)
+	} else {
+		start := time.Now()
+		err = t.db.tree.Commit(t.inner)
+		h.Record(time.Since(start))
+	}
+	if err == nil {
+		t.db.maybeCheckpoint()
+	}
 	return err
 }
 
@@ -591,6 +612,21 @@ func (db *DB) releaseReorg() {
 	db.mu.Unlock()
 }
 
+// runReorg runs one reorganization in the single-reorganizer slot, then
+// takes an automatic checkpoint if one fell due while it ran. The slot
+// is released first; the reorganizer holds nothing by then.
+func (db *DB) runReorg(r *core.Reorganizer, run func() error) error {
+	if err := db.acquireReorg(r); err != nil {
+		return err
+	}
+	err := func() error {
+		defer db.releaseReorg()
+		return run()
+	}()
+	db.maybeCheckpoint()
+	return err
+}
+
 // Reorganize runs the configured passes on-line and returns the
 // reorganizer's counters. It fails with ErrReorgBusy while another
 // reorganization (including a daemon increment) is in flight.
@@ -602,11 +638,10 @@ func (db *DB) Reorganize(cfg ReorgConfig) (*metrics.Counters, error) {
 		cfg.Obs = db.obs
 	}
 	r := core.New(db.tree, cfg)
-	if err := db.acquireReorg(r); err != nil {
+	err := db.runReorg(r, r.Run)
+	if errors.Is(err, ErrReorgBusy) {
 		return nil, err
 	}
-	defer db.releaseReorg()
-	err := r.Run()
 	return r.Metrics(), err
 }
 
@@ -624,11 +659,10 @@ func (db *DB) RunIncrement(inc daemon.Increment) (daemon.RunResult, error) {
 		MaxUnits: inc.MaxUnits, Yield: inc.Yield,
 		Injector: db.inj, Obs: db.obs}
 	r := core.New(db.tree, cfg)
-	if err := db.acquireReorg(r); err != nil {
+	err := db.runReorg(r, r.CompactLeaves)
+	if errors.Is(err, ErrReorgBusy) {
 		return daemon.RunResult{}, err
 	}
-	defer db.releaseReorg()
-	err := r.CompactLeaves()
 	return daemon.RunResult{Stopped: r.Stopped(), LK: r.LK(),
 		UnitsRun: r.UnitsRun(), MaxUnits: inc.MaxUnits}, err
 }
@@ -664,7 +698,12 @@ func (db *DB) TraceRing() *obs.Ring {
 func (db *DB) Daemon() *daemon.Daemon { return db.daemon }
 
 // Reorganizer creates (without running) a reorganizer for fine-grained
-// control — individual passes, crash hooks, metrics.
+// control — individual passes, crash hooks, metrics. Unless a
+// Reorganize or a daemon increment holds the reorganization slot, the
+// new reorganizer's table goes into every checkpoint from here on, as
+// theirs does while they run: a checkpoint taken inside one of its units
+// must record the unit, or a crash there would restart without
+// finishing it.
 func (db *DB) Reorganizer(cfg ReorgConfig) *core.Reorganizer {
 	if cfg.Injector == nil {
 		cfg.Injector = db.inj
@@ -672,7 +711,13 @@ func (db *DB) Reorganizer(cfg ReorgConfig) *core.Reorganizer {
 	if cfg.Obs == nil {
 		cfg.Obs = db.obs
 	}
-	return core.New(db.tree, cfg)
+	r := core.New(db.tree, cfg)
+	db.mu.Lock()
+	if !db.reorgBusy {
+		db.reorg = r
+	}
+	db.mu.Unlock()
+	return r
 }
 
 // Tree exposes the underlying B+-tree (experiments and tools).
@@ -680,45 +725,90 @@ func (db *DB) Tree() *btree.Tree { return db.tree }
 
 // --- durability and crash simulation ---
 
-// Checkpoint flushes all dirty pages and logs a sharp checkpoint (the
-// reorg table included when a reorganization is running). Clients keep
-// running beside it: the log tail is read first and becomes the
-// checkpoint's redo point, so whatever commits, begins or is logged
-// while the tables are copied and the pages flushed lies above it and
-// is replayed at restart (see wal.Checkpoint). A quiescent checkpoint —
-// no active transactions, no reorganization in flight — additionally
-// applies WAL retention on the file backend: recovery never reads below
-// such a checkpoint's redo point (no loser undo chain and no unit BEGIN
-// can reach under it), so segments wholly below it are deleted.
-func (db *DB) Checkpoint() error {
+// Checkpoint flushes all dirty pages, logs a sharp checkpoint (the
+// reorg table included when a reorganization is running) and truncates
+// the log below the retention horizon. Clients keep running beside it:
+// the log tail is read first and becomes the checkpoint's redo point, so
+// whatever commits, begins or is logged while the tables are copied and
+// the pages flushed lies above it and is replayed at restart (see
+// wal.Checkpoint). While a reorganization unit is in flight the redo
+// point backs up to its BEGIN: a unit logs each step before applying
+// it, outside the page latches a flush waits on, so the flushed pages
+// can lack a step whose record lies below the tail — and a swap's
+// pre-image lives only in its record. Redo from the BEGIN replays the
+// unit as if no checkpoint had been taken inside it. The horizon is
+// the lowest LSN anything may still read: the redo point and the begin
+// record of every registered transaction that has logged (its undo
+// walks back to it); nothing needs to be quiescent.
+//
+// The database also checkpoints by itself: after a logged commit, and
+// after Reorganize or a daemon increment returns, the goroutine that
+// finds the log an interval (wal.DefaultCheckpointInterval) past the
+// last checkpoint's redo point runs one. That bounds what a restart
+// replays and what the log holds on either device. A failed automatic
+// checkpoint does not fail the commit that ran it: the log stays
+// untruncated, which is always safe, and the next crossing retries.
+func (db *DB) Checkpoint() error { return db.checkpoint(false) }
+
+// maybeCheckpoint runs an automatic checkpoint if one is due: one
+// lock-free check on the hot path, one runner elected by CAS. The
+// caller holds no lock, latch or pin.
+func (db *DB) maybeCheckpoint() {
+	if !db.log.CheckpointDue() || !db.ckptRunning.CompareAndSwap(false, true) {
+		return
+	}
+	defer db.ckptRunning.Store(false)
+	_ = db.checkpoint(true)
+}
+
+func (db *DB) checkpoint(auto bool) error {
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
+	if auto {
+		if !db.log.CheckpointDue() {
+			return nil // a manual checkpoint finished while this one waited
+		}
+		db.ckptAuto.Add(1)
+	}
+	err := db.takeCheckpoint()
+	if err != nil {
+		db.ckptFailed.Add(1)
+		db.log.CheckpointFailed()
+	}
+	return err
+}
+
+// takeCheckpoint is one checkpoint; the caller holds ckptMu.
+func (db *DB) takeCheckpoint() error {
 	cp := wal.Checkpoint{RedoLSN: db.log.Tail()}
-	cp.ActiveTxns = db.txns.ActiveSnapshot()
+	var txnHorizon uint64
+	cp.ActiveTxns, txnHorizon = db.txns.ActiveSnapshot()
 	cp.NextTxnID = db.txns.NextID()
 	db.mu.Lock()
-	reorging := db.reorg != nil
-	if reorging {
+	if db.reorg != nil {
 		cp.Reorg = db.reorg.TableSnapshot()
 	}
 	db.mu.Unlock()
 	if err := db.pager.FlushAll(); err != nil {
 		return err
 	}
+	if cp.Reorg.HasUnit {
+		cp.RedoLSN = min(cp.RedoLSN, cp.Reorg.BeginLSN)
+	}
 	lsn := db.log.Append(cp)
 	if err := db.log.FlushTo(lsn); err != nil {
 		return err
 	}
-	quiescent := !reorging && len(cp.ActiveTxns) == 0
+	db.log.CheckpointTaken(cp.RedoLSN)
+	horizon := cp.RedoLSN
+	if txnHorizon != 0 {
+		horizon = min(horizon, txnHorizon)
+	}
+	truncated, err := db.log.TruncateBelow(horizon)
 	if db.obs != nil {
-		q := uint64(0)
-		if quiescent {
-			q = 1
-		}
-		db.obs.Trace().Emit(obs.EvCheckpoint, lsn, q)
+		db.obs.Trace().Emit(obs.EvCheckpoint, lsn, uint64(truncated))
 	}
-	if quiescent {
-		return db.log.TruncateBelow(cp.RedoLSN)
-	}
-	return nil
+	return err
 }
 
 // Close shuts the database down cleanly: the log is forced, dirty
@@ -852,6 +942,10 @@ func (db *DB) PerfCounters() *metrics.Counters {
 	c.Add(metrics.WALSegsCreated, sc)
 	c.Add(metrics.WALSegsDeleted, sd)
 	c.Add(metrics.WALSegsLive, sl)
+	c.Add(metrics.WALRetainedBytes, db.log.RetainedBytes())
+	c.Add(metrics.WALBytesSinceCheckpoint, db.log.BytesSinceCheckpoint())
+	c.Add(metrics.CkptAuto, db.ckptAuto.Load())
+	c.Add(metrics.CkptFailed, db.ckptFailed.Load())
 	if db.daemon != nil {
 		for name, v := range db.daemon.Metrics().Snapshot() {
 			c.Add(name, v)

@@ -12,11 +12,13 @@
 //
 // Tracked mutexes: fields named `mu` or `*Mu` — the shard mutex, the
 // pager's allocMu/depMu/rngMu, the WAL and lock-manager mu — plus the
-// shard.lock() wrapper. Frame latches (Frame's embedded RWMutex) and
-// the per-frame flushMu are exempt by design: the pin protocol makes
-// holding them across I/O safe and sometimes required (a frame's read
-// latch is held while its image is copied; flushMu serialises flushes
-// of one page across the disk write).
+// shard.lock() wrapper. Frame latches (Frame's embedded RWMutex), the
+// per-frame flushMu and the database's ckptMu are exempt by design: the
+// pin protocol makes holding them across I/O safe and sometimes
+// required (a frame's read latch is held while its image is copied;
+// flushMu serialises flushes of one page across the disk write), and
+// ckptMu serialises whole checkpoints — a flush, a force and a
+// truncation each — for which nothing but another checkpoint waits.
 //
 // Blocking calls: time.Sleep, Disk.Read/Write/MarkFree/ScanTypes,
 // Injector.Hit/HitTorn, FlushTo on anything, Flush on Log, the
@@ -53,7 +55,7 @@ var Analyzer = &analysis.Analyzer{
 
 // exemptMutexes are mutex field names that are allowed across I/O by
 // design (see package doc).
-var exemptMutexes = map[string]bool{"flushMu": true}
+var exemptMutexes = map[string]bool{"flushMu": true, "ckptMu": true}
 
 // blockingMethods maps method name -> receiver type name ("" = any
 // receiver) for calls that sleep, touch the disk, or hit fault points.

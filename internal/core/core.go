@@ -134,6 +134,23 @@ type reorgTable struct {
 func (t *reorgTable) beginUnit(unit, beginLSN uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.setUnit(unit, beginLSN)
+}
+
+// logBegin appends b's BEGIN record and makes b the in-flight unit as one
+// step under t.mu. A checkpoint reads the log tail (its redo point) and
+// then snapshots the table: done as two steps, a snapshot could miss a
+// unit whose BEGIN already lies below that redo point, and a crash
+// inside the unit would restart without finishing it.
+func (t *reorgTable) logBegin(log *wal.Log, b wal.ReorgBegin) uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lsn := log.Append(b)
+	t.setUnit(b.Unit, lsn)
+	return lsn
+}
+
+func (t *reorgTable) setUnit(unit, beginLSN uint64) {
 	t.hasUnit = true
 	t.unit = unit
 	t.beginLSN = beginLSN

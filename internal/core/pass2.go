@@ -291,9 +291,10 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 	}
 
 	// Log the full pre-swap image of page A (§5: "no way to avoid
-	// logging at least one of the full page contents") and install the
-	// write-ordering dependency: B (now holding A's content) must not
-	// reach disk before A does, or the old B would be unrecoverable.
+	// logging at least one of the full page contents"); SwapPages installs
+	// the write-ordering dependency with the exchange: B (then holding A's
+	// content) must not reach disk before A does, or the old B would be
+	// unrecoverable.
 	fa.RLock()
 	imgA := append([]byte(nil), fa.Data()...)
 	fa.RUnlock()
@@ -301,16 +302,13 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 		PageA: pa, PageB: pb, ImageA: imgA}
 	lsn := r.tree.Log().Append(sw)
 	r.table.record(lsn)
-	pg.AddWriteDep(pb, pa)
 	// Between the SWAP record and the in-memory exchange: a crash here
 	// must redo the whole swap from ImageA.
 	if err := u.event("swap.logged"); err != nil {
 		return err
 	}
 
-	SwapPages(fa, fb, lsn)
-	pg.MarkDirty(fa, lsn)
-	pg.MarkDirty(fb, lsn)
+	SwapPages(pg, fa, fb, lsn)
 	if err := u.event("swap.moved"); err != nil {
 		return err
 	}
@@ -384,9 +382,7 @@ func (r *Reorganizer) undoSwap(b wal.ReorgBegin, fa, fb *storage.Frame) {
 		PageA: fa.ID(), PageB: fb.ID(), ImageA: imgA}
 	lsn := r.tree.Log().Append(sw)
 	r.table.record(lsn)
-	SwapPages(fa, fb, lsn)
-	r.tree.Pager().MarkDirty(fa, lsn)
-	r.tree.Pager().MarkDirty(fb, lsn)
+	SwapPages(r.tree.Pager(), fa, fb, lsn)
 	_ = r.pointNeighbours(b, fa.ID(), fb.ID())
 }
 
@@ -460,9 +456,13 @@ func (r *Reorganizer) healSwap(b wal.ReorgBegin, leaves, bases []*storage.Frame)
 }
 
 // SwapPages exchanges the record contents and side pointers of two
-// pages. It takes both write latches itself (in id order) and fixes
-// self-references for adjacent leaves. Exported for redo.
-func SwapPages(fa, fb *storage.Frame, lsn uint64) {
+// pages, fixing self-references for adjacent leaves, as the SWAP record
+// at lsn (which logs A's old image) describes. Under both write latches
+// (taken in id order) it also marks both pages dirty and makes B's image
+// wait for A's on disk: a flush that passes the latches sees the
+// exchange and its write-ordering dependency together, never one
+// without the other. Exported for redo.
+func SwapPages(pg *storage.Pager, fa, fb *storage.Frame, lsn uint64) {
 	first, second := fa, fb
 	if first.ID() > second.ID() {
 		first, second = second, first
@@ -504,6 +504,9 @@ func SwapPages(fa, fb *storage.Frame, lsn uint64) {
 	}
 	write(pa, cellsB, fixRef(nextB, idA, idB), fixRef(prevB, idA, idB))
 	write(pb, cellsA, fixRef(nextA, idB, idA), fixRef(prevA, idB, idA))
+	pg.MarkDirty(fa, lsn)
+	pg.MarkDirty(fb, lsn)
+	pg.AddWriteDep(idB, idA)
 }
 
 func errFirst(errs ...error) error {

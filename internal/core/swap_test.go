@@ -66,7 +66,7 @@ func TestSwapPagesAdjacent(t *testing.T) {
 	b.Data().SetPrev(aID)
 	b.Unlock()
 
-	SwapPages(a, b, 99)
+	SwapPages(pg, a, b, 99)
 
 	a.RLock()
 	av, aok := kv.LeafGet(a.Data(), []byte("b1"))

@@ -253,21 +253,24 @@ func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame, cells [
 		}
 	}
 	dest.Data().SetLSN(lsn)
-	dest.Unlock()
 	r.tree.Pager().MarkDirty(dest, lsn)
+	dest.Unlock()
 	if err != nil {
 		return err
 	}
 
+	// The source empties, is marked dirty and (under careful writing)
+	// waits for the destination on disk in one step under its latch, so
+	// a concurrent flush — a checkpoint's — never writes the emptied
+	// source without the dependency in force.
 	org.Lock()
 	org.Data().TruncateCells(0)
 	org.Data().SetLSN(lsn)
-	org.Unlock()
 	r.tree.Pager().MarkDirty(org, lsn)
-
 	if r.cfg.CarefulWriting {
 		r.tree.Pager().AddWriteDep(org.ID(), dest.ID())
 	}
+	org.Unlock()
 	r.c.recordsMoved.Add(int64(len(cells)))
 	return nil
 }
@@ -325,13 +328,12 @@ func ApplyModifyToPage(p storage.Page, m wal.ReorgModify) error {
 }
 
 // beginUnit gives the unit its id, logs BEGIN (only after every lock is
-// held, §5) and records it in the reorg table. dest is the unit's
-// pinned destination (nil for a swap).
+// held, §5) and records it in the reorg table in the same step. dest is
+// the unit's pinned destination (nil for a swap).
 func (r *Reorganizer) beginUnit(b wal.ReorgBegin, dest *storage.Frame) wal.ReorgBegin {
 	b.Unit = r.nextUnit
 	r.nextUnit++
-	lsn := r.tree.Log().Append(b)
-	r.table.beginUnit(b.Unit, lsn)
+	lsn := r.table.logBegin(r.tree.Log(), b)
 	r.unitStart = time.Now()
 	if r.ring != nil {
 		newPlace := uint64(0)

@@ -1,7 +1,8 @@
 // Package fault is a process-wide, deterministic fault-injection
 // registry. Named fault points are threaded through the storage and
 // reorganization layers (disk.read, disk.write, wal.append, wal.force,
-// pager.flush, pager.evict, and the reorganizer's "reorg.*" stages);
+// wal.truncate, pager.flush, pager.evict, and the reorganizer's
+// "reorg.*" stages);
 // each point can be armed with a schedule that crashes the simulated
 // system on its N-th hit, returns a transient I/O error with a seeded
 // probability, or tears a write (first half reaches stable storage,
@@ -38,6 +39,11 @@ const (
 	WALForce   = "wal.force"
 	PagerFlush = "pager.flush"
 	PagerEvict = "pager.evict"
+	// WALTruncate fires before the file device deletes each WAL segment
+	// that a checkpoint's retention horizon has passed (the in-memory
+	// device frees its chunks atomically under the log mutex and has no
+	// such point).
+	WALTruncate = "wal.truncate"
 	// DaemonTick fires at the top of every reorganization-daemon policy
 	// tick; DaemonUnitStart fires just before the daemon hands an
 	// increment to the reorganizer. Together they let the crash sweep

@@ -35,6 +35,15 @@
 // need full-page writes to recover, which the storage layer does not
 // implement (documented in DESIGN.md).
 //
+// With Config.CheckpointEvery set, the log's automatic-checkpoint
+// interval is lowered to that many bytes, so commits in the script take
+// automatic checkpoints, and the reorganizer's event hook takes one at
+// every stage where one is due — as a concurrent committer would inside
+// a unit or a pass 3. Crash schedules then land inside checkpoints (the
+// pager flush, disk.write, the checkpoint append and force, and on the
+// file backend each wal.truncate segment deletion) and after
+// checkpoints whose redo point lies inside a unit or a pass 3.
+//
 // With Config.Daemon set, the sweep runs a second workload shape: the
 // explicit reorganization passes are replaced by harness-driven ticks
 // of the autonomous daemon (manual mode) drained to quiescence between
@@ -101,6 +110,10 @@ type Config struct {
 	// threshold (0 keeps the default); small values make the sweep
 	// cross segment boundaries constantly.
 	WALSegmentBytes int64
+	// CheckpointEvery, when > 0, lowers the log's automatic-checkpoint
+	// interval to this many bytes and has the reorganizer's event hook
+	// checkpoint whenever one is due (pass workload only).
+	CheckpointEvery int64
 	// Daemon switches the workload to the autonomous-daemon shape: the
 	// explicit reorganization passes are replaced by manual daemon
 	// ticks drained to quiescence, so crash schedules land inside
@@ -159,6 +172,11 @@ type Result struct {
 	ForwardCompleted int
 	Pass3Abandoned   int
 	Pass3Completed   int
+	// AutoCheckpoints counts the automatic checkpoints commits took in
+	// the enumeration run; HookCheckpoints the checkpoints its event hook
+	// took inside units and pass 3 (both zero without CheckpointEvery).
+	AutoCheckpoints int
+	HookCheckpoints int
 }
 
 // op is one scripted mutation, tracked for crash-atomicity checking.
@@ -180,6 +198,8 @@ type script struct {
 	// pending is the mutation in flight; at a crash it is ambiguous
 	// (fully applied or fully absent) and checked as such.
 	pending *op
+	// hookCkpts counts the checkpoints taken from the event hook.
+	hookCkpts int
 }
 
 func newScript(cfg Config, inj *fault.Injector) (*script, error) {
@@ -212,6 +232,9 @@ func newScript(cfg Config, inj *fault.Injector) (*script, error) {
 			os.RemoveAll(dir)
 		}
 		return nil, err
+	}
+	if cfg.CheckpointEvery > 0 {
+		db.Tree().Log().SetCheckpointInterval(cfg.CheckpointEvery)
 	}
 	return &script{cfg: cfg, db: db, dir: dir, model: make(map[string]string)}, nil
 }
@@ -386,6 +409,12 @@ func (s *script) runPasses() error {
 	var burstBase, burstBuilt bool
 	rcfg := repro.DefaultReorgConfig()
 	rcfg.OnEvent = func(stage string) error {
+		if s.cfg.CheckpointEvery > 0 && s.db.Tree().Log().CheckpointDue() {
+			if err := s.db.Checkpoint(); err != nil {
+				return fmt.Errorf("checkpoint at %s: %w", stage, err)
+			}
+			s.hookCkpts++
+		}
 		switch stage {
 		case "pass3.base":
 			if burstBase {
@@ -562,7 +591,20 @@ func (s *script) verify() error {
 // and returns the post-Open hit trace (hit i of the sweep is
 // trace[i-1]).
 func Enumerate(cfg Config) ([]string, error) {
-	cfg = cfg.withDefaults()
+	res, err := enumerate(cfg.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	return res.trace, nil
+}
+
+// enumeration is what the clean run of the script yields.
+type enumeration struct {
+	trace                []string
+	autoCkpts, hookCkpts int
+}
+
+func enumerate(cfg Config) (*enumeration, error) {
 	inj := fault.New(cfg.Seed)
 	s, err := newScript(cfg, inj)
 	if err != nil {
@@ -573,23 +615,26 @@ func Enumerate(cfg Config) ([]string, error) {
 	if err := s.run(); err != nil {
 		return nil, fmt.Errorf("enumeration run: %w", err)
 	}
-	trace := inj.StopTrace()
+	res := &enumeration{trace: inj.StopTrace(), hookCkpts: s.hookCkpts,
+		autoCkpts: int(s.db.PerfCounters().Get(metrics.CkptAuto))}
 	// The clean run must itself satisfy the invariants.
 	if err := s.verify(); err != nil {
 		return nil, fmt.Errorf("enumeration run verify: %w", err)
 	}
-	return trace, nil
+	return res, nil
 }
 
 // Run performs the full sweep and returns its summary. The first
 // failing crash index aborts the sweep with a descriptive error.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	trace, err := Enumerate(cfg)
+	en, err := enumerate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{TotalHits: len(trace), Points: distinct(trace)}
+	trace := en.trace
+	res := &Result{TotalHits: len(trace), Points: distinct(trace),
+		AutoCheckpoints: en.autoCkpts, HookCheckpoints: en.hookCkpts}
 	if cfg.Logf != nil {
 		cfg.Logf("sweep: %d hits across %d fault points", len(trace), len(res.Points))
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -172,5 +173,45 @@ func TestCrashSweepFileBackend(t *testing.T) {
 		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted, res.DoubleCrashRuns)
 	if !testing.Short() && res.TornRuns == 0 {
 		t.Error("no torn-log runs despite Torn: true")
+	}
+}
+
+// TestCrashSweepAutoCheckpoint sweeps with the automatic-checkpoint
+// interval lowered to 512 log bytes (the script's whole log is ~25 KB):
+// commits take automatic checkpoints and the reorganizer's event hook
+// takes one wherever one is due, so crashes land inside checkpoints —
+// the pager flush, disk.write, the checkpoint append and force, and on
+// the file backend every wal.truncate segment deletion — and after
+// checkpoints taken inside units and inside pass 3. `reorg-bench sweep
+// -ckpt 512` runs every hit.
+func TestCrashSweepAutoCheckpoint(t *testing.T) {
+	for _, backend := range []string{"mem", "file"} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := Config{CheckpointEvery: 512, Torn: true, Stride: 3, SecondCrashStride: 8,
+				Backend: backend, Logf: t.Logf}
+			if backend == "file" {
+				cfg.Dir = t.TempDir()
+				cfg.WALSegmentBytes = 4096
+				cfg.Stride = 13
+			}
+			if testing.Short() {
+				cfg.Stride *= 4
+				cfg.Torn = false
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("sweep failed: %v", err)
+			}
+			t.Logf("%s sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units, %d automatic checkpoints, %d inside a reorganization",
+				backend, res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted,
+				res.AutoCheckpoints, res.HookCheckpoints)
+			if res.AutoCheckpoints < 10 || res.HookCheckpoints < 10 {
+				t.Errorf("%d automatic checkpoints, %d inside a reorganization: the leg is not checkpointing",
+					res.AutoCheckpoints, res.HookCheckpoints)
+			}
+			if backend == "file" && !slices.Contains(res.Points, fault.WALTruncate) {
+				t.Errorf("no crash point at %s", fault.WALTruncate)
+			}
+		})
 	}
 }

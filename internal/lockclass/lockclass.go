@@ -24,6 +24,7 @@ package lockclass
 // classes are unranked — latchorder still includes them in the cycle
 // check but cannot order them against ranked classes.
 var Classes = map[string]string{
+	"repro.DB.ckptMu":       "repro.ckpt",
 	"repro.DB.mu":           "repro.db",
 	"repro.backoffMu":       "repro.backoff",
 	"fault.Injector.mu":     "fault.injector",
@@ -58,8 +59,9 @@ var Classes = map[string]string{
 //
 // The order encodes the protocols the code actually uses:
 //
-//   - repro.db wraps whole operations (Checkpoint holds it across a
-//     reorg-table snapshot), so it is outermost;
+//   - repro.ckpt serializes whole checkpoints, taken while holding
+//     nothing else, so it is outermost; repro.db wraps whole operations
+//     (Checkpoint holds it across a reorg-table snapshot) and comes next;
 //   - the reorganizer's table and pass-3 state sit above the tree and
 //     pool structures they read;
 //   - storage.flush (the careful-write flush serialiser) is taken
@@ -74,6 +76,7 @@ var Classes = map[string]string{
 //     (storage.disk → fault.injector);
 //   - RNG and metrics mutexes are leaves.
 var Order = []string{
+	"repro.ckpt",
 	"repro.db",
 	"core.reorg",
 	"core.pass3",

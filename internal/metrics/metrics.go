@@ -125,6 +125,17 @@ const (
 	WALSegsLive      = "wal.segments.live"
 )
 
+// Checkpoint and retention gauges and counters (DB.PerfCounters): the
+// log bytes the device still holds, the bytes a restart would replay
+// from the last checkpoint, automatic checkpoints started, and
+// checkpoints of either kind that failed.
+const (
+	WALRetainedBytes        = "wal.retained_bytes"
+	WALBytesSinceCheckpoint = "wal.bytes_since_checkpoint"
+	CkptAuto                = "ckpt.auto"
+	CkptFailed              = "ckpt.failed"
+)
+
 // Autonomous-reorganization daemon counters (internal/daemon).
 const (
 	DaemonTicks      = "daemon.ticks"

@@ -24,7 +24,7 @@ const (
 	EvRecoveryRedo              // A=records redone, B=redo start LSN
 	EvRecoveryUndo              // A=loser txns rolled back
 	EvRecoveryForward           // A=unit id forward-completed (0 = none)
-	EvCheckpoint                // A=checkpoint LSN, B=1 if quiescent
+	EvCheckpoint                // A=checkpoint LSN, B=log bytes truncated
 	EvLeafSplit                 // A=left leaf page id, B=right leaf page id
 	EvLeafFree                  // A=freed leaf page id
 

@@ -10,9 +10,9 @@ import (
 
 // TestCheckpointMidUnitRecovers covers the reason the paper embeds the
 // reorg table in checkpoints (§5): a sharp checkpoint taken while a
-// unit is in flight puts the redo start point past the unit's BEGIN
-// record; restart must rebuild the unit state from the table's
-// BeginLSN and still finish the unit forward.
+// unit is in flight reads the unit's BEGIN LSN from the table and backs
+// its redo point up to it, as DB.Checkpoint does, so restart replays
+// the unit from its BEGIN and still finishes it forward.
 func TestCheckpointMidUnitRecovers(t *testing.T) {
 	e := newEnv(t, 1024)
 	present := makeSparse(t, e, 1200, 4)
@@ -26,14 +26,18 @@ func TestCheckpointMidUnitRecovers(t *testing.T) {
 				hits++
 				if hits == 2 {
 					// Sharp checkpoint in the middle of the unit: flush
-					// everything, embed the reorg table, force the log.
+					// everything, embed the reorg table, redo from the
+					// unit's BEGIN, force the log.
 					if err := e.pager.FlushAll(); err != nil {
 						return err
 					}
+					active, _ := e.txns.ActiveSnapshot()
+					table := r.TableSnapshot()
 					cp := wal.Checkpoint{
-						ActiveTxns: e.txns.ActiveSnapshot(),
+						RedoLSN:    table.BeginLSN,
+						ActiveTxns: active,
 						NextTxnID:  e.txns.NextID(),
-						Reorg:      r.TableSnapshot(),
+						Reorg:      table,
 					}
 					lsn := e.log.Append(cp)
 					if err := e.log.FlushTo(lsn); err != nil {

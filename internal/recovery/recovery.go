@@ -10,7 +10,6 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/btree"
@@ -44,9 +43,6 @@ type Result struct {
 	ReorgLK   []byte
 	NextTxnID uint64
 }
-
-// errStopIterate ends a bounded log scan early.
-var errStopIterate = errors.New("stop")
 
 // txnState tracks one transaction across the redo scan.
 type txnState struct {
@@ -91,41 +87,12 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		}
 	}
 
-	// The paper's reorg table is embedded in the checkpoint (§5): if a
-	// unit was in flight when the checkpoint was taken, its BEGIN (and
-	// possibly some MOVEs) lie before the redo start point — rebuild
-	// the unit state from the BEGIN LSN recorded in the table.
-	var preUnit *unitState
-	if haveCP && cp.Reorg.HasUnit {
-		u := &unitState{}
-		err := log.Iterate(cp.Reorg.BeginLSN, func(lsn uint64, rec wal.Record) error {
-			if lsn >= redoFrom {
-				return errStopIterate
-			}
-			switch r := rec.(type) {
-			case wal.ReorgBegin:
-				if r.Unit == cp.Reorg.Unit {
-					u.begin = r
-					u.beginLSN = lsn
-				}
-			case wal.ReorgEnd:
-				if r.Unit == cp.Reorg.Unit {
-					u.ended = true
-				}
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopIterate) {
-			return nil, fmt.Errorf("recovery: reorg table scan: %w", err)
-		}
-		if u.beginLSN != 0 {
-			preUnit = u
-		}
-	}
-
-	// --- redo pass: repeat history from the checkpoint ---
-	unit := preUnit
+	// --- redo pass: repeat history from the checkpoint. A checkpoint
+	// taken while a unit was in flight backed its redo point up to the
+	// unit's BEGIN (DB.Checkpoint, from the reorg table it embeds, §5), so
+	// the BEGIN of any unit still in flight lies in this range. ---
 	var (
+		unit       *unitState
 		lastSwitch *wal.SwitchRoot
 		maxTxn     uint64
 		baseOp     *wal.BaselineBegin // in-flight baseline block op

@@ -147,9 +147,7 @@ func redoSwap(pg *storage.Pager, r wal.ReorgSwap, lsn uint64) error {
 	case aDone && bDone:
 		return nil
 	case !aDone && !bDone:
-		core.SwapPages(fa, fb, lsn)
-		pg.MarkDirty(fa, lsn)
-		pg.MarkDirty(fb, lsn)
+		core.SwapPages(pg, fa, fb, lsn)
 		return nil
 	case aDone && !bDone:
 		// A already holds B's old content; rebuild B from the logged

@@ -583,37 +583,9 @@ func (p *Pager) flushFrame(f *Frame, visiting map[PageID]bool) error {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
 
-	// Flush dependencies until none remain: a dependency registered
-	// while we were flushing the previous batch is picked up by the
-	// re-check, so the image copied below never depends on an unstable
-	// page.
-	depsFlushed := false
-	for {
-		deps := p.snapshotDeps(f.id)
-		for _, dep := range deps {
-			df := p.lookup(dep)
-			if df != nil && df.dirty.Load() {
-				if err := p.flushFrame(df, visiting); err != nil {
-					return err
-				}
-				depsFlushed = true
-			}
-			p.clearDep(f.id, dep)
-		}
-		if !p.hasDeps(f.id) {
-			break
-		}
+	if err := p.flushDeps(f.id, visiting); err != nil {
+		return err
 	}
-	if depsFlushed {
-		// Careful-write barrier: the OS may reorder file writes across a
-		// power failure, so the dependency images must be forced to media
-		// before this page's image may land (no-op on the in-memory
-		// backend, where Write is already stable).
-		if err := p.disk.Sync(); err != nil {
-			return err
-		}
-	}
-
 	if !f.dirty.Load() {
 		return nil
 	}
@@ -630,8 +602,18 @@ func (p *Pager) flushFrame(f *Frame, visiting map[PageID]bool) error {
 
 	// Copy the image under the read latch and clear dirty inside the
 	// latch: a writer that re-dirties the page afterwards re-sets the
-	// bit, so no update is ever lost to the flush.
+	// bit, so no update is ever lost to the flush. A writer installs a
+	// dependency under the write latch together with the change that
+	// needs it, so one that arrived after flushDeps is seen here and
+	// flushed before the image is taken.
 	f.RLock()
+	for p.hasDeps(f.id) {
+		f.RUnlock()
+		if err := p.flushDeps(f.id, visiting); err != nil {
+			return err
+		}
+		f.RLock()
+	}
 	lsn := f.data.LSN()
 	img := append([]byte(nil), f.data...)
 	f.dirty.Store(false)
@@ -655,6 +637,38 @@ func (p *Pager) flushFrame(f *Frame, visiting map[PageID]bool) error {
 	}); err != nil {
 		f.dirty.Store(true)
 		return err
+	}
+	return nil
+}
+
+// flushDeps flushes, in dependency order, every page that page id
+// carefully depends on, until none remain: a dependency registered while
+// the previous batch was flushing is picked up by the re-check. Called
+// with id's flushMu held.
+func (p *Pager) flushDeps(id PageID, visiting map[PageID]bool) error {
+	depsFlushed := false
+	for {
+		deps := p.snapshotDeps(id)
+		for _, dep := range deps {
+			df := p.lookup(dep)
+			if df != nil && df.dirty.Load() {
+				if err := p.flushFrame(df, visiting); err != nil {
+					return err
+				}
+				depsFlushed = true
+			}
+			p.clearDep(id, dep)
+		}
+		if !p.hasDeps(id) {
+			break
+		}
+	}
+	if depsFlushed {
+		// Careful-write barrier: the OS may reorder file writes across a
+		// power failure, so the dependency images must be forced to media
+		// before this page's image may land (no-op on the in-memory
+		// backend, where Write is already stable).
+		return p.disk.Sync()
 	}
 	return nil
 }

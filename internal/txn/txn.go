@@ -32,7 +32,11 @@ type Txn struct {
 	mgr     *Manager
 	mu      sync.Mutex
 	lastLSN uint64
-	status  Status
+	// firstLSN is the LSN of the begin record (0 until the first
+	// LogUpdate): undo walks back to it, so log retention must not pass
+	// it while the transaction is registered.
+	firstLSN uint64
+	status   Status
 	// begun is set once the begin record is in the log. Begin defers it
 	// to the first LogUpdate, so a read-only transaction writes no log
 	// records at all and its commit forces nothing — the dominant cost
@@ -136,7 +140,9 @@ func (m *Manager) BeginAt(t *Txn) *Txn {
 // Resurrect recreates a loser transaction at restart so it can be
 // rolled back; lastLSN comes from restart analysis.
 func (m *Manager) Resurrect(id, lastLSN uint64) *Txn {
-	t := &Txn{id: id, mgr: m, lastLSN: lastLSN, begun: true}
+	// Its begin record is somewhere below lastLSN: firstLSN 1 keeps the
+	// whole log while it is registered.
+	t := &Txn{id: id, mgr: m, lastLSN: lastLSN, firstLSN: 1, begun: true}
 	m.mu.Lock()
 	m.active[id] = t
 	m.mu.Unlock()
@@ -144,18 +150,22 @@ func (m *Manager) Resurrect(id, lastLSN uint64) *Txn {
 	return t
 }
 
-// ActiveSnapshot lists active transactions for a checkpoint. The map
-// is copied before the per-transaction locks are taken: LogUpdate
-// registers a transaction while holding its own mutex, so holding m.mu
-// across t.mu here would invert that order.
-func (m *Manager) ActiveSnapshot() []wal.TxnInfo {
+// ActiveSnapshot lists active transactions for a checkpoint, together
+// with the retention horizon they impose: the smallest first LSN of any
+// registered transaction that has logged (0 when there is none). A
+// transaction that registers after the snapshot logs its begin record
+// later still, so the caller's redo point — read before the snapshot —
+// already covers it. The map is copied before the per-transaction locks
+// are taken: LogUpdate registers a transaction while holding its own
+// mutex, so holding m.mu across t.mu here would invert that order.
+func (m *Manager) ActiveSnapshot() (active []wal.TxnInfo, horizon uint64) {
 	m.mu.Lock()
 	txns := make([]*Txn, 0, len(m.active))
 	for _, t := range m.active {
 		txns = append(txns, t)
 	}
 	m.mu.Unlock()
-	out := make([]wal.TxnInfo, 0, len(txns))
+	active = make([]wal.TxnInfo, 0, len(txns))
 	for _, t := range txns {
 		t.mu.Lock()
 		// A transaction that has not logged anything is invisible to
@@ -166,11 +176,14 @@ func (m *Manager) ActiveSnapshot() []wal.TxnInfo {
 		// stays registered until its log force returns and its locks are
 		// released: listed, it would be undone as a loser.
 		if t.begun && t.status == Active {
-			out = append(out, wal.TxnInfo{ID: t.id, LastLSN: t.lastLSN})
+			active = append(active, wal.TxnInfo{ID: t.id, LastLSN: t.lastLSN})
+		}
+		if t.firstLSN != 0 && (horizon == 0 || t.firstLSN < horizon) {
+			horizon = t.firstLSN
 		}
 		t.mu.Unlock()
 	}
-	return out
+	return active, horizon
 }
 
 // NextID returns the id the next Begin would use (checkpointed).
@@ -212,6 +225,7 @@ func (t *Txn) LogUpdate(u wal.Update) uint64 {
 		t.mgr.active[t.id] = t
 		t.mgr.mu.Unlock()
 		t.lastLSN = t.mgr.log.Append(wal.TxnBegin{Txn: t.id})
+		t.firstLSN = t.lastLSN
 	}
 	u.Txn = t.id
 	u.PrevLSN = t.lastLSN

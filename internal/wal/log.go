@@ -48,8 +48,8 @@ type Log struct {
 	s    stream     // retained records; s.end is the tail
 
 	// base is the retained base: records at stream offsets below it were
-	// dropped by retention (LSNs are stream offsets plus one). Zero for
-	// the in-memory device.
+	// dropped by retention (LSNs are stream offsets plus one). Both
+	// devices move it at every checkpoint (TruncateBelow).
 	base    uint64
 	written uint64 // stream offset below which the device has the bytes
 	flushed uint64 // stream offset below which they are durable
@@ -89,16 +89,31 @@ type Log struct {
 	groupLeaders  atomic.Int64
 	forcesSaved   atomic.Int64 // forces covered by somebody else's sync
 
+	// Automatic-checkpoint bookkeeping in stream offsets, atomics so that
+	// the check after every logged commit takes no lock: ckptEvery is the
+	// interval, ckptRedo the last checkpoint's redo point and ckptDue the
+	// BytesAppended value at which the next checkpoint falls due.
+	ckptEvery atomic.Int64
+	ckptRedo  atomic.Int64
+	ckptDue   atomic.Int64
+
 	// ring receives group-flush, rotation and truncation trace events
 	// (nil when no observer is wired). Emitting under l.mu is fine:
 	// Emit is wait-free and never does I/O.
 	ring *obs.Ring
 }
 
+// DefaultCheckpointInterval is how many log bytes past the last
+// checkpoint's redo point make the next automatic checkpoint due. It
+// bounds both what a restart replays and, through the retention that
+// every checkpoint applies, the log a device holds.
+const DefaultCheckpointInterval = 16 << 20
+
 // NewLog returns an empty in-memory log.
 func NewLog() *Log {
 	l := &Log{retryRNG: rand.New(rand.NewSource(0x109))}
 	l.cond = sync.NewCond(&l.mu)
+	l.SetCheckpointInterval(DefaultCheckpointInterval)
 	return l
 }
 
@@ -117,11 +132,56 @@ func OpenSegmentedLog(dir string, opts SegmentOptions) (*Log, error) {
 	l.seg, l.base, l.s = seg, base, s
 	l.written, l.flushed = s.end, s.end
 	l.bytesAppended.Store(int64(s.end))
+	// No checkpoint has been taken by this process yet: count the interval
+	// from the retained base, which no checkpoint's redo point lies below.
+	l.ckptRedo.Store(int64(base))
+	l.SetCheckpointInterval(DefaultCheckpointInterval)
 	return l, nil
 }
 
-// SetInjector installs the fault injector consulted at the wal.append
-// and wal.force fault points (nil disables injection).
+// SetCheckpointInterval sets the automatic-checkpoint interval in log
+// bytes (see DefaultCheckpointInterval). It is a per-log setting for
+// tests and the crash sweep, which lower it to take checkpoints often.
+func (l *Log) SetCheckpointInterval(n int64) {
+	l.ckptEvery.Store(n)
+	l.ckptDue.Store(l.ckptRedo.Load() + n)
+}
+
+// CheckpointDue reports whether the log has grown by the interval since
+// the last checkpoint's redo point. Lock-free: the database asks after
+// every logged commit.
+func (l *Log) CheckpointDue() bool { return l.bytesAppended.Load() >= l.ckptDue.Load() }
+
+// CheckpointTaken records a completed checkpoint with redo point redo:
+// the next one falls due an interval past it.
+func (l *Log) CheckpointTaken(redo LSN) {
+	l.ckptRedo.Store(int64(redo - 1))
+	l.ckptDue.Store(int64(redo-1) + l.ckptEvery.Load())
+}
+
+// CheckpointFailed postpones the next automatic checkpoint by one
+// interval from the current tail, so a checkpoint that failed is
+// retried at the next crossing instead of by every commit.
+func (l *Log) CheckpointFailed() {
+	l.ckptDue.Store(l.bytesAppended.Load() + l.ckptEvery.Load())
+}
+
+// BytesSinceCheckpoint returns the log bytes appended since the last
+// checkpoint's redo point: what a restart would replay. Lock-free.
+func (l *Log) BytesSinceCheckpoint() int64 {
+	return l.bytesAppended.Load() - l.ckptRedo.Load()
+}
+
+// RetainedBytes returns the log bytes the device still holds: the tail
+// minus the retained base.
+func (l *Log) RetainedBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int64(l.s.end - l.base)
+}
+
+// SetInjector installs the fault injector consulted at the wal.append,
+// wal.force and wal.truncate fault points (nil disables injection).
 func (l *Log) SetInjector(in *fault.Injector) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -497,25 +557,32 @@ func (l *Log) Close() error {
 	return l.seg.close()
 }
 
-// TruncateBelow applies log retention: every segment wholly below
-// horizon is deleted and the in-memory stream trimmed to match. The
-// caller (checkpoint) must guarantee nothing below horizon will ever
-// be read again — no active transaction's undo chain and no in-flight
-// reorganization unit may reach below it. No-op on the in-memory log.
-func (l *Log) TruncateBelow(horizon LSN) error {
+// TruncateBelow applies log retention and returns how many bytes the
+// retained base moved. horizon must be a record's LSN (or the tail) at
+// or below the durable end, and the caller (a checkpoint) must
+// guarantee nothing below it will be read again: no active
+// transaction's undo chain, no in-flight reorganization unit and no
+// restart from the last checkpoint may reach below it. The in-memory
+// device moves its base to the horizon and frees every chunk wholly
+// below it; the file device deletes every segment wholly below the
+// horizon — segment granularity, so its base stops at the first
+// retained segment's first LSN — and trims the stream to match.
+func (l *Log) TruncateBelow(horizon LSN) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seg == nil || horizon <= l.base {
-		return nil
+	if horizon <= l.base+1 {
+		return 0, nil
 	}
-	l.acquireDevice()
-	defer l.releaseDevice()
-	l.mu.Unlock()
-	newBase, deleted, err := l.seg.retain(horizon)
-	l.mu.Lock()
-	if err != nil {
-		return err
+	if horizon-1 > l.flushed {
+		return 0, fmt.Errorf("wal: truncate above the durable end (horizon %d, durable %d)", horizon, l.flushed)
 	}
+	old := l.base
+	if l.seg == nil {
+		l.base = horizon - 1
+		l.s.dropBelow(l.base)
+		return int64(l.base - old), nil
+	}
+	newBase, deleted, err := l.retain(horizon)
 	if newBase-1 > l.base {
 		l.base = newBase - 1
 		l.s.dropBelow(l.base)
@@ -523,7 +590,23 @@ func (l *Log) TruncateBelow(horizon LSN) error {
 	if l.ring != nil && deleted > 0 {
 		l.ring.Emit(obs.EvWALTruncate, uint64(deleted), newBase)
 	}
-	return nil
+	return int64(l.base - old), err
+}
+
+// retain runs the file device's retention with the device owned and
+// l.mu released; the wal.truncate fault point sits in front of every
+// segment it deletes. The deferred re-lock comes first so that a crash
+// panic out of the fault point unwinds with l.mu held again. Called
+// with l.mu held; returns with it held.
+//
+//vet:holds(l.mu)
+func (l *Log) retain(horizon LSN) (newBase uint64, deleted int, err error) {
+	l.acquireDevice()
+	defer l.releaseDevice()
+	inj := l.inj
+	l.mu.Unlock()
+	defer l.mu.Lock()
+	return l.seg.retain(horizon, inj)
 }
 
 // Fsyncs returns the number of fsyncs the file device has issued

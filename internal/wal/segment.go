@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // ErrWALCorrupt reports log damage recovery cannot classify as a torn
@@ -314,27 +316,37 @@ func tearSegment(f *os.File, from, to int64) {
 
 // retain deletes every segment whose entire contents lie strictly
 // below horizon (every record in segment i is below segment i+1's
-// firstLSN). The current segment is never deleted. It returns the
-// firstLSN of the oldest retained segment — the new retained base —
-// and how many segments it deleted.
-func (s *SegmentedLog) retain(horizon uint64) (newBase uint64, deleted int, err error) {
+// firstLSN), oldest first, passing the wal.truncate fault point before
+// each. The current segment is never deleted. It returns the firstLSN
+// of the oldest retained segment — the new retained base — and how many
+// segments it deleted. A failure stops the deletions where it happened;
+// the segments already gone leave the index all the same, so a retry
+// starts from the oldest that is still on disk.
+func (s *SegmentedLog) retain(horizon uint64, inj *fault.Injector) (newBase uint64, deleted int, err error) {
 	drop := 0
 	for drop < len(s.segments)-1 && s.segments[drop+1].firstLSN <= horizon {
 		drop++
 	}
-	for ; deleted < drop; deleted++ {
-		if err := os.Remove(s.segPath(s.segments[deleted].name)); err != nil {
-			return s.segments[0].firstLSN, deleted, fmt.Errorf("wal: retention: %w", err)
+	for deleted < drop {
+		if err = inj.Hit(fault.WALTruncate); err != nil {
+			break
+		}
+		if err = os.Remove(s.segPath(s.segments[deleted].name)); err != nil {
+			break
 		}
 		s.segmentsDeleted.Add(1)
+		deleted++
 	}
-	if drop > 0 {
-		s.segments = append([]segmentInfo(nil), s.segments[drop:]...)
-		if err := s.syncDir(); err != nil {
-			return s.segments[0].firstLSN, deleted, fmt.Errorf("wal: retention: %w", err)
+	if deleted > 0 {
+		s.segments = append([]segmentInfo(nil), s.segments[deleted:]...)
+		if serr := s.syncDir(); err == nil {
+			err = serr
 		}
 	}
-	return s.segments[0].firstLSN, deleted, nil
+	if err != nil {
+		err = fmt.Errorf("wal: retention: %w", err)
+	}
+	return s.segments[0].firstLSN, deleted, err
 }
 
 // close releases the current segment handle (idempotent).

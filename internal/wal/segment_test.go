@@ -141,7 +141,7 @@ func TestSegmentRetention(t *testing.T) {
 		t.Fatalf("segments created = %d, want at least 3", created)
 	}
 	horizon := lsns[40]
-	if err := l.TruncateBelow(horizon); err != nil {
+	if _, err := l.TruncateBelow(horizon); err != nil {
 		t.Fatalf("TruncateBelow: %v", err)
 	}
 	_, deleted, liveAfter := l.SegmentCounts()
