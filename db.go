@@ -505,9 +505,14 @@ func (db *DB) timedAuto(h *obs.Histogram, fn func(t *Txn) error) error {
 	return err
 }
 
-// Insert adds a record in its own transaction.
+// Insert adds a record in its own transaction. Like Update and Delete,
+// it is logged as one committed record (see txn.Txn.MarkSingleRecord),
+// except for a delete that empties its leaf.
 func (db *DB) Insert(key, val []byte) error {
-	err := db.timedAuto(db.hInsert, func(t *Txn) error { return t.Insert(key, val) })
+	err := db.timedAuto(db.hInsert, func(t *Txn) error {
+		t.inner.MarkSingleRecord()
+		return t.Insert(key, val)
+	})
 	if err == nil && db.obs != nil {
 		db.obs.AddLogicalBytes(len(key) + len(val))
 	}
@@ -542,7 +547,10 @@ func (db *DB) InsertBatch(keys, vals [][]byte) error {
 
 // Update replaces a record in its own transaction.
 func (db *DB) Update(key, val []byte) error {
-	err := db.timedAuto(db.hUpdate, func(t *Txn) error { return t.Update(key, val) })
+	err := db.timedAuto(db.hUpdate, func(t *Txn) error {
+		t.inner.MarkSingleRecord()
+		return t.Update(key, val)
+	})
 	if err == nil && db.obs != nil {
 		db.obs.AddLogicalBytes(len(key) + len(val))
 	}
@@ -551,7 +559,10 @@ func (db *DB) Update(key, val []byte) error {
 
 // Delete removes a record in its own transaction.
 func (db *DB) Delete(key []byte) error {
-	err := db.timedAuto(db.hDelete, func(t *Txn) error { return t.Delete(key) })
+	err := db.timedAuto(db.hDelete, func(t *Txn) error {
+		t.inner.MarkSingleRecord()
+		return t.Delete(key)
+	})
 	if err == nil && db.obs != nil {
 		db.obs.AddLogicalBytes(len(key))
 	}

@@ -108,7 +108,7 @@ func (t *Tree) insertSMO(tx *txn.Txn, u wal.Update) error {
 				return err
 			}
 			u.Page = leaf.ID()
-			aerr := t.applyLogged(tx, leaf, u)
+			_, aerr := t.applyLogged(tx, leaf, u)
 			if errors.Is(aerr, storage.ErrPageFull) {
 				target, serr := t.splitChild(tx, f, leaf, u.Key)
 				if serr != nil {
@@ -122,7 +122,7 @@ func (t *Tree) insertSMO(tx *txn.Txn, u wal.Update) error {
 				}
 				leaf = target
 				u.Page = leaf.ID()
-				aerr = t.applyLogged(tx, leaf, u)
+				_, aerr = t.applyLogged(tx, leaf, u)
 			}
 			t.locks.Unlock(owner, pageRes(f.ID()))
 			t.pager.Unfix(f)

@@ -28,11 +28,13 @@ func (t *Tree) lockTree(owner uint64, mode lock.Mode) error {
 	return fmt.Errorf("btree: tree lock did not stabilise")
 }
 
-// applyLogged validates, logs and applies one record operation on a
-// leaf under its write latch. Validation happens before logging so a
-// failed operation (duplicate key, missing key, full page) leaves no
-// log record behind. The caller holds the logical locks.
-func (t *Tree) applyLogged(tx *txn.Txn, f *storage.Frame, u wal.Update) error {
+// applyLogged validates, logs (logLeafOp) and applies one record
+// operation on a leaf under its write latch, and reports whether it left
+// the leaf empty (a delete's caller then defers a free to commit).
+// Validation happens before logging so a failed operation (duplicate
+// key, missing key, full page) leaves no log record behind. The caller
+// holds the logical locks.
+func (t *Tree) applyLogged(tx *txn.Txn, f *storage.Frame, u wal.Update) (emptied bool, err error) {
 	f.Lock()
 	defer f.Unlock()
 	p := f.Data()
@@ -43,31 +45,27 @@ func (t *Tree) applyLogged(tx *txn.Txn, f *storage.Frame, u wal.Update) error {
 	switch u.Op {
 	case wal.OpInsert:
 		if found {
-			return fmt.Errorf("btree: insert %q: %w", u.Key, kv.ErrExists)
+			return false, fmt.Errorf("btree: insert %q: %w", u.Key, kv.ErrExists)
 		}
 		if p.FreeSpace() < 2+len(u.Key)+len(u.NewVal) {
-			return storage.ErrPageFull
+			return false, storage.ErrPageFull
 		}
 	case wal.OpDelete:
 		if !found {
-			return fmt.Errorf("btree: delete %q: %w", u.Key, kv.ErrNotFound)
+			return false, fmt.Errorf("btree: delete %q: %w", u.Key, kv.ErrNotFound)
 		}
-		_, old := kv.DecodeLeafCell(p.Cell(slot))
-		u.OldVal = append([]byte(nil), old...)
 	case wal.OpReplace:
 		if !found {
-			return fmt.Errorf("btree: replace %q: %w", u.Key, kv.ErrNotFound)
+			return false, fmt.Errorf("btree: replace %q: %w", u.Key, kv.ErrNotFound)
 		}
 		_, old := kv.DecodeLeafCell(p.Cell(slot))
 		if len(u.NewVal) > len(old) && p.FreeSpace() < 2+len(u.Key)+len(u.NewVal) {
-			return storage.ErrPageFull
+			return false, storage.ErrPageFull
 		}
-		u.OldVal = append([]byte(nil), old...)
 	default:
-		return fmt.Errorf("btree: applyLogged does not handle %v", u.Op)
+		return false, fmt.Errorf("btree: applyLogged does not handle %v", u.Op)
 	}
-	lsn := tx.LogUpdate(u)
-	var err error
+	lsn := logLeafOp(tx, p, slot, u)
 	switch u.Op {
 	case wal.OpInsert:
 		err = p.InsertCell(slot, kv.EncodeLeafCell(u.Key, u.NewVal))
@@ -82,7 +80,9 @@ func (t *Tree) applyLogged(tx *txn.Txn, f *storage.Frame, u wal.Update) error {
 	}
 	p.SetLSN(lsn)
 	t.pager.MarkDirty(f, lsn)
-	return nil
+	// Under the latch: a later look could see another delete empty the
+	// leaf and hand this one, maybe committed already, a free to defer.
+	return p.NumSlots() == 0, nil
 }
 
 //vet:hotpath -- the point-read descent must stay allocation-free (PR 7)
@@ -157,15 +157,10 @@ func (t *Tree) modify(tx *txn.Txn, u wal.Update) error {
 			return err
 		}
 		u.Page = leaf.ID()
-		err = t.applyLogged(tx, leaf, u)
+		emptied, err := t.applyLogged(tx, leaf, u)
 		if err == nil {
-			if u.Op == wal.OpDelete {
-				leaf.RLock()
-				empty := leaf.Data().NumSlots() == 0
-				leaf.RUnlock()
-				if empty {
-					t.deferFree(owner, leaf.ID(), u.Key)
-				}
+			if emptied {
+				t.deferFree(owner, leaf.ID(), u.Key)
 			}
 			t.pager.Unfix(leaf)
 			return nil
@@ -181,4 +176,21 @@ func (t *Tree) modify(tx *txn.Txn, u wal.Update) error {
 		return err
 	}
 	return fmt.Errorf("btree: modify of %q did not converge", u.Key)
+}
+
+// logLeafOp logs u, a validated operation on the record at slot of leaf
+// p, and returns its LSN. An auto-commit write (tx.OneShot) is logged as
+// one committed record with no before-image, unless it is a delete that
+// empties the leaf: that one defers a free to commit, which can still
+// fail, so it keeps the chained record, its before-image and its commit
+// record.
+func logLeafOp(tx *txn.Txn, p storage.Page, slot int, u wal.Update) uint64 {
+	if tx.OneShot() && (u.Op != wal.OpDelete || p.NumSlots() > 1) {
+		return tx.LogCommitted(u)
+	}
+	if u.Op != wal.OpInsert {
+		_, old := kv.DecodeLeafCell(p.Cell(slot))
+		u.OldVal = append([]byte(nil), old...)
+	}
+	return tx.LogUpdate(u)
 }

@@ -17,7 +17,10 @@ import "testing"
 //     five internal pages at once).
 //
 // The hits land inside the "pass3" step, in the cleanup tail after the
-// root switch. Repro for any of these:
+// root switch. They were re-pinned when auto-commit writes stopped
+// logging begin and commit records: each is the same fault point at the
+// same place in the step's hit trace as before, which lost only those
+// records' wal.append hits. Repro for any of these:
 //
 //	reorg-bench check -seed <seed> -crashhit <hit>
 func TestEquivRegressionPass3CleanupLeaks(t *testing.T) {
@@ -26,9 +29,9 @@ func TestEquivRegressionPass3CleanupLeaks(t *testing.T) {
 		hit  int
 		bug  string
 	}{
-		{101, 3083, "side-file chain leak"},
-		{999, 3178, "side-file chain leak"},
-		{20260805, 3104, "old-internal subtree leak"},
+		{101, 2485, "side-file chain leak"},
+		{999, 2591, "side-file chain leak"},
+		{20260805, 2500, "old-internal subtree leak"},
 	}
 	for _, c := range cases {
 		res, err := Equiv(EquivConfig{Seed: c.seed, CrashHit: c.hit})

@@ -99,12 +99,10 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	)
 	err := log.Iterate(redoFrom, func(lsn uint64, rec wal.Record) error {
 		res.RedoneRecords++
+		if id := txnOf(rec); id > maxTxn {
+			maxTxn = id
+		}
 		switch r := rec.(type) {
-		case wal.TxnBegin:
-			active[r.Txn] = &txnState{lastLSN: lsn}
-			if r.Txn > maxTxn {
-				maxTxn = r.Txn
-			}
 		case wal.TxnCommit:
 			delete(active, r.Txn)
 		case wal.TxnEnd:
@@ -114,8 +112,16 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 				st.lastLSN = lsn
 			}
 		case wal.Update:
-			if st := active[r.Txn]; st != nil {
-				st.lastLSN = lsn
+			// There is no begin record: a transaction's first update
+			// (PrevLSN 0) opens its entry. A committed update is a whole
+			// transaction that can never be a loser, and txn 0 is the
+			// system's redo-only structure changes.
+			switch {
+			case r.Committed || r.Txn == 0:
+			case r.PrevLSN == 0:
+				active[r.Txn] = &txnState{lastLSN: lsn}
+			case active[r.Txn] != nil:
+				active[r.Txn].lastLSN = lsn
 			}
 			return pageops.Redo(pager, r.Page, r.Op, r.Key, r.NewVal, lsn)
 		case wal.CLR:
@@ -246,4 +252,22 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// txnOf returns the transaction id a record carries (0 for none or for
+// the system): restart must never hand out an id the log has seen.
+func txnOf(rec wal.Record) uint64 {
+	switch r := rec.(type) {
+	case wal.Update:
+		return r.Txn
+	case wal.CLR:
+		return r.Txn
+	case wal.TxnCommit:
+		return r.Txn
+	case wal.TxnAbort:
+		return r.Txn
+	case wal.TxnEnd:
+		return r.Txn
+	}
+	return 0
 }

@@ -32,18 +32,27 @@ type Txn struct {
 	mgr     *Manager
 	mu      sync.Mutex
 	lastLSN uint64
-	// firstLSN is the LSN of the begin record (0 until the first
-	// LogUpdate): undo walks back to it, so log retention must not pass
-	// it while the transaction is registered.
+	// firstLSN is the LSN of the transaction's first update, the one
+	// with PrevLSN 0 (0 until LogUpdate logs it): undo walks back to
+	// it, so log retention must not pass it while the transaction is
+	// registered.
 	firstLSN uint64
 	status   Status
-	// begun is set once the begin record is in the log. Begin defers it
-	// to the first LogUpdate, so a read-only transaction writes no log
-	// records at all and its commit forces nothing — the dominant cost
-	// on the read hot path. Recovery is unaffected: restart analysis is
-	// a pure log scan, so a transaction that never logged is invisible
-	// to it (correctly — it has nothing to redo or undo).
+	// begun is set once the first update is in the log. There is no
+	// begin record, and registration waits for that update, so a
+	// read-only transaction writes no log records at all and its commit
+	// forces nothing — the dominant cost on the read hot path. Recovery
+	// is unaffected: restart analysis is a pure log scan, so a
+	// transaction that never logged is invisible to it (correctly — it
+	// has nothing to redo or undo).
 	begun bool
+	// single marks an auto-commit write (MarkSingleRecord): its one
+	// update may be logged as a committed record.
+	single bool
+	// inRecord is set when LogCommitted committed the transaction in its
+	// update record; Commit still owes the log force and the lock
+	// release.
+	inRecord bool
 }
 
 // Undoer applies the compensating operation for one logged update,
@@ -57,11 +66,12 @@ type Undoer interface {
 // Manager creates transactions and tracks the active set (for
 // checkpoints and restart analysis).
 //
-// Registration in the active set is lazy, like the begin record: a
-// transaction enters the map on its first LogUpdate. A transaction
-// that never logs is invisible to checkpoints and restart analysis
-// anyway (ActiveSnapshot filters on begun), so read-only operations
-// skip the manager mutex and map churn entirely.
+// Registration in the active set is lazy: a transaction enters the map
+// on its first LogUpdate, and one that commits in its only record
+// (LogCommitted) never does. A transaction that never logs is invisible
+// to checkpoints and restart analysis anyway (ActiveSnapshot filters on
+// begun), so read-only operations skip the manager mutex and map churn
+// entirely.
 type Manager struct {
 	log   *wal.Log
 	locks *lock.Manager
@@ -121,9 +131,9 @@ func (m *Manager) NextOwnerID() uint64 {
 	return m.nextID.Add(1) - 1
 }
 
-// Begin starts a transaction. The begin record is logged lazily, on
-// the first LogUpdate, so transactions that never write stay out of
-// the log entirely.
+// Begin starts a transaction. Nothing is logged until its first
+// update, so transactions that never write stay out of the log
+// entirely.
 func (m *Manager) Begin() *Txn { return m.BeginAt(new(Txn)) }
 
 // BeginAt initializes t (which must be zero-valued and unshared) as a
@@ -140,7 +150,7 @@ func (m *Manager) BeginAt(t *Txn) *Txn {
 // Resurrect recreates a loser transaction at restart so it can be
 // rolled back; lastLSN comes from restart analysis.
 func (m *Manager) Resurrect(id, lastLSN uint64) *Txn {
-	// Its begin record is somewhere below lastLSN: firstLSN 1 keeps the
+	// Its first update is somewhere below lastLSN: firstLSN 1 keeps the
 	// whole log while it is registered.
 	t := &Txn{id: id, mgr: m, lastLSN: lastLSN, firstLSN: 1, begun: true}
 	m.mu.Lock()
@@ -153,11 +163,13 @@ func (m *Manager) Resurrect(id, lastLSN uint64) *Txn {
 // ActiveSnapshot lists active transactions for a checkpoint, together
 // with the retention horizon they impose: the smallest first LSN of any
 // registered transaction that has logged (0 when there is none). A
-// transaction that registers after the snapshot logs its begin record
+// transaction that registers after the snapshot logs its first update
 // later still, so the caller's redo point — read before the snapshot —
-// already covers it. The map is copied before the per-transaction locks
-// are taken: LogUpdate registers a transaction while holding its own
-// mutex, so holding m.mu across t.mu here would invert that order.
+// already covers it. A transaction that commits in its only record is
+// never registered, so it is never listed. The map is copied before the
+// per-transaction locks are taken: LogUpdate registers a transaction
+// while holding its own mutex, so holding m.mu across t.mu here would
+// invert that order.
 func (m *Manager) ActiveSnapshot() (active []wal.TxnInfo, horizon uint64) {
 	m.mu.Lock()
 	txns := make([]*Txn, 0, len(m.active))
@@ -171,7 +183,7 @@ func (m *Manager) ActiveSnapshot() (active []wal.TxnInfo, horizon uint64) {
 		// A transaction that has not logged anything is invisible to
 		// restart analysis and must stay invisible to the checkpoint,
 		// or recovery would roll back (and log an end record for) a
-		// transaction that has no begin record. One whose commit or end
+		// transaction that has no record at all. One whose commit or end
 		// record is in the log is no longer active either, though it
 		// stays registered until its log force returns and its locks are
 		// released: listed, it would be undone as a loser.
@@ -212,8 +224,8 @@ func (t *Txn) Status() Status {
 //
 // LogUpdate appends an update record chained to this transaction and
 // returns its LSN. The caller applies the change to the page itself
-// (or uses pageops.Apply). The first update also logs the deferred
-// begin record.
+// (or uses pageops.Apply). The first update carries PrevLSN 0 — it is
+// the transaction's begin — and registers the transaction.
 func (t *Txn) LogUpdate(u wal.Update) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -224,14 +236,41 @@ func (t *Txn) LogUpdate(u wal.Update) uint64 {
 		t.mgr.mu.Lock()
 		t.mgr.active[t.id] = t
 		t.mgr.mu.Unlock()
-		t.lastLSN = t.mgr.log.Append(wal.TxnBegin{Txn: t.id})
-		t.firstLSN = t.lastLSN
 	}
 	u.Txn = t.id
 	u.PrevLSN = t.lastLSN
 	lsn := t.mgr.log.Append(u)
+	if t.firstLSN == 0 {
+		t.firstLSN = lsn
+	}
 	t.lastLSN = lsn
 	return lsn
+}
+
+// MarkSingleRecord declares an auto-commit write: the transaction logs
+// at most one update and commits right after it, so OneShot lets that
+// update be logged as a committed record.
+func (t *Txn) MarkSingleRecord() { t.single = true }
+
+// OneShot reports whether the next update may be logged by LogCommitted:
+// the transaction is marked single-record and has logged nothing. Only
+// the owning goroutine writes the fields it reads.
+func (t *Txn) OneShot() bool { return t.single && t.lastLSN == 0 }
+
+// LogCommitted appends u as a committed update — the whole transaction
+// in one redo-only record, without PrevLSN or before-image — and returns
+// its LSN. The transaction is committed from the moment the record is
+// appended: it is never registered, so no checkpoint lists it and
+// restart never undoes it. Commit then forces the log to the record and
+// releases the locks. Only a transaction that is OneShot may call it.
+func (t *Txn) LogCommitted(u wal.Update) uint64 {
+	u.Txn, u.PrevLSN, u.OldVal, u.Committed = t.id, 0, nil, true
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.lastLSN = t.mgr.log.Append(u)
+	t.status = Committed
+	t.inRecord = true
+	return t.lastLSN
 }
 
 // Lock acquires a lock owned by this transaction.
@@ -252,23 +291,28 @@ func (t *Txn) Unlock(res lock.Resource) {
 
 // Commit logs the commit, forces the log, and releases all locks. A
 // transaction that never logged an update commits without touching
-// the log: there is nothing to make durable, so the begin/commit pair
-// and the forced write are all skipped.
+// the log: there is nothing to make durable, so the commit record and
+// the forced write are both skipped. One that LogCommitted committed in
+// its update record only forces the log to that record.
 func (t *Txn) Commit() error {
 	t.mu.Lock()
-	if t.status != Active {
+	lsn := t.lastLSN
+	switch {
+	case t.inRecord:
+		t.inRecord = false
+	case t.status != Active:
 		t.mu.Unlock()
 		return fmt.Errorf("txn %d: commit of %v transaction", t.id, t.status)
-	}
-	if !t.begun {
+	case !t.begun:
 		t.status = Committed
 		t.mu.Unlock()
 		t.finish()
 		return nil
+	default:
+		lsn = t.mgr.log.Append(wal.TxnCommit{Txn: t.id, PrevLSN: t.lastLSN})
+		t.lastLSN = lsn
+		t.status = Committed
 	}
-	lsn := t.mgr.log.Append(wal.TxnCommit{Txn: t.id, PrevLSN: t.lastLSN})
-	t.lastLSN = lsn
-	t.status = Committed
 	t.mu.Unlock()
 	if err := t.mgr.log.FlushTo(lsn); err != nil {
 		return err
@@ -323,8 +367,6 @@ func (t *Txn) undoFrom(lsn uint64) error {
 			return err
 		}
 		switch r := rec.(type) {
-		case wal.TxnBegin:
-			return nil
 		case wal.TxnAbort:
 			lsn = r.PrevLSN
 		case wal.Update:

@@ -197,7 +197,8 @@ func TestPrevLSNChain(t *testing.T) {
 	tx := m.Begin()
 	doInsert(t, tx, pg, id, "x", "1")
 	doInsert(t, tx, pg, id, "y", "2")
-	// Walk the chain from lastLSN: update(y) -> update(x) -> begin.
+	// Walk the chain from lastLSN: update(y) -> update(x), whose PrevLSN
+	// 0 is the transaction's begin — there is no begin record.
 	lsn := tx.LastLSN()
 	var kinds []string
 	for lsn != 0 {
@@ -209,14 +210,11 @@ func TestPrevLSNChain(t *testing.T) {
 		case wal.Update:
 			kinds = append(kinds, "update-"+string(r.Key))
 			lsn = r.PrevLSN
-		case wal.TxnBegin:
-			kinds = append(kinds, "begin")
-			lsn = 0
 		default:
 			t.Fatalf("unexpected %T", rec)
 		}
 	}
-	want := []string{"update-y", "update-x", "begin"}
+	want := []string{"update-y", "update-x"}
 	if len(kinds) != len(want) {
 		t.Fatalf("chain = %v", kinds)
 	}

@@ -70,7 +70,7 @@ func TestFlushToSingleThreadedUnchanged(t *testing.T) {
 	if err := l.FlushTo(0); err != nil {
 		t.Fatal(err)
 	}
-	lsn := l.Append(TxnBegin{Txn: 1})
+	lsn := l.Append(TxnCommit{Txn: 1})
 	if err := l.FlushTo(lsn); err != nil {
 		t.Fatal(err)
 	}

@@ -134,8 +134,9 @@ func TestConcurrentCommittersShareSyncs(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				l.Append(TxnBegin{Txn: uint64(g*each + i + 1)})
-				if err := l.FlushTo(l.Append(TxnCommit{Txn: uint64(g*each + i + 1)})); err != nil {
+				id := uint64(g*each + i + 1)
+				prev := l.Append(Update{Txn: id, Page: 1, Op: OpInsert, Key: []byte("k")})
+				if err := l.FlushTo(l.Append(TxnCommit{Txn: id, PrevLSN: prev})); err != nil {
 					t.Errorf("FlushTo: %v", err)
 					return
 				}
@@ -178,7 +179,7 @@ func TestConcurrentCommittersShareSyncs(t *testing.T) {
 // device's page cache still does.
 func TestCrashBetweenWriteAndSync(t *testing.T) {
 	eachDevice(t, func(t *testing.T, l *Log) {
-		l.Append(TxnBegin{Txn: 1})
+		l.Append(TxnCommit{Txn: 1})
 		acked := l.Append(TxnCommit{Txn: 1})
 		if err := l.FlushTo(acked); err != nil {
 			t.Fatal(err)

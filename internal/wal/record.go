@@ -25,7 +25,10 @@ type Type uint8
 // Log record types.
 const (
 	TInvalid Type = iota
-	TTxnBegin
+	// tRetiredBegin was log format 3's transaction-begin record. Format
+	// 4 begins a transaction implicitly at its first update, the one
+	// with PrevLSN 0; Decode refuses the byte with a RetiredTypeError.
+	tRetiredBegin
 	TTxnCommit
 	TTxnAbort
 	TTxnEnd
@@ -46,14 +49,17 @@ const (
 	TFreeChain
 	TBaselineBegin
 	TBaselineEnd
+	// TUpdateCommitted is an Update with Committed set: a one-record
+	// transaction logged without PrevLSN or OldVal (see Update).
+	TUpdateCommitted
 )
 
 func (t Type) String() string {
-	names := [...]string{"invalid", "txn-begin", "txn-commit", "txn-abort",
+	names := [...]string{"invalid", "retired-begin", "txn-commit", "txn-abort",
 		"txn-end", "update", "clr", "reorg-begin", "reorg-move", "reorg-swap",
 		"reorg-modify", "reorg-end", "alloc", "dealloc", "stable-key",
 		"switch-root", "checkpoint", "split", "root-split", "free-chain",
-		"baseline-begin", "baseline-end"}
+		"baseline-begin", "baseline-end", "update-committed"}
 	if int(t) < len(names) {
 		return names[t]
 	}
@@ -119,11 +125,6 @@ func (r ReorgType) String() string {
 // Record is any log record.
 type Record interface{ recordType() Type }
 
-// TxnBegin starts a transaction.
-type TxnBegin struct {
-	Txn uint64
-}
-
 // TxnCommit commits a transaction (forces the log).
 type TxnCommit struct {
 	Txn     uint64
@@ -143,15 +144,24 @@ type TxnEnd struct {
 }
 
 // Update is a logical page operation by a transaction (Txn 0 = system /
-// structure modification, never undone).
+// structure modification, never undone). There is no begin record: a
+// transaction's first update has PrevLSN 0.
+//
+// A Committed update is a whole transaction in one record — an
+// auto-commit write — and commits it as it is logged. It is redo-only:
+// it is never a loser at restart, no abort can follow it, and the WAL
+// rule keeps its page off the disk until the record is durable, so
+// nothing ever reads a before-image or a chain for it. Its PrevLSN and
+// OldVal are not logged (they decode as 0 and empty).
 type Update struct {
-	Txn     uint64
-	PrevLSN uint64
-	Page    storage.PageID
-	Op      Op
-	Key     []byte
-	OldVal  []byte
-	NewVal  []byte
+	Txn       uint64
+	PrevLSN   uint64
+	Page      storage.PageID
+	Op        Op
+	Key       []byte
+	OldVal    []byte
+	NewVal    []byte
+	Committed bool
 }
 
 // CLR is a compensation record written while undoing an Update.
@@ -370,11 +380,9 @@ type Checkpoint struct {
 	RedoLSN    uint64
 }
 
-func (TxnBegin) recordType() Type      { return TTxnBegin }
 func (TxnCommit) recordType() Type     { return TTxnCommit }
 func (TxnAbort) recordType() Type      { return TTxnAbort }
 func (TxnEnd) recordType() Type        { return TTxnEnd }
-func (Update) recordType() Type        { return TUpdate }
 func (CLR) recordType() Type           { return TCLR }
 func (ReorgBegin) recordType() Type    { return TReorgBegin }
 func (ReorgMove) recordType() Type     { return TReorgMove }
@@ -392,9 +400,18 @@ func (FreeChain) recordType() Type     { return TFreeChain }
 func (BaselineBegin) recordType() Type { return TBaselineBegin }
 func (BaselineEnd) recordType() Type   { return TBaselineEnd }
 
-// --- encoding (log format 3) ---
+func (u Update) recordType() Type {
+	if u.Committed {
+		return TUpdateCommitted
+	}
+	return TUpdate
+}
+
+// --- encoding (log format 4) ---
 //
-// A record is its type byte followed by its fields in declaration order:
+// A record is its type byte followed by its fields in declaration order
+// (a Committed update leaves out PrevLSN and OldVal, and its flag is its
+// type byte):
 //
 //   - every integer — ids, LSNs, page ids, levels, the epoch, a page's
 //     type and aux word — is a uvarint;
@@ -471,6 +488,14 @@ func sharedPrefix(a, b []byte) int {
 // allocate gigabytes. The largest list any writer logs is a baseline
 // operation's page images: a few pages of at most 64 KiB.
 const maxListBytes = 16 << 20
+
+// RetiredTypeError is Decode's error for a type byte an older log
+// format wrote and this one never does.
+type RetiredTypeError struct{ Type Type }
+
+func (e *RetiredTypeError) Error() string {
+	return fmt.Sprintf("wal: record type %d (%v) is retired: log format %d does not write it", uint8(e.Type), e.Type, segVersion)
+}
 
 var (
 	errTruncated = errors.New("wal: truncated record")
@@ -605,8 +630,6 @@ func Encode(r Record) []byte { return appendRecord(nil, r) }
 func appendRecord(dst []byte, r Record) []byte {
 	e := enc(dst)
 	switch v := r.(type) {
-	case TxnBegin:
-		e = e.u8(uint8(TTxnBegin)).uv(v.Txn)
 	case TxnCommit:
 		e = e.u8(uint8(TTxnCommit)).uv(v.Txn).uv(v.PrevLSN)
 	case TxnAbort:
@@ -614,6 +637,11 @@ func appendRecord(dst []byte, r Record) []byte {
 	case TxnEnd:
 		e = e.u8(uint8(TTxnEnd)).uv(v.Txn).uv(v.PrevLSN)
 	case Update:
+		if v.Committed {
+			e = e.u8(uint8(TUpdateCommitted)).uv(v.Txn).page(v.Page).u8(uint8(v.Op)).
+				bytes(v.Key).bytes(v.NewVal)
+			break
+		}
 		e = e.u8(uint8(TUpdate)).uv(v.Txn).uv(v.PrevLSN).page(v.Page).u8(uint8(v.Op)).
 			bytes(v.Key).bytes(v.OldVal).bytes(v.NewVal)
 	case CLR:
@@ -688,8 +716,8 @@ func Decode(b []byte) (Record, error) {
 	typ := Type(d.u8())
 	var r Record
 	switch typ {
-	case TTxnBegin:
-		r = TxnBegin{Txn: d.u64()}
+	case tRetiredBegin:
+		return nil, &RetiredTypeError{Type: typ}
 	case TTxnCommit:
 		r = TxnCommit{Txn: d.u64(), PrevLSN: d.u64()}
 	case TTxnAbort:
@@ -699,6 +727,9 @@ func Decode(b []byte) (Record, error) {
 	case TUpdate:
 		r = Update{Txn: d.u64(), PrevLSN: d.u64(), Page: d.page(),
 			Op: Op(d.u8()), Key: d.bytesv(), OldVal: d.bytesv(), NewVal: d.bytesv()}
+	case TUpdateCommitted:
+		r = Update{Txn: d.u64(), Page: d.page(), Op: Op(d.u8()), Key: d.bytesv(),
+			OldVal: []byte{}, NewVal: d.bytesv(), Committed: true}
 	case TCLR:
 		r = CLR{Txn: d.u64(), UndoNext: d.u64(), Page: d.page(),
 			Op: Op(d.u8()), Key: d.bytesv(), NewVal: d.bytesv()}

@@ -48,7 +48,7 @@ func TestMemTruncateBelow(t *testing.T) {
 	if again, err := l.TruncateBelow(lsns[100]); err != nil || again != 0 {
 		t.Fatalf("truncating below the base again: %d, %v", again, err)
 	}
-	l.Append(TxnBegin{Txn: 1}) // not durable: lost at the crash
+	l.Append(TxnCommit{Txn: 1}) // not durable: lost at the crash
 	l.Crash()
 	n := 0
 	if err := l.Iterate(1, func(lsn LSN, _ Record) error {
@@ -75,10 +75,10 @@ func TestCheckpointDue(t *testing.T) {
 		if l.CheckpointDue() {
 			t.Fatalf("due at %d bytes", l.BytesAppended())
 		}
-		l.Append(TxnBegin{Txn: 1})
+		l.Append(TxnCommit{Txn: 1})
 	}
 	for !l.CheckpointDue() {
-		l.Append(TxnBegin{Txn: 1})
+		l.Append(TxnCommit{Txn: 1})
 	}
 	redo := l.Tail()
 	l.CheckpointTaken(redo)
@@ -86,7 +86,7 @@ func TestCheckpointDue(t *testing.T) {
 		t.Fatalf("due right after a checkpoint (%d bytes since)", l.BytesSinceCheckpoint())
 	}
 	l.SetCheckpointInterval(1)
-	l.Append(TxnBegin{Txn: 2})
+	l.Append(TxnCommit{Txn: 2})
 	if !l.CheckpointDue() {
 		t.Fatal("a lowered interval did not take effect")
 	}

@@ -34,8 +34,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 //	off  size  field
 //	  0     8  magic "RBTWSEG1"
-//	  8     4  format version (little-endian, currently 3: records are
-//	           varint- and front-coded, see Encode; older versions are refused)
+//	  8     4  format version (little-endian, currently 4: records are
+//	           varint- and front-coded and a transaction has no begin
+//	           record, see Encode; older versions are refused)
 //	 12     4  reserved (zero)
 //	 16     8  firstLSN — LSN of the first record in this segment
 //	 24     8  creation time (unix nanoseconds)
@@ -64,7 +65,7 @@ const (
 	segHeaderSize = 32
 	recFrameSize  = 9
 	segMagic      = "RBTWSEG1"
-	segVersion    = 3
+	segVersion    = 4
 	segSuffix     = ".wal"
 
 	recFull   = 1

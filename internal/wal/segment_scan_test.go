@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,7 +46,7 @@ func buildScanFixture(t *testing.T) scanFixture {
 		add(TxnCommit{Txn: uint64(i + 1)})
 	}
 	fx.tailAt = l.seg.curSize
-	add(TxnBegin{Txn: 7})
+	add(TxnCommit{Txn: 7})
 	add(Update{Txn: 7, Page: 3, Op: OpInsert, Key: []byte("key"), NewVal: bytes.Repeat([]byte{0xAB}, 150)})
 	add(TxnCommit{Txn: 7})
 	fx.dataEnd = l.seg.curSize
@@ -268,27 +269,31 @@ func TestSegmentNonFinalDamageRefuses(t *testing.T) {
 	}
 }
 
-// TestSegmentOldVersionRefuses opens a directory whose segment says
-// format version 2 (fixed-width record fields): the header check
-// refuses it rather than misread a record.
+// TestSegmentOldVersionRefuses opens directories whose segment says
+// format version 2 (fixed-width record fields) or 3 (a begin record per
+// transaction, whose type byte format 4 reads as retired): the header
+// check refuses them rather than misread a record.
 func TestSegmentOldVersionRefuses(t *testing.T) {
-	dir := t.TempDir()
-	l := openSeg(t, dir, SegmentOptions{})
-	l.Append(Checkpoint{NextTxnID: 3, RedoLSN: 1})
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	path := filepath.Join(dir, segFiles(t, dir)[0])
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(raw[8:], 2)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenSegmentedLog(dir, SegmentOptions{})
-	if err == nil || !strings.Contains(err.Error(), "segment version 2 unsupported") {
-		t.Fatalf("open over a version-2 segment = %v, want the version error", err)
+	for _, version := range []uint32{2, 3} {
+		dir := t.TempDir()
+		l := openSeg(t, dir, SegmentOptions{})
+		l.Append(Checkpoint{NextTxnID: 3, RedoLSN: 1})
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		path := filepath.Join(dir, segFiles(t, dir)[0])
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(raw[8:], version)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenSegmentedLog(dir, SegmentOptions{})
+		want := fmt.Sprintf("segment version %d unsupported", version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("open over a version-%d segment = %v, want the version error", version, err)
+		}
 	}
 }

@@ -195,7 +195,7 @@ func TestSegmentCrashRecoveryAcrossRotation(t *testing.T) {
 			t.Fatalf("Flush: %v", err)
 		}
 	}
-	lost := l.Append(TxnBegin{Txn: 1000}) // never flushed
+	lost := l.Append(TxnCommit{Txn: 1000}) // never flushed
 	l.Crash()
 	got := collect(t, l)
 	if len(got) != len(durable) {
@@ -224,7 +224,7 @@ func TestSegmentCrashWithCorruptionSurfacesError(t *testing.T) {
 	dir := t.TempDir()
 	l := openSeg(t, dir, SegmentOptions{})
 	defer l.Close()
-	l.Append(TxnBegin{Txn: 1})
+	l.Append(TxnCommit{Txn: 1})
 	for i := 0; i < 10; i++ {
 		l.Append(TxnCommit{Txn: uint64(i + 2)})
 	}

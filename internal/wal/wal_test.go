@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -15,7 +16,6 @@ import (
 
 func allRecordSamples() []Record {
 	return []Record{
-		TxnBegin{Txn: 9},
 		TxnCommit{Txn: 9, PrevLSN: 4},
 		TxnAbort{Txn: 9, PrevLSN: 4},
 		TxnEnd{Txn: 9, PrevLSN: 12},
@@ -23,6 +23,10 @@ func allRecordSamples() []Record {
 			Key: []byte("k"), OldVal: []byte{}, NewVal: []byte("v")},
 		Update{Txn: 0, PrevLSN: 0, Page: 5, Op: OpSetNext,
 			Key: []byte{}, OldVal: []byte{0, 0, 0, 0}, NewVal: []byte{9, 0, 0, 0}},
+		Update{Txn: 3, Page: 12, Op: OpReplace, Key: []byte("k"), OldVal: []byte{},
+			NewVal: []byte("v2"), Committed: true},
+		Update{Txn: 4, Page: 12, Op: OpDelete, Key: []byte("k"), OldVal: []byte{},
+			NewVal: []byte{}, Committed: true},
 		CLR{Txn: 3, UndoNext: 2, Page: 12, Op: OpDelete, Key: []byte("k"), NewVal: []byte{}},
 		ReorgBegin{Unit: 1, RType: RCompact, BasePages: []storage.PageID{4},
 			LeafPages: []storage.PageID{7, 8, 9}, Dest: 7, NewPlace: false,
@@ -128,6 +132,14 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(b[:len(b)-3]); err == nil {
 		t.Error("truncated record should fail")
 	}
+	// Log format 3's begin record (type byte, txn id) is refused with a
+	// typed error, whatever follows the type byte.
+	for _, b := range [][]byte{{byte(tRetiredBegin), 9}, {byte(tRetiredBegin)}} {
+		var retired *RetiredTypeError
+		if r, err := Decode(b); !errors.As(err, &retired) || retired.Type != tRetiredBegin {
+			t.Errorf("Decode(%x) = %#v, %v; want a RetiredTypeError", b, r, err)
+		}
+	}
 	// Every checkpoint field is mandatory: there is no shorter, older
 	// encoding that still decodes.
 	b = Encode(Checkpoint{NextTxnID: 12, RedoLSN: 5})
@@ -141,10 +153,10 @@ func TestDecodeErrors(t *testing.T) {
 		b    []byte
 		want string
 	}{
-		{"trailing byte", append(Encode(TxnBegin{Txn: 9}), 0xFF), "1 bytes after the end"},
-		{"trailing record", append(Encode(TxnBegin{Txn: 9}), Encode(TxnBegin{Txn: 9})...), "2 bytes after the end"},
-		{"varint past 64 bits", []byte{byte(TTxnBegin), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02}, "too large"},
-		{"unterminated varint", []byte{byte(TTxnBegin), 0x80, 0x80}, "truncated"},
+		{"trailing byte", append(Encode(TxnCommit{Txn: 9}), 0xFF), "1 bytes after the end"},
+		{"trailing record", append(Encode(TxnCommit{Txn: 9}), Encode(TxnCommit{Txn: 9})...), "3 bytes after the end"},
+		{"varint past 64 bits", []byte{byte(TTxnCommit), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02}, "too large"},
+		{"unterminated varint", []byte{byte(TTxnCommit), 0x80, 0x80}, "truncated"},
 		{"page id past 32 bits", enc(nil).u8(uint8(TDealloc)).uv(math.MaxUint32 + 1), "too large"},
 		{"page type past 16 bits", enc(nil).u8(uint8(TAlloc)).page(1).uv(math.MaxUint16 + 1).uv(0), "too large"},
 		{"bool byte 2", enc(nil).u8(uint8(TReorgMove)).uv(1).uv(2).page(3).page(4).u8(2).uv(0), "bool byte"},
@@ -214,12 +226,12 @@ func TestAppendReadIterate(t *testing.T) {
 
 func TestIterateFromMiddle(t *testing.T) {
 	l := NewLog()
-	l.Append(TxnBegin{Txn: 1})
-	mid := l.Append(TxnBegin{Txn: 2})
-	l.Append(TxnBegin{Txn: 3})
+	l.Append(TxnCommit{Txn: 1})
+	mid := l.Append(TxnCommit{Txn: 2})
+	l.Append(TxnCommit{Txn: 3})
 	var ids []uint64
 	_ = l.Iterate(mid, func(_ LSN, r Record) error {
-		ids = append(ids, r.(TxnBegin).Txn)
+		ids = append(ids, r.(TxnCommit).Txn)
 		return nil
 	})
 	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
@@ -229,15 +241,15 @@ func TestIterateFromMiddle(t *testing.T) {
 
 func TestCrashDiscardsUnflushed(t *testing.T) {
 	l := NewLog()
-	a := l.Append(TxnBegin{Txn: 1})
+	a := l.Append(TxnCommit{Txn: 1})
 	if err := l.FlushTo(a); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(TxnBegin{Txn: 2})
+	l.Append(TxnCommit{Txn: 2})
 	l.Crash()
 	var ids []uint64
 	_ = l.Iterate(1, func(_ LSN, r Record) error {
-		ids = append(ids, r.(TxnBegin).Txn)
+		ids = append(ids, r.(TxnCommit).Txn)
 		return nil
 	})
 	if len(ids) != 1 || ids[0] != 1 {
@@ -263,7 +275,7 @@ func TestFlushToCoversWholeRecord(t *testing.T) {
 
 func TestFlushToIdempotentAndCounts(t *testing.T) {
 	l := NewLog()
-	lsn := l.Append(TxnBegin{Txn: 1})
+	lsn := l.Append(TxnCommit{Txn: 1})
 	if err := l.FlushTo(lsn); err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +299,11 @@ func TestLastCheckpoint(t *testing.T) {
 	if _, _, ok := l.LastCheckpoint(); ok {
 		t.Error("empty log reported a checkpoint")
 	}
-	l.Append(TxnBegin{Txn: 1})
+	l.Append(TxnCommit{Txn: 1})
 	l.Append(Checkpoint{NextTxnID: 5})
 	want := Checkpoint{NextTxnID: 9}
 	at := l.Append(want)
-	l.Append(TxnBegin{Txn: 2})
+	l.Append(TxnCommit{Txn: 2})
 	lsn, cp, ok := l.LastCheckpoint()
 	if !ok || lsn != at || cp.NextTxnID != 9 {
 		t.Errorf("LastCheckpoint = %d %v %v", lsn, cp, ok)
@@ -402,8 +414,9 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 	for _, r := range allRecordSamples() {
 		types[Type(Encode(r)[0])] = reflect.TypeOf(r)
 	}
-	if len(types) != int(TBaselineEnd) {
-		t.Fatalf("allRecordSamples covers %d record types, want %d", len(types), TBaselineEnd)
+	// Every type byte up to the last is written, except the retired begin.
+	if len(types) != int(TUpdateCommitted)-1 {
+		t.Fatalf("allRecordSamples covers %d record types, want %d", len(types), TUpdateCommitted-1)
 	}
 	roundTrip := func(in Record) bool {
 		out, err := Decode(Encode(in))
@@ -419,10 +432,20 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		g := recordGen{rand.New(rand.NewSource(seed))}
-		for typ := TTxnBegin; typ <= TBaselineEnd; typ++ {
-			v := reflect.New(types[typ]).Elem()
+		for typ, rt := range types {
+			v := reflect.New(rt).Elem()
 			g.fill(v)
-			if !roundTrip(v.Interface().(Record)) {
+			rec := v.Interface().(Record)
+			if u, ok := rec.(Update); ok {
+				// Update is two shapes: a committed one logs neither
+				// PrevLSN nor OldVal.
+				u.Committed = typ == TUpdateCommitted
+				if u.Committed {
+					u.PrevLSN, u.OldVal = 0, nil
+				}
+				rec = u
+			}
+			if !roundTrip(rec) {
 				return false
 			}
 		}
@@ -440,6 +463,7 @@ func FuzzDecode(f *testing.F) {
 	for _, r := range allRecordSamples() {
 		f.Add(Encode(r))
 	}
+	f.Add([]byte{byte(tRetiredBegin), 9}) // log format 3's begin record
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := Decode(b)
 		if err != nil {
@@ -476,6 +500,15 @@ func TestEncodedSizes(t *testing.T) {
 	}{
 		{"replace update", Update{Txn: 1 << 20, PrevLSN: 1 << 27, Page: 5000, Op: OpReplace,
 			Key: key, OldVal: val, NewVal: val}, 122},
+		// An auto-commit write is one committed record: no PrevLSN, no
+		// before-image, and no begin or commit record around it (those
+		// two were 12 and 14 more bytes with their length prefixes).
+		{"committed replace", Update{Txn: 1 << 20, Page: 5000, Op: OpReplace,
+			Key: key, NewVal: val, Committed: true}, 69},
+		{"committed insert", Update{Txn: 1 << 20, Page: 5000, Op: OpInsert,
+			Key: key, NewVal: val, Committed: true}, 69},
+		{"committed delete", Update{Txn: 1 << 20, Page: 5000, Op: OpDelete,
+			Key: key, Committed: true}, 21},
 		{"keys-only move of ten keys", ReorgMove{Unit: 1000, PrevLSN: 1 << 27, Org: 5000, Dest: 5001,
 			Records: keys}, 54},
 		{"28-cell leaf split", Split{Left: 5000, Right: 5001, Sep: workload.Key(4 * 4000),
