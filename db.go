@@ -67,7 +67,9 @@ func IsRetryable(err error) bool {
 type Options struct {
 	// PageSize in bytes (default 4096, minimum 128).
 	PageSize int
-	// BufferPoolPages caps resident frames (0 = unbounded).
+	// BufferPoolPages caps resident frames (0 = unbounded) of a newly
+	// created database. A reopened or restarted one runs with an
+	// unbounded pool for now (recoveryPoolPages).
 	BufferPoolPages int
 	// Dir, when non-empty, selects the file backend: pages live in
 	// Dir/pages.db (checksummed page frames, real fsync) and the WAL in
@@ -149,9 +151,14 @@ func DefaultReorgConfig() ReorgConfig { return core.DefaultConfig() }
 // TreeStats re-exports physical tree statistics.
 type TreeStats = btree.Stats
 
+// recoveryPoolPages is the pool capacity of an incarnation that starts
+// with recovery: unbounded, whatever Options.BufferPoolPages says.
+const recoveryPoolPages = 0
+
 // DB is one database instance over a simulated disk.
 type DB struct {
 	mu    sync.Mutex
+	opts  Options
 	disk  storage.Disk
 	pager *storage.Pager
 	log   *wal.Log
@@ -180,11 +187,7 @@ type DB struct {
 	ckptFailed  atomic.Int64
 
 	// Autonomous reorganization daemon (nil when Options.Daemon unset).
-	// daemonOpts/daemonClk are kept so Restart can rebuild the daemon
-	// against the recovered subsystems.
-	daemon     *daemon.Daemon
-	daemonOpts *daemon.Config
-	daemonClk  daemon.Clock
+	daemon *daemon.Daemon
 
 	// obs is the observability set (nil when disabled); the h* fields
 	// are its pre-resolved histogram handles, so the per-operation cost
@@ -202,8 +205,8 @@ type DB struct {
 }
 
 // wireObs resolves the histogram handles and installs the observer
-// hooks on the current lock manager, log, pager and tree. Called at
-// Open and again after Restart (recovery rebuilds those subsystems).
+// hooks on the current lock manager, log, pager and tree. Called once
+// per incarnation, after its tree exists: at Open and after recovery.
 func (db *DB) wireObs() {
 	if db.obs == nil {
 		return
@@ -223,8 +226,8 @@ func (db *DB) wireObs() {
 }
 
 // emitRecovery traces what a restart did (phase events carry the
-// Result's counts; emitted post-hoc because recovery rebuilds the very
-// subsystems the observer hangs off).
+// Result's counts; emitted post-hoc because the observer is wired only
+// once recovery has returned the tree).
 func (db *DB) emitRecovery(res *recovery.Result) {
 	if db.obs == nil {
 		return
@@ -245,7 +248,7 @@ func Open(opts Options) (*DB, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = storage.DefaultPageSize
 	}
-	db := &DB{inj: opts.FaultInjector}
+	db := &DB{opts: opts, inj: opts.FaultInjector}
 	if !opts.DisableObservability {
 		cap := opts.TraceCapacity
 		if cap <= 0 {
@@ -280,26 +283,15 @@ func Open(opts Options) (*DB, error) {
 	db.log.SetInjector(db.inj)
 	db.disk.SetInjector(db.inj)
 	if existing {
-		res, err := recovery.Restart(db.disk, db.log)
-		if err != nil {
+		if _, err := db.recover(); err != nil {
 			_ = db.log.Close()
 			_ = db.disk.Close()
 			return nil, err
 		}
-		db.pager = res.Pager
-		db.pager.SetInjector(db.inj)
-		db.locks = res.Locks
-		db.txns = res.Txns
-		db.tree = res.Tree
-		db.wireObs()
-		db.emitRecovery(res)
-		db.initDaemon(opts)
 		return db, db.startDebug(opts.DebugAddr)
 	}
-	db.pager = storage.NewPager(db.disk, opts.BufferPoolPages, db.log)
+	db.assemble(opts.BufferPoolPages)
 	db.pager.SetInjector(db.inj)
-	db.locks = lock.NewManager()
-	db.txns = txn.NewManager(db.log, db.locks, db.pager)
 	tree, err := btree.Create(db.pager, db.log, db.locks, db.txns)
 	if err != nil {
 		_ = db.pager.Close()
@@ -308,20 +300,50 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.tree = tree
 	db.wireObs()
-	db.initDaemon(opts)
+	db.initDaemon()
 	return db, db.startDebug(opts.DebugAddr)
 }
 
+// assemble builds one incarnation's pager, lock manager and txn
+// manager over db.disk and db.log; the caller installs the pager's
+// fault injector.
+func (db *DB) assemble(poolPages int) {
+	db.pager = storage.NewPager(db.disk, poolPages, db.log)
+	db.locks = lock.NewManager()
+	db.txns = txn.NewManager(db.log, db.locks, db.pager)
+}
+
+// recover brings up a new incarnation from the stable disk and the
+// durable log: Open on an existing directory and Restart both run it.
+func (db *DB) recover() (*recovery.Result, error) {
+	db.assemble(recoveryPoolPages)
+	tree, res, err := recovery.Restart(db.pager, db.log, db.locks, db.txns)
+	if err != nil {
+		return nil, err
+	}
+	db.tree = tree
+	// Only now, so recovery's own flushes move no pager hit count.
+	db.pager.SetInjector(db.inj)
+	db.wireObs()
+	db.emitRecovery(res)
+	// Any reorganization in flight at the crash died with it (forward
+	// recovery already settled its unit), so the busy slot is free
+	// again; the daemon restarts with fresh sensor state.
+	db.mu.Lock()
+	db.reorgBusy = false
+	db.reorg = nil
+	db.mu.Unlock()
+	db.initDaemon()
+	return res, nil
+}
+
 // initDaemon wires (and, unless manual, starts) the autonomous
-// reorganization daemon. The options are kept so Restart can rebuild
-// it over the recovered subsystems.
-func (db *DB) initDaemon(opts Options) {
-	if opts.Daemon == nil {
+// reorganization daemon of the current incarnation.
+func (db *DB) initDaemon() {
+	if db.opts.Daemon == nil {
 		return
 	}
-	db.daemonOpts = opts.Daemon
-	db.daemonClk = opts.DaemonClock
-	db.daemon = daemon.New(db, *opts.Daemon, opts.DaemonClock, db.inj)
+	db.daemon = daemon.New(db, *db.opts.Daemon, db.opts.DaemonClock, db.inj)
 	db.daemon.Start()
 }
 
@@ -662,7 +684,7 @@ func (db *DB) Reorganize(cfg ReorgConfig) (*metrics.Counters, error) {
 // include the in-flight unit's reorg table.
 func (db *DB) RunIncrement(inc daemon.Increment) (daemon.RunResult, error) {
 	var target float64
-	if db.daemonOpts != nil {
+	if db.opts.Daemon != nil {
 		target = db.daemon.Config().TargetFill
 	}
 	cfg := core.Config{TargetFill: target, CarefulWriting: true,
@@ -791,7 +813,7 @@ func (db *DB) checkpoint(auto bool) error {
 
 // takeCheckpoint is one checkpoint; the caller holds ckptMu.
 func (db *DB) takeCheckpoint() error {
-	cp := wal.Checkpoint{RedoLSN: db.log.Tail()}
+	cp := wal.Checkpoint{RedoLSN: db.tree.RedoPoint()}
 	var txnHorizon uint64
 	cp.ActiveTxns, txnHorizon = db.txns.ActiveSnapshot()
 	cp.NextTxnID = db.txns.NextID()
@@ -855,8 +877,8 @@ func (db *DB) Close() error {
 // synced may survive too, as after a real power cut: see wal.Log.Crash.)
 // Call Restart to recover.
 func (db *DB) Crash() {
-	// The daemon does not survive a crash; recovery rebuilds it with
-	// fresh sensor state (Restart).
+	// The daemon does not survive a crash; Restart builds a new one with
+	// fresh sensor state.
 	if db.daemon != nil {
 		db.daemon.Stop()
 		db.daemon = nil
@@ -870,36 +892,9 @@ type RestartInfo = recovery.Result
 
 // Restart recovers the database after Crash: redo, loser rollback,
 // forward recovery of an in-flight reorganization unit, and pass-3
-// reconciliation. The DB's internals are replaced by the recovered
-// instances.
-func (db *DB) Restart() (*RestartInfo, error) {
-	res, err := recovery.Restart(db.disk, db.log)
-	if err != nil {
-		return nil, err
-	}
-	db.pager = res.Pager
-	// The disk and log carry the injector across the restart; the
-	// rebuilt pager needs it re-installed.
-	db.pager.SetInjector(db.inj)
-	db.locks = res.Locks
-	db.txns = res.Txns
-	db.tree = res.Tree
-	// Recovery rebuilt every observed subsystem: re-install the hooks.
-	db.wireObs()
-	// Any reorganization in flight at the crash died with it (forward
-	// recovery already settled its unit), so the busy slot is free
-	// again; the daemon restarts with fresh sensor state.
-	db.mu.Lock()
-	db.reorgBusy = false
-	db.reorg = nil
-	db.mu.Unlock()
-	if db.daemonOpts != nil {
-		db.daemon = daemon.New(db, *db.daemonOpts, db.daemonClk, db.inj)
-		db.daemon.Start()
-	}
-	db.emitRecovery(res)
-	return res, nil
-}
+// reconciliation, in a new pager, lock manager and transaction manager
+// built the way Open builds them for an existing directory.
+func (db *DB) Restart() (*RestartInfo, error) { return db.recover() }
 
 // --- observability ---
 

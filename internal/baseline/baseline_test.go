@@ -24,18 +24,22 @@ type env struct {
 
 func newEnv(t testing.TB, pageSize int) *env {
 	t.Helper()
-	e := &env{}
-	e.log = wal.NewLog()
-	e.disk = storage.NewDisk(pageSize)
-	e.pager = storage.NewPager(e.disk, 0, e.log)
-	e.locks = lock.NewManager()
-	e.txns = txn.NewManager(e.log, e.locks, e.pager)
+	e := &env{log: wal.NewLog(), disk: storage.NewDisk(pageSize)}
+	e.assemble()
 	tree, err := btree.Create(e.pager, e.log, e.locks, e.txns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.tree = tree
 	return e
+}
+
+// assemble builds a fresh pager, lock manager and transaction manager
+// over the env's disk and log.
+func (e *env) assemble() {
+	e.pager = storage.NewPager(e.disk, 0, e.log)
+	e.locks = lock.NewManager()
+	e.txns = txn.NewManager(e.log, e.locks, e.pager)
 }
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
@@ -150,7 +154,8 @@ func TestBaselineCrashRollsBack(t *testing.T) {
 		t.Fatalf("expected crash, got %v", err)
 	}
 	e.log.Crash()
-	res, err := recovery.Restart(e.disk, e.log)
+	e.assemble()
+	tree, res, err := recovery.Restart(e.pager, e.log, e.locks, e.txns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +165,7 @@ func TestBaselineCrashRollsBack(t *testing.T) {
 	if res.UnitCompleted {
 		t.Error("baseline op misidentified as a reorganization unit")
 	}
-	verify(t, res.Tree, present, 1200)
+	verify(t, tree, present, 1200)
 }
 
 // TestBaselineBlocksUsersDuringOp: a reader blocks while a block

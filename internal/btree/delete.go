@@ -7,7 +7,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/lock"
 	"repro/internal/obs"
-	"repro/internal/pageops"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -264,8 +263,7 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 	for _, n := range path {
 		t.pager.Unfix(n.f)
 	}
-	lsn := t.log.Append(fc)
-	err = pageops.ApplyFreeChain(t.pager, fc, lsn)
+	err = t.logSMO(fc)
 	if hookRelease != nil {
 		hookRelease()
 	}

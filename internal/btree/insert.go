@@ -314,8 +314,7 @@ func (t *Tree) splitChild(tx *txn.Txn, parent, child *storage.Frame, key []byte)
 	if !isLeaf {
 		s.RightNext, s.NextPage = storage.InvalidPage, storage.InvalidPage
 	}
-	lsn := t.log.Append(s)
-	err = pageops.ApplySplit(t.pager, s, lsn)
+	err = t.logSMO(s)
 	hookRelease()
 	if err != nil {
 		releaseNext()
@@ -375,8 +374,7 @@ func (t *Tree) splitRoot(root *storage.Frame) error {
 	}
 	s := wal.RootSplit{Root: root.ID(), Low: lowF.ID(), High: hiF.ID(),
 		Level: level, Sep: sep, LowCells: low, HiCells: hi}
-	lsn := t.log.Append(s)
-	err = pageops.ApplyRootSplit(t.pager, s, lsn)
+	err = t.logSMO(s)
 	t.pager.Unfix(lowF)
 	t.pager.Unfix(hiF)
 	if err != nil {

@@ -109,6 +109,15 @@ type Tree struct {
 	// (EvLeafSplit, EvLeafFree) — the daemon's cheap activity signal
 	// for deciding when the occupancy picture is stale.
 	ring *obs.Ring
+
+	// smoMu keeps a checkpoint's redo point out of every structure
+	// modification: a split, root split or free-at-empty logs its record
+	// and only then latches and changes its pages, so logSMO holds smoMu
+	// shared from the append through the apply, and RedoPoint reads the
+	// log tail holding it exclusively. smoHook, when set (tests only),
+	// runs inside that window.
+	smoMu   sync.RWMutex
+	smoHook func()
 }
 
 // SetObserver wires the tree's forgo-wait histogram and trace ring
@@ -349,22 +358,39 @@ func recordRes(key []byte) lock.Resource {
 	return lock.RecordRes(h)
 }
 
-// logSMO appends a system (txn 0) update record and applies it to the
-// page under its write latch. Structure modifications are redo-only.
-func (t *Tree) logSMO(u wal.Update) (uint64, error) {
-	u.Txn = 0
-	u.PrevLSN = 0
-	lsn := t.log.Append(u)
-	if err := t.applyAt(u, lsn); err != nil {
-		return 0, err
+// logSMO logs a structure modification's record and applies it,
+// holding smoMu shared across both (see RedoPoint).
+func (t *Tree) logSMO(rec wal.Record) error {
+	t.smoMu.RLock()
+	defer t.smoMu.RUnlock()
+	lsn := t.log.Append(rec)
+	if t.smoHook != nil {
+		t.smoHook()
 	}
-	return lsn, nil
+	switch r := rec.(type) {
+	case wal.Split:
+		return pageops.ApplySplit(t.pager, r, lsn)
+	case wal.RootSplit:
+		return pageops.ApplyRootSplit(t.pager, r, lsn)
+	case wal.FreeChain:
+		return pageops.ApplyFreeChain(t.pager, r, lsn)
+	}
+	return fmt.Errorf("btree: %T is not a structure modification", rec)
 }
 
-// applyAt applies a logged operation at lsn to its page.
-func (t *Tree) applyAt(u wal.Update, lsn uint64) error {
-	return pageops.Apply(t.pager, u, lsn)
+// RedoPoint returns the log tail for a checkpoint's redo point. Every
+// structure modification logged below it has been applied to its pages
+// by the time it returns, so a flush that starts afterwards writes them.
+func (t *Tree) RedoPoint() uint64 {
+	t.smoMu.Lock()
+	defer t.smoMu.Unlock()
+	return t.log.Tail()
 }
+
+// SetSMOHook installs fn to run inside every structure modification,
+// after its record is logged and before it is applied (tests only; call
+// before the tree sees traffic).
+func (t *Tree) SetSMOHook(fn func()) { t.smoHook = fn }
 
 // MaxValueSize bounds record values so a record always fits in a
 // fraction of a page (splits can then always make room).

@@ -45,6 +45,7 @@ var Classes = map[string]string{
 	"storage.Pager.rngMu":   "storage.rng",
 	"btree.Tree.mu":         "btree.tree",
 	"btree.Tree.deferredMu": "btree.deferred",
+	"btree.Tree.smoMu":      "btree.smo",
 	"core.reorgTable.mu":    "core.reorg",
 	"core.pass3State.mu":    "core.pass3",
 	"check.History.mu":      "check.history",
@@ -64,6 +65,9 @@ var Classes = map[string]string{
 //     (Checkpoint holds it across a reorg-table snapshot) and comes next;
 //   - the reorganizer's table and pass-3 state sit above the tree and
 //     pool structures they read;
+//   - btree.smo is held shared across a structure modification's log
+//     append and page changes, and exclusively (by a checkpoint, under
+//     repro.ckpt) only around a read of the log tail;
 //   - storage.flush (the careful-write flush serialiser) is taken
 //     before the shard mutex (Deallocate) and before frame latches,
 //     dep-graph, WAL and disk (flushFrame's cascade);
@@ -82,6 +86,7 @@ var Order = []string{
 	"core.pass3",
 	"sidefile.table",
 	"btree.deferred",
+	"btree.smo",
 	"lock.manager",
 	"storage.flush",
 	"storage.shard",

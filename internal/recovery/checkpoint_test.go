@@ -64,7 +64,7 @@ func TestCheckpointMidUnitRecovers(t *testing.T) {
 	if !res.UnitCompleted {
 		t.Error("unit begun before the checkpoint was not completed forward")
 	}
-	verifyRecords(t, res, present, 1200)
+	verifyRecords(t, e.tree, present, 1200)
 }
 
 // TestResumeFromLK: restart reports LK (the largest key of the last
@@ -94,16 +94,16 @@ func TestResumeFromLK(t *testing.T) {
 	if len(res.ReorgLK) == 0 {
 		t.Fatal("restart did not report LK")
 	}
-	verifyRecords(t, res, present, 1500)
+	verifyRecords(t, e.tree, present, 1500)
 
 	// Resume compaction from LK; the result must be fully compacted.
-	r2 := core.New(res.Tree, core.Config{TargetFill: 0.9,
+	r2 := core.New(e.tree, core.Config{TargetFill: 0.9,
 		CarefulWriting: true, StartKey: res.ReorgLK})
 	if err := r2.CompactLeaves(); err != nil {
 		t.Fatal(err)
 	}
-	verifyRecords(t, res, present, 1500)
-	stats, err := res.Tree.GatherStats()
+	verifyRecords(t, e.tree, present, 1500)
+	stats, err := e.tree.GatherStats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,8 @@ import (
 	"repro/internal/wal"
 )
 
-// Result reports what restart did and hands back the recovered system.
+// Result reports what restart found and did.
 type Result struct {
-	Tree  *btree.Tree
-	Txns  *txn.Manager
-	Locks *lock.Manager
-	Pager *storage.Pager
-
 	RedoneRecords  int
 	LosersUndone   int
 	UnitCompleted  bool   // forward recovery finished an in-flight unit
@@ -57,15 +52,13 @@ type unitState struct {
 	ended    bool
 }
 
-// Restart recovers the database from the stable disk and the durable
-// prefix of the log. The caller must have invoked log.Crash() (or be
-// reusing a freshly read log).
-func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
+// Restart recovers the database from the stable disk behind pager and
+// the durable prefix of log, and returns the opened tree. pager, locks
+// and txns are a new incarnation's, built over that disk and log and
+// not used yet. The caller must have invoked log.Crash() (or be reusing
+// a freshly read log).
+func Restart(pager *storage.Pager, log *wal.Log, locks *lock.Manager, txns *txn.Manager) (*btree.Tree, *Result, error) {
 	res := &Result{}
-	pager := storage.NewPager(disk, 0, log)
-	locks := lock.NewManager()
-	txns := txn.NewManager(log, locks, pager)
-	res.Pager, res.Locks, res.Txns = pager, locks, txns
 
 	// --- analysis: find the redo start point ---
 	cpLSN, cp, haveCP := log.LastCheckpoint()
@@ -172,7 +165,7 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("recovery: redo: %w", err)
+		return nil, nil, fmt.Errorf("recovery: redo: %w", err)
 	}
 	if res.NextTxnID <= maxTxn {
 		res.NextTxnID = maxTxn + 1
@@ -183,7 +176,7 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	// may have recreated pages that exist only in buffered frames, and
 	// a disk scan would hand their ids out again.
 	if err := pager.FlushAll(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pager.RebuildFreeMap()
 
@@ -191,9 +184,8 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	// installs the logical undoer the undo pass needs ---
 	tree, err := btree.Open(pager, log, locks, txns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.Tree = tree
 
 	// --- undo pass: roll back loser transactions (logical undo: their
 	// records are located through the index) ---
@@ -203,7 +195,7 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		}
 		loser := txns.Resurrect(id, st.lastLSN)
 		if err := loser.UndoFrom(st.lastLSN); err != nil {
-			return nil, fmt.Errorf("recovery: undo txn %d: %w", id, err)
+			return nil, nil, fmt.Errorf("recovery: undo txn %d: %w", id, err)
 		}
 		loser.FinishRecovery()
 		res.LosersUndone++
@@ -217,7 +209,7 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 		restoreLSN := log.Append(wal.BaselineEnd{Seq: baseOp.Seq,
 			Pages: baseOp.Pages, Images: baseOp.Images})
 		if err := installImages(pager, baseOp.Pages, baseOp.Images, restoreLSN); err != nil {
-			return nil, fmt.Errorf("recovery: baseline rollback: %w", err)
+			return nil, nil, fmt.Errorf("recovery: baseline rollback: %w", err)
 		}
 		res.BaselineRolledBack = true
 	}
@@ -228,7 +220,7 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	if unit != nil && !unit.ended {
 		reorg := core.New(tree, core.Config{})
 		if err := reorg.CompleteUnit(unit.begin, unit.beginLSN); err != nil {
-			return nil, fmt.Errorf("recovery: forward recovery of unit %d: %w",
+			return nil, nil, fmt.Errorf("recovery: forward recovery of unit %d: %w",
 				unit.begin.Unit, err)
 		}
 		res.UnitCompleted = true
@@ -237,7 +229,7 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	if bit, _ := tree.ReorgState(); bit {
 		completed, err := core.ReclaimPass3(tree, lastSwitch)
 		if err != nil {
-			return nil, fmt.Errorf("recovery: %w", err)
+			return nil, nil, fmt.Errorf("recovery: %w", err)
 		}
 		res.Pass3Completed, res.Pass3Abandoned = completed, !completed
 	}
@@ -245,13 +237,13 @@ func Restart(disk storage.Disk, log *wal.Log) (*Result, error) {
 	// Restart checkpoint: everything recovery produced becomes stable,
 	// and the free map is rebuilt from the final page states.
 	if err := pager.FlushAll(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pager.RebuildFreeMap()
 	if err := log.Flush(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res, nil
+	return tree, res, nil
 }
 
 // txnOf returns the transaction id a record carries (0 for none or for

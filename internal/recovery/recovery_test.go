@@ -25,18 +25,22 @@ type env struct {
 
 func newEnv(t testing.TB, pageSize int) *env {
 	t.Helper()
-	e := &env{}
-	e.log = wal.NewLog()
-	e.disk = storage.NewDisk(pageSize)
-	e.pager = storage.NewPager(e.disk, 0, e.log)
-	e.locks = lock.NewManager()
-	e.txns = txn.NewManager(e.log, e.locks, e.pager)
+	e := &env{log: wal.NewLog(), disk: storage.NewDisk(pageSize)}
+	e.assemble()
 	tree, err := btree.Create(e.pager, e.log, e.locks, e.txns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.tree = tree
 	return e
+}
+
+// assemble builds a fresh pager, lock manager and transaction manager
+// over the env's disk and log.
+func (e *env) assemble() {
+	e.pager = storage.NewPager(e.disk, 0, e.log)
+	e.locks = lock.NewManager()
+	e.txns = txn.NewManager(e.log, e.locks, e.pager)
 }
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
@@ -65,24 +69,27 @@ func (e *env) del(t testing.TB, i int) {
 }
 
 // crash simulates the failure: the durable log prefix survives, every
-// buffered page is lost, and Restart rebuilds the system from disk.
+// buffered page is lost, and Restart recovers from disk into freshly
+// assembled subsystems, which become the env's.
 func (e *env) crash(t testing.TB) *Result {
 	t.Helper()
 	e.log.Crash()
-	res, err := Restart(e.disk, e.log)
+	e.assemble()
+	tree, res, err := Restart(e.pager, e.log, e.locks, e.txns)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
+	e.tree = tree
 	return res
 }
 
 // verifyRecords checks the recovered tree against an expectation.
-func verifyRecords(t testing.TB, res *Result, present func(int) bool, n int) {
+func verifyRecords(t testing.TB, tree *btree.Tree, present func(int) bool, n int) {
 	t.Helper()
-	if err := res.Tree.Check(); err != nil {
+	if err := tree.Check(); err != nil {
 		t.Fatalf("post-recovery check: %v", err)
 	}
-	keys, vals, err := res.Tree.CollectAll()
+	keys, vals, err := tree.CollectAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func TestRecoverCommittedSurvivesUncommittedRollsBack(t *testing.T) {
 	if res.LosersUndone != 1 {
 		t.Errorf("losers undone = %d, want 1", res.LosersUndone)
 	}
-	verifyRecords(t, res, func(i int) bool { return i < 50 }, 120)
+	verifyRecords(t, e.tree, func(i int) bool { return i < 50 }, 120)
 }
 
 func TestRecoverAfterDeletesAndFreeAtEmpty(t *testing.T) {
@@ -148,8 +155,8 @@ func TestRecoverAfterDeletesAndFreeAtEmpty(t *testing.T) {
 	if err := e.log.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res := e.crash(t)
-	verifyRecords(t, res, func(i int) bool { return i%10 == 0 }, 400)
+	e.crash(t)
+	verifyRecords(t, e.tree, func(i int) bool { return i%10 == 0 }, 400)
 }
 
 func TestRecoverWithCheckpoint(t *testing.T) {
@@ -171,14 +178,14 @@ func TestRecoverWithCheckpoint(t *testing.T) {
 	if err := e.log.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res := e.crash(t)
-	verifyRecords(t, res, func(i int) bool { return i < 300 }, 300)
+	e.crash(t)
+	verifyRecords(t, e.tree, func(i int) bool { return i < 300 }, 300)
 	// Fresh transactions must not reuse ids.
-	tx := res.Txns.Begin()
+	tx := e.txns.Begin()
 	if tx.ID() == 0 {
 		t.Error("bad txn id after restart")
 	}
-	_ = res.Tree.Commit(tx)
+	_ = e.tree.Commit(tx)
 }
 
 // errCrash is the sentinel the crash-injection hook returns.
@@ -236,7 +243,7 @@ func TestForwardRecoveryCompletesUnit(t *testing.T) {
 				if !res.UnitCompleted {
 					t.Error("forward recovery did not complete the in-flight unit")
 				}
-				verifyRecords(t, res, present, 1500)
+				verifyRecords(t, e.tree, present, 1500)
 			})
 		}
 	}
@@ -268,7 +275,7 @@ func TestForwardRecoveryPartialLog(t *testing.T) {
 	if !res.UnitCompleted {
 		t.Error("unit not completed")
 	}
-	verifyRecords(t, res, present, 1000)
+	verifyRecords(t, e.tree, present, 1000)
 }
 
 // TestSwapForwardRecovery crashes right after the physical swap and
@@ -302,7 +309,7 @@ func TestSwapForwardRecovery(t *testing.T) {
 	if !res.UnitCompleted {
 		t.Error("swap unit not completed forward")
 	}
-	verifyRecords(t, res, present, 1500)
+	verifyRecords(t, e.tree, present, 1500)
 }
 
 // TestSwapForwardRecoveryShuffledLoad is TestSwapForwardRecovery on a
@@ -347,7 +354,7 @@ func TestSwapForwardRecoveryShuffledLoad(t *testing.T) {
 			if !res.UnitCompleted {
 				t.Error("swap unit not completed forward")
 			}
-			verifyRecords(t, res, present, n)
+			verifyRecords(t, e.tree, present, n)
 		})
 	}
 }
@@ -381,17 +388,17 @@ func TestPass3CrashAbandons(t *testing.T) {
 			if !res.Pass3Abandoned {
 				t.Error("interrupted pass 3 not abandoned")
 			}
-			bit, sf := res.Tree.ReorgState()
+			bit, sf := e.tree.ReorgState()
 			if bit || sf != storage.InvalidPage {
 				t.Errorf("reorg bit/side file not cleared: %v %d", bit, sf)
 			}
-			verifyRecords(t, res, present, 2000)
+			verifyRecords(t, e.tree, present, 2000)
 			// The system must accept new reorganizations and updates.
-			r2 := core.New(res.Tree, core.DefaultConfig())
+			r2 := core.New(e.tree, core.DefaultConfig())
 			if err := r2.Run(); err != nil {
 				t.Fatalf("reorg after recovery: %v", err)
 			}
-			verifyRecords(t, res, present, 2000)
+			verifyRecords(t, e.tree, present, 2000)
 		})
 	}
 }
@@ -418,11 +425,11 @@ func TestPass3CrashAfterSwitchCompletes(t *testing.T) {
 	if !res.Pass3Completed {
 		t.Error("durable switch was not completed at restart")
 	}
-	bit, _ := res.Tree.ReorgState()
+	bit, _ := e.tree.ReorgState()
 	if bit {
 		t.Error("reorg bit still set")
 	}
-	verifyRecords(t, res, present, 2000)
+	verifyRecords(t, e.tree, present, 2000)
 }
 
 // TestRandomCrashPoints is the recovery property test: crash at the
@@ -463,15 +470,15 @@ func TestRandomCrashPoints(t *testing.T) {
 			if !errors.Is(err, errCrash) {
 				t.Fatalf("unexpected reorg error: %v", err)
 			}
-			res := e.crash(t)
-			verifyRecords(t, res, present, 1200)
+			e.crash(t)
+			verifyRecords(t, e.tree, present, 1200)
 
 			// And the reorganization can simply be re-run to completion.
-			r2 := core.New(res.Tree, core.DefaultConfig())
+			r2 := core.New(e.tree, core.DefaultConfig())
 			if err := r2.Run(); err != nil {
 				t.Fatalf("re-run after recovery: %v", err)
 			}
-			verifyRecords(t, res, present, 1200)
+			verifyRecords(t, e.tree, present, 1200)
 		})
 	}
 }
@@ -497,14 +504,10 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if err := r.CompactLeaves(); !errors.Is(err, errCrash) {
 		t.Fatalf("expected crash, got %v", err)
 	}
-	res1 := e.crash(t)
-	verifyRecords(t, res1, present, 800)
+	e.crash(t)
+	verifyRecords(t, e.tree, present, 800)
 	// Crash again immediately (nothing flushed since restart except
 	// what recovery itself forced) and restart again.
-	e.log.Crash()
-	res2, err := Restart(e.disk, e.log)
-	if err != nil {
-		t.Fatalf("second restart: %v", err)
-	}
-	verifyRecords(t, res2, present, 800)
+	e.crash(t)
+	verifyRecords(t, e.tree, present, 800)
 }
