@@ -93,13 +93,11 @@ type Options struct {
 	// atomic add per operation; this switch exists so the overhead can
 	// be measured honestly (bench/ reports it as obs.overhead_frac).
 	DisableObservability bool
-	// TraceCapacity sets the event ring size in events (rounded up to a
-	// power of two; 0 = obs.DefaultTraceCap).
-	TraceCapacity int
 	// DebugAddr, when non-empty, serves the observability HTTP endpoint
 	// on this address (":0" picks an ephemeral port — see
 	// DB.DebugAddr): /metrics (JSON snapshot), /trace (event ring
-	// dump), /debug/vars (expvar) and /debug/pprof.
+	// dump), /debug/vars (expvar) and /debug/pprof. It requires
+	// observability: Open refuses it with DisableObservability.
 	DebugAddr string
 	// Daemon, when non-nil, wires the autonomous reorganization daemon
 	// (internal/daemon) over this database: a background policy that
@@ -248,13 +246,12 @@ func Open(opts Options) (*DB, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = storage.DefaultPageSize
 	}
+	if opts.DebugAddr != "" && opts.DisableObservability {
+		return nil, fmt.Errorf("repro: DebugAddr requires observability (DisableObservability must be false)")
+	}
 	db := &DB{opts: opts, inj: opts.FaultInjector}
 	if !opts.DisableObservability {
-		cap := opts.TraceCapacity
-		if cap <= 0 {
-			cap = obs.DefaultTraceCap
-		}
-		db.obs = obs.NewSet(cap)
+		db.obs = obs.NewSet(obs.DefaultTraceCap)
 	}
 	existing := false
 	if opts.Dir == "" {
@@ -288,20 +285,28 @@ func Open(opts Options) (*DB, error) {
 			_ = db.disk.Close()
 			return nil, err
 		}
-		return db, db.startDebug(opts.DebugAddr)
+	} else {
+		db.assemble(opts.BufferPoolPages)
+		db.pager.SetInjector(db.inj)
+		tree, err := btree.Create(db.pager, db.log, db.locks, db.txns)
+		if err != nil {
+			_ = db.pager.Close()
+			_ = db.log.Close()
+			return nil, err
+		}
+		db.tree = tree
+		db.wireObs()
+		db.initDaemon()
 	}
-	db.assemble(opts.BufferPoolPages)
-	db.pager.SetInjector(db.inj)
-	tree, err := btree.Create(db.pager, db.log, db.locks, db.txns)
-	if err != nil {
-		_ = db.pager.Close()
-		_ = db.log.Close()
-		return nil, err
+	if opts.DebugAddr != "" {
+		srv, err := obs.StartDebug(opts.DebugAddr, db.MetricsSnapshot, db.TraceSnapshot)
+		if err != nil {
+			_ = db.Close()
+			return nil, err
+		}
+		db.debug = srv
 	}
-	db.tree = tree
-	db.wireObs()
-	db.initDaemon()
-	return db, db.startDebug(opts.DebugAddr)
+	return db, nil
 }
 
 // assemble builds one incarnation's pager, lock manager and txn
@@ -345,23 +350,6 @@ func (db *DB) initDaemon() {
 	}
 	db.daemon = daemon.New(db, *db.opts.Daemon, db.opts.DaemonClock, db.inj)
 	db.daemon.Start()
-}
-
-// startDebug launches the observability HTTP endpoint when configured.
-func (db *DB) startDebug(addr string) error {
-	if addr == "" {
-		return nil
-	}
-	if db.obs == nil {
-		return fmt.Errorf("repro: DebugAddr requires observability (DisableObservability must be false)")
-	}
-	srv, err := obs.StartDebug(addr, db.MetricsSnapshot, db.TraceSnapshot)
-	if err != nil {
-		_ = db.Close()
-		return err
-	}
-	db.debug = srv
-	return nil
 }
 
 // Txn is one transaction over the database.
@@ -968,7 +956,7 @@ func (db *DB) PageSize() int { return db.pager.PageSize() }
 func (db *DB) Obs() *obs.Set { return db.obs }
 
 // TraceSnapshot returns the events currently held in the trace ring,
-// oldest first (at most Options.TraceCapacity; older events have been
+// oldest first (at most obs.DefaultTraceCap; older events have been
 // overwritten). Nil when observability is disabled.
 func (db *DB) TraceSnapshot() []obs.Event {
 	if db.obs == nil {

@@ -1,8 +1,12 @@
 // Package baseline implements the Tandem-style reorganizer of [Smi90]
 // that the paper compares against (§8): every block operation (merge,
-// swap, move) is one transaction that locks the entire file — here the
-// whole-tree lock in X mode — works on (at most) two data blocks, logs
-// full before/after page images, and is rolled back if interrupted.
+// swap) locks the entire file — here the whole-tree lock in X mode —
+// works on (at most) two data blocks and logs full before/after page
+// images. It is one physically logged, redo-only structure
+// modification: the after-images are built on page copies and applied
+// through the tree's log-then-apply path (btree.Tree.LogSMO), so an
+// operation whose after-image record is not durable at a crash is
+// lost, which is [Smi90]'s rollback, with no undo code anywhere.
 // The contrasts the paper claims are all measurable against it:
 // whole-file blocking vs page-level RX locks, two-block granularity vs
 // d-page units, rollback vs forward recovery, and full-image logging vs
@@ -11,6 +15,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
@@ -96,7 +101,8 @@ func (r *Reorganizer) capacity() int {
 }
 
 // mergePass repeatedly finds the first adjacent same-parent leaf pair
-// whose records fit one page and merges it, one transaction per merge.
+// whose records fit one page and merges it, one block operation per
+// merge.
 func (r *Reorganizer) mergePass() error {
 	for ops := 0; ops < 1<<20; ops++ {
 		merged, err := r.mergeOne()
@@ -123,57 +129,23 @@ func (r *Reorganizer) mergeOne() (bool, error) {
 	if err != nil || base == storage.InvalidPage {
 		return false, err
 	}
-	pg := r.tree.Pager()
-	baseF, err := pg.Fix(base)
+	basePage, err := r.read(base)
 	if err != nil {
 		return false, err
 	}
-	defer pg.Unfix(baseF)
-	baseF.RLock()
-	if slot+1 >= baseF.Data().NumSlots() {
-		baseF.RUnlock()
-		return false, nil
-	}
-	_, left := kv.DecodeIndexCell(baseF.Data().Cell(slot))
-	rKey, right := kv.DecodeIndexCell(baseF.Data().Cell(slot + 1))
-	rightEntryKey := append([]byte(nil), rKey...)
-	baseF.RUnlock()
-
-	lf, err := pg.Fix(left)
+	_, left := kv.DecodeIndexCell(basePage.Cell(slot))
+	rightKey, right := kv.DecodeIndexCell(basePage.Cell(slot + 1))
+	rightPage, err := r.read(right)
 	if err != nil {
 		return false, err
 	}
-	defer pg.Unfix(lf)
-	rf, err := pg.Fix(right)
-	if err != nil {
-		return false, err
-	}
-	rfPinned := true
-	unfixRF := func() {
-		if rfPinned {
-			pg.Unfix(rf)
-			rfPinned = false
-		}
-	}
-	defer unfixRF()
-	rf.RLock()
-	succ := rf.Data().Next()
-	rf.RUnlock()
-
+	succ := rightPage.Next()
 	pages := []storage.PageID{left, right, base}
-	frames := []*storage.Frame{lf, rf, baseF}
-	var succF *storage.Frame
 	if succ != storage.InvalidPage {
-		succF, err = pg.Fix(succ)
-		if err != nil {
-			return false, err
-		}
-		defer pg.Unfix(succF)
 		pages = append(pages, succ)
-		frames = append(frames, succF)
 	}
 
-	seq, lsn, err := r.beginOp(pages, frames)
+	op, err := r.beginOp(pages)
 	if err != nil {
 		return false, err
 	}
@@ -181,57 +153,36 @@ func (r *Reorganizer) mergeOne() (bool, error) {
 		return false, err
 	}
 
-	// Mutate: move R's records into L, unlink R from the chain, drop
-	// R's base entry.
-	lf.Lock()
-	rf.Lock()
-	for i := 0; i < rf.Data().NumSlots(); i++ {
-		k, v := kv.DecodeLeafCell(rf.Data().Cell(i))
-		if err := kv.LeafInsert(lf.Data(), k, v); err != nil {
-			rf.Unlock()
-			lf.Unlock()
+	// Move R's records into L, unlink R from the chain, drop R's base
+	// entry.
+	lp, rp := op.page(left), op.page(right)
+	for i := 0; i < rp.NumSlots(); i++ {
+		k, v := kv.DecodeLeafCell(rp.Cell(i))
+		if err := kv.LeafInsert(lp, k, v); err != nil {
 			return false, fmt.Errorf("baseline: merge insert: %w", err)
 		}
 	}
-	r.m.Add(metrics.RecordsMoved, int64(rf.Data().NumSlots()))
-	rf.Data().TruncateCells(0)
-	lf.Data().SetNext(succ)
-	lf.Data().SetLSN(lsn)
-	rf.Data().SetLSN(lsn)
-	rf.Unlock()
-	lf.Unlock()
-	pg.MarkDirty(lf, lsn)
-	pg.MarkDirty(rf, lsn)
-	if succF != nil {
-		succF.Lock()
-		succF.Data().SetPrev(left)
-		succF.Data().SetLSN(lsn)
-		succF.Unlock()
-		pg.MarkDirty(succF, lsn)
+	r.m.Add(metrics.RecordsMoved, int64(rp.NumSlots()))
+	rp.TruncateCells(0)
+	lp.SetNext(succ)
+	if succ != storage.InvalidPage {
+		op.page(succ).SetPrev(left)
 	}
-	baseF.Lock()
-	if s, found := kv.Search(baseF.Data(), rightEntryKey); found {
-		_ = baseF.Data().DeleteCell(s)
+	bp := op.page(base)
+	if s, found := kv.Search(bp, rightKey); found {
+		_ = bp.DeleteCell(s)
 	}
-	baseF.Data().SetLSN(lsn)
-	baseF.Unlock()
-	pg.MarkDirty(baseF, lsn)
 	if err := r.event("op.mutated"); err != nil {
 		return false, err
 	}
 
-	if err := r.endOp(seq, pages, frames); err != nil {
-		return false, err
-	}
-	// Deallocate the emptied right page after the op is durable.
-	unfixRF()
-	dlsn := r.tree.Log().Append(wal.Dealloc{Page: right})
-	if err := pg.Deallocate(right, dlsn); err != nil {
+	// R's emptied after-image stays in the record, as [Smi90] logs both
+	// blocks (E6 counts it); the record frees R instead of installing it.
+	if err := r.commitOp(op, right); err != nil {
 		return false, err
 	}
 	r.m.Add(metrics.PagesFreed, 1)
 	r.m.Add(metrics.BaselineOps, 1)
-	r.m.Add(metrics.BaselineTxns, 1)
 	if err := r.event("op.end"); err != nil {
 		return false, err
 	}
@@ -298,32 +249,62 @@ func (r *Reorganizer) findMergeablePair() (storage.PageID, int, error) {
 	return found, foundSlot, nil
 }
 
-// beginOp logs the before-images (full pages — block-level logging).
-func (r *Reorganizer) beginOp(pages []storage.PageID, frames []*storage.Frame) (uint64, uint64, error) {
-	r.seq++
-	images := make([][]byte, len(frames))
-	for i, f := range frames {
-		f.RLock()
-		images[i] = append([]byte(nil), f.Data()...)
-		f.RUnlock()
-	}
-	lsn := r.tree.Log().Append(wal.BaselineBegin{Seq: r.seq, Pages: pages, Images: images})
-	if err := r.tree.Log().FlushTo(lsn); err != nil {
-		return 0, 0, err
-	}
-	return r.seq, lsn, nil
+// blockOp is one block operation in flight: its pages and their
+// after-images, built on copies of the before-images.
+type blockOp struct {
+	pages []storage.PageID
+	after [][]byte
 }
 
-// endOp logs the after-images and forces the log (commit point).
-func (r *Reorganizer) endOp(seq uint64, pages []storage.PageID, frames []*storage.Frame) error {
-	images := make([][]byte, len(frames))
-	for i, f := range frames {
-		f.RLock()
-		images[i] = append([]byte(nil), f.Data()...)
-		f.RUnlock()
+// page returns the after-image of id, for the operation to edit.
+func (o *blockOp) page(id storage.PageID) storage.Page {
+	return o.after[slices.Index(o.pages, id)]
+}
+
+// read returns a copy of page id. The caller holds the whole-tree X
+// lock, so no other writer changes it.
+func (r *Reorganizer) read(id storage.PageID) (storage.Page, error) {
+	pg := r.tree.Pager()
+	f, err := pg.Fix(id)
+	if err != nil {
+		return nil, err
 	}
-	lsn := r.tree.Log().Append(wal.BaselineEnd{Seq: seq, Pages: pages, Images: images})
-	return r.tree.Log().FlushTo(lsn)
+	defer pg.Unfix(f)
+	f.RLock()
+	defer f.RUnlock()
+	return slices.Clone(f.Data()), nil
+}
+
+// beginOp logs and forces the full before-images of pages (block-level
+// logging). The record is never applied live, and redoing it only puts
+// back what the pages held.
+func (r *Reorganizer) beginOp(pages []storage.PageID) (*blockOp, error) {
+	before := make([][]byte, len(pages))
+	op := &blockOp{pages: pages, after: make([][]byte, len(pages))}
+	for i, id := range pages {
+		p, err := r.read(id)
+		if err != nil {
+			return nil, err
+		}
+		before[i], op.after[i] = p, slices.Clone(p)
+	}
+	lsn := r.tree.Log().Append(wal.PageImages{Pages: pages, Images: before})
+	if err := r.tree.Log().FlushTo(lsn); err != nil {
+		return nil, err
+	}
+	return op, nil
+}
+
+// commitOp logs the after-images, with the pages the operation frees,
+// as one structure modification the tree applies, and forces the log:
+// the commit point. An operation whose record is not durable is lost,
+// which is [Smi90]'s rollback.
+func (r *Reorganizer) commitOp(op *blockOp, dealloc ...storage.PageID) error {
+	err := r.tree.LogSMO(wal.PageImages{Pages: op.pages, Images: op.after, Dealloc: dealloc})
+	if err != nil {
+		return err
+	}
+	return r.tree.Log().Flush()
 }
 
 // swapPass orders the leaves on disk using whole-file-locked swap ops.
@@ -430,54 +411,27 @@ func (r *Reorganizer) swapOne() (bool, error) {
 // with before/after block images.
 func (r *Reorganizer) swapOp(pa storage.PageID, baseA storage.PageID, ka []byte,
 	pb storage.PageID, baseB storage.PageID, kb []byte) error {
-	pg := r.tree.Pager()
-	fa, err := pg.Fix(pa)
+	a, err := r.read(pa)
 	if err != nil {
 		return err
 	}
-	defer pg.Unfix(fa)
-	fb, err := pg.Fix(pb)
+	b, err := r.read(pb)
 	if err != nil {
 		return err
 	}
-	defer pg.Unfix(fb)
-
-	fa.RLock()
-	predA, succA := fa.Data().Prev(), fa.Data().Next()
-	fa.RUnlock()
-	fb.RLock()
-	predB, succB := fb.Data().Prev(), fb.Data().Next()
-	fb.RUnlock()
+	predA, succA := a.Prev(), a.Next()
+	predB, succB := b.Prev(), b.Next()
 
 	pages := []storage.PageID{pa, pb, baseA}
 	if baseB != baseA {
 		pages = append(pages, baseB)
 	}
 	for _, nb := range []storage.PageID{predA, succA, predB, succB} {
-		if nb == storage.InvalidPage || nb == pa || nb == pb {
-			continue
-		}
-		dup := false
-		for _, got := range pages {
-			if got == nb {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if nb != storage.InvalidPage && !slices.Contains(pages, nb) {
 			pages = append(pages, nb)
 		}
 	}
-	frames := make([]*storage.Frame, 0, len(pages))
-	for _, id := range pages {
-		f, err := pg.Fix(id)
-		if err != nil {
-			return err
-		}
-		defer pg.Unfix(f)
-		frames = append(frames, f)
-	}
-	seq, lsn, err := r.beginOp(pages, frames)
+	op, err := r.beginOp(pages)
 	if err != nil {
 		return err
 	}
@@ -485,57 +439,27 @@ func (r *Reorganizer) swapOp(pa storage.PageID, baseA storage.PageID, ka []byte,
 		return err
 	}
 
-	swapFrames(fa, fb, lsn)
-	pg.MarkDirty(fa, lsn)
-	pg.MarkDirty(fb, lsn)
+	swapPages(op.page(pa), op.page(pb))
 	// Neighbour and parent fixes.
-	fixPtr := func(id storage.PageID, next bool, to storage.PageID) error {
+	fixPtr := func(id storage.PageID, next bool, to storage.PageID) {
 		if id == storage.InvalidPage || id == pa || id == pb {
-			return nil
+			return
 		}
-		f, err := pg.Fix(id)
-		if err != nil {
-			return err
-		}
-		defer pg.Unfix(f)
-		f.Lock()
 		if next {
-			f.Data().SetNext(to)
+			op.page(id).SetNext(to)
 		} else {
-			f.Data().SetPrev(to)
+			op.page(id).SetPrev(to)
 		}
-		f.Data().SetLSN(lsn)
-		f.Unlock()
-		pg.MarkDirty(f, lsn)
-		return nil
 	}
-	if err := fixPtr(predA, true, pb); err != nil {
-		return err
-	}
-	if err := fixPtr(succA, false, pb); err != nil {
-		return err
-	}
-	if err := fixPtr(predB, true, pa); err != nil {
-		return err
-	}
-	if err := fixPtr(succB, false, pa); err != nil {
-		return err
-	}
+	fixPtr(predA, true, pb)
+	fixPtr(succA, false, pb)
+	fixPtr(predB, true, pa)
+	fixPtr(succB, false, pa)
 	repoint := func(base storage.PageID, key []byte, to storage.PageID) error {
-		f, err := pg.Fix(base)
-		if err != nil {
-			return err
+		p := op.page(base)
+		if _, found := kv.Search(p, key); found {
+			return kv.IndexReplace(p, key, key, to)
 		}
-		defer pg.Unfix(f)
-		f.Lock()
-		defer f.Unlock()
-		if _, found := kv.Search(f.Data(), key); found {
-			if err := kv.IndexReplace(f.Data(), key, key, to); err != nil {
-				return err
-			}
-		}
-		f.Data().SetLSN(lsn)
-		pg.MarkDirty(f, lsn)
 		return nil
 	}
 	if err := repoint(baseA, ka, pb); err != nil {
@@ -547,26 +471,17 @@ func (r *Reorganizer) swapOp(pa storage.PageID, baseA storage.PageID, ka []byte,
 	if err := r.event("op.mutated"); err != nil {
 		return err
 	}
-	if err := r.endOp(seq, pages, frames); err != nil {
+	if err := r.commitOp(op); err != nil {
 		return err
 	}
 	r.m.Add(metrics.BaselineOps, 1)
-	r.m.Add(metrics.BaselineTxns, 1)
 	r.m.Add(metrics.Pass2Swaps, 1)
 	return r.event("op.end")
 }
 
-// swapFrames mirrors core.SwapPages without importing core.
-func swapFrames(fa, fb *storage.Frame, lsn uint64) {
-	first, second := fa, fb
-	if first.ID() > second.ID() {
-		first, second = second, first
-	}
-	first.Lock()
-	second.Lock()
-	defer second.Unlock()
-	defer first.Unlock()
-	pa, pb := fa.Data(), fb.Data()
+// swapPages exchanges two leaf images' contents, as core.SwapPages does
+// to frames.
+func swapPages(pa, pb storage.Page) {
 	collect := func(p storage.Page) (cells [][]byte, next, prev storage.PageID) {
 		for i := 0; i < p.NumSlots(); i++ {
 			cells = append(cells, append([]byte(nil), p.Cell(i)...))
@@ -575,7 +490,7 @@ func swapFrames(fa, fb *storage.Frame, lsn uint64) {
 	}
 	cellsA, nextA, prevA := collect(pa)
 	cellsB, nextB, prevB := collect(pb)
-	idA, idB := fa.ID(), fb.ID()
+	idA, idB := pa.ID(), pb.ID()
 	fixRef := func(ref, self, other storage.PageID) storage.PageID {
 		if ref == self {
 			return other
@@ -592,7 +507,6 @@ func swapFrames(fa, fb *storage.Frame, lsn uint64) {
 		}
 		p.SetNext(next)
 		p.SetPrev(prev)
-		p.SetLSN(lsn)
 	}
 	write(pa, cellsB, fixRef(nextB, idA, idB), fixRef(prevB, idA, idB))
 	write(pb, cellsA, fixRef(nextA, idB, idA), fixRef(prevA, idB, idA))

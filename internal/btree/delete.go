@@ -263,7 +263,7 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 	for _, n := range path {
 		t.pager.Unfix(n.f)
 	}
-	err = t.logSMO(fc)
+	err = t.LogSMO(fc)
 	if hookRelease != nil {
 		hookRelease()
 	}

@@ -314,7 +314,7 @@ func (t *Tree) splitChild(tx *txn.Txn, parent, child *storage.Frame, key []byte)
 	if !isLeaf {
 		s.RightNext, s.NextPage = storage.InvalidPage, storage.InvalidPage
 	}
-	err = t.logSMO(s)
+	err = t.LogSMO(s)
 	hookRelease()
 	if err != nil {
 		releaseNext()
@@ -374,7 +374,7 @@ func (t *Tree) splitRoot(root *storage.Frame) error {
 	}
 	s := wal.RootSplit{Root: root.ID(), Low: lowF.ID(), High: hiF.ID(),
 		Level: level, Sep: sep, LowCells: low, HiCells: hi}
-	err = t.logSMO(s)
+	err = t.LogSMO(s)
 	t.pager.Unfix(lowF)
 	t.pager.Unfix(hiF)
 	if err != nil {

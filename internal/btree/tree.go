@@ -111,11 +111,11 @@ type Tree struct {
 	ring *obs.Ring
 
 	// smoMu keeps a checkpoint's redo point out of every structure
-	// modification: a split, root split or free-at-empty logs its record
-	// and only then latches and changes its pages, so logSMO holds smoMu
-	// shared from the append through the apply, and RedoPoint reads the
-	// log tail holding it exclusively. smoHook, when set (tests only),
-	// runs inside that window.
+	// modification: a split, root split, free-at-empty or page-image
+	// record is logged and only then are its pages latched and changed,
+	// so LogSMO holds smoMu shared from the append through the apply,
+	// and RedoPoint reads the log tail holding it exclusively. smoHook,
+	// when set (tests only), runs inside that window.
 	smoMu   sync.RWMutex
 	smoHook func()
 }
@@ -358,9 +358,11 @@ func recordRes(key []byte) lock.Resource {
 	return lock.RecordRes(h)
 }
 
-// logSMO logs a structure modification's record and applies it,
-// holding smoMu shared across both (see RedoPoint).
-func (t *Tree) logSMO(rec wal.Record) error {
+// LogSMO logs a structure modification's record and applies it,
+// holding smoMu shared across both (see RedoPoint). The caller holds
+// the locks that keep every other writer off the record's pages, and
+// no pin on a page the record frees.
+func (t *Tree) LogSMO(rec wal.Record) error {
 	t.smoMu.RLock()
 	defer t.smoMu.RUnlock()
 	lsn := t.log.Append(rec)
@@ -374,6 +376,8 @@ func (t *Tree) logSMO(rec wal.Record) error {
 		return pageops.ApplyRootSplit(t.pager, r, lsn)
 	case wal.FreeChain:
 		return pageops.ApplyFreeChain(t.pager, r, lsn)
+	case wal.PageImages:
+		return pageops.ApplyImages(t.pager, r, lsn)
 	}
 	return fmt.Errorf("btree: %T is not a structure modification", rec)
 }

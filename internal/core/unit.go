@@ -283,48 +283,11 @@ func (r *Reorganizer) applyModify(m wal.ReorgModify, base *storage.Frame) error 
 	lsn := r.tree.Log().Append(m)
 	r.table.record(lsn)
 	base.Lock()
-	err := ApplyModifyToPage(base.Data(), m)
+	err := pageops.ApplyModifyToPage(base.Data(), m)
 	base.Data().SetLSN(lsn)
 	base.Unlock()
 	r.tree.Pager().MarkDirty(base, lsn)
 	return err
-}
-
-// ApplyModifyToPage performs a MODIFY's entry edits on a latched base
-// page, idempotently (presence-checked) so the live unit, redo and
-// forward recovery share it.
-func ApplyModifyToPage(p storage.Page, m wal.ReorgModify) error {
-	for _, key := range m.Removes {
-		if slot, found := kv.Search(p, key); found {
-			if err := p.DeleteCell(slot); err != nil {
-				return err
-			}
-		}
-	}
-	for _, rep := range m.Replaces {
-		if _, found := kv.Search(p, rep.OldKey); found {
-			if err := kv.IndexReplace(p, rep.OldKey, rep.NewKey, rep.NewChild); err != nil {
-				return err
-			}
-		} else if _, found := kv.Search(p, rep.NewKey); !found {
-			if err := kv.IndexInsert(p, rep.NewKey, rep.NewChild); err != nil {
-				return err
-			}
-		} else {
-			// Entry already at the new key: ensure the child is right.
-			if err := kv.IndexReplace(p, rep.NewKey, rep.NewKey, rep.NewChild); err != nil {
-				return err
-			}
-		}
-	}
-	for _, ins := range m.Inserts {
-		if _, found := kv.Search(p, ins.Key); !found {
-			if err := kv.IndexInsert(p, ins.Key, ins.Child); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // beginUnit gives the unit its id, logs BEGIN (only after every lock is

@@ -91,7 +91,6 @@ const (
 	Pass3Bases      = "pass3.bases.read"
 	Pass3SideApply  = "pass3.side.applied"
 	Pass3Stable     = "pass3.stable.points"
-	BaselineTxns    = "baseline.txns"
 	BaselineOps     = "baseline.block.ops"
 )
 

@@ -5,8 +5,9 @@
 //
 // Operations are physiological — logical within one page, addressed by
 // key — so redo does not depend on slot numbers and remains correct
-// even though reorganization records are re-executed logically by
-// forward recovery rather than by this package.
+// even though reorganization MOVE and SWAP records are replayed by
+// recovery's careful-writing cases and by forward recovery rather than
+// by this package.
 package pageops
 
 import (

@@ -244,3 +244,39 @@ func TestApplyFreeChainAndDeallocGate(t *testing.T) {
 		t.Error("page with later LSN was wrongly deallocated")
 	}
 }
+
+// TestApplyImages: a page takes its image under the pageLSN gate, a
+// freed page is deallocated rather than imaged, and a record whose
+// image count does not match its page count is refused.
+func TestApplyImages(t *testing.T) {
+	pg := newPager()
+	a := allocLeaf(t, pg)
+	b := allocLeaf(t, pg)
+	img := make(storage.Page, 512)
+	storage.FormatPage(img, storage.PageLeaf, a)
+	if err := kv.LeafInsert(img, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	rec := wal.PageImages{Pages: []storage.PageID{a, b},
+		Images: [][]byte{img, make([]byte, 512)}, Dealloc: []storage.PageID{b}}
+	if err := ApplyImages(pg, rec, 20); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := leafGet(t, pg, a, "k"); !ok || v != "v" {
+		t.Errorf("page %d after its image: k = %q, %v", a, v, ok)
+	}
+	if pg.FreeMap().IsAllocated(b) {
+		t.Errorf("freed page %d still allocated", b)
+	}
+	// Redo below the page's LSN leaves it alone.
+	stale := wal.PageImages{Pages: []storage.PageID{a}, Images: [][]byte{make([]byte, 512)}}
+	if err := ApplyImages(pg, stale, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := leafGet(t, pg, a, "k"); !ok {
+		t.Error("an older image overwrote a newer page")
+	}
+	if err := ApplyImages(pg, wal.PageImages{Pages: []storage.PageID{a}}, 30); err == nil {
+		t.Error("a record with no image for its page was applied")
+	}
+}

@@ -2,6 +2,7 @@ package pageops
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/kv"
 	"repro/internal/storage"
@@ -17,7 +18,8 @@ func ApplyToPage(p storage.Page, op wal.Op, key, newVal []byte) error {
 
 // withPage runs fn on page id under its write latch if the page's LSN
 // is below lsn, then stamps lsn. This is the per-page idempotent-redo
-// wrapper shared by the multi-page structure modifications.
+// wrapper shared by the structure modifications and the reorganization
+// records redone under a plain pageLSN gate.
 func withPage(pg *storage.Pager, id storage.PageID, lsn uint64, fn func(p storage.Page) error) error {
 	if id == storage.InvalidPage {
 		return nil
@@ -185,6 +187,100 @@ func ApplyFreeChain(pg *storage.Pager, fc wal.FreeChain, lsn uint64) error {
 	for _, id := range fc.Dealloc {
 		if err := DeallocateIfUnseen(pg, id, lsn); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// ApplyImages applies a PageImages record at lsn: every page that is
+// not being freed takes its logged image, then the freed pages are
+// deallocated (a freed page's image is logged, not installed). Like the
+// other structure modifications it runs both live and at redo.
+func ApplyImages(pg *storage.Pager, r wal.PageImages, lsn uint64) error {
+	if len(r.Images) != len(r.Pages) {
+		return fmt.Errorf("pageops: %d images for %d pages", len(r.Images), len(r.Pages))
+	}
+	for i, id := range r.Pages {
+		if slices.Contains(r.Dealloc, id) {
+			continue
+		}
+		if err := withPage(pg, id, lsn, func(p storage.Page) error {
+			copy(p, r.Images[i])
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	for _, id := range r.Dealloc {
+		if err := DeallocateIfUnseen(pg, id, lsn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RedoAlloc reformats an allocated page (pass-3 builder and side-file
+// pages). The allocation stamped the page with this LSN at run time, so
+// a flushed page (holding later content) is left alone.
+func RedoAlloc(pg *storage.Pager, r wal.Alloc, lsn uint64) error {
+	return withPage(pg, r.Page, lsn, func(p storage.Page) error {
+		storage.FormatPage(p, r.Typ, r.Page)
+		p.SetAux(r.Aux)
+		return nil
+	})
+}
+
+// RedoReorgBegin formats a new-place destination leaf (the unit
+// stamped it with the BEGIN LSN at run time).
+func RedoReorgBegin(pg *storage.Pager, r wal.ReorgBegin, lsn uint64) error {
+	if !r.NewPlace {
+		return nil
+	}
+	return withPage(pg, r.Dest, lsn, func(p storage.Page) error {
+		storage.FormatPage(p, storage.PageLeaf, r.Dest)
+		return nil
+	})
+}
+
+// RedoModify re-applies a MODIFY's base-page entry edits.
+func RedoModify(pg *storage.Pager, r wal.ReorgModify, lsn uint64) error {
+	return withPage(pg, r.Base, lsn, func(p storage.Page) error {
+		return ApplyModifyToPage(p, r)
+	})
+}
+
+// ApplyModifyToPage performs a MODIFY's entry edits on a latched base
+// page, idempotently (presence-checked) so the live unit, redo and
+// forward recovery share it.
+func ApplyModifyToPage(p storage.Page, m wal.ReorgModify) error {
+	for _, key := range m.Removes {
+		if slot, found := kv.Search(p, key); found {
+			if err := p.DeleteCell(slot); err != nil {
+				return err
+			}
+		}
+	}
+	for _, rep := range m.Replaces {
+		if _, found := kv.Search(p, rep.OldKey); found {
+			if err := kv.IndexReplace(p, rep.OldKey, rep.NewKey, rep.NewChild); err != nil {
+				return err
+			}
+		} else if _, found := kv.Search(p, rep.NewKey); !found {
+			if err := kv.IndexInsert(p, rep.NewKey, rep.NewChild); err != nil {
+				return err
+			}
+		} else {
+			// Entry already at the new key: ensure the child is right.
+			if err := kv.IndexReplace(p, rep.NewKey, rep.NewKey, rep.NewChild); err != nil {
+				return err
+			}
+		}
+	}
+	for _, ins := range m.Inserts {
+		if _, found := kv.Search(p, ins.Key); !found {
+			if err := kv.IndexInsert(p, ins.Key, ins.Child); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -29,9 +29,6 @@ type Result struct {
 	CompletedUnit  uint64 // its id
 	Pass3Abandoned bool   // interrupted pass 3 reclaimed
 	Pass3Completed bool   // switch was durable; finished the discard
-	// BaselineRolledBack reports that an interrupted baseline block
-	// operation was physically undone (its work lost).
-	BaselineRolledBack bool
 	// ReorgLK is the largest key of the last finished reorganization
 	// unit (the paper's LK): pass it as Config.StartKey to resume
 	// compaction where it left off.
@@ -88,7 +85,6 @@ func Restart(pager *storage.Pager, log *wal.Log, locks *lock.Manager, txns *txn.
 		unit       *unitState
 		lastSwitch *wal.SwitchRoot
 		maxTxn     uint64
-		baseOp     *wal.BaselineBegin // in-flight baseline block op
 	)
 	err := log.Iterate(redoFrom, func(lsn uint64, rec wal.Record) error {
 		res.RedoneRecords++
@@ -128,21 +124,23 @@ func Restart(pager *storage.Pager, log *wal.Log, locks *lock.Manager, txns *txn.
 			return pageops.ApplyRootSplit(pager, r, lsn)
 		case wal.FreeChain:
 			return pageops.ApplyFreeChain(pager, r, lsn)
+		case wal.PageImages:
+			return pageops.ApplyImages(pager, r, lsn)
 		case wal.Alloc:
-			return redoAlloc(pager, r, lsn)
+			return pageops.RedoAlloc(pager, r, lsn)
 		case wal.Dealloc:
 			// A page that observed a later operation stays (it may have
 			// been reused before the crash).
 			return pageops.DeallocateIfUnseen(pager, r.Page, lsn)
 		case wal.ReorgBegin:
 			unit = &unitState{begin: r, beginLSN: lsn}
-			return redoReorgBegin(pager, r, lsn)
+			return pageops.RedoReorgBegin(pager, r, lsn)
 		case wal.ReorgMove:
 			return redoMove(pager, r, lsn)
 		case wal.ReorgSwap:
 			return redoSwap(pager, r, lsn)
 		case wal.ReorgModify:
-			return redoModify(pager, r, lsn)
+			return pageops.RedoModify(pager, r, lsn)
 		case wal.ReorgEnd:
 			if unit != nil && unit.begin.Unit == r.Unit {
 				unit.ended = true
@@ -150,12 +148,6 @@ func Restart(pager *storage.Pager, log *wal.Log, locks *lock.Manager, txns *txn.
 			if len(r.LargestKey) > 0 {
 				res.ReorgLK = append([]byte(nil), r.LargestKey...)
 			}
-		case wal.BaselineBegin:
-			op := r
-			baseOp = &op
-		case wal.BaselineEnd:
-			baseOp = nil
-			return redoImages(pager, r.Pages, r.Images, lsn)
 		case wal.SwitchRoot:
 			cp := r
 			lastSwitch = &cp
@@ -199,19 +191,6 @@ func Restart(pager *storage.Pager, log *wal.Log, locks *lock.Manager, txns *txn.
 		}
 		loser.FinishRecovery()
 		res.LosersUndone++
-	}
-
-	// --- baseline rollback: an interrupted block operation of the
-	// Tandem-style baseline is undone physically from its before-images
-	// (the rollback-on-crash behaviour the paper contrasts with
-	// Forward Recovery) ---
-	if baseOp != nil {
-		restoreLSN := log.Append(wal.BaselineEnd{Seq: baseOp.Seq,
-			Pages: baseOp.Pages, Images: baseOp.Images})
-		if err := installImages(pager, baseOp.Pages, baseOp.Images, restoreLSN); err != nil {
-			return nil, nil, fmt.Errorf("recovery: baseline rollback: %w", err)
-		}
-		res.BaselineRolledBack = true
 	}
 
 	// --- forward recovery (§5.1): the one possibly-incomplete unit is

@@ -9,49 +9,6 @@ import (
 	"repro/internal/wal"
 )
 
-// redoAlloc reformats an allocated page (pass-3 builder and side-file
-// pages). The allocation stamped the page with this LSN at run time, so
-// a flushed page (holding later content) is left alone.
-func redoAlloc(pg *storage.Pager, r wal.Alloc, lsn uint64) error {
-	f, err := pg.Fix(r.Page)
-	if err != nil {
-		return err
-	}
-	defer pg.Unfix(f)
-	f.Lock()
-	defer f.Unlock()
-	if f.Data().LSN() >= lsn {
-		return nil
-	}
-	storage.FormatPage(f.Data(), r.Typ, r.Page)
-	f.Data().SetAux(r.Aux)
-	f.Data().SetLSN(lsn)
-	pg.MarkDirty(f, lsn)
-	return nil
-}
-
-// redoReorgBegin formats a new-place destination leaf (the unit
-// stamped it with the BEGIN LSN at run time).
-func redoReorgBegin(pg *storage.Pager, r wal.ReorgBegin, lsn uint64) error {
-	if !r.NewPlace || r.Dest == storage.InvalidPage {
-		return nil
-	}
-	f, err := pg.Fix(r.Dest)
-	if err != nil {
-		return err
-	}
-	defer pg.Unfix(f)
-	f.Lock()
-	defer f.Unlock()
-	if f.Data().LSN() >= lsn {
-		return nil
-	}
-	storage.FormatPage(f.Data(), storage.PageLeaf, r.Dest)
-	f.Data().SetLSN(lsn)
-	pg.MarkDirty(f, lsn)
-	return nil
-}
-
 // redoMove logically replays a reorganization MOVE. Under careful
 // writing the record carries only keys and the values come from the
 // source page's disk state — the write-ordering dependency guarantees
@@ -180,63 +137,4 @@ func redoSwap(pg *storage.Pager, r wal.ReorgSwap, lsn uint64) error {
 		return fmt.Errorf("recovery: swap %d/%d: destination overtook source on disk",
 			r.PageA, r.PageB)
 	}
-}
-
-// redoModify re-applies base-page entry edits under the pageLSN test.
-func redoModify(pg *storage.Pager, r wal.ReorgModify, lsn uint64) error {
-	f, err := pg.Fix(r.Base)
-	if err != nil {
-		return err
-	}
-	defer pg.Unfix(f)
-	f.Lock()
-	defer f.Unlock()
-	if f.Data().LSN() >= lsn {
-		return nil
-	}
-	if err := core.ApplyModifyToPage(f.Data(), r); err != nil {
-		return err
-	}
-	f.Data().SetLSN(lsn)
-	pg.MarkDirty(f, lsn)
-	return nil
-}
-
-// redoImages installs full page images under the pageLSN test (redo of
-// a completed baseline block operation).
-func redoImages(pg *storage.Pager, pages []storage.PageID, images [][]byte, lsn uint64) error {
-	for i, id := range pages {
-		if err := installImage(pg, id, images[i], lsn, true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// installImages overwrites pages with images unconditionally (physical
-// rollback of an interrupted baseline operation).
-func installImages(pg *storage.Pager, pages []storage.PageID, images [][]byte, lsn uint64) error {
-	for i, id := range pages {
-		if err := installImage(pg, id, images[i], lsn, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func installImage(pg *storage.Pager, id storage.PageID, img []byte, lsn uint64, gated bool) error {
-	f, err := pg.Fix(id)
-	if err != nil {
-		return err
-	}
-	defer pg.Unfix(f)
-	f.Lock()
-	defer f.Unlock()
-	if gated && f.Data().LSN() >= lsn {
-		return nil
-	}
-	copy(f.Data(), img)
-	f.Data().SetLSN(lsn)
-	pg.MarkDirty(f, lsn)
-	return nil
 }

@@ -47,11 +47,15 @@ const (
 	TSplit
 	TRootSplit
 	TFreeChain
-	TBaselineBegin
-	TBaselineEnd
+	// tRetiredBlockBegin and tRetiredBlockEnd were the comparator's
+	// block-operation records before it logged PageImages; Decode
+	// refuses both bytes with a RetiredTypeError.
+	tRetiredBlockBegin
+	tRetiredBlockEnd
 	// TUpdateCommitted is an Update with Committed set: a one-record
 	// transaction logged without PrevLSN or OldVal (see Update).
 	TUpdateCommitted
+	TPageImages
 )
 
 func (t Type) String() string {
@@ -59,7 +63,8 @@ func (t Type) String() string {
 		"txn-end", "update", "clr", "reorg-begin", "reorg-move", "reorg-swap",
 		"reorg-modify", "reorg-end", "alloc", "dealloc", "stable-key",
 		"switch-root", "checkpoint", "split", "root-split", "free-chain",
-		"baseline-begin", "baseline-end", "update-committed"}
+		"retired-block-begin", "retired-block-end", "update-committed",
+		"page-images"}
 	if int(t) < len(names) {
 		return names[t]
 	}
@@ -323,23 +328,14 @@ type FreeChain struct {
 	NextLeaf storage.PageID // whose Prev becomes PrevLeaf (0 if none)
 }
 
-// BaselineBegin opens one block operation of the Tandem-style baseline
-// reorganizer [Smi90]: full before-images of every page the operation
-// will touch. An operation without a matching BaselineEnd is rolled
-// back physically at restart (the baseline's rollback-on-crash
-// behaviour the paper contrasts Forward Recovery against).
-type BaselineBegin struct {
-	Seq    uint64
-	Pages  []storage.PageID
-	Images [][]byte
-}
-
-// BaselineEnd closes a block operation with full after-images (the
-// redo information).
-type BaselineEnd struct {
-	Seq    uint64
-	Pages  []storage.PageID
-	Images [][]byte
+// PageImages is a redo-only physical structure modification: Images[i]
+// becomes the content of Pages[i], and the pages in Dealloc are freed.
+// A freed page may also be imaged; its image is logged but never
+// installed, since the page is freed instead.
+type PageImages struct {
+	Pages   []storage.PageID
+	Images  [][]byte
+	Dealloc []storage.PageID
 }
 
 // TxnInfo is one active transaction in a checkpoint.
@@ -380,25 +376,24 @@ type Checkpoint struct {
 	RedoLSN    uint64
 }
 
-func (TxnCommit) recordType() Type     { return TTxnCommit }
-func (TxnAbort) recordType() Type      { return TTxnAbort }
-func (TxnEnd) recordType() Type        { return TTxnEnd }
-func (CLR) recordType() Type           { return TCLR }
-func (ReorgBegin) recordType() Type    { return TReorgBegin }
-func (ReorgMove) recordType() Type     { return TReorgMove }
-func (ReorgSwap) recordType() Type     { return TReorgSwap }
-func (ReorgModify) recordType() Type   { return TReorgModify }
-func (ReorgEnd) recordType() Type      { return TReorgEnd }
-func (Alloc) recordType() Type         { return TAlloc }
-func (Dealloc) recordType() Type       { return TDealloc }
-func (StableKey) recordType() Type     { return TStableKey }
-func (SwitchRoot) recordType() Type    { return TSwitchRoot }
-func (Checkpoint) recordType() Type    { return TCheckpoint }
-func (Split) recordType() Type         { return TSplit }
-func (RootSplit) recordType() Type     { return TRootSplit }
-func (FreeChain) recordType() Type     { return TFreeChain }
-func (BaselineBegin) recordType() Type { return TBaselineBegin }
-func (BaselineEnd) recordType() Type   { return TBaselineEnd }
+func (TxnCommit) recordType() Type   { return TTxnCommit }
+func (TxnAbort) recordType() Type    { return TTxnAbort }
+func (TxnEnd) recordType() Type      { return TTxnEnd }
+func (CLR) recordType() Type         { return TCLR }
+func (ReorgBegin) recordType() Type  { return TReorgBegin }
+func (ReorgMove) recordType() Type   { return TReorgMove }
+func (ReorgSwap) recordType() Type   { return TReorgSwap }
+func (ReorgModify) recordType() Type { return TReorgModify }
+func (ReorgEnd) recordType() Type    { return TReorgEnd }
+func (Alloc) recordType() Type       { return TAlloc }
+func (Dealloc) recordType() Type     { return TDealloc }
+func (StableKey) recordType() Type   { return TStableKey }
+func (SwitchRoot) recordType() Type  { return TSwitchRoot }
+func (Checkpoint) recordType() Type  { return TCheckpoint }
+func (Split) recordType() Type       { return TSplit }
+func (RootSplit) recordType() Type   { return TRootSplit }
+func (FreeChain) recordType() Type   { return TFreeChain }
+func (PageImages) recordType() Type  { return TPageImages }
 
 func (u Update) recordType() Type {
 	if u.Committed {
@@ -485,12 +480,14 @@ func sharedPrefix(a, b []byte) int {
 // coding lets a short record name long elements — an element equal to
 // the one before it costs two or three bytes whatever its length — so
 // without a bound a few kilobytes of hostile log could make Decode
-// allocate gigabytes. The largest list any writer logs is a baseline
-// operation's page images: a few pages of at most 64 KiB.
+// allocate gigabytes. The largest list any writer logs is a PageImages
+// record's images: the comparator's block operation, at most eight
+// pages of at most 64 KiB.
 const maxListBytes = 16 << 20
 
 // RetiredTypeError is Decode's error for a type byte an older log
-// format wrote and this one never does.
+// format, or an older build of this one, wrote and this build never
+// does.
 type RetiredTypeError struct{ Type Type }
 
 func (e *RetiredTypeError) Error() string {
@@ -693,10 +690,8 @@ func appendRecord(dst []byte, r Record) []byte {
 	case RootSplit:
 		e = e.u8(uint8(TRootSplit)).page(v.Root).page(v.Low).page(v.High).
 			uv(uint64(v.Level)).bytes(v.Sep).list(v.LowCells).list(v.HiCells)
-	case BaselineBegin:
-		e = e.u8(uint8(TBaselineBegin)).uv(v.Seq).pages(v.Pages).list(v.Images)
-	case BaselineEnd:
-		e = e.u8(uint8(TBaselineEnd)).uv(v.Seq).pages(v.Pages).list(v.Images)
+	case PageImages:
+		e = e.u8(uint8(TPageImages)).pages(v.Pages).list(v.Images).pages(v.Dealloc)
 	case FreeChain:
 		e = e.u8(uint8(TFreeChain)).page(v.Survivor).bytes(v.EntryKey).
 			pages(v.Dealloc).page(v.Leaf).page(v.PrevLeaf).page(v.NextLeaf)
@@ -716,7 +711,7 @@ func Decode(b []byte) (Record, error) {
 	typ := Type(d.u8())
 	var r Record
 	switch typ {
-	case tRetiredBegin:
+	case tRetiredBegin, tRetiredBlockBegin, tRetiredBlockEnd:
 		return nil, &RetiredTypeError{Type: typ}
 	case TTxnCommit:
 		r = TxnCommit{Txn: d.u64(), PrevLSN: d.u64()}
@@ -800,10 +795,8 @@ func Decode(b []byte) (Record, error) {
 		r = FreeChain{Survivor: d.page(), EntryKey: d.bytesv(),
 			Dealloc: d.pagesv(), Leaf: d.page(), PrevLeaf: d.page(),
 			NextLeaf: d.page()}
-	case TBaselineBegin:
-		r = BaselineBegin{Seq: d.u64(), Pages: d.pagesv(), Images: d.list()}
-	case TBaselineEnd:
-		r = BaselineEnd{Seq: d.u64(), Pages: d.pagesv(), Images: d.list()}
+	case TPageImages:
+		r = PageImages{Pages: d.pagesv(), Images: d.list(), Dealloc: d.pagesv()}
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", typ)
 	}

@@ -60,10 +60,11 @@ func allRecordSamples() []Record {
 			LowCells: [][]byte{[]byte("a")}, HiCells: [][]byte{[]byte("z")}},
 		FreeChain{Survivor: 2, EntryKey: []byte("k"), Dealloc: []storage.PageID{7, 8},
 			Leaf: 8, PrevLeaf: 6, NextLeaf: 9},
-		BaselineBegin{Seq: 4, Pages: []storage.PageID{7, 8},
+		PageImages{Pages: []storage.PageID{7, 8},
 			Images: [][]byte{[]byte("img7"), []byte("img8")}},
-		BaselineEnd{Seq: 4, Pages: []storage.PageID{7, 8},
-			Images: [][]byte{[]byte("new7"), []byte("new8")}},
+		PageImages{Pages: []storage.PageID{7, 8, 9},
+			Images:  [][]byte{[]byte("new7"), []byte("new8"), []byte("new9")},
+			Dealloc: []storage.PageID{8}},
 		Checkpoint{ // minimal checkpoint (decode yields empty, not nil, byte fields)
 			Reorg: ReorgTableSnap{LK: []byte{}},
 		},
@@ -132,12 +133,15 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(b[:len(b)-3]); err == nil {
 		t.Error("truncated record should fail")
 	}
-	// Log format 3's begin record (type byte, txn id) is refused with a
-	// typed error, whatever follows the type byte.
-	for _, b := range [][]byte{{byte(tRetiredBegin), 9}, {byte(tRetiredBegin)}} {
-		var retired *RetiredTypeError
-		if r, err := Decode(b); !errors.As(err, &retired) || retired.Type != tRetiredBegin {
-			t.Errorf("Decode(%x) = %#v, %v; want a RetiredTypeError", b, r, err)
+	// Log format 3's begin record (type byte, txn id) and the
+	// comparator's old block-operation records are refused with a typed
+	// error, whatever follows the type byte.
+	for _, typ := range []Type{tRetiredBegin, tRetiredBlockBegin, tRetiredBlockEnd} {
+		for _, b := range [][]byte{{byte(typ), 9}, {byte(typ)}} {
+			var retired *RetiredTypeError
+			if r, err := Decode(b); !errors.As(err, &retired) || retired.Type != typ {
+				t.Errorf("Decode(%x) = %#v, %v; want a RetiredTypeError", b, r, err)
+			}
 		}
 	}
 	// Every checkpoint field is mandatory: there is no shorter, older
@@ -414,9 +418,10 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 	for _, r := range allRecordSamples() {
 		types[Type(Encode(r)[0])] = reflect.TypeOf(r)
 	}
-	// Every type byte up to the last is written, except the retired begin.
-	if len(types) != int(TUpdateCommitted)-1 {
-		t.Fatalf("allRecordSamples covers %d record types, want %d", len(types), TUpdateCommitted-1)
+	// Every type byte up to the last is written, except the three
+	// retired ones.
+	if len(types) != int(TPageImages)-3 {
+		t.Fatalf("allRecordSamples covers %d record types, want %d", len(types), TPageImages-3)
 	}
 	roundTrip := func(in Record) bool {
 		out, err := Decode(Encode(in))
@@ -463,7 +468,9 @@ func FuzzDecode(f *testing.F) {
 	for _, r := range allRecordSamples() {
 		f.Add(Encode(r))
 	}
-	f.Add([]byte{byte(tRetiredBegin), 9}) // log format 3's begin record
+	f.Add([]byte{byte(tRetiredBegin), 9})      // log format 3's begin record
+	f.Add([]byte{byte(tRetiredBlockBegin), 4}) // the comparator's old records
+	f.Add([]byte{byte(tRetiredBlockEnd), 4})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := Decode(b)
 		if err != nil {

@@ -1,9 +1,14 @@
 package repro
 
 import (
+	"encoding/json"
+	"net"
+	"net/http"
+	"os"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -152,4 +157,92 @@ func TestObsDisabled(t *testing.T) {
 	if rows := db.MetricsSnapshot().Latencies; rows != nil {
 		t.Fatalf("MetricsSnapshot returned %d latency rows with observability disabled", len(rows))
 	}
+}
+
+// TestDebugEndpoint serves /metrics and /trace on Options.DebugAddr:
+// the snapshot's log counter is the one PerfCounters reports at
+// quiescence, the trace holds the run's events, and Close stops the
+// listener.
+func TestDebugEndpoint(t *testing.T) {
+	db, err := Open(Options{PageSize: 1024, DebugAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := db.Insert(workload.Key(i), workload.Value(i, 32)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if _, err := db.Get(workload.Key(7)); err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	addr := db.DebugAddr()
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: decode: %v", path, err)
+		}
+	}
+	var snap obs.MetricsSnapshot
+	get("/metrics", &snap)
+	want := db.PerfCounters().Get(metrics.WALBytesAppended)
+	if got := snap.Counters[metrics.WALBytesAppended]; got != want || want == 0 {
+		t.Errorf("/metrics %s = %d, PerfCounters %d", metrics.WALBytesAppended, got, want)
+	}
+	var events []obs.Event
+	get("/trace", &events)
+	if len(events) == 0 {
+		t.Error("/trace holds no events after 200 inserts")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Errorf("%s still accepts connections after Close", addr)
+	}
+}
+
+// TestDebugAddrErrorsReturnNoDatabase: Open refuses DebugAddr without
+// observability before it opens anything, and a listen failure closes
+// the database it built and returns none.
+func TestDebugAddrErrorsReturnNoDatabase(t *testing.T) {
+	t.Run("observability disabled", func(t *testing.T) {
+		dir := t.TempDir()
+		db, err := Open(Options{Dir: dir, DisableObservability: true, DebugAddr: "127.0.0.1:0"})
+		if db != nil || err == nil {
+			t.Fatalf("Open returned a database: %t, error: %v; want none and an error", db != nil, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("refused Open left %d entries in %s", len(entries), dir)
+		}
+	})
+	t.Run("address in use", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		dir := t.TempDir()
+		db, err := Open(Options{Dir: dir, DebugAddr: ln.Addr().String()})
+		if db != nil || err == nil {
+			t.Fatalf("Open returned a database: %t, error: %v; want none and an error", db != nil, err)
+		}
+		// The failed Open closed what it built: the directory reopens.
+		db, err = Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	})
 }
