@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"time"
 
 	"repro/internal/check"
@@ -59,27 +58,18 @@ func runCheck(args []string, out, errw io.Writer) error {
 		return err
 	}
 	start := time.Now()
-	// The harness puts each file-backend run in a fresh subdirectory of
-	// runDir; empty means the in-memory backend.
-	runDir := ""
-	if o.backend == "file" {
-		runDir = o.dir
-		if runDir == "" {
-			tmp, err := os.MkdirTemp("", "reorg-check-")
-			if err != nil {
-				return fmt.Errorf("temp dir: %w", err)
-			}
-			defer os.RemoveAll(tmp)
-			runDir = tmp
-		}
+	runDir, done, err := o.runDir()
+	if err != nil {
+		return err
 	}
+	defer done()
 	if o.crashHit > 0 {
 		res, err := check.Equiv(check.EquivConfig{Seed: o.seed, CrashHit: o.crashHit, Dir: runDir, Daemon: o.daemon})
 		if err != nil {
 			return fmt.Errorf("crash repro (seed %d, hit %d): %w", o.seed, o.crashHit, err)
 		}
-		fmt.Fprintf(out, "check: crash repro ok (seed %d, hit %d): crashed=%v restarts=%d side=%d records=%d (%v)\n",
-			o.seed, o.crashHit, res.Crashed, res.Restarts, res.SideApplied, res.Records,
+		fmt.Fprintf(out, "check: crash repro ok (seed %d, hit %d): crashed=%v point=%q step=%q side=%d records=%d (%v)\n",
+			o.seed, o.crashHit, res.Crashed, res.CrashPoint, res.CrashStep, res.SideApplied, res.Records,
 			time.Since(start).Round(time.Millisecond))
 		return nil
 	}

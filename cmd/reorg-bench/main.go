@@ -21,7 +21,7 @@
 // Every failure prints a one-line repro command in this spelling.
 //
 // sweep runs E5b, the exhaustive crash-schedule sweep over every
-// fault-point hit of a scripted reorganization (internal/fault/sweep).
+// fault-point hit of a scripted reorganization (internal/check).
 // -ckpt N lowers the automatic-checkpoint interval to N log bytes, so
 // crashes land inside checkpoints taken after commits, inside units and
 // inside pass 3.
@@ -149,4 +149,21 @@ func (s *storage) validate(fs *flag.FlagSet) error {
 		return reject(fs, "unknown -backend %q (want mem or file)", s.backend)
 	}
 	return nil
+}
+
+// runDir is the directory the harness puts each file-backend run in, a
+// fresh subdirectory apiece: -dir, or a temp dir that done removes.
+// Empty means the in-memory backend.
+func (s *storage) runDir() (string, func(), error) {
+	switch {
+	case s.backend != "file":
+		return "", func() {}, nil
+	case s.dir != "":
+		return s.dir, func() {}, nil
+	}
+	tmp, err := os.MkdirTemp("", "reorg-bench-")
+	if err != nil {
+		return "", nil, fmt.Errorf("temp dir: %w", err)
+	}
+	return tmp, func() { os.RemoveAll(tmp) }, nil
 }

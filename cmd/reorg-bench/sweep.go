@@ -5,7 +5,7 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/fault/sweep"
+	"repro/internal/check"
 )
 
 // sweepOpts is a parsed `reorg-bench sweep` command line.
@@ -49,13 +49,17 @@ func runSweep(args []string, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	runDir, done, err := o.runDir()
+	if err != nil {
+		return err
+	}
+	defer done()
 	start := time.Now()
-	res, err := sweep.Run(sweep.Config{
+	res, err := check.Sweep(check.SweepConfig{
 		Stride:          o.stride,
 		MaxRuns:         o.maxRuns,
 		Torn:            true,
-		Backend:         o.backend,
-		Dir:             o.dir,
+		Dir:             runDir,
 		WALSegmentBytes: o.walSeg,
 		CheckpointEvery: o.ckpt,
 		Daemon:          o.daemon,

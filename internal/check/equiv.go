@@ -3,11 +3,9 @@ package check
 import (
 	"errors"
 	"fmt"
-	"os"
-	"sort"
+	"sync"
 
 	"repro"
-	"repro/internal/daemon"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/storage"
@@ -18,24 +16,15 @@ import (
 // idempotent mutation program is executed on a database that
 // reorganizes mid-stream (optionally crashing at a chosen fault-point
 // hit and recovering forward) and on a reference database that never
-// reorganizes. Both must end with identical contents, and both must
-// satisfy the structure oracle.
+// reorganizes. Each must end with exactly the program's records and
+// pass the driver's verify, structure oracle included.
 type EquivConfig struct {
-	Seed       int64
-	Records    int     // initial sequential load (default 240)
-	KeepEvery  int     // sparsify: keep every n-th key (default 3)
-	SegOps     int     // mutations per segment, 2 segments (default 40)
-	CatchupOps int     // mutations injected at pass3.built (default 10)
-	ValueSize  int     // value bytes (default 24)
-	PageSize   int     // page size (default 512)
-	BufferPool int     // resident frames, 0 = unbounded (default 8)
-	TargetFill float64 // reorganizer fill target (default 0.9)
+	Seed int64
 	// CrashHit > 0 arms a crash at exactly that post-Open fault-point
 	// hit of the reorganizing run; the run then restarts, recovers and
 	// resumes the program. Use EquivHits to learn the schedule size.
 	CrashHit int
-	Torn     bool
-	// Dir, when non-empty, runs both databases on the file backend,
+	// Dir, when non-empty, runs every database on the file backend,
 	// each in a fresh directory created under Dir (real page file +
 	// WAL segments; crashes recover by re-scanning them).
 	Dir string
@@ -48,42 +37,19 @@ type EquivConfig struct {
 	Daemon bool
 }
 
-func (c EquivConfig) withDefaults() EquivConfig {
-	if c.Records <= 0 {
-		c.Records = 240
-	}
-	if c.KeepEvery <= 0 {
-		c.KeepEvery = 3
-	}
-	if c.SegOps <= 0 {
-		c.SegOps = 40
-	}
-	if c.CatchupOps <= 0 {
-		c.CatchupOps = 16
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 24
-	}
-	if c.PageSize <= 0 {
-		c.PageSize = 512
-	}
-	if c.BufferPool < 0 {
-		c.BufferPool = 0
-	} else if c.BufferPool == 0 {
-		c.BufferPool = 8
-	}
-	if c.TargetFill <= 0 {
-		c.TargetFill = 0.9
-	}
-	return c
-}
+const (
+	equivRecords    = 240 // initial sequential load
+	equivSegOps     = 40  // mutations per segment, 2 segments
+	equivCatchupOps = 16  // mutations injected at pass3.built
+	equivValueSize  = 24
+	equivPool       = 8 // resident frames
+)
 
 // EquivResult reports what one experiment did.
 type EquivResult struct {
 	Crashed     bool   // the armed crash fired
-	Restarts    int    // restarts performed (0 or 1)
 	SideApplied int64  // side-file entries replayed into the new tree
-	Records     int    // final record count (both databases)
+	Records     int    // final record count (every database)
 	CrashPoint  string // fault point the armed crash fired at
 	CrashStep   string // program step that was interrupted
 	DaemonUnits int64  // reorg units the daemon arm ran (Daemon only)
@@ -94,43 +60,40 @@ type EquivResult struct {
 // resume by re-running its interrupted step — every mutation is an
 // idempotent upsert or a tolerant delete.
 type program struct {
-	cfg               EquivConfig
 	seg1, catch, seg2 []workload.Op
+	want              map[string]string // the records the program leaves
 }
 
-func buildProgram(cfg EquivConfig) *program {
-	keySpace := cfg.Records + cfg.Records/2 // headroom: puts create new keys
-	g := workload.NewOpGen(cfg.Seed, keySpace, workload.OpMix{PutPct: 55, DeletePct: 45})
+func buildProgram(seed int64) *program {
+	keySpace := equivRecords + equivRecords/2 // headroom: puts create new keys
+	g := workload.NewOpGen(seed, keySpace, workload.OpMix{PutPct: 55, DeletePct: 45})
 	p := &program{
-		cfg:   cfg,
-		seg1:  g.Take(cfg.SegOps),
-		catch: g.Take(cfg.CatchupOps),
-		seg2:  g.Take(cfg.SegOps),
+		seg1:  g.Take(equivSegOps),
+		catch: g.Take(equivCatchupOps),
+		seg2:  g.Take(equivSegOps),
 	}
 	// Remap the leading catch-up ops to fresh, ascending high keys: they
 	// all land in the tree's last leaf, and enough of them overflow one
 	// page no matter how empty the compaction remainder left it — so at
 	// least one split (a base change) is guaranteed to flow through the
 	// side file on every seed.
-	splitNeed := (cfg.PageSize-storage.HeaderSize)/(cfg.ValueSize+20) + 2
-	if splitNeed > len(p.catch) {
-		splitNeed = len(p.catch)
-	}
+	splitNeed := min((pageSize-storage.HeaderSize)/(equivValueSize+20)+2, len(p.catch))
 	for i := 0; i < splitNeed; i++ {
 		p.catch[i].Kind = workload.OpPut
 		p.catch[i].Key = keySpace + i
 	}
+	p.want = p.model()
 	return p
 }
 
 // applyOp executes one program op against a database. Put and Delete
 // are the only kinds the equivalence mix generates; both converge when
 // re-executed after a crash.
-func applyOp(db *repro.DB, op workload.Op, valueSize int) error {
+func applyOp(db *repro.DB, op workload.Op) error {
 	key := workload.Key(op.Key)
 	switch op.Kind {
 	case workload.OpPut:
-		return put(db, key, ValueFor(op.Key, op.Gen, valueSize))
+		return put(db, key, ValueFor(op.Key, op.Gen, equivValueSize))
 	case workload.OpDelete:
 		if err := db.Delete(key); err != nil && !errors.Is(err, repro.ErrNotFound) {
 			return err
@@ -142,14 +105,14 @@ func applyOp(db *repro.DB, op workload.Op, valueSize int) error {
 }
 
 // model applies the whole program to a plain map — the ground truth
-// both databases must match.
+// every database must match.
 func (p *program) model() map[string]string {
 	m := make(map[string]string)
-	for i := 0; i < p.cfg.Records; i++ {
-		m[string(workload.Key(i))] = string(ValueFor(i, 0, p.cfg.ValueSize))
+	for i := 0; i < equivRecords; i++ {
+		m[string(workload.Key(i))] = string(ValueFor(i, 0, equivValueSize))
 	}
-	for i := 0; i < p.cfg.Records; i++ {
-		if i%p.cfg.KeepEvery != 0 {
+	for i := 0; i < equivRecords; i++ {
+		if i%keepEvery != 0 {
 			delete(m, string(workload.Key(i)))
 		}
 	}
@@ -158,7 +121,7 @@ func (p *program) model() map[string]string {
 			k := string(workload.Key(op.Key))
 			switch op.Kind {
 			case workload.OpPut:
-				m[k] = string(ValueFor(op.Key, op.Gen, p.cfg.ValueSize))
+				m[k] = string(ValueFor(op.Key, op.Gen, equivValueSize))
 			case workload.OpDelete:
 				delete(m, k)
 			}
@@ -167,64 +130,29 @@ func (p *program) model() map[string]string {
 	return m
 }
 
+// shape is how an arm of the experiment reorganizes.
+type shape int
+
+const (
+	manualShape    shape = iota // explicit passes, catch-up ops inside pass 3
+	daemonShape                 // manual daemon drains after each segment
+	referenceShape              // never reorganizes
+)
+
 // equivRun executes the program on one database, step by step. cursor
 // tracks consumed catch-up ops across crash/restart so each is applied
 // at least once and in order.
 type equivRun struct {
-	db     *repro.DB
-	dir    string // file-backend run directory ("" = in-memory)
-	prog   *program
-	cursor int
-	hits   int64 // post-Open fault-point hits consumed (enumeration)
-	result EquivResult
-}
-
-// openEquivDB opens one run's database on the configured backend,
-// optionally with the autonomous daemon wired in manual mode.
-func openEquivDB(cfg EquivConfig, inj *fault.Injector, dcfg *daemon.Config) (*repro.DB, string, error) {
-	opts := repro.Options{
-		PageSize:        cfg.PageSize,
-		BufferPoolPages: cfg.BufferPool,
-		FaultInjector:   inj,
-		Daemon:          dcfg,
-	}
-	var dir string
-	if cfg.Dir != "" {
-		var err error
-		dir, err = os.MkdirTemp(cfg.Dir, "equiv-")
-		if err != nil {
-			return nil, "", fmt.Errorf("check: equivalence run dir: %w", err)
-		}
-		opts.Dir = dir
-	}
-	db, err := repro.Open(opts)
-	if err != nil {
-		if dir != "" {
-			os.RemoveAll(dir)
-		}
-		return nil, "", err
-	}
-	return db, dir, nil
-}
-
-// close releases the run's database (file handles matter: a smoke run
-// performs dozens of these) and removes its directory. Nil-safe.
-func (r *equivRun) close() {
-	if r == nil {
-		return
-	}
-	if r.db != nil {
-		_ = r.db.Close()
-	}
-	if r.dir != "" {
-		_ = os.RemoveAll(r.dir)
-	}
+	*run
+	prog        *program
+	cursor      int
+	sideApplied int64
+	daemonUnits int64
 }
 
 func (r *equivRun) load() error {
-	cfg := r.prog.cfg
-	for i := 0; i < cfg.Records; i++ {
-		if err := put(r.db, workload.Key(i), ValueFor(i, 0, cfg.ValueSize)); err != nil {
+	for i := 0; i < equivRecords; i++ {
+		if err := put(r.db, workload.Key(i), ValueFor(i, 0, equivValueSize)); err != nil {
 			return fmt.Errorf("load %d: %w", i, err)
 		}
 	}
@@ -232,9 +160,8 @@ func (r *equivRun) load() error {
 }
 
 func (r *equivRun) sparsify() error {
-	cfg := r.prog.cfg
-	for i := 0; i < cfg.Records; i++ {
-		if i%cfg.KeepEvery == 0 {
+	for i := 0; i < equivRecords; i++ {
+		if i%keepEvery == 0 {
 			continue
 		}
 		err := r.db.Delete(workload.Key(i))
@@ -247,7 +174,7 @@ func (r *equivRun) sparsify() error {
 
 func (r *equivRun) segment(ops []workload.Op) error {
 	for _, op := range ops {
-		if err := applyOp(r.db, op, r.prog.cfg.ValueSize); err != nil {
+		if err := applyOp(r.db, op); err != nil {
 			return err
 		}
 	}
@@ -255,11 +182,10 @@ func (r *equivRun) segment(ops []workload.Op) error {
 }
 
 // applyCatchup consumes catch-up ops from the shared cursor (from the
-// pass3.built hook on the reorganizing run; directly on the reference).
+// pass3.built hook on the manual arm; directly on the others).
 func (r *equivRun) applyCatchup() error {
 	for r.cursor < len(r.prog.catch) {
-		op := r.prog.catch[r.cursor]
-		if err := applyOp(r.db, op, r.prog.cfg.ValueSize); err != nil {
+		if err := applyOp(r.db, r.prog.catch[r.cursor]); err != nil {
 			return err
 		}
 		r.cursor++ // only after success: a crashed apply re-runs
@@ -270,7 +196,7 @@ func (r *equivRun) applyCatchup() error {
 // pass1 compacts and then audits: no adjacent pair under one base may
 // be mergeable.
 func (r *equivRun) pass1() error {
-	rcfg := r.reorgConfig()
+	rcfg := repro.DefaultReorgConfig()
 	if err := r.db.Reorganizer(rcfg).CompactLeaves(); err != nil {
 		return fmt.Errorf("pass1: %w", err)
 	}
@@ -284,7 +210,7 @@ func (r *equivRun) pass1() error {
 // pass2 sorts leaves into disk key order and audits contiguity plus
 // the seek model.
 func (r *equivRun) pass2() error {
-	rcfg := r.reorgConfig()
+	rcfg := repro.DefaultReorgConfig()
 	if err := r.db.Reorganizer(rcfg).SwapLeaves(); err != nil {
 		return fmt.Errorf("pass2: %w", err)
 	}
@@ -302,7 +228,7 @@ func (r *equivRun) pass2() error {
 // the pass3.built hook — after every base has been read, so each one's
 // base change flows through the side file and the drain rounds.
 func (r *equivRun) pass3() error {
-	rcfg := r.reorgConfig()
+	rcfg := repro.DefaultReorgConfig()
 	var hookErr error
 	rcfg.OnEvent = func(stage string) error {
 		if stage != "pass3.built" {
@@ -321,351 +247,114 @@ func (r *equivRun) pass3() error {
 		}
 		return fmt.Errorf("pass3: %w", err)
 	}
-	r.result.SideApplied += reorg.Metrics().Get(metrics.Pass3SideApply)
+	r.sideApplied += reorg.Metrics().Get(metrics.Pass3SideApply)
 	return nil
 }
 
-func (r *equivRun) reorgConfig() repro.ReorgConfig {
-	rcfg := repro.DefaultReorgConfig()
-	rcfg.TargetFill = r.prog.cfg.TargetFill
-	return rcfg
-}
-
-// runReorg executes the program on a reorganizing database. When
-// cfg.CrashHit > 0, a crash is armed at that fault-point hit; the run
-// then crashes once, restarts (redo + forward recovery), re-runs the
-// interrupted step and finishes the program.
-func runReorg(cfg EquivConfig, prog *program, inj *fault.Injector) (*equivRun, error) {
-	db, dir, err := openEquivDB(cfg, inj, nil)
-	if err != nil {
-		return nil, err
-	}
-	r := &equivRun{db: db, dir: dir, prog: prog}
-	startSeq := inj.Seq() // Open runs uninjected; hits index from here
-	if cfg.CrashHit > 0 {
-		inj.ArmCrashAtSeq(startSeq+int64(cfg.CrashHit), cfg.Torn)
-	}
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"load", r.load},
-		{"sparsify", r.sparsify},
-		{"seg1", func() error { return r.segment(prog.seg1) }},
-		{"pass1", r.pass1},
-		{"pass2", r.pass2},
-		{"pass3", r.pass3},
-		// Safety net: if recovery abandoned pass 3 after the hook had
-		// stopped firing, unconsumed catch-up ops are applied here.
-		{"catchup-rest", r.applyCatchup},
-		{"seg2", func() error { return r.segment(prog.seg2) }},
-	}
-	for i := 0; i < len(steps); {
-		crash, err := fault.Catch(steps[i].fn)
-		if err != nil {
-			return r, fmt.Errorf("step %s: %w", steps[i].name, err)
-		}
-		if crash != nil {
-			if r.result.Restarts > 0 {
-				return r, fmt.Errorf("step %s: second crash with injector disarmed", steps[i].name)
-			}
-			inj.Disarm() // recovery and the resumed program run clean
-			db.Crash()
-			if _, err := db.Restart(); err != nil {
-				return r, fmt.Errorf("restart after crash in %s: %w", steps[i].name, err)
-			}
-			r.result.Crashed = true
-			r.result.Restarts++
-			r.result.CrashPoint = crash.Point
-			r.result.CrashStep = steps[i].name
-			continue // idempotent: re-run the interrupted step
-		}
-		i++
-	}
-	r.hits = inj.Seq() - startSeq
-	return r, nil
-}
-
-// daemonDrain ticks the manual daemon until it reports three
-// consecutive ticks without an increment: the policy has gone idle on
-// the current tree. A crash armed at a daemon fault point (or any
-// point the increment hits) panics out of Tick into the step runner's
-// fault.Catch; the drain is idempotent, so the restarted run simply
-// re-enters it.
+// daemonDrain drains the daemon and counts the units it has run.
 func (r *equivRun) daemonDrain() error {
-	idle := 0
-	for ticks := 0; idle < 3; ticks++ {
-		if ticks > 500 {
-			return fmt.Errorf("daemon never went idle within %d ticks", ticks)
-		}
-		d := r.db.Daemon() // re-fetch: a restart rebuilds the daemon
-		before := d.Metrics().Get(metrics.DaemonIncrements)
-		if err := d.Tick(); err != nil {
-			return err
-		}
-		if d.Metrics().Get(metrics.DaemonIncrements) == before {
-			idle++
-		} else {
-			idle = 0
-		}
+	if err := r.drain(); err != nil {
+		return err
 	}
-	r.result.DaemonUnits += r.db.Daemon().Metrics().Get(metrics.DaemonUnits)
+	r.daemonUnits += r.db.Daemon().Metrics().Get(metrics.DaemonUnits)
 	return nil
 }
 
-// runDaemon executes the program on a database whose reorganization is
-// the autonomous daemon's doing: after each mutation segment the
-// harness ticks the manual daemon until the policy goes idle. Catch-up
-// ops apply directly (the daemon runs pass 1 only; there is no pass-3
-// hook to ride). Crash arming works exactly as in runReorg — the
-// schedule indexes the global fault-point hit sequence, which now
-// includes daemon.tick and daemon.unit.start.
-func runDaemon(cfg EquivConfig, prog *program, inj *fault.Injector) (*equivRun, error) {
-	dcfg := daemon.DefaultConfig()
-	dcfg.Manual = true
-	dcfg.Ranges = 8
-	dcfg.UnitsPerTick = 4
-	dcfg.MinLeaves = 2
-	dcfg.TargetFill = cfg.TargetFill
-	db, dir, err := openEquivDB(cfg, inj, &dcfg)
-	if err != nil {
-		return nil, err
-	}
-	r := &equivRun{db: db, dir: dir, prog: prog}
-	startSeq := inj.Seq()
-	if cfg.CrashHit > 0 {
-		inj.ArmCrashAtSeq(startSeq+int64(cfg.CrashHit), cfg.Torn)
-	}
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
+// steps is the program in one shape. The daemon runs pass 1 only, so
+// its arm applies the catch-up ops directly: there is no pass-3 hook to
+// ride.
+func (r *equivRun) steps(s shape) []step {
+	load := []step{
 		{"load", r.load},
 		{"sparsify", r.sparsify},
-		{"seg1", func() error { return r.segment(prog.seg1) }},
-		{"daemon1", r.daemonDrain},
-		{"catchup", r.applyCatchup},
-		{"seg2", func() error { return r.segment(prog.seg2) }},
-		{"daemon2", r.daemonDrain},
+		{"seg1", func() error { return r.segment(r.prog.seg1) }},
 	}
-	for i := 0; i < len(steps); {
-		crash, err := fault.Catch(steps[i].fn)
-		if err != nil {
-			return r, fmt.Errorf("step %s: %w", steps[i].name, err)
-		}
-		if crash != nil {
-			if r.result.Restarts > 0 {
-				return r, fmt.Errorf("step %s: second crash with injector disarmed", steps[i].name)
-			}
-			inj.Disarm()
-			db.Crash()
-			if _, err := db.Restart(); err != nil {
-				return r, fmt.Errorf("restart after crash in %s: %w", steps[i].name, err)
-			}
-			r.result.Crashed = true
-			r.result.Restarts++
-			r.result.CrashPoint = crash.Point
-			r.result.CrashStep = steps[i].name
-			continue
-		}
-		i++
+	seg2 := step{"seg2", func() error { return r.segment(r.prog.seg2) }}
+	switch s {
+	case manualShape:
+		return append(load,
+			step{"pass1", r.pass1},
+			step{"pass2", r.pass2},
+			step{"pass3", r.pass3},
+			// Safety net: if recovery abandoned pass 3 after the hook had
+			// stopped firing, unconsumed catch-up ops are applied here.
+			step{"catchup-rest", r.applyCatchup},
+			seg2)
+	case daemonShape:
+		return append(load,
+			step{"daemon1", r.daemonDrain},
+			step{"catchup", r.applyCatchup},
+			seg2,
+			step{"daemon2", r.daemonDrain})
 	}
-	r.hits = inj.Seq() - startSeq
-	return r, nil
+	return append(load, step{"catchup", r.applyCatchup}, seg2)
 }
 
-// runReference executes the program without any reorganization.
-func runReference(cfg EquivConfig, prog *program) (*equivRun, error) {
-	db, dir, err := openEquivDB(cfg, nil, nil)
+// runArm executes the program in shape s on a fresh database crashed at
+// hit (0: clean), resuming after the restart, and verifies the finished
+// database against the program's records.
+func runArm(cfg EquivConfig, p *program, s shape, hit int) (*equivRun, *outcome, error) {
+	var inj *fault.Injector // the reference arm runs uninjected
+	if s != referenceShape {
+		inj = fault.New(cfg.Seed)
+	}
+	rn, err := open(dbConfig{dir: cfg.Dir, pool: equivPool, daemon: s == daemonShape}, inj)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r := &equivRun{db: db, dir: dir, prog: prog}
-	for _, step := range []func() error{
-		r.load, r.sparsify,
-		func() error { return r.segment(prog.seg1) },
-		r.applyCatchup,
-		func() error { return r.segment(prog.seg2) },
-	} {
-		if err := step(); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
-}
-
-// collect reads a database's full contents.
-func collect(db *repro.DB) (map[string]string, error) {
-	keys, vals, err := db.Tree().CollectAll()
+	defer rn.close()
+	r := &equivRun{run: rn, prog: p}
+	out, err := r.drive(r.steps(s), crash{hit: hit}, true)
 	if err != nil {
-		return nil, err
+		return r, out, err
 	}
-	m := make(map[string]string, len(keys))
-	for i := range keys {
-		m[string(keys[i])] = string(vals[i])
-	}
-	return m, nil
-}
-
-// diffContents returns a compact description of the first few
-// divergences between two content maps.
-func diffContents(wantName, gotName string, want, got map[string]string) error {
-	var diffs []string
-	keys := make(map[string]bool, len(want)+len(got))
-	for k := range want {
-		keys[k] = true
-	}
-	for k := range got {
-		keys[k] = true
-	}
-	ordered := make([]string, 0, len(keys))
-	for k := range keys {
-		ordered = append(ordered, k)
-	}
-	sort.Strings(ordered)
-	for _, k := range ordered {
-		w, inW := want[k]
-		g, inG := got[k]
-		switch {
-		case inW && !inG:
-			diffs = append(diffs, fmt.Sprintf("key %q only in %s", k, wantName))
-		case !inW && inG:
-			diffs = append(diffs, fmt.Sprintf("key %q only in %s", k, gotName))
-		case w != g:
-			diffs = append(diffs, fmt.Sprintf("key %q: %s=%q %s=%q", k, wantName, w, gotName, g))
-		}
-		if len(diffs) >= 5 {
-			diffs = append(diffs, "...")
-			break
-		}
-	}
-	if len(diffs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("contents diverge (%d keys %s, %d keys %s):\n  %s",
-		len(want), wantName, len(got), gotName,
-		joinLines(diffs))
-}
-
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
+	return r, out, verify(r.db, p.want, nil)
 }
 
 // Equiv runs one equivalence experiment and returns its result, or an
 // error describing the first divergence or invariant violation.
 func Equiv(cfg EquivConfig) (*EquivResult, error) {
-	cfg = cfg.withDefaults()
-	prog := buildProgram(cfg)
-
-	// With the daemon arm enabled, the crash schedule moves onto it:
-	// the manual arm then runs clean on its own injector.
-	inj := fault.New(cfg.Seed)
-	reorgCfg := cfg
-	reorgInj := inj
+	p := buildProgram(cfg.Seed)
+	// With the daemon arm enabled, the crash schedule moves onto it: the
+	// manual arm then runs clean.
+	manualHit := cfg.CrashHit
 	if cfg.Daemon {
-		reorgCfg.CrashHit = 0
-		reorgInj = fault.New(cfg.Seed)
+		manualHit = 0
 	}
-	reorgRun, err := runReorg(reorgCfg, prog, reorgInj)
-	defer reorgRun.close()
+	m, out, err := runArm(cfg, p, manualShape, manualHit)
 	if err != nil {
-		return resultOf(reorgRun), fmt.Errorf("reorganizing run: %w", err)
+		return nil, fmt.Errorf("reorganizing run: %w", err)
 	}
-	if cfg.CrashHit > 0 && !reorgRun.result.Crashed {
-		// The schedule index lies past the run's hit count; the run
-		// completed clean, which is still a valid equivalence check.
-		reorgRun.result.Restarts = 0
-	}
+	res := &EquivResult{SideApplied: m.sideApplied, Records: len(p.want),
+		Crashed: out.crashed, CrashPoint: out.point, CrashStep: out.step}
 
-	var daemonRun *equivRun
+	// The daemon arm must match the program too, and — on clean runs —
+	// have actually reorganized: a policy that never triggers on a
+	// third-full tree is a broken policy, and a check that silently
+	// stops checking it is worse.
 	if cfg.Daemon {
-		daemonRun, err = runDaemon(cfg, prog, inj)
-		defer daemonRun.close()
+		d, out, err := runArm(cfg, p, daemonShape, cfg.CrashHit)
 		if err != nil {
-			return resultOf(daemonRun), fmt.Errorf("daemon run: %w", err)
+			return nil, fmt.Errorf("daemon run: %w", err)
 		}
+		if cfg.CrashHit == 0 && d.daemonUnits == 0 {
+			return nil, fmt.Errorf("daemon arm ran no reorganization units on a sparse tree")
+		}
+		res.Crashed, res.CrashPoint, res.CrashStep = out.crashed, out.point, out.step
+		res.DaemonUnits = d.daemonUnits
 	}
 
-	refRun, err := runReference(cfg, prog)
-	defer refRun.close()
-	if err != nil {
-		return resultOf(reorgRun), fmt.Errorf("reference run: %w", err)
-	}
-
-	want := prog.model()
-	gotReorg, err := collect(reorgRun.db)
-	if err != nil {
-		return resultOf(reorgRun), err
-	}
-	gotRef, err := collect(refRun.db)
-	if err != nil {
-		return resultOf(reorgRun), err
-	}
-	if err := diffContents("model", "reorganized", want, gotReorg); err != nil {
-		return resultOf(reorgRun), err
-	}
-	if err := diffContents("model", "reference", want, gotRef); err != nil {
-		return resultOf(reorgRun), err
-	}
-
-	// Both final trees must satisfy every unconditional invariant.
-	if rep := Tree(reorgRun.db); !rep.OK() {
-		return resultOf(reorgRun), fmt.Errorf("reorganized tree invariants: %w", rep.Err())
-	}
-	if rep := Tree(refRun.db); !rep.OK() {
-		return resultOf(reorgRun), fmt.Errorf("reference tree invariants: %w", rep.Err())
-	}
-
-	// The daemon arm must match the model too, hold every invariant,
-	// and — on clean runs — have actually reorganized: a policy that
-	// never triggers on a third-full tree is a broken policy, and a
-	// check that silently stops checking it is worse.
-	if daemonRun != nil {
-		gotDaemon, err := collect(daemonRun.db)
-		if err != nil {
-			return resultOf(daemonRun), err
-		}
-		if err := diffContents("model", "daemon", want, gotDaemon); err != nil {
-			return resultOf(daemonRun), err
-		}
-		if rep := Tree(daemonRun.db); !rep.OK() {
-			return resultOf(daemonRun), fmt.Errorf("daemon tree invariants: %w", rep.Err())
-		}
-		if cfg.CrashHit == 0 && daemonRun.result.DaemonUnits == 0 {
-			return resultOf(daemonRun), fmt.Errorf(
-				"daemon arm ran no reorganization units on a sparse tree")
-		}
-		// Report the daemon arm's crash outcome alongside the manual
-		// arm's side-file evidence.
-		reorgRun.result.Crashed = daemonRun.result.Crashed
-		reorgRun.result.Restarts = daemonRun.result.Restarts
-		reorgRun.result.CrashPoint = daemonRun.result.CrashPoint
-		reorgRun.result.CrashStep = daemonRun.result.CrashStep
-		reorgRun.result.DaemonUnits = daemonRun.result.DaemonUnits
+	if _, _, err := runArm(cfg, p, referenceShape, 0); err != nil {
+		return nil, fmt.Errorf("reference run: %w", err)
 	}
 
 	// A clean run with catch-up traffic must actually have exercised
 	// the side file — otherwise the suite silently stopped testing §7.2.
-	if cfg.CrashHit == 0 && cfg.CatchupOps > 0 && reorgRun.result.SideApplied == 0 {
-		return resultOf(reorgRun), fmt.Errorf(
+	if cfg.CrashHit == 0 && res.SideApplied == 0 {
+		return nil, fmt.Errorf(
 			"no side-file entries applied: catch-up ops did not reach the side file")
 	}
-	reorgRun.result.Records = len(gotReorg)
-	return resultOf(reorgRun), nil
-}
-
-func resultOf(r *equivRun) *EquivResult {
-	if r == nil {
-		return &EquivResult{}
-	}
-	return &r.result
+	return res, nil
 }
 
 // EquivHits enumerates the fault-point hit count of a clean
@@ -673,17 +362,55 @@ func resultOf(r *equivRun) *EquivResult {
 // With cfg.Daemon set it enumerates the daemon arm instead, since that
 // is the arm the schedules then crash.
 func EquivHits(cfg EquivConfig) (int, error) {
-	cfg = cfg.withDefaults()
-	cfg.CrashHit = 0
-	prog := buildProgram(cfg)
-	run := runReorg
+	s := manualShape
 	if cfg.Daemon {
-		run = runDaemon
+		s = daemonShape
 	}
-	r, err := run(cfg, prog, fault.New(cfg.Seed))
-	defer r.close()
+	_, out, err := runArm(cfg, buildProgram(cfg.Seed), s, 0)
 	if err != nil {
 		return 0, fmt.Errorf("enumeration run: %w", err)
 	}
-	return int(r.hits), nil
+	return int(out.hits), nil
+}
+
+// EquivSchedules runs the experiment of cfg crashed at n hits spread
+// evenly over its enumerated hits, first and last included, on the
+// driver's workers. It returns the hit count and how many schedules
+// crashed; an error is the lowest failing schedule's, with its repro
+// command.
+func EquivSchedules(cfg EquivConfig, n int) (hits, crashed int, err error) {
+	hits, err = EquivHits(cfg)
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w\nrepro: %s", err, cfg.reproCmd())
+	}
+	at := spread(hits, n)
+	var mu sync.Mutex
+	err = parallel(n, func(j int) error {
+		c := cfg
+		c.CrashHit = at[j]
+		res, err := Equiv(c)
+		if err != nil {
+			return fmt.Errorf("crash schedule %d/%d (hit %d of %d): %w\nrepro: %s",
+				j+1, n, at[j], hits, err, c.reproCmd())
+		}
+		if res.Crashed {
+			mu.Lock()
+			crashed++
+			mu.Unlock()
+		}
+		return nil
+	})
+	return hits, crashed, err
+}
+
+// reproCmd is the command line that re-runs the experiment of cfg alone.
+func (cfg EquivConfig) reproCmd() string {
+	s := fmt.Sprintf("reorg-bench check -seed %d -histories 0 -crashes 0", cfg.Seed)
+	if cfg.CrashHit > 0 {
+		s += fmt.Sprintf(" -crashhit %d", cfg.CrashHit)
+	}
+	if cfg.Daemon {
+		s += " -daemon"
+	}
+	return s
 }

@@ -40,27 +40,17 @@ func TestEquivSeedsDiffer(t *testing.T) {
 }
 
 func TestEquivWithCrashSchedules(t *testing.T) {
-	cfg := check.EquivConfig{Seed: 4}
-	hits, err := check.EquivHits(cfg)
+	// A spread of crash points: early (load), middle (reorg passes),
+	// late (pass 3 / seg2).
+	hits, crashed, err := check.EquivSchedules(check.EquivConfig{Seed: 4}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits < 20 {
 		t.Fatalf("only %d fault-point hits; program too small to schedule crashes", hits)
 	}
-	// A spread of crash points: early (load), middle (reorg passes),
-	// late (pass 3 / seg2).
-	for i := 0; i < 6; i++ {
-		hit := 1 + i*(hits-1)/5
-		cfg.CrashHit = hit
-		res, err := check.Equiv(cfg)
-		if err != nil {
-			t.Fatalf("crash at hit %d/%d: %v\nrepro: reorg-bench check -seed 4 -crashhit %d",
-				hit, hits, err, hit)
-		}
-		if !res.Crashed {
-			t.Logf("hit %d/%d not reached (run completed clean)", hit, hits)
-		}
+	if crashed < 6 {
+		t.Logf("%d of 6 schedules over %d hits crashed (the rest completed clean)", crashed, hits)
 	}
 }
 
@@ -78,26 +68,12 @@ func TestEquivDaemonArmClean(t *testing.T) {
 }
 
 func TestEquivDaemonArmCrashSchedules(t *testing.T) {
-	cfg := check.EquivConfig{Seed: 6, Daemon: true}
-	hits, err := check.EquivHits(cfg)
+	hits, crashed, err := check.EquivSchedules(check.EquivConfig{Seed: 6, Daemon: true}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits < 20 {
 		t.Fatalf("only %d fault-point hits on the daemon arm", hits)
-	}
-	crashed := 0
-	for i := 0; i < 5; i++ {
-		hit := 1 + i*(hits-1)/4
-		cfg.CrashHit = hit
-		res, err := check.Equiv(cfg)
-		if err != nil {
-			t.Fatalf("daemon crash at hit %d/%d: %v\nrepro: reorg-bench check -seed 6 -crashhit %d -daemon",
-				hit, hits, err, hit)
-		}
-		if res.Crashed {
-			crashed++
-		}
 	}
 	if crashed == 0 {
 		t.Fatal("no scheduled crash fired on the daemon arm")

@@ -40,9 +40,9 @@ func TestEquivRegressionPass3CleanupLeaks(t *testing.T) {
 				c.seed, c.hit, c.bug, err, c.seed, c.hit)
 			continue
 		}
-		if !res.Crashed {
-			t.Errorf("seed %d hit %d (%s): schedule no longer crashes; re-pin the hit",
-				c.seed, c.hit, c.bug)
+		if !res.Crashed || res.CrashStep != "pass3" {
+			t.Errorf("seed %d hit %d (%s): crashed=%v in step %q, want a crash in pass3; re-pin the hit",
+				c.seed, c.hit, c.bug, res.Crashed, res.CrashStep)
 		}
 	}
 }

@@ -137,16 +137,11 @@ func Smoke(cfg SmokeConfig) (*SmokeResult, error) {
 		logf = func(string, ...any) {}
 	}
 
-	daemonFlag := ""
-	if cfg.Daemon {
-		daemonFlag = " -daemon"
-	}
-
 	// --- clean equivalence + structure oracle on every pass boundary
-	eq, err := Equiv(EquivConfig{Seed: cfg.Seed, Dir: cfg.Dir, Daemon: cfg.Daemon})
+	ecfg := EquivConfig{Seed: cfg.Seed, Dir: cfg.Dir, Daemon: cfg.Daemon}
+	eq, err := Equiv(ecfg)
 	if err != nil {
-		return res, fmt.Errorf("%w\nrepro: reorg-bench check -seed %d -histories 0 -crashes 0%s",
-			err, cfg.Seed, daemonFlag)
+		return res, fmt.Errorf("%w\nrepro: %s", err, ecfg.reproCmd())
 	}
 	res.SideApplied = eq.SideApplied
 	if cfg.Daemon {
@@ -187,24 +182,11 @@ func Smoke(cfg SmokeConfig) (*SmokeResult, error) {
 
 	// --- crash-point equivalence schedules
 	if cfg.CrashSchedules > 0 {
-		hits, err := EquivHits(EquivConfig{Seed: cfg.Seed, Dir: cfg.Dir, Daemon: cfg.Daemon})
+		hits, _, err := EquivSchedules(ecfg, cfg.CrashSchedules)
 		if err != nil {
-			return res, fmt.Errorf("%w\nrepro: reorg-bench check -seed %d -histories 0 -crashes 0%s",
-				err, cfg.Seed, daemonFlag)
+			return res, err
 		}
-		res.Hits = hits
-		denom := cfg.CrashSchedules - 1
-		if denom < 1 {
-			denom = 1
-		}
-		for j := 0; j < cfg.CrashSchedules; j++ {
-			hit := 1 + j*(hits-1)/denom
-			if _, err := Equiv(EquivConfig{Seed: cfg.Seed, CrashHit: hit, Dir: cfg.Dir, Daemon: cfg.Daemon}); err != nil {
-				return res, fmt.Errorf("crash schedule %d/%d (hit %d of %d): %w\nrepro: reorg-bench check -seed %d -histories 0 -crashes 0 -crashhit %d%s",
-					j+1, cfg.CrashSchedules, hit, hits, err, cfg.Seed, hit, daemonFlag)
-			}
-			res.CrashRuns++
-		}
+		res.Hits, res.CrashRuns = hits, cfg.CrashSchedules
 		logf("check: %d crash schedules over %d hits equivalent", res.CrashRuns, hits)
 	}
 	return res, nil

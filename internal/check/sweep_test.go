@@ -1,11 +1,48 @@
-package sweep
+package check
 
 import (
 	"slices"
 	"testing"
-
-	"repro/internal/fault"
 )
+
+// The sweep programs' hit counts and (sorted) fault-point sets are pinned
+// exactly: a change that moves a fault hit re-derives them, and a
+// refactor of the harness must not move any.
+var (
+	// passesPoints is every fault point the passes program reaches on
+	// the in-memory backend: every reorganization unit type and the
+	// root-switch window. The file backend adds wal.truncate.
+	passesPoints = []string{
+		"disk.read", "disk.write", "pager.evict", "pager.flush",
+		"reorg.compact.begin", "reorg.compact.end", "reorg.compact.modified", "reorg.compact.moved",
+		"reorg.move.begin", "reorg.move.end", "reorg.move.modified", "reorg.move.moved",
+		"reorg.pass3.base", "reorg.pass3.built", "reorg.pass3.side", "reorg.pass3.stable",
+		"reorg.pass3.switch.durable", "reorg.pass3.switch.pre", "reorg.pass3.switched",
+		"reorg.swap.begin", "reorg.swap.end", "reorg.swap.logged", "reorg.swap.moved",
+		"wal.append", "wal.force",
+	}
+	filePoints = append(slices.Clone(passesPoints), "wal.truncate")
+	// daemonPoints: the daemon's scheduler seams and the pass-1 units
+	// it drives through them.
+	daemonPoints = []string{
+		"daemon.tick", "daemon.unit.start",
+		"disk.read", "disk.write", "pager.evict", "pager.flush",
+		"reorg.compact.begin", "reorg.compact.end", "reorg.compact.modified", "reorg.compact.moved",
+		"wal.append", "wal.force",
+	}
+)
+
+// pinned checks a sweep's enumeration against its pinned hit count and
+// fault-point set.
+func pinned(t *testing.T, res *SweepResult, hits int, points []string) {
+	t.Helper()
+	if res.TotalHits != hits {
+		t.Errorf("enumerated %d fault-point hits, want %d", res.TotalHits, hits)
+	}
+	if !slices.Equal(res.Points, points) {
+		t.Errorf("fault points\n got %q\nwant %q", res.Points, points)
+	}
+}
 
 // TestCrashSweep is the E5b acceptance test: enumerate every fault-point
 // hit in the scripted workload, crash at each one (every Stride-th in
@@ -14,46 +51,22 @@ func TestCrashSweep(t *testing.T) {
 	// Every restart that completes a unit or cleans up a pass 3 is
 	// crashed again, at every fifth of its wal.append hits;
 	// `reorg-bench sweep` runs the leg in full.
-	cfg := Config{Torn: true, SecondCrashStride: 5, Logf: t.Logf}
+	cfg := SweepConfig{Torn: true, SecondCrashStride: 5, Logf: t.Logf}
 	if testing.Short() {
 		cfg.Stride = 7
 		cfg.Torn = false
 	}
-	res, err := Run(cfg)
+	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatalf("sweep failed: %v", err)
 	}
-	if res.TotalHits < 100 {
-		t.Errorf("enumerated %d fault-point hits, want >= 100", res.TotalHits)
-	}
+	pinned(t, res, 1357, passesPoints)
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
 	t.Logf("sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units (%d crashed again inside restart), %d/%d pass3 abandoned/completed",
 		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted,
 		res.DoubleCrashRuns, res.Pass3Abandoned, res.Pass3Completed)
-
-	// The script must exercise every reorganization unit type and the
-	// root-switch window, or the sweep is not testing what it claims.
-	want := []string{
-		fault.DiskRead, fault.DiskWrite, fault.WALAppend, fault.WALForce,
-		fault.PagerFlush, fault.PagerEvict,
-		"reorg.compact.begin", "reorg.compact.end",
-		"reorg.move.begin", "reorg.move.end",
-		"reorg.swap.begin", "reorg.swap.logged", "reorg.swap.end",
-		"reorg.pass3.base", "reorg.pass3.built", "reorg.pass3.side",
-		"reorg.pass3.stable",
-		"reorg.pass3.switch.pre", "reorg.pass3.switch.durable",
-	}
-	have := make(map[string]bool, len(res.Points))
-	for _, p := range res.Points {
-		have[p] = true
-	}
-	for _, p := range want {
-		if !have[p] {
-			t.Errorf("fault point %s never hit by the sweep workload", p)
-		}
-	}
 	if !testing.Short() {
 		if res.TornRuns == 0 {
 			t.Error("no torn-log runs despite Torn: true")
@@ -76,11 +89,11 @@ func TestCrashSweep(t *testing.T) {
 // TestEnumerateDeterministic guards the property the whole sweep rests
 // on: the same config yields the identical hit trace every run.
 func TestEnumerateDeterministic(t *testing.T) {
-	a, err := Enumerate(Config{})
+	a, _, err := SweepConfig{}.enumerate()
 	if err != nil {
 		t.Fatalf("first enumeration: %v", err)
 	}
-	b, err := Enumerate(Config{})
+	b, _, err := SweepConfig{}.enumerate()
 	if err != nil {
 		t.Fatalf("second enumeration: %v", err)
 	}
@@ -100,7 +113,7 @@ func TestEnumerateDeterministic(t *testing.T) {
 // fault points — crashes there leave the policy mid-decision, and the
 // rebuilt daemon after Restart must not matter to recovery.
 func TestCrashSweepDaemon(t *testing.T) {
-	cfg := Config{Daemon: true, SecondCrashStride: 5, Logf: t.Logf}
+	cfg := SweepConfig{Daemon: true, SecondCrashStride: 5, Logf: t.Logf}
 	if testing.Short() {
 		cfg.Stride = 7
 	} else {
@@ -110,32 +123,16 @@ func TestCrashSweepDaemon(t *testing.T) {
 		cfg.Stride = 3
 		cfg.Torn = true
 	}
-	res, err := Run(cfg)
+	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatalf("daemon sweep failed: %v", err)
 	}
+	pinned(t, res, 1237, daemonPoints)
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
 	t.Logf("daemon sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units (%d crashed again inside restart)",
 		res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted, res.DoubleCrashRuns)
-
-	// The daemon shape must reach its scheduler seams and drive real
-	// pass-1 units through them.
-	want := []string{
-		fault.DaemonTick, fault.DaemonUnitStart,
-		"reorg.compact.begin", "reorg.compact.end",
-		fault.DiskRead, fault.DiskWrite, fault.WALAppend, fault.WALForce,
-	}
-	have := make(map[string]bool, len(res.Points))
-	for _, p := range res.Points {
-		have[p] = true
-	}
-	for _, p := range want {
-		if !have[p] {
-			t.Errorf("fault point %s never hit by the daemon sweep workload", p)
-		}
-	}
 }
 
 // TestCrashSweepFileBackend runs the same E5b sweep against real files:
@@ -145,10 +142,9 @@ func TestCrashSweepDaemon(t *testing.T) {
 // ragged tail for the scan to truncate). -short bounds the run count;
 // the full run covers every hit plus every torn wal.force variant.
 func TestCrashSweepFileBackend(t *testing.T) {
-	cfg := Config{
-		Torn:    true,
-		Backend: "file",
-		Dir:     t.TempDir(),
+	cfg := SweepConfig{
+		Torn: true,
+		Dir:  t.TempDir(),
 		// Rotate aggressively so the sweep crosses segment boundaries
 		// (crash-during-rotation coverage comes free with every hit that
 		// lands inside a force that rotates).
@@ -162,10 +158,11 @@ func TestCrashSweepFileBackend(t *testing.T) {
 		cfg.Stride = 11
 		cfg.Torn = false
 	}
-	res, err := Run(cfg)
+	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatalf("file-backend sweep failed: %v", err)
 	}
+	pinned(t, res, 1360, filePoints)
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
@@ -187,30 +184,30 @@ func TestCrashSweepFileBackend(t *testing.T) {
 func TestCrashSweepAutoCheckpoint(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
-			cfg := Config{CheckpointEvery: 512, Torn: true, Stride: 3, SecondCrashStride: 8,
-				Backend: backend, Logf: t.Logf}
+			cfg := SweepConfig{CheckpointEvery: 512, Torn: true, Stride: 3, SecondCrashStride: 8,
+				Logf: t.Logf}
+			hits, points := 1560, passesPoints
 			if backend == "file" {
 				cfg.Dir = t.TempDir()
 				cfg.WALSegmentBytes = 4096
 				cfg.Stride = 13
+				hits, points = 1565, filePoints
 			}
 			if testing.Short() {
 				cfg.Stride *= 4
 				cfg.Torn = false
 			}
-			res, err := Run(cfg)
+			res, err := Sweep(cfg)
 			if err != nil {
 				t.Fatalf("sweep failed: %v", err)
 			}
+			pinned(t, res, hits, points)
 			t.Logf("%s sweep: %d hits, %d crash runs, %d torn runs, %d forward-completed units, %d automatic checkpoints, %d inside a reorganization",
 				backend, res.TotalHits, res.CrashRuns, res.TornRuns, res.ForwardCompleted,
 				res.AutoCheckpoints, res.HookCheckpoints)
 			if res.AutoCheckpoints < 10 || res.HookCheckpoints < 10 {
 				t.Errorf("%d automatic checkpoints, %d inside a reorganization: the leg is not checkpointing",
 					res.AutoCheckpoints, res.HookCheckpoints)
-			}
-			if backend == "file" && !slices.Contains(res.Points, fault.WALTruncate) {
-				t.Errorf("no crash point at %s", fault.WALTruncate)
 			}
 		})
 	}

@@ -17,8 +17,9 @@
 // injector keeps a global hit sequence number and per-point counters,
 // and can record a trace of every hit (sweep enumeration mode). The
 // same scripted workload re-run with a crash armed at hit index i then
-// fails at exactly the same operation — the basis of the exhaustive
-// crash-schedule sweep in internal/fault/sweep.
+// fails at exactly the same operation — the basis of the crash driver
+// in internal/check, behind the exhaustive crash-schedule sweep and the
+// equivalence schedules.
 package fault
 
 import (

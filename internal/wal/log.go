@@ -87,7 +87,7 @@ type Log struct {
 	forcedWrites  atomic.Int64
 	bytesForced   atomic.Int64
 	groupLeaders  atomic.Int64
-	forcesSaved   atomic.Int64 // forces covered by somebody else's sync
+	forcesSaved   atomic.Int64 // calls whose target somebody else's sync made durable
 
 	// Automatic-checkpoint bookkeeping in stream offsets, atomics so that
 	// the check after every logged commit takes no lock: ckptEvery is the
@@ -331,19 +331,18 @@ func (l *Log) Flush() error {
 //
 //vet:holds(l.mu)
 func (l *Log) forceTo(target uint64) error {
-	waited := false
+	forced := false
 	for l.flushed < target {
 		if l.busy || (l.written >= target && l.syncs > 0) {
-			waited = true
 			l.wait()
 			continue
 		}
-		waited = false
+		forced = true
 		if err := l.force(); err != nil {
 			return err
 		}
 	}
-	if waited {
+	if !forced {
 		l.forcesSaved.Add(1)
 	}
 	return nil
@@ -648,8 +647,10 @@ func (l *Log) BytesAppended() int64 { return l.bytesAppended.Load() }
 func (l *Log) ForcedWrites() int64 { return l.forcedWrites.Load() }
 
 // ForcesSaved returns the number of FlushTo/Flush calls that found
-// their LSN durable after waiting on another caller's forced write —
-// the forced I/Os group commit avoided. Lock-free.
+// their target durable without forcing it themselves — after waiting on
+// another caller's forced write, or at once — the forced I/Os group
+// commit avoided. A call that succeeds is either saved or performed a
+// forced write itself. Lock-free.
 func (l *Log) ForcesSaved() int64 { return l.forcesSaved.Load() }
 
 // GroupLeaders returns the number of forced writes attempted (equal to

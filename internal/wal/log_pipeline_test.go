@@ -150,8 +150,11 @@ func TestConcurrentCommittersShareSyncs(t *testing.T) {
 	if fsyncs >= committers*each {
 		t.Errorf("%d fsyncs for %d commits, want fewer", fsyncs, committers*each)
 	}
-	// (A commit whose record was durable before it asked is neither a
-	// force nor a saved one, so the two need not add up to the commits.)
+	// Every commit forced or was saved, a record durable before its
+	// commit asked included.
+	if f, s := l.ForcedWrites(), l.ForcesSaved(); f+s < committers*each {
+		t.Errorf("accounting: %d forces + %d saved < %d commits", f, s, committers*each)
+	}
 	if l.ForcesSaved() == 0 {
 		t.Errorf("no commit waited for another one's sync")
 	}
