@@ -176,6 +176,7 @@ func BenchmarkScan100(b *testing.B) {
 	if err := workload.Load(db, n, 48, "seq", 1); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := (i * 97) % n

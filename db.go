@@ -406,7 +406,8 @@ func (t *Txn) Delete(key []byte) error {
 }
 
 // Scan streams records with lo <= key <= hi (hi nil = unbounded) in
-// key order until fn returns false.
+// key order until fn returns false. key and val are valid only until fn
+// returns (the scan reuses their memory); fn copies what it keeps.
 func (t *Txn) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 	return t.db.tree.Scan(t.inner, lo, hi, fn)
 }
@@ -583,17 +584,21 @@ func (db *DB) Delete(key []byte) error {
 // is retried (the scan lost a deadlock, or the tree switched under it)
 // the new attempt resumes just past the last record already handed to
 // fn, so fn sees every key at most once and in order; replaying from lo
-// would hand it the prefix twice.
+// would hand it the prefix twice. key and val are valid only until fn
+// returns (the scan reuses their memory); fn copies what it keeps.
 func (db *DB) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
-	var last []byte // last key handed to fn; Tree.Scan passes a fresh copy per record
+	// A copy of the last key handed to fn (k itself dies when fn
+	// returns), on the stack: keys are at most kv.MaxKeySize bytes.
+	var lastBuf [kv.MaxKeySize]byte
+	last, resume := lastBuf[:0], false
 	return db.timedAuto(db.hScan, func(t *Txn) error {
 		from := lo
-		if last != nil {
+		if resume {
 			// The smallest key after last.
 			from = append(append([]byte(nil), last...), 0)
 		}
 		return t.Scan(from, hi, func(k, v []byte) bool {
-			last = k
+			last, resume = append(last[:0], k...), true
 			return fn(k, v)
 		})
 	})

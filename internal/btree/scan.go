@@ -19,76 +19,123 @@ import (
 // back to a fresh descent on the successor key (the reader protocol's
 // forgo-and-wait, expressed as re-seek). Scanned leaves are downgraded
 // to IS locks held to end of transaction.
+//
+// key and val are valid only until fn returns: they alias a buffer the
+// scan refills leaf after leaf, so fn copies whatever it keeps.
 func (t *Tree) Scan(tx *txn.Txn, lo, hi []byte, fn func(key, val []byte) bool) error {
 	owner := tx.ID()
 	if err := t.lockTree(owner, lock.IS); err != nil {
 		return err
 	}
-	seek := append([]byte(nil), lo...)
+	b := t.getScanBuf()
+	defer t.scanBufs.Put(b)
+	b.seek = append(b.seek[:0], lo...)
 	inclusive := true
 	for hops := 0; hops < 1<<22; hops++ {
-		base, leaf, err := t.descendToLeaf(owner, seek, lock.S)
+		base, leaf, err := t.descendToLeaf(owner, b.seek, lock.S)
 		if err != nil {
 			return err
 		}
 		t.ReleaseBase(owner, base)
-		done, last, err := t.scanChain(tx, leaf, seek, hi, inclusive, fn)
+		done, err := t.scanChain(tx, leaf, b, hi, inclusive, fn)
 		if err != nil || done {
 			return err
 		}
 		// The chain walk was interrupted by the reorganizer: re-seek
-		// strictly past the last key it reported.
-		seek = last
+		// strictly past the last key it reported (left in b.seek).
 		inclusive = false
 	}
 	return fmt.Errorf("btree: scan did not terminate")
 }
 
+// scanBuf is one scan's copy of a leaf's qualifying records. data holds
+// keys and values back to back; ends[2i] and ends[2i+1] are the end
+// offsets of record i's key and value in data. seek is where the scan
+// (re)starts: lo, then after each leaf the last key handed to fn.
+type scanBuf struct {
+	data []byte
+	ends []int
+	seek []byte
+}
+
+// getScanBuf takes a buffer from the tree's pool; a fresh one is sized
+// for a whole page, the most one leaf can fill it with.
+func (t *Tree) getScanBuf() *scanBuf {
+	if b, ok := t.scanBufs.Get().(*scanBuf); ok {
+		return b
+	}
+	return &scanBuf{data: make([]byte, 0, t.pager.PageSize())}
+}
+
 // scanChain walks leaves from the given (S-locked, pinned) leaf via
-// side pointers. done=false means the walk was interrupted and the
-// caller should re-seek strictly past `last`.
-func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, lo, hi []byte,
-	inclusive bool, fn func(key, val []byte) bool) (done bool, last []byte, err error) {
+// side pointers, starting at b.seek (strictly past it unless
+// inclusive). Each leaf's qualifying records are copied into b under
+// the read latch and handed to fn once it is released. done=false
+// means the walk was interrupted and the caller should re-seek
+// strictly past b.seek.
+//
+//vet:hotpath -- the per-row scan loop copies rows into the pooled buffer
+func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, b *scanBuf, hi []byte,
+	inclusive bool, fn func(key, val []byte) bool) (done bool, err error) {
 	owner := tx.ID()
-	last = append([]byte(nil), lo...)
+	first := true
 	for {
-		type rec struct{ k, v []byte }
-		var recs []rec
+		b.data, b.ends = b.data[:0], b.ends[:0]
 		beyondHi := false
 		leaf.RLock()
 		p := leaf.Data()
-		for i := 0; i < p.NumSlots(); i++ {
-			k, v := kv.DecodeLeafCell(p.Cell(i))
-			if c := kv.Compare(k, lo); c < 0 || (c == 0 && !inclusive) {
-				continue
+		i := 0
+		if first {
+			// Later leaves hold only keys above the seek key.
+			var found bool
+			i, found = kv.Search(p, b.seek)
+			if found && !inclusive {
+				i++
 			}
+			first = false
+		}
+		for n := p.NumSlots(); i < n; i++ {
+			k, v := kv.DecodeLeafCell(p.Cell(i))
 			if hi != nil && kv.Compare(k, hi) > 0 {
 				beyondHi = true
 				break
 			}
-			recs = append(recs, rec{append([]byte(nil), k...), append([]byte(nil), v...)})
+			b.data = append(b.data, k...)
+			b.ends = append(b.ends, len(b.data))
+			b.data = append(b.data, v...)
+			b.ends = append(b.ends, len(b.data))
 		}
 		next := p.Next()
 		leaf.RUnlock()
 
-		for _, r := range recs {
-			last = r.k
-			inclusive = false
-			if !fn(r.k, r.v) {
+		// Full slice expressions cap each field at its end, so an
+		// append in fn reallocates instead of overwriting the next one.
+		var k []byte
+		start := 0
+		for j := 0; j < len(b.ends); j += 2 {
+			kEnd, vEnd := b.ends[j], b.ends[j+1]
+			k = b.data[start:kEnd:kEnd]
+			start = vEnd
+			if !fn(k, b.data[kEnd:vEnd:vEnd]) {
 				t.finishLeaf(owner, leaf)
-				return true, last, nil
+				return true, nil
 			}
 		}
 		if beyondHi || next == storage.InvalidPage {
 			t.finishLeaf(owner, leaf)
-			return true, last, nil
+			return true, nil
+		}
+		if k != nil {
+			// The buffer is refilled from the next leaf, and a forgo
+			// re-seeks past the last key handed to fn: keep a copy.
+			b.seek = append(b.seek[:0], k...)
 		}
 
 		// Couple to the next leaf before releasing the current one.
 		lockErr := t.locks.LockOpts(owner, pageRes(next), lock.S, lock.Opt{ForgoOnRX: true})
 		if errors.Is(lockErr, lock.ErrReorgConflict) {
 			// Forgo, then wait the reorganizer out before the caller
-			// re-seeks past `last`. Re-seeking at once would spin: the
+			// re-seeks past b.seek. Re-seeking at once would spin: the
 			// fresh descent lands on this same leaf and meets the same RX
 			// lock, and because the scan never blocks, the lock manager
 			// cannot see that the reorganizer in turn waits for the IS
@@ -99,22 +146,22 @@ func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, lo, hi []byte,
 			t.finishLeaf(owner, leaf)
 			waitStart := time.Now()
 			if err := t.locks.LockInstant(owner, pageRes(next), lock.S); err != nil {
-				return true, last, err
+				return true, err
 			}
 			if t.hForgoWait != nil {
 				t.hForgoWait.Record(time.Since(waitStart))
 			}
-			return false, last, nil
+			return false, nil
 		}
 		if lockErr != nil {
 			t.finishLeaf(owner, leaf)
-			return true, last, lockErr
+			return true, lockErr
 		}
 		nf, ferr := t.pager.Fix(next)
 		if ferr != nil {
 			t.locks.Unlock(owner, pageRes(next))
 			t.finishLeaf(owner, leaf)
-			return true, last, ferr
+			return true, ferr
 		}
 		t.finishLeaf(owner, leaf)
 		leaf = nf

@@ -95,3 +95,43 @@ func TestScanForgoWaitsForReorganizer(t *testing.T) {
 		}
 	}
 }
+
+// TestScanCallbackAppendIsolated checks the callback contract: key and
+// val alias the scan's buffer only up to their own ends, so an append
+// to either inside fn changes neither the other field nor the next row.
+// It also starts between two stored keys, where the first leaf's
+// search must land on the next one.
+func TestScanCallbackAppendIsolated(t *testing.T) {
+	e := newEnv(t, 512)
+	const n = 200
+	for i := 0; i < n; i++ {
+		e.put(t, i)
+	}
+	tx := e.txns.Begin()
+	i := 51
+	err := e.tree.Scan(tx, append(key(50), 'x'), nil, func(k, v []byte) bool {
+		if string(k) != string(key(i)) || string(v) != string(val(i)) {
+			t.Fatalf("row %d: got (%q, %q)", i, k, v)
+		}
+		k2 := append(k, "-clobber"...)
+		if string(v) != string(val(i)) {
+			t.Fatalf("row %d: append to key changed value to %q", i, v)
+		}
+		_ = append(v, "-clobber"...)
+		k2[0] = '!'
+		if string(k) != string(key(i)) {
+			t.Fatalf("row %d: append to key wrote into it: %q", i, k)
+		}
+		i++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != n {
+		t.Fatalf("scan stopped at row %d, want %d", i, n)
+	}
+	if err := e.tree.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+}

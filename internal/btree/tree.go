@@ -118,6 +118,10 @@ type Tree struct {
 	// when set (tests only), runs inside that window.
 	smoMu   sync.RWMutex
 	smoHook func()
+
+	// scanBufs recycles range scans' leaf copies (*scanBuf, see
+	// scan.go), so a scan allocates nothing per row or per leaf.
+	scanBufs sync.Pool
 }
 
 // SetObserver wires the tree's forgo-wait histogram and trace ring
