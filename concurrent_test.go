@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -107,12 +108,12 @@ func TestStressConcurrentOpsDuringReorganize(t *testing.T) {
 
 	if _, err := db.Reorganize(DefaultReorgConfig()); err != nil {
 		close(stop)
-		wg.Wait()
+		waitOrDump(t, &wg, 30*time.Second)
 		t.Fatalf("reorganize under load: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond) // keep traffic running post-switch
 	close(stop)
-	wg.Wait()
+	waitOrDump(t, &wg, 30*time.Second)
 	select {
 	case err := <-errc:
 		t.Fatalf("worker: %v", err)
@@ -129,6 +130,25 @@ func TestStressConcurrentOpsDuringReorganize(t *testing.T) {
 		if _, err := db.Get(workload.Key(id)); err != nil {
 			t.Fatalf("fresh key %d lost: %v", id, err)
 		}
+	}
+}
+
+// waitOrDump waits for wg, failing the test with every goroutine's
+// stack if that takes longer than d: a worker wedged on a lock shows
+// where it waits, instead of the run hitting go test's timeout.
+func waitOrDump(t *testing.T, wg *sync.WaitGroup, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		buf := make([]byte, 1<<22)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("workers still running %v after stop:\n%s", d, buf)
 	}
 }
 

@@ -59,29 +59,23 @@ func (t *Tree) InsertBatch(tx *txn.Txn, keys, vals [][]byte) error {
 	if err := t.lockTree(owner, lock.IX); err != nil {
 		return err
 	}
+	h := t.NewHold(owner)
+	defer h.Release()
+	var bound []byte
 	next := 0
 	for next < n {
 		key := keys[order[next]]
-		base, leaf, err := t.descendToLeaf(owner, key, lock.IX)
+		// The leaf's coverage ends at the base page's next entry
+		// (bound). The IX page lock blocks splits of this leaf and
+		// reorganization, and changes to the right sibling only ever
+		// move the true bound up, so the snapshot stays a safe
+		// (conservative) run limit. When the leaf hangs off the base's
+		// last entry its bound lives in an ancestor; fall back to one
+		// record for that descent.
+		leaf, err := t.descendToLeaf(&h, key, lock.IX, &bound)
 		if err != nil {
 			return err
 		}
-		// The leaf's coverage ends at the next base-page entry. The IX
-		// page lock blocks splits of this leaf and reorganization, and
-		// changes to the right sibling only ever move the true bound
-		// up, so the snapshot stays a safe (conservative) run limit.
-		// When the leaf hangs off the base's last entry its bound lives
-		// in an ancestor; fall back to one record for that descent.
-		var bound []byte
-		base.RLock()
-		bp := base.Data()
-		_, slot := kv.ChildFor(bp, key)
-		if slot >= 0 && slot+1 < bp.NumSlots() {
-			bound = append([]byte(nil), kv.SlotKey(bp, slot+1)...)
-		}
-		base.RUnlock()
-		t.ReleaseBase(owner, base)
-
 		end := next + 1
 		if bound != nil {
 			for end < n && end-next < maxBatchRun && kv.Compare(keys[order[end]], bound) < 0 {
@@ -90,12 +84,11 @@ func (t *Tree) InsertBatch(tx *txn.Txn, keys, vals [][]byte) error {
 		}
 		for i := next; i < end; i++ {
 			if err := t.locks.Lock(owner, recordRes(keys[order[i]]), lock.X); err != nil {
-				t.pager.Unfix(leaf)
 				return err
 			}
 		}
 		applied, aerr := t.applyBatchLogged(tx, leaf, keys, vals, order[next:end])
-		t.pager.Unfix(leaf)
+		h.Release()
 		next += applied
 		if aerr == nil {
 			continue

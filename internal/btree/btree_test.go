@@ -474,11 +474,12 @@ func TestGetNextBaseIteration(t *testing.T) {
 	for i := 0; i < 800; i++ {
 		e.put(t, i)
 	}
-	// Iterate base pages left to right with FirstBase/NextBase (the
+	// Iterate base pages left to right with DescendToBase/NextBase (the
 	// paper's Get_Next) and verify full coverage.
-	owner := e.txns.NextOwnerID()
+	h := e.tree.NewHold(e.txns.NextOwnerID())
+	defer h.Release()
 	seen := map[storage.PageID]bool{}
-	base, err := e.tree.FirstBase(owner, lock.S)
+	base, err := e.tree.DescendToBase(&h, 0, nil, lock.S)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,8 +494,8 @@ func TestGetNextBaseIteration(t *testing.T) {
 		lm := append([]byte(nil), kv.SlotKey(base.Data(), 0)...)
 		base.RUnlock()
 		lowMarks = append(lowMarks, string(lm))
-		e.tree.ReleaseBase(owner, base)
-		base, err = e.tree.NextBase(owner, lm, lock.S)
+		h.Drop(base)
+		base, err = e.tree.NextBase(&h, 0, lm, lock.S)
 		if err != nil {
 			t.Fatal(err)
 		}

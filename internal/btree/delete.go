@@ -43,8 +43,8 @@ func (t *Tree) takeDeferred(owner uint64) []freeHint {
 // reorganizer or another transaction simply leaves the empty page for
 // the next reorganization pass.
 func (t *Tree) Commit(tx *txn.Txn) error {
-	for _, h := range t.takeDeferred(tx.ID()) {
-		if err := t.freeLeafSMO(tx, h); err != nil {
+	for _, hint := range t.takeDeferred(tx.ID()) {
+		if err := t.freeLeafSMO(tx, hint); err != nil {
 			return err
 		}
 	}
@@ -62,10 +62,12 @@ func (t *Tree) Abort(tx *txn.Txn) error {
 // "survivor" node that retains at least one other entry, unlinks the
 // chain of emptied ancestors in one atomic FreeChain record, and
 // rewires the leaf side pointers. Conflicts skip the free silently.
-func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
+func (t *Tree) freeLeafSMO(tx *txn.Txn, hint freeHint) error {
 	owner := tx.ID()
+	h := t.NewHold(owner)
+	defer h.Release()
 	rootID, _ := t.Root()
-	if err := t.locks.Lock(owner, pageRes(rootID), lock.X); err != nil {
+	if err := h.Lock(pageRes(rootID), lock.X); err != nil {
 		if errors.Is(err, lock.ErrDeadlock) {
 			return nil
 		}
@@ -75,25 +77,14 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 		f        *storage.Frame
 		routeKey []byte // key of the entry used to descend from this node
 	}
-	var path []pathNode
-	releasePath := func() {
-		for _, n := range path {
-			t.locks.Unlock(owner, pageRes(n.f.ID()))
-			t.pager.Unfix(n.f)
-		}
-		path = nil
-	}
-	f, err := t.pager.Fix(rootID)
+	f, err := h.Fix(rootID)
 	if err != nil {
-		t.locks.Unlock(owner, pageRes(rootID))
 		return err
 	}
 	if r2, _ := t.Root(); r2 != rootID {
-		t.locks.Unlock(owner, pageRes(rootID))
-		t.pager.Unfix(f)
 		return nil // switched: the new tree was built without the empty page
 	}
-	path = append(path, pathNode{f: f})
+	path := []pathNode{{f: f}}
 
 	// Descend to the base page, keeping locks from the deepest node
 	// that survives the cascade (>= 2 entries, or the root).
@@ -102,7 +93,7 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 		cur.f.RLock()
 		p := cur.f.Data()
 		level := p.Aux()
-		child, slot := kv.ChildFor(p, h.key)
+		child, slot := kv.ChildFor(p, hint.key)
 		var routeKey []byte
 		slots := p.NumSlots()
 		if slot >= 0 {
@@ -110,32 +101,27 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 		}
 		cur.f.RUnlock()
 		if child == storage.InvalidPage {
-			releasePath()
 			return nil
 		}
 		cur.routeKey = routeKey
 		if slots >= 2 && len(path) > 1 {
 			// This node survives: ancestors can be released.
 			for _, n := range path[:len(path)-1] {
-				t.locks.Unlock(owner, pageRes(n.f.ID()))
-				t.pager.Unfix(n.f)
+				h.Drop(n.f)
 			}
 			path = path[len(path)-1:]
 		}
 		if level == 1 {
 			break // path ends at the base page
 		}
-		if err := t.locks.Lock(owner, pageRes(child), lock.X); err != nil {
-			releasePath()
+		if err := h.Lock(pageRes(child), lock.X); err != nil {
 			if errors.Is(err, lock.ErrDeadlock) {
 				return nil
 			}
 			return err
 		}
-		cf, err := t.pager.Fix(child)
+		cf, err := h.Fix(child)
 		if err != nil {
-			t.locks.Unlock(owner, pageRes(child))
-			releasePath()
 			return err
 		}
 		path = append(path, pathNode{f: cf})
@@ -145,7 +131,7 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 
 	// Re-route to the leaf under the held base X lock.
 	base.f.RLock()
-	child, slot := kv.ChildFor(base.f.Data(), h.key)
+	child, slot := kv.ChildFor(base.f.Data(), hint.key)
 	baseSlots := base.f.Data().NumSlots()
 	var leafEntryKey []byte
 	if slot >= 0 {
@@ -153,8 +139,7 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 	}
 	base.f.RUnlock()
 	path[len(path)-1].routeKey = leafEntryKey
-	if child != h.leaf {
-		releasePath()
+	if child != hint.leaf {
 		return nil // the leaf moved or was already freed
 	}
 	// The survivor must keep at least one entry after the cascade; a
@@ -167,23 +152,22 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 		path[0].f.RUnlock()
 	}
 	if survivorSlots < 2 {
-		releasePath()
 		return nil
 	}
 
-	lockErr := t.locks.LockOpts(owner, pageRes(child), lock.X,
-		lock.Opt{ForgoOnRX: true})
-	if lockErr != nil {
-		releasePath()
-		if errors.Is(lockErr, lock.ErrReorgConflict) || errors.Is(lockErr, lock.ErrDeadlock) {
-			return nil // the reorganizer will compact it instead
+	// Lock the leaf, then its side-pointer neighbours; give up on any
+	// conflict (the reorganizer will compact the leaf instead).
+	skip := func(err error) error {
+		if errors.Is(err, lock.ErrReorgConflict) || errors.Is(err, lock.ErrDeadlock) {
+			return nil
 		}
-		return lockErr
+		return err
 	}
-	leaf, err := t.pager.Fix(child)
+	if err := h.LockOpts(pageRes(child), lock.X, lock.Opt{ForgoOnRX: true}); err != nil {
+		return skip(err)
+	}
+	leaf, err := h.Fix(child)
 	if err != nil {
-		t.locks.Unlock(owner, pageRes(child))
-		releasePath()
 		return err
 	}
 	leaf.RLock()
@@ -191,32 +175,15 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 	prev, next := leaf.Data().Prev(), leaf.Data().Next()
 	leaf.RUnlock()
 	if !empty {
-		t.locks.Unlock(owner, pageRes(child))
-		t.pager.Unfix(leaf)
-		releasePath()
 		return nil
 	}
-
-	// Lock the side-pointer neighbours; give up on any conflict.
-	var neighbours []storage.PageID
 	for _, nb := range []storage.PageID{prev, next} {
 		if nb == storage.InvalidPage {
 			continue
 		}
-		if err := t.locks.LockOpts(owner, pageRes(nb), lock.X,
-			lock.Opt{ForgoOnRX: true}); err != nil {
-			for _, got := range neighbours {
-				t.locks.Unlock(owner, pageRes(got))
-			}
-			t.locks.Unlock(owner, pageRes(child))
-			t.pager.Unfix(leaf)
-			releasePath()
-			if errors.Is(err, lock.ErrReorgConflict) || errors.Is(err, lock.ErrDeadlock) {
-				return nil
-			}
-			return err
+		if err := h.LockOpts(pageRes(nb), lock.X, lock.Opt{ForgoOnRX: true}); err != nil {
+			return skip(err)
 		}
-		neighbours = append(neighbours, nb)
 	}
 
 	// Mirror the base-page entry removal into the side file when
@@ -226,16 +193,10 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 	if h2 := t.reorgHook(); h2 != nil {
 		hookOp := wal.Update{Page: baseID, Op: wal.OpDelete, Key: leafEntryKey}
 		rel, err := h2.OnBaseUpdate(owner, hookOp)
+		if errors.Is(err, ErrSwitched) {
+			return nil // new tree was built from post-free state
+		}
 		if err != nil {
-			for _, got := range neighbours {
-				t.locks.Unlock(owner, pageRes(got))
-			}
-			t.locks.Unlock(owner, pageRes(child))
-			t.pager.Unfix(leaf)
-			releasePath()
-			if errors.Is(err, ErrSwitched) {
-				return nil // new tree was built from post-free state
-			}
 			return err
 		}
 		hookRelease = rel
@@ -258,21 +219,14 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, h freeHint) error {
 		NextLeaf: next,
 	}
 	// Unpin before applying (deallocation requires unpinned frames);
-	// the X locks keep everyone else out.
-	t.pager.Unfix(leaf)
+	// the X locks keep everyone else out until the deferred release.
+	h.Unpin(leaf)
 	for _, n := range path {
-		t.pager.Unfix(n.f)
+		h.Unpin(n.f)
 	}
 	err = t.LogSMO(fc)
 	if hookRelease != nil {
 		hookRelease()
-	}
-	for _, got := range neighbours {
-		t.locks.Unlock(owner, pageRes(got))
-	}
-	t.locks.Unlock(owner, pageRes(child))
-	for _, n := range path {
-		t.locks.Unlock(owner, pageRes(n.f.ID()))
 	}
 	if err != nil {
 		return fmt.Errorf("btree: free-at-empty of leaf %d: %w", child, err)

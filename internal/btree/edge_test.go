@@ -119,8 +119,9 @@ func TestGetNextBaseAfterAllKeys(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		e.put(t, i)
 	}
-	owner := e.txns.NextOwnerID()
-	base, err := e.tree.FirstBase(owner, lock.S)
+	h := e.tree.NewHold(e.txns.NextOwnerID())
+	defer h.Release()
+	base, err := e.tree.DescendToBase(&h, 0, nil, lock.S)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,8 @@ func TestGetNextBaseAfterAllKeys(t *testing.T) {
 		base.RLock()
 		lowMark := append([]byte(nil), kv.SlotKey(base.Data(), 0)...)
 		base.RUnlock()
-		e.tree.ReleaseBase(owner, base)
-		base, err = e.tree.NextBase(owner, lowMark, lock.S)
+		h.Drop(base)
+		base, err = e.tree.NextBase(&h, 0, lowMark, lock.S)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,29 +35,19 @@ func nodeFull(p storage.Page) bool {
 // errRetryDescent.
 func (t *Tree) insertSMO(tx *txn.Txn, u wal.Update) error {
 	owner := tx.ID()
+	h := t.NewHold(owner)
+	defer h.Release()
 	rootID, _ := t.Root()
-	if err := t.locks.Lock(owner, pageRes(rootID), lock.X); err != nil {
+	if err := h.Lock(pageRes(rootID), lock.X); err != nil {
 		return err
 	}
-	f, err := t.pager.Fix(rootID)
+	f, err := h.Fix(rootID)
 	if err != nil {
-		t.locks.Unlock(owner, pageRes(rootID))
 		return err
 	}
 	if rootID2, _ := t.Root(); rootID2 != rootID {
 		// Switched between snapshot and lock grant.
-		t.locks.Unlock(owner, pageRes(rootID))
-		t.pager.Unfix(f)
 		return errRetryDescent
-	}
-
-	release := func(frames ...*storage.Frame) {
-		for _, fr := range frames {
-			if fr != nil {
-				t.locks.Unlock(owner, pageRes(fr.ID()))
-				t.pager.Unfix(fr)
-			}
-		}
 	}
 
 	// Root pre-split keeps the invariant that every parent we use for a
@@ -66,8 +56,7 @@ func (t *Tree) insertSMO(tx *txn.Txn, u wal.Update) error {
 	rootFull := nodeFull(f.Data())
 	f.RUnlock()
 	if rootFull {
-		if err := t.splitRoot(f); err != nil {
-			release(f)
+		if err := t.splitRoot(&h, f); err != nil {
 			return err
 		}
 	}
@@ -79,99 +68,76 @@ func (t *Tree) insertSMO(tx *txn.Txn, u wal.Update) error {
 		child, _ := kv.ChildFor(p, u.Key)
 		f.RUnlock()
 		if child == storage.InvalidPage {
-			release(f)
 			return fmt.Errorf("btree: internal page %d empty during SMO", f.ID())
 		}
 		if level == 1 {
 			// f is the base page; child is the leaf.
-			lockErr := t.locks.LockOpts(owner, pageRes(child), lock.X, lock.Opt{ForgoOnRX: true})
+			lockErr := h.LockOpts(pageRes(child), lock.X, lock.Opt{ForgoOnRX: true})
 			if errors.Is(lockErr, lock.ErrReorgConflict) {
 				baseID := f.ID()
-				release(f)
+				h.Release()
 				if err := t.locks.LockInstant(owner, pageRes(baseID), lock.RS); err != nil {
 					return err
 				}
 				return errRetryDescent
 			}
 			if lockErr != nil {
-				release(f)
 				return lockErr
 			}
-			leaf, err := t.pager.Fix(child)
+			leaf, err := h.Fix(child)
 			if err != nil {
-				t.locks.Unlock(owner, pageRes(child))
-				release(f)
 				return err
 			}
 			if err := t.locks.Lock(owner, recordRes(u.Key), lock.X); err != nil {
-				release(f, leaf)
 				return err
 			}
 			u.Page = leaf.ID()
 			_, aerr := t.applyLogged(tx, leaf, u)
 			if errors.Is(aerr, storage.ErrPageFull) {
-				target, serr := t.splitChild(tx, f, leaf, u.Key)
-				if serr != nil {
-					t.locks.Unlock(owner, pageRes(child))
-					t.pager.Unfix(leaf)
-					release(f)
-					if errors.Is(serr, errRetryDescent) {
-						return errRetryDescent
-					}
-					return serr
+				if leaf, err = t.splitChild(&h, f, leaf, u.Key); err != nil {
+					return err
 				}
-				leaf = target
 				u.Page = leaf.ID()
 				_, aerr = t.applyLogged(tx, leaf, u)
 			}
-			t.locks.Unlock(owner, pageRes(f.ID()))
-			t.pager.Unfix(f)
+			h.Drop(f)
 			// Downgrade the leaf to IX (held to end of transaction) per
 			// the record-locking protocol.
 			t.locks.Downgrade(owner, pageRes(leaf.ID()), lock.IX)
-			t.pager.Unfix(leaf)
+			h.Keep(pageRes(leaf.ID()))
+			h.Unpin(leaf)
 			return aerr
 		}
 		// Interior descent: X-couple, pre-splitting full children.
-		if err := t.locks.Lock(owner, pageRes(child), lock.X); err != nil {
-			release(f)
+		if err := h.Lock(pageRes(child), lock.X); err != nil {
 			return err
 		}
-		cf, err := t.pager.Fix(child)
+		cf, err := h.Fix(child)
 		if err != nil {
-			t.locks.Unlock(owner, pageRes(child))
-			release(f)
 			return err
 		}
 		cf.RLock()
 		childFull := nodeFull(cf.Data())
 		cf.RUnlock()
 		if childFull {
-			target, serr := t.splitChild(tx, f, cf, u.Key)
-			if serr != nil {
-				t.locks.Unlock(owner, pageRes(child))
-				t.pager.Unfix(cf)
-				release(f)
-				if errors.Is(serr, errRetryDescent) {
-					return errRetryDescent
-				}
-				return serr
+			if cf, err = t.splitChild(&h, f, cf, u.Key); err != nil {
+				return err
 			}
-			cf = target
 		}
-		t.locks.Unlock(owner, pageRes(f.ID()))
-		t.pager.Unfix(f)
+		h.Drop(f)
 		f = cf
 	}
 }
 
 // splitChild splits child (leaf or internal) at its midpoint, posting
 // the separator into parent, which the caller guarantees has room. Both
-// frames arrive X-locked and pinned. On success the half covering key
-// is returned X-locked and pinned; the other half is released. The
-// split is logged as one atomic wal.Split record.
-func (t *Tree) splitChild(tx *txn.Txn, parent, child *storage.Frame, key []byte) (*storage.Frame, error) {
-	owner := tx.ID()
+// frames arrive X-locked and pinned in h. On success the half covering
+// key is returned X-locked and pinned in h; the other half is given
+// back. The split is logged as one atomic wal.Split record. On error
+// the new right page is freed again and what else the split took stays
+// in h.
+func (t *Tree) splitChild(h *Hold, parent, child *storage.Frame, key []byte) (*storage.Frame, error) {
+	owner := h.owner
 
 	child.RLock()
 	cp := child.Data()
@@ -210,35 +176,26 @@ func (t *Tree) splitChild(tx *txn.Txn, parent, child *storage.Frame, key []byte)
 	if err != nil {
 		return nil, err
 	}
+	h.Pin(right)
 	rightID := right.ID()
-	if err := t.locks.Lock(owner, pageRes(rightID), lock.X); err != nil {
-		t.pager.Unfix(right)
+	if err := h.Lock(pageRes(rightID), lock.X); err != nil {
 		return nil, err
 	}
 	cleanupRight := func() {
-		t.locks.Unlock(owner, pageRes(rightID))
-		t.pager.Unfix(right)
+		h.Drop(right)
 		_ = t.pager.Deallocate(rightID, 0)
 	}
 
 	// Lock the old right neighbour (its Prev pointer changes).
 	var nextFrame *storage.Frame
 	if isLeaf && oldNext != storage.InvalidPage {
-		if err := t.locks.Lock(owner, pageRes(oldNext), lock.X); err != nil {
+		if err := h.Lock(pageRes(oldNext), lock.X); err != nil {
 			cleanupRight()
 			return nil, err
 		}
-		nextFrame, err = t.pager.Fix(oldNext)
-		if err != nil {
-			t.locks.Unlock(owner, pageRes(oldNext))
+		if nextFrame, err = h.Fix(oldNext); err != nil {
 			cleanupRight()
 			return nil, err
-		}
-	}
-	releaseNext := func() {
-		if nextFrame != nil {
-			t.locks.Unlock(owner, pageRes(oldNext))
-			t.pager.Unfix(nextFrame)
 		}
 	}
 
@@ -288,7 +245,6 @@ func (t *Tree) splitChild(tx *txn.Txn, parent, child *storage.Frame, key []byte)
 				rel, err := h.OnBaseUpdate(owner, hookOp)
 				if err != nil {
 					hookRelease()
-					releaseNext()
 					cleanupRight()
 					return nil, err
 				}
@@ -317,30 +273,29 @@ func (t *Tree) splitChild(tx *txn.Txn, parent, child *storage.Frame, key []byte)
 	err = t.LogSMO(s)
 	hookRelease()
 	if err != nil {
-		releaseNext()
 		cleanupRight()
 		return nil, fmt.Errorf("btree: apply split of %d: %w", child.ID(), err)
 	}
 	if isLeaf && t.ring != nil {
 		t.ring.Emit(obs.EvLeafSplit, uint64(child.ID()), uint64(rightID))
 	}
-	releaseNext()
+	if nextFrame != nil {
+		h.Drop(nextFrame)
+	}
 
 	// Hand back the half that covers key.
 	if kv.Compare(key, sep) >= 0 {
-		t.locks.Unlock(owner, pageRes(child.ID()))
-		t.pager.Unfix(child)
+		h.Drop(child)
 		return right, nil
 	}
-	t.locks.Unlock(owner, pageRes(rightID))
-	t.pager.Unfix(right)
+	h.Drop(right)
 	return child, nil
 }
 
 // splitRoot grows the tree by one level while keeping the root page id
 // (so the anchor only changes at the pass-3 switch). The caller holds X
-// on the root.
-func (t *Tree) splitRoot(root *storage.Frame) error {
+// on the root; the two new pages are pinned in h while they are built.
+func (t *Tree) splitRoot(h *Hold, root *storage.Frame) error {
 	root.RLock()
 	p := root.Data()
 	n := p.NumSlots()
@@ -367,16 +322,17 @@ func (t *Tree) splitRoot(root *storage.Frame) error {
 	if err != nil {
 		return err
 	}
+	h.Pin(lowF)
 	hiF, err := t.pager.Allocate(storage.PageInternal)
 	if err != nil {
-		t.pager.Unfix(lowF)
 		return err
 	}
+	h.Pin(hiF)
 	s := wal.RootSplit{Root: root.ID(), Low: lowF.ID(), High: hiF.ID(),
 		Level: level, Sep: sep, LowCells: low, HiCells: hi}
 	err = t.LogSMO(s)
-	t.pager.Unfix(lowF)
-	t.pager.Unfix(hiF)
+	h.Unpin(lowF)
+	h.Unpin(hiF)
 	if err != nil {
 		return fmt.Errorf("btree: apply root split: %w", err)
 	}

@@ -95,13 +95,13 @@ func (t *Tree) Get(tx *txn.Txn, key []byte) ([]byte, bool, error) {
 	if err := t.lockTree(owner, lock.IS); err != nil {
 		return nil, false, err
 	}
-	base, leaf, err := t.descendToLeaf(owner, key, lock.IS)
+	h := t.NewHold(owner)
+	defer h.Release()
+	leaf, err := t.descendToLeaf(&h, key, lock.IS, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	t.ReleaseBase(owner, base)
 	if err := t.locks.Lock(owner, recordRes(key), lock.S); err != nil {
-		t.pager.Unfix(leaf)
 		return nil, false, err
 	}
 	leaf.RLock()
@@ -112,8 +112,7 @@ func (t *Tree) Get(tx *txn.Txn, key []byte) ([]byte, bool, error) {
 		out = append([]byte(nil), v...)
 	}
 	leaf.RUnlock()
-	t.pager.Unfix(leaf) // the IS page lock stays until end of transaction
-	return out, ok, nil
+	return out, ok, nil // the IS page lock stays until end of transaction
 }
 
 // Insert adds (key, value). Duplicate keys return kv.ErrExists.
@@ -146,32 +145,26 @@ func (t *Tree) modify(tx *txn.Txn, u wal.Update) error {
 	if err := t.lockTree(owner, lock.IX); err != nil {
 		return err
 	}
+	h := t.NewHold(owner)
+	defer h.Release()
 	for attempt := 0; attempt < maxDescendRetries; attempt++ {
-		base, leaf, err := t.descendToLeaf(owner, u.Key, lock.IX)
+		leaf, err := t.descendToLeaf(&h, u.Key, lock.IX, nil)
 		if err != nil {
 			return err
 		}
-		t.ReleaseBase(owner, base)
 		if err := t.locks.Lock(owner, recordRes(u.Key), lock.X); err != nil {
-			t.pager.Unfix(leaf)
 			return err
 		}
 		u.Page = leaf.ID()
 		emptied, err := t.applyLogged(tx, leaf, u)
-		if err == nil {
-			if emptied {
-				t.deferFree(owner, leaf.ID(), u.Key)
-			}
-			t.pager.Unfix(leaf)
-			return nil
+		if emptied {
+			t.deferFree(owner, leaf.ID(), u.Key)
 		}
-		t.pager.Unfix(leaf)
+		h.Release()
 		if errors.Is(err, storage.ErrPageFull) {
-			smoErr := t.insertSMO(tx, u)
-			if smoErr == errRetryDescent {
+			if err = t.insertSMO(tx, u); err == errRetryDescent {
 				continue
 			}
-			return smoErr
 		}
 		return err
 	}

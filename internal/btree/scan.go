@@ -30,14 +30,15 @@ func (t *Tree) Scan(tx *txn.Txn, lo, hi []byte, fn func(key, val []byte) bool) e
 	b := t.getScanBuf()
 	defer t.scanBufs.Put(b)
 	b.seek = append(b.seek[:0], lo...)
+	h := t.NewHold(owner)
+	defer h.Release()
 	inclusive := true
 	for hops := 0; hops < 1<<22; hops++ {
-		base, leaf, err := t.descendToLeaf(owner, b.seek, lock.S)
+		leaf, err := t.descendToLeaf(&h, b.seek, lock.S, nil)
 		if err != nil {
 			return err
 		}
-		t.ReleaseBase(owner, base)
-		done, err := t.scanChain(tx, leaf, b, hi, inclusive, fn)
+		done, err := t.scanChain(&h, leaf, b, hi, inclusive, fn)
 		if err != nil || done {
 			return err
 		}
@@ -67,17 +68,16 @@ func (t *Tree) getScanBuf() *scanBuf {
 	return &scanBuf{data: make([]byte, 0, t.pager.PageSize())}
 }
 
-// scanChain walks leaves from the given (S-locked, pinned) leaf via
-// side pointers, starting at b.seek (strictly past it unless
+// scanChain walks leaves from the given leaf, S-locked and pinned in h,
+// via side pointers, starting at b.seek (strictly past it unless
 // inclusive). Each leaf's qualifying records are copied into b under
 // the read latch and handed to fn once it is released. done=false
 // means the walk was interrupted and the caller should re-seek
-// strictly past b.seek.
+// strictly past b.seek; h is empty then.
 //
 //vet:hotpath -- the per-row scan loop copies rows into the pooled buffer
-func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, b *scanBuf, hi []byte,
+func (t *Tree) scanChain(h *Hold, leaf *storage.Frame, b *scanBuf, hi []byte,
 	inclusive bool, fn func(key, val []byte) bool) (done bool, err error) {
-	owner := tx.ID()
 	first := true
 	for {
 		b.data, b.ends = b.data[:0], b.ends[:0]
@@ -117,12 +117,12 @@ func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, b *scanBuf, hi []byte
 			k = b.data[start:kEnd:kEnd]
 			start = vEnd
 			if !fn(k, b.data[kEnd:vEnd:vEnd]) {
-				t.finishLeaf(owner, leaf)
+				t.finishLeaf(h, leaf)
 				return true, nil
 			}
 		}
 		if beyondHi || next == storage.InvalidPage {
-			t.finishLeaf(owner, leaf)
+			t.finishLeaf(h, leaf)
 			return true, nil
 		}
 		if k != nil {
@@ -132,7 +132,7 @@ func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, b *scanBuf, hi []byte
 		}
 
 		// Couple to the next leaf before releasing the current one.
-		lockErr := t.locks.LockOpts(owner, pageRes(next), lock.S, lock.Opt{ForgoOnRX: true})
+		lockErr := h.LockOpts(pageRes(next), lock.S, lock.Opt{ForgoOnRX: true})
 		if errors.Is(lockErr, lock.ErrReorgConflict) {
 			// Forgo, then wait the reorganizer out before the caller
 			// re-seeks past b.seek. Re-seeking at once would spin: the
@@ -143,9 +143,9 @@ func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, b *scanBuf, hi []byte
 			// instant-duration request puts the scan into the waits-for
 			// graph, so such a cycle is broken (the reorganizer is always
 			// the victim) and every re-seek follows a release of `next`.
-			t.finishLeaf(owner, leaf)
+			t.finishLeaf(h, leaf)
 			waitStart := time.Now()
-			if err := t.locks.LockInstant(owner, pageRes(next), lock.S); err != nil {
+			if err := t.locks.LockInstant(h.owner, pageRes(next), lock.S); err != nil {
 				return true, err
 			}
 			if t.hForgoWait != nil {
@@ -154,25 +154,24 @@ func (t *Tree) scanChain(tx *txn.Txn, leaf *storage.Frame, b *scanBuf, hi []byte
 			return false, nil
 		}
 		if lockErr != nil {
-			t.finishLeaf(owner, leaf)
+			t.finishLeaf(h, leaf)
 			return true, lockErr
 		}
-		nf, ferr := t.pager.Fix(next)
-		if ferr != nil {
-			t.locks.Unlock(owner, pageRes(next))
-			t.finishLeaf(owner, leaf)
-			return true, ferr
+		nf, err := h.Fix(next)
+		t.finishLeaf(h, leaf)
+		if err != nil {
+			return true, err
 		}
-		t.finishLeaf(owner, leaf)
+		h.Keep(pageRes(next))
 		leaf = nf
 	}
 }
 
-// finishLeaf downgrades the scan's S lock to IS (held to end of
-// transaction) and unpins the frame.
-func (t *Tree) finishLeaf(owner uint64, leaf *storage.Frame) {
-	t.locks.Downgrade(owner, pageRes(leaf.ID()), lock.IS)
-	t.pager.Unfix(leaf)
+// finishLeaf downgrades the scan's S lock on leaf to IS, held to end of
+// transaction, and gives back its pin.
+func (t *Tree) finishLeaf(h *Hold, leaf *storage.Frame) {
+	t.locks.Downgrade(h.owner, pageRes(leaf.ID()), lock.IS)
+	h.Unpin(leaf)
 }
 
 // Count returns the number of records in [lo, hi].

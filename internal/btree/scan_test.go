@@ -14,15 +14,15 @@ import (
 func firstTwoLeaves(t *testing.T, e *env) (first, second storage.PageID) {
 	t.Helper()
 	tx := e.txns.Begin()
-	base, leaf, err := e.tree.descendToLeaf(tx.ID(), key(0), lock.IS)
+	h := e.tree.NewHold(tx.ID())
+	leaf, err := e.tree.descendToLeaf(&h, key(0), lock.IS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.tree.ReleaseBase(tx.ID(), base)
 	leaf.RLock()
 	first, second = leaf.ID(), leaf.Data().Next()
 	leaf.RUnlock()
-	e.pager.Unfix(leaf)
+	h.Release()
 	if err := e.tree.Commit(tx); err != nil {
 		t.Fatal(err)
 	}

@@ -28,39 +28,36 @@ func (t *Tree) UndoUpdate(owner uint64, rec wal.Update) (uint64, error) {
 		return 0, fmt.Errorf("btree: op %v cannot be undone logically", rec.Op)
 	}
 
-	for attempt := 0; attempt < maxDescendRetries; attempt++ {
-		base, leaf, derr := t.descendToLeaf(owner, key, lock.IX)
-		if derr != nil {
-			return 0, derr
-		}
-		t.ReleaseBase(owner, base)
-		clr := wal.CLR{
-			Txn:      rec.Txn,
-			UndoNext: rec.PrevLSN,
-			Page:     leaf.ID(),
-			Op:       op,
-			Key:      key,
-			NewVal:   newVal,
-		}
-		lsn := t.log.Append(clr)
-		leaf.Lock()
-		aerr := pageops.ApplyToPage(leaf.Data(), op, key, newVal)
-		if aerr == nil {
-			leaf.Data().SetLSN(lsn)
-		}
-		leaf.Unlock()
-		t.pager.MarkDirty(leaf, lsn)
-		t.pager.Unfix(leaf)
-		if aerr != nil {
-			// An undo-insert can hit a full page (records shuffled by
-			// the transaction's own splits); make room with the normal
-			// split machinery is not available here, so report it —
-			// record sizes are bounded to a quarter page, making this
-			// unreachable in practice after a delete freed the space.
-			return 0, fmt.Errorf("btree: undo %v of %q on leaf %d: %w",
-				op, key, leaf.ID(), aerr)
-		}
-		return lsn, nil
+	h := t.NewHold(owner)
+	defer h.Release()
+	leaf, err := t.descendToLeaf(&h, key, lock.IX, nil)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("btree: undo of %q did not converge", key)
+	clr := wal.CLR{
+		Txn:      rec.Txn,
+		UndoNext: rec.PrevLSN,
+		Page:     leaf.ID(),
+		Op:       op,
+		Key:      key,
+		NewVal:   newVal,
+	}
+	lsn := t.log.Append(clr)
+	leaf.Lock()
+	aerr := pageops.ApplyToPage(leaf.Data(), op, key, newVal)
+	if aerr == nil {
+		leaf.Data().SetLSN(lsn)
+	}
+	leaf.Unlock()
+	t.pager.MarkDirty(leaf, lsn)
+	if aerr != nil {
+		// An undo-insert can hit a full page (records shuffled by
+		// the transaction's own splits); make room with the normal
+		// split machinery is not available here, so report it —
+		// record sizes are bounded to a quarter page, making this
+		// unreachable in practice after a delete freed the space.
+		return 0, fmt.Errorf("btree: undo %v of %q on leaf %d: %w",
+			op, key, leaf.ID(), aerr)
+	}
+	return lsn, nil
 }

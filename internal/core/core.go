@@ -256,6 +256,11 @@ type Reorganizer struct {
 	largestFinished storage.PageID
 
 	pass3 pass3State
+
+	// crashed is set when an event hook fails: a simulated crash. From
+	// then on nothing the reorganizer holds is given back (see
+	// unit.release and RebuildInternal); only its goroutine touches it.
+	crashed bool
 }
 
 // New creates a reorganizer for the tree. The owner id is registered
@@ -345,11 +350,10 @@ func (r *Reorganizer) leafCapacity() int {
 // injector (which may return a transient error or panic a crash), then
 // to the configured event hook.
 func (r *Reorganizer) event(stage string) error {
-	if err := r.cfg.Injector.Hit("reorg." + stage); err != nil {
-		return err
+	err := r.cfg.Injector.Hit("reorg." + stage)
+	if err == nil && r.cfg.OnEvent != nil {
+		err = r.cfg.OnEvent(stage)
 	}
-	if r.cfg.OnEvent == nil {
-		return nil
-	}
-	return r.cfg.OnEvent(stage)
+	r.crashed = r.crashed || err != nil
+	return err
 }

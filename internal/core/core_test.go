@@ -26,10 +26,17 @@ type env struct {
 
 func newEnv(t testing.TB, pageSize int) *env {
 	t.Helper()
+	return newEnvPool(t, pageSize, 0)
+}
+
+// newEnvPool is newEnv with a buffer pool of poolPages frames (0:
+// unbounded).
+func newEnvPool(t testing.TB, pageSize, poolPages int) *env {
+	t.Helper()
 	e := &env{}
 	e.log = wal.NewLog()
 	e.disk = storage.NewDisk(pageSize)
-	e.pager = storage.NewPager(e.disk, 0, e.log)
+	e.pager = storage.NewPager(e.disk, poolPages, e.log)
 	e.locks = lock.NewManager()
 	e.txns = txn.NewManager(e.log, e.locks, e.pager)
 	tree, err := btree.Create(e.pager, e.log, e.locks, e.txns)

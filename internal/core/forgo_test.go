@@ -142,7 +142,9 @@ func TestForgoDeadlockVictimIsReorganizerEndToEnd(t *testing.T) {
 	makeSparse(t, e, 2000, 6)
 
 	r := New(e.tree, Config{SwapPass: false, InternalPass: false})
-	leaves, err := r.collectLeaves()
+	h := e.tree.NewHold(r.owner)
+	leaves, err := r.collectLeaves(&h)
+	h.Release()
 	if err != nil {
 		t.Fatal(err)
 	}

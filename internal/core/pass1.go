@@ -36,44 +36,35 @@ func readBaseEntries(f *storage.Frame) []baseEntry {
 // reorganization unit — in-place into the group's first leaf, or
 // new-place into an empty page chosen by Find-Free-Space.
 func (r *Reorganizer) CompactLeaves() error {
-	owner := r.owner
-	locks := r.tree.Locks()
-	var err error
 	r.unitsRun = 0
 	r.stopped = false
+	h := r.tree.NewHold(r.owner)
+	defer h.Release()
 	_, epoch := r.tree.Root()
-	if err := locks.Lock(owner, lock.TreeRes(epoch), lock.IX); err != nil {
+	if err := h.Lock(lock.TreeRes(epoch), lock.IX); err != nil {
 		return fmt.Errorf("pass1 tree IX: %w", err)
 	}
-	defer locks.Unlock(owner, lock.TreeRes(epoch))
 
-	var base *storage.Frame
-	if len(r.cfg.StartKey) > 0 {
-		// Resume from LK: the base covering the largest finished key.
-		rootID, _ := r.tree.Root()
-		base, err = r.descendToBase(rootID, r.cfg.StartKey, lock.R)
-	} else {
-		base, err = r.firstBase(lock.R)
-	}
+	// Start from the leftmost base, or resume from LK: the base
+	// covering the largest finished key.
+	base, err := retryWalk(r.tree.DescendToBase, &h, 0, r.cfg.StartKey, lock.R)
 	if err != nil {
 		return fmt.Errorf("pass1 first base: %w", err)
 	}
 	for base != nil {
 		entries := readBaseEntries(base)
 		if err := r.compactBase(base, entries); err != nil {
-			r.tree.ReleaseBase(owner, base)
 			return err
 		}
 		var lowMark []byte
 		if len(entries) > 0 {
 			lowMark = entries[0].key
 		}
-		r.tree.ReleaseBase(owner, base)
+		h.Drop(base)
 		if r.stopped {
 			return nil
 		}
-		rootID, _ := r.tree.Root()
-		base, err = r.nextBase(rootID, lowMark, lock.R)
+		base, err = retryWalk(r.tree.NextBase, &h, 0, lowMark, lock.R)
 		if err != nil {
 			return fmt.Errorf("pass1 next base: %w", err)
 		}
@@ -125,7 +116,7 @@ func (r *Reorganizer) compactBase(base *storage.Frame, entries []baseEntry) erro
 // many entries the group covered. A leaf that fills a page by itself is
 // a group of one: no unit runs. The caller holds R on the base.
 func (r *Reorganizer) compactUnit(base *storage.Frame, entries []baseEntry, i, capacity int) (int, error) {
-	u := &unit{r: r}
+	u := &unit{Hold: r.tree.NewHold(r.owner), r: r}
 	n, err := r.compactGroup(u, base, entries, i, capacity)
 	u.release()
 	if err != nil || n < 2 {
@@ -175,7 +166,7 @@ func (r *Reorganizer) compactGroup(u *unit, base *storage.Frame, entries []baseE
 	srcs := frames[1:] // an in-place destination keeps its records
 	if newPlace {
 		srcs = frames
-		u.pinned = append(u.pinned, dest)
+		u.Pin(dest)
 		if err := u.lock(dest.ID(), lock.RX); err != nil {
 			_ = u.dealloc(dest) // best effort: what fails to free is a leaked page
 			return n, err
@@ -190,7 +181,7 @@ func (r *Reorganizer) compactGroup(u *unit, base *storage.Frame, entries []baseE
 		BasePages: []storage.PageID{base.ID()}, LeafPages: leafIDs,
 		Dest: dest.ID(), NewPlace: newPlace,
 		Preds: []storage.PageID{pred}, Succs: []storage.PageID{succ}}, dest)
-	if err := u.event("compact.begin"); err != nil {
+	if err := r.event("compact.begin"); err != nil {
 		return n, err
 	}
 	return n, r.finishCompact(u, b, base, dest, srcs)
@@ -207,7 +198,7 @@ func (r *Reorganizer) acquireGroup(u *unit, entries []baseEntry, capacity int) (
 		if err := u.lock(e.child, lock.RX); err != nil {
 			return nil, err
 		}
-		f, err := u.fix(e.child)
+		f, err := u.Fix(e.child)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +206,7 @@ func (r *Reorganizer) acquireGroup(u *unit, entries []baseEntry, capacity int) (
 		used := usedPayload(f.Data())
 		f.RUnlock()
 		if len(frames) > 0 && total+used > capacity {
-			u.drop(f)
+			u.Drop(f)
 			break
 		}
 		frames = append(frames, f)
@@ -254,7 +245,7 @@ func (r *Reorganizer) finishCompact(u *unit, b wal.ReorgBegin, base, dest *stora
 			return err
 		}
 		moved = append(moved, movedSet{org: f, cells: cells})
-		if err := u.event(movedStage); err != nil {
+		if err := r.event(movedStage); err != nil {
 			return err
 		}
 	}
@@ -285,7 +276,7 @@ func (r *Reorganizer) finishCompact(u *unit, b wal.ReorgBegin, base, dest *stora
 	if err != nil {
 		return fmt.Errorf("core: modify base %d: %w", base.ID(), err)
 	}
-	if err := u.event(modifiedStage); err != nil {
+	if err := r.event(modifiedStage); err != nil {
 		return err
 	}
 

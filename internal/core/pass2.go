@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/lock"
 	"repro/internal/storage"
@@ -25,15 +26,14 @@ type leafPos struct {
 // the occupant of the target position. The pass is optional and best
 // effort: units that hit conflicts are skipped.
 func (r *Reorganizer) SwapLeaves() error {
-	owner := r.owner
-	locks := r.tree.Locks()
+	h := r.tree.NewHold(r.owner)
+	defer h.Release()
 	_, epoch := r.tree.Root()
-	if err := locks.Lock(owner, lock.TreeRes(epoch), lock.IX); err != nil {
+	if err := h.Lock(lock.TreeRes(epoch), lock.IX); err != nil {
 		return err
 	}
-	defer locks.Unlock(owner, lock.TreeRes(epoch))
 
-	leaves, err := r.collectLeaves()
+	leaves, err := r.collectLeaves(&h)
 	if err != nil {
 		return fmt.Errorf("pass2 collect: %w", err)
 	}
@@ -113,15 +113,11 @@ func (r *Reorganizer) SwapLeaves() error {
 }
 
 // collectLeaves gathers (entry key, leaf page) pairs in key order by
-// walking the base pages under R locks.
-func (r *Reorganizer) collectLeaves() ([]leafPos, error) {
-	owner := r.owner
+// walking the base pages under R locks, one at a time, in h.
+func (r *Reorganizer) collectLeaves(h *btree.Hold) ([]leafPos, error) {
 	var out []leafPos
-	base, err := r.firstBase(lock.R)
-	if err != nil {
-		return nil, err
-	}
-	for base != nil {
+	base, err := retryWalk(r.tree.DescendToBase, h, 0, nil, lock.R)
+	for base != nil && err == nil {
 		entries := readBaseEntries(base)
 		for _, e := range entries {
 			out = append(out, leafPos{key: e.key, page: e.child})
@@ -130,14 +126,10 @@ func (r *Reorganizer) collectLeaves() ([]leafPos, error) {
 		if len(entries) > 0 {
 			lowMark = entries[0].key
 		}
-		r.tree.ReleaseBase(owner, base)
-		rootID, _ := r.tree.Root()
-		base, err = r.nextBase(rootID, lowMark, lock.R)
-		if err != nil {
-			return nil, err
-		}
+		h.Drop(base)
+		base, err = retryWalk(r.tree.NextBase, h, 0, lowMark, lock.R)
 	}
-	return out, nil
+	return out, err
 }
 
 // verifyEntry checks, under the held base lock, that the base routes
@@ -154,7 +146,7 @@ func verifyEntry(base *storage.Frame, key []byte, want storage.PageID) bool {
 // into a destination pass 2 picked — the same body finishes it.
 // Returns false when the unit was skipped.
 func (r *Reorganizer) moveUnit(key []byte, from, to storage.PageID) (bool, error) {
-	u := &unit{r: r}
+	u := &unit{Hold: r.tree.NewHold(r.owner), r: r}
 	err := r.moveLeaf(u, key, from, to)
 	u.release()
 	if err != nil {
@@ -165,19 +157,17 @@ func (r *Reorganizer) moveUnit(key []byte, from, to storage.PageID) (bool, error
 
 // moveLeaf is moveUnit up to END; a skip comes back as errUnitAborted.
 func (r *Reorganizer) moveLeaf(u *unit, key []byte, from, to storage.PageID) error {
-	rootID, _ := r.tree.Root()
-	base, err := r.descendToBase(rootID, key, lock.R)
+	base, err := retryWalk(r.tree.DescendToBase, &u.Hold, 0, key, lock.R)
 	if err != nil {
 		return err
 	}
-	u.adoptBase(base)
 	if !verifyEntry(base, key, from) {
 		return errUnitAborted
 	}
 	if err := u.lock(from, lock.RX); err != nil {
 		return err
 	}
-	leaf, err := u.fix(from)
+	leaf, err := u.Fix(from)
 	if err != nil {
 		return err
 	}
@@ -193,7 +183,7 @@ func (r *Reorganizer) moveLeaf(u *unit, key []byte, from, to storage.PageID) err
 	if err != nil {
 		return errUnitAborted // the page was taken meanwhile
 	}
-	u.pinned = append(u.pinned, dest)
+	u.Pin(dest)
 	if err := u.lock(to, lock.RX); err != nil {
 		_ = u.dealloc(dest) // best effort: what fails to free is a leaked page
 		return err
@@ -202,7 +192,7 @@ func (r *Reorganizer) moveLeaf(u *unit, key []byte, from, to storage.PageID) err
 		BasePages: []storage.PageID{base.ID()},
 		LeafPages: []storage.PageID{from}, Dest: to, NewPlace: true,
 		Preds: []storage.PageID{pred}, Succs: []storage.PageID{succ}}, dest)
-	if err := u.event("move.begin"); err != nil {
+	if err := r.event("move.begin"); err != nil {
 		return err
 	}
 	return r.finishCompact(u, b, base, dest, []*storage.Frame{leaf})
@@ -212,7 +202,7 @@ func (r *Reorganizer) moveLeaf(u *unit, key []byte, from, to storage.PageID) err
 // and kb), updating both parents (a Swap-type unit, §4.1). Returns
 // false when skipped due to conflicts.
 func (r *Reorganizer) swapUnit(ka []byte, pa storage.PageID, kb []byte, pb storage.PageID) (bool, error) {
-	u := &unit{r: r}
+	u := &unit{Hold: r.tree.NewHold(r.owner), r: r}
 	err := r.swapPair(u, ka, pa, kb, pb)
 	u.release()
 	if err != nil {
@@ -227,23 +217,20 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 	locks := r.tree.Locks()
 	pg := r.tree.Pager()
 
-	rootID, _ := r.tree.Root()
-	baseA, err := r.descendToBase(rootID, ka, lock.R)
+	baseA, err := retryWalk(r.tree.DescendToBase, &u.Hold, 0, ka, lock.R)
 	if err != nil {
 		return err
 	}
-	u.adoptBase(baseA)
 	// The second descent can deadlock against updaters while R is held
 	// on baseA; skip the unit in that case rather than retrying under
 	// the held lock.
-	baseB, err := r.tree.DescendToBaseOf(owner, rootID, kb, lock.R)
+	baseB, err := r.tree.DescendToBase(&u.Hold, 0, kb, lock.R)
 	if isTransient(err) {
 		return errUnitAborted
 	}
 	if err != nil {
 		return err
 	}
-	u.adoptBase(baseB)
 	bases := []*storage.Frame{baseA}
 	if baseB.ID() != baseA.ID() {
 		bases = append(bases, baseB)
@@ -259,11 +246,11 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 			return err
 		}
 	}
-	fa, err := u.fix(pa)
+	fa, err := u.Fix(pa)
 	if err != nil {
 		return err
 	}
-	fb, err := u.fix(pb)
+	fb, err := u.Fix(pb)
 	if err != nil {
 		return err
 	}
@@ -286,7 +273,7 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 		b.BasePages = append(b.BasePages, base.ID())
 	}
 	b = r.beginUnit(b, nil)
-	if err := u.event("swap.begin"); err != nil {
+	if err := r.event("swap.begin"); err != nil {
 		return err
 	}
 
@@ -304,12 +291,12 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 	r.table.record(lsn)
 	// Between the SWAP record and the in-memory exchange: a crash here
 	// must redo the whole swap from ImageA.
-	if err := u.event("swap.logged"); err != nil {
+	if err := r.event("swap.logged"); err != nil {
 		return err
 	}
 
 	SwapPages(pg, fa, fb, lsn)
-	if err := u.event("swap.moved"); err != nil {
+	if err := r.event("swap.moved"); err != nil {
 		return err
 	}
 

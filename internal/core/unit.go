@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/lock"
 	"repro/internal/obs"
@@ -40,33 +41,13 @@ func retryBackoff(tries int) {
 	time.Sleep(d)
 }
 
-// firstBase / nextBase retry transient lock failures during base-page
-// navigation.
-func (r *Reorganizer) firstBase(mode lock.Mode) (*storage.Frame, error) {
+// retryWalk runs a base-page walk, Tree.DescendToBase or Tree.NextBase,
+// retrying the transient lock failures of a reorganizer that is always
+// the deadlock victim (§4.1). A failed walk leaves h as it found it.
+func retryWalk(walk func(*btree.Hold, storage.PageID, []byte, lock.Mode) (*storage.Frame, error),
+	h *btree.Hold, root storage.PageID, k []byte, mode lock.Mode) (*storage.Frame, error) {
 	for tries := 0; ; tries++ {
-		f, err := r.tree.FirstBase(r.owner, mode)
-		if err != nil && isTransient(err) && tries < 1000 {
-			retryBackoff(tries)
-			continue
-		}
-		return f, err
-	}
-}
-
-func (r *Reorganizer) nextBase(rootID storage.PageID, k []byte, mode lock.Mode) (*storage.Frame, error) {
-	for tries := 0; ; tries++ {
-		f, err := r.tree.NextBaseOf(r.owner, rootID, k, mode)
-		if err != nil && isTransient(err) && tries < 1000 {
-			retryBackoff(tries)
-			continue
-		}
-		return f, err
-	}
-}
-
-func (r *Reorganizer) descendToBase(rootID storage.PageID, k []byte, mode lock.Mode) (*storage.Frame, error) {
-	for tries := 0; ; tries++ {
-		f, err := r.tree.DescendToBaseOf(r.owner, rootID, k, mode)
+		f, err := walk(h, root, k, mode)
 		if err != nil && isTransient(err) && tries < 1000 {
 			retryBackoff(tries)
 			continue
@@ -76,82 +57,34 @@ func (r *Reorganizer) descendToBase(rootID storage.PageID, k []byte, mode lock.M
 }
 
 // unit is one reorganization unit's hold on the system: the page locks
-// it took and the frames it pinned, recorded as they are acquired so
-// that the unit lets go of all of them in one place (release).
+// it took and the frames it pinned, recorded in its btree.Hold as they
+// are acquired so that the unit lets go of all of them in one place
+// (release).
 type unit struct {
-	r      *Reorganizer
-	locked []storage.PageID
-	pinned []*storage.Frame
-	// crashed is set when an event hook fails after BEGIN: a simulated
-	// crash, see release.
-	crashed bool
+	btree.Hold
+	r *Reorganizer
 }
 
 // lock acquires mode on a page for the unit (a deadlock victimisation
 // comes back as errUnitAborted). No page and a page the unit already
 // holds — swapped leaves can be each other's neighbours — are skipped.
 func (u *unit) lock(id storage.PageID, mode lock.Mode) error {
-	if id == storage.InvalidPage || slices.Contains(u.locked, id) {
+	if id == storage.InvalidPage {
 		return nil
 	}
-	err := u.r.tree.Locks().Lock(u.r.owner, pageRes(id), mode)
+	err := u.Lock(pageRes(id), mode)
 	if isTransient(err) {
 		u.r.c.unitsDeadlocked.Add(1)
 		return errUnitAborted
 	}
-	if err == nil {
-		u.locked = append(u.locked, id)
-	}
 	return err
-}
-
-// fix pins a page for the unit.
-func (u *unit) fix(id storage.PageID) (*storage.Frame, error) {
-	f, err := u.r.tree.Pager().Fix(id)
-	if err == nil {
-		u.pinned = append(u.pinned, f)
-	}
-	return f, err
-}
-
-// adoptBase hands the unit a base page a descent returned R-locked and
-// pinned (two descents may have reached the same page: one lock, two
-// pins).
-func (u *unit) adoptBase(f *storage.Frame) {
-	if !slices.Contains(u.locked, f.ID()) {
-		u.locked = append(u.locked, f.ID())
-	}
-	u.pinned = append(u.pinned, f)
-}
-
-// event reports a stage of the unit to the fault injector and the
-// event hook.
-func (u *unit) event(stage string) error {
-	err := u.r.event(stage)
-	u.crashed = u.crashed || err != nil
-	return err
-}
-
-// unpin hands one of the unit's pins back before release: a page must
-// be unpinned to be freed (dealloc, drop's only other caller).
-func (u *unit) unpin(f *storage.Frame) {
-	u.pinned = slices.DeleteFunc(u.pinned, func(p *storage.Frame) bool { return p == f })
-	u.r.tree.Pager().Unfix(f)
-}
-
-// drop gives back, lock and pin, a leaf that was taken only to be
-// measured and does not join the unit.
-func (u *unit) drop(f *storage.Frame) {
-	u.unpin(f)
-	u.locked = slices.DeleteFunc(u.locked, func(id storage.PageID) bool { return id == f.ID() })
-	u.r.tree.Locks().Unlock(u.r.owner, pageRes(f.ID()))
 }
 
 // dealloc logs and performs the deallocation of a page the unit holds
 // pinned.
 func (u *unit) dealloc(f *storage.Frame) error {
 	r := u.r
-	u.unpin(f)
+	u.Unpin(f)
 	lsn := r.tree.Log().Append(wal.Dealloc{Page: f.ID()})
 	r.table.record(lsn)
 	r.c.pagesFreed.Add(1)
@@ -165,14 +98,8 @@ func (u *unit) dealloc(f *storage.Frame) error {
 // the unit holds stays held until Crash() discards the lock table and
 // the pool (an injected crash panics straight past this call).
 func (u *unit) release() {
-	if u.crashed {
-		return
-	}
-	for _, f := range u.pinned {
-		u.r.tree.Pager().Unfix(f)
-	}
-	for _, id := range u.locked {
-		u.r.tree.Locks().Unlock(u.r.owner, pageRes(id))
+	if !u.r.crashed {
+		u.Release()
 	}
 }
 
@@ -342,7 +269,7 @@ func (r *Reorganizer) endUnit(unit uint64, largestKey []byte) {
 // source pre-state to read values from); the log is forced at the end.
 func (r *Reorganizer) CompleteUnit(b wal.ReorgBegin, beginLSN uint64) error {
 	r.table.beginUnit(b.Unit, beginLSN)
-	u := &unit{r: r}
+	u := &unit{Hold: r.tree.NewHold(r.owner), r: r}
 	err := r.resumeUnit(u, b)
 	u.release()
 	if err != nil {
@@ -368,7 +295,7 @@ func (r *Reorganizer) resumeUnit(u *unit, b wal.ReorgBegin) error {
 			if err := u.lock(id, mode); err != nil {
 				return nil, err
 			}
-			f, err := u.fix(id)
+			f, err := u.Fix(id)
 			if err != nil {
 				return nil, err
 			}
