@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -160,4 +161,79 @@ func TestPass3AbandonedAfterCompletedPass(t *testing.T) {
 		t.Errorf("allocated pages %d -> %d across the abandoned pass", before, after)
 	}
 	verifyRecords(t, db, keep, 0)
+}
+
+// TestPass3FailedSwitchForceKeepsRecords: a pass 3 whose SwitchRoot
+// record is appended but whose force fails has passed its commit point.
+// The next commit makes the record durable and restart completes the
+// switch to the new tree, so the failed pass must keep base pages frozen
+// until then: an insert that would change a base page is refused with
+// ErrSwitched instead of landing in the old tree alone, and every
+// committed record survives the restart.
+func TestPass3FailedSwitchForceKeepsRecords(t *testing.T) {
+	in := fault.New(1)
+	db, keep := sparseDB(t, Options{FaultInjector: in})
+	defer db.Close()
+	_, err := db.Reorganize(ReorgConfig{TargetFill: 0.9, InternalPass: true,
+		OnEvent: func(stage string) error {
+			if stage == "pass3.switch.pre" {
+				in.Arm(fault.WALForce, fault.Schedule{Kind: fault.KindError,
+					OnHit: in.HitCounts()[fault.WALForce] + 1, MaxFires: 100})
+			}
+			return nil
+		}})
+	in.Disarm()
+	if err == nil {
+		t.Fatal("pass 3 switched although its SwitchRoot force failed")
+	}
+
+	var committed []int
+	refused := 0
+	for i := pass3Records; i < pass3Records+400; i++ {
+		tx := db.Begin()
+		err := tx.Insert(workload.Key(i), workload.Value(i, pass3ValueSize))
+		if err == nil {
+			err = tx.Commit()
+		}
+		switch {
+		case err == nil:
+			committed = append(committed, i)
+		case errors.Is(err, ErrSwitched):
+			refused++
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if refused == 0 || len(committed) == 0 {
+		t.Fatalf("%d inserts committed, %d refused: want both", len(committed), refused)
+	}
+
+	db.Crash()
+	info, err := db.Restart()
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if !info.Pass3Completed {
+		t.Fatal("restart did not complete the durable switch")
+	}
+	if err := db.Check(); err != nil {
+		t.Fatalf("check after restart: %v", err)
+	}
+	want := len(committed)
+	for i := 0; i < pass3Records; i++ {
+		if keep(i) {
+			want++
+		}
+	}
+	for _, i := range committed {
+		if _, err := db.Get(workload.Key(i)); err != nil {
+			t.Errorf("committed record %d lost: %v", i, err)
+		}
+	}
+	if n, err := db.Count(nil, nil); err != nil || n != want {
+		t.Fatalf("tree holds %d records (err %v), want %d", n, err, want)
+	}
 }
