@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	repro "repro"
+	"repro/internal/btree"
 	"repro/internal/daemon"
 	"repro/internal/kv"
 	"repro/internal/metrics"
@@ -234,13 +235,14 @@ func dump(db *repro.DB) {
 	fmt.Printf("leaf inversions %d of %d adjacent pairs\n", s.OutOfOrderPairs, len(s.LeafIDs)-1)
 	fmt.Printf("contiguous runs %d of %d adjacent pairs\n", s.ContiguousPairs, len(s.LeafIDs)-1)
 
-	// Fill-factor histogram.
+	hist, levels, err := shape(db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nleaf fill histogram:")
-	hist := make([]int, 10)
-	// GatherStats only exposes the average, so re-derive per-leaf fill
-	// from the leaf list via point scans of page utilisation: the
-	// inspect tool keeps it simple and infers the shape from avg/min.
-	_ = hist
+	for i, n := range hist {
+		fmt.Printf("  %.1f-%.1f %7d\n", float64(i)/10, float64(i+1)/10, n)
+	}
 	fmt.Printf("  (avg %.2f, min %.2f over %d leaves)\n", s.AvgLeafFill, s.MinLeafFill, s.LeafPages)
 
 	// On-disk layout of the leaves in key order.
@@ -258,7 +260,7 @@ func dump(db *repro.DB) {
 	}
 	fmt.Println(b.String())
 
-	dumpLevels(db)
+	dumpLevels(levels)
 
 	ds := db.IOStats()
 	reads, writes, seeks := ds.Reads, ds.Writes, ds.Seeks
@@ -269,84 +271,60 @@ func dump(db *repro.DB) {
 	fmt.Print(db.PerfCounters())
 }
 
-// dumpLevels walks the internal levels top-down and prints, per level,
-// the page count, average fan-out, average separator length, and how
-// many bytes prefix truncation saved versus posting each child's full
-// low key (the v2 layout stores the shortest prefix that still routes;
-// see DESIGN.md §12).
-func dumpLevels(db *repro.DB) {
+// level is one internal level's shape: pages, entries, separator
+// bytes, and the bytes prefix truncation saved versus posting each
+// child's full low key.
+type level struct {
+	pages, entries, sepBytes, saved int
+}
+
+// shape walks the tree once for the leaf fill histogram (ten buckets of
+// 0.1) and the internal levels, root level first.
+func shape(db *repro.DB) (hist [10]int, levels []level, err error) {
 	t := db.Tree()
-	pg := t.Pager()
-	rootID, _ := t.Root()
-
-	// firstKey returns the lowest key stored in a page (entry key for
-	// internal pages, record key for leaves).
-	firstKey := func(id storage.PageID) []byte {
-		f, err := pg.Fix(id)
-		if err != nil {
-			return nil
+	root, _ := t.Root()
+	err = btree.Walk(t.Pager(), root, func(n *btree.Node) (btree.Step, error) {
+		p := n.Page
+		// Slot 0 carries the inherited low mark (often ""), not a posted
+		// separator; only the other entries were truncated, to n.Low.
+		if n.Slot > 0 && p.NumSlots() > 0 {
+			if low := kv.SlotKey(p, 0); len(low) > len(n.Low) {
+				levels[len(levels)-n.Level-1].saved += len(low) - len(n.Low)
+			}
 		}
-		defer pg.Unfix(f)
-		p := f.Data()
-		if p.NumSlots() == 0 {
-			return nil
+		if p.Type() == storage.PageLeaf {
+			hist[min(int(p.FillFactor()*10), 9)]++
+			return btree.Descend, nil
 		}
-		return append([]byte(nil), kv.SlotKey(p, 0)...)
-	}
+		if n.Slot < 0 {
+			levels = make([]level, n.Level)
+		}
+		l := &levels[len(levels)-n.Level]
+		l.pages++
+		l.entries += p.NumSlots()
+		for i := 0; i < p.NumSlots(); i++ {
+			l.sepBytes += len(kv.SlotKey(p, i))
+		}
+		return btree.Descend, nil
+	})
+	return hist, levels, err
+}
 
+// dumpLevels prints, per internal level, the page count, average
+// fan-out, average separator length, and how many bytes prefix
+// truncation saved versus posting each child's full low key (the v2
+// layout stores the shortest prefix that still routes; see DESIGN.md
+// §12).
+func dumpLevels(levels []level) {
 	fmt.Println("\ninternal levels (separator truncation vs child low keys):")
 	fmt.Printf("  %-5s %6s %8s %8s %10s %10s\n",
 		"level", "pages", "entries", "fan-out", "sep-bytes", "saved")
-	level := []storage.PageID{rootID}
-	for len(level) > 0 {
-		var next []storage.PageID
-		var lvl uint32
-		pages, entries, sepBytes, saved := 0, 0, 0, 0
-		for _, id := range level {
-			f, err := pg.Fix(id)
-			if err != nil {
-				log.Fatalf("inspect: fix %d: %v", id, err)
-			}
-			p := f.Data()
-			if p.Type() != storage.PageInternal {
-				pg.Unfix(f)
-				next = nil
-				pages = 0
-				break
-			}
-			lvl = p.Aux()
-			pages++
-			n := p.NumSlots()
-			entries += n
-			children := make([]storage.PageID, 0, n)
-			for i := 0; i < n; i++ {
-				k, c := kv.DecodeIndexCell(p.Cell(i))
-				sepBytes += len(k)
-				children = append(children, c)
-				// Slot 0 carries the inherited low mark (often ""), not
-				// a posted separator; only i>0 entries were truncated.
-				if i > 0 {
-					if low := firstKey(c); len(low) > len(k) {
-						saved += len(low) - len(k)
-					}
-				}
-			}
-			pg.Unfix(f)
-			next = append(next, children...)
-		}
-		if pages == 0 {
-			break
-		}
-		avgFan := 0.0
+	for i, l := range levels {
 		avgSep := 0.0
-		if pages > 0 {
-			avgFan = float64(entries) / float64(pages)
-		}
-		if entries > 0 {
-			avgSep = float64(sepBytes) / float64(entries)
+		if l.entries > 0 {
+			avgSep = float64(l.sepBytes) / float64(l.entries)
 		}
 		fmt.Printf("  %-5d %6d %8d %8.1f %10.1f %10d\n",
-			lvl, pages, entries, avgFan, avgSep, saved)
-		level = next
+			len(levels)-i, l.pages, l.entries, float64(l.entries)/float64(l.pages), avgSep, l.saved)
 	}
 }

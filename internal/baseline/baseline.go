@@ -189,61 +189,29 @@ func (r *Reorganizer) mergeOne() (bool, error) {
 	return true, nil
 }
 
-// findMergeablePair scans the base pages for the first adjacent pair of
-// leaves whose combined payload fits the target capacity. The caller
-// holds the whole-tree X lock, so plain reads are safe.
+// findMergeablePair scans the leaves in key order for the first
+// adjacent pair under one base page whose combined payload fits the
+// target capacity. The caller holds the whole-tree X lock, so plain
+// reads are safe.
 func (r *Reorganizer) findMergeablePair() (storage.PageID, int, error) {
-	pg := r.tree.Pager()
 	capacity := r.capacity()
 	rootID, _ := r.tree.Root()
 	var found storage.PageID
-	foundSlot := -1
-	var walk func(id storage.PageID) (bool, error)
-	walk = func(id storage.PageID) (bool, error) {
-		f, err := pg.Fix(id)
-		if err != nil {
-			return false, err
+	foundSlot, prevUsed := -1, 0
+	err := btree.Walk(r.tree.Pager(), rootID, func(n *btree.Node) (btree.Step, error) {
+		p := n.Page
+		if p.Type() != storage.PageLeaf {
+			return btree.Descend, nil
 		}
-		p := f.Data()
-		if p.Type() != storage.PageInternal {
-			pg.Unfix(f)
-			return false, nil
+		used := p.UsedBytes() + storage.SlotSize*p.NumSlots()
+		if n.Slot > 0 && prevUsed+used <= capacity {
+			found, foundSlot = n.Base, n.Slot-1
+			return btree.Stop, nil
 		}
-		level := p.Aux()
-		n := p.NumSlots()
-		children := make([]storage.PageID, 0, n)
-		for i := 0; i < n; i++ {
-			_, c := kv.DecodeIndexCell(p.Cell(i))
-			children = append(children, c)
-		}
-		pg.Unfix(f)
-		if level == 1 {
-			used := make([]int, len(children))
-			for i, c := range children {
-				cf, err := pg.Fix(c)
-				if err != nil {
-					return false, err
-				}
-				used[i] = cf.Data().UsedBytes() + storage.SlotSize*cf.Data().NumSlots()
-				pg.Unfix(cf)
-			}
-			for i := 0; i+1 < len(children); i++ {
-				if used[i]+used[i+1] <= capacity {
-					found, foundSlot = id, i
-					return true, nil
-				}
-			}
-			return false, nil
-		}
-		for _, c := range children {
-			ok, err := walk(c)
-			if err != nil || ok {
-				return ok, err
-			}
-		}
-		return false, nil
-	}
-	if _, err := walk(rootID); err != nil {
+		prevUsed = used
+		return btree.Descend, nil
+	})
+	if err != nil {
 		return storage.InvalidPage, -1, err
 	}
 	return found, foundSlot, nil
@@ -330,48 +298,27 @@ func (r *Reorganizer) swapOne() (bool, error) {
 	}
 	defer unlock()
 
-	// Collect leaves in key order with their parents.
+	// Collect leaves in key order with their parents, from the base
+	// pages' entries: no leaf is read.
 	type leafInfo struct {
 		page storage.PageID
 		base storage.PageID
 		key  []byte
 	}
 	var leaves []leafInfo
-	pg := r.tree.Pager()
 	rootID, _ := r.tree.Root()
-	var walk func(id storage.PageID) error
-	walk = func(id storage.PageID) error {
-		f, err := pg.Fix(id)
-		if err != nil {
-			return err
+	err = btree.Walk(r.tree.Pager(), rootID, func(n *btree.Node) (btree.Step, error) {
+		p := n.Page
+		if p.Type() != storage.PageInternal || p.Aux() != 1 {
+			return btree.Descend, nil
 		}
-		p := f.Data()
-		if p.Type() != storage.PageInternal {
-			pg.Unfix(f)
-			return nil
-		}
-		level := p.Aux()
-		n := p.NumSlots()
-		type ent struct {
-			k []byte
-			c storage.PageID
-		}
-		ents := make([]ent, 0, n)
-		for i := 0; i < n; i++ {
+		for i := 0; i < p.NumSlots(); i++ {
 			k, c := kv.DecodeIndexCell(p.Cell(i))
-			ents = append(ents, ent{append([]byte(nil), k...), c})
+			leaves = append(leaves, leafInfo{page: c, base: n.ID, key: append([]byte(nil), k...)})
 		}
-		pg.Unfix(f)
-		for _, e := range ents {
-			if level == 1 {
-				leaves = append(leaves, leafInfo{page: e.c, base: id, key: e.k})
-			} else if err := walk(e.c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(rootID); err != nil {
+		return btree.SkipChildren, nil
+	})
+	if err != nil {
 		return false, err
 	}
 	if len(leaves) < 2 {

@@ -508,26 +508,16 @@ func TestGetNextBaseIteration(t *testing.T) {
 	// pages must match what we visited.
 	baseCount := 0
 	rootID, _ := e.tree.Root()
-	var walk func(id storage.PageID)
-	walk = func(id storage.PageID) {
-		f, _ := e.pager.Fix(id)
-		p := f.Data()
-		if p.Type() == storage.PageInternal && p.Aux() == 1 {
+	err = Walk(e.pager, rootID, func(n *Node) (Step, error) {
+		if n.Page.Type() == storage.PageInternal && n.Page.Aux() == 1 {
 			baseCount++
-			e.pager.Unfix(f)
-			return
+			return SkipChildren, nil
 		}
-		var children []storage.PageID
-		for i := 0; i < p.NumSlots(); i++ {
-			_, c := kv.DecodeIndexCell(p.Cell(i))
-			children = append(children, c)
-		}
-		e.pager.Unfix(f)
-		for _, c := range children {
-			walk(c)
-		}
+		return Descend, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	walk(rootID)
 	if len(seen) != baseCount {
 		t.Errorf("visited %d base pages, tree has %d (leaves=%d)", len(seen), baseCount, s.LeafPages)
 	}

@@ -27,102 +27,114 @@ type Stats struct {
 	ContiguousPairs int
 }
 
-// Check verifies structural invariants. It takes no locks: call it on a
-// quiescent tree (tests and tools).
+// Check verifies the structure rules (Audit) and returns the first
+// violation. It takes no locks: call it on a quiescent tree (tests and
+// tools).
 func (t *Tree) Check() error {
-	rootID, _ := t.Root()
-	rootF, err := t.pager.Fix(rootID)
+	var first error
+	_, err := t.Audit(func(rule string, id storage.PageID, msg string) {
+		if first == nil {
+			first = fmt.Errorf("btree: %s: page %d: %s", rule, id, msg)
+		}
+	}, nil)
 	if err != nil {
 		return err
 	}
-	level := rootF.Data().Aux()
-	typ := rootF.Data().Type()
-	t.pager.Unfix(rootF)
-	if typ != storage.PageInternal {
-		return fmt.Errorf("btree: root %d is %v, want internal", rootID, typ)
+	return first
+}
+
+// Audit is the one statement of the structure rules of the paper's
+// tree (§6–§7): it walks the quiescent tree once and reports every
+// violation through report, under the rule's name — self-id,
+// key-order, page-version, slot-dir, level, node-type, empty-internal,
+// bounds (low-mark routing bounds every key of a page), cycle (a page
+// reached twice) and chain (the two-way leaf chain runs through exactly
+// the leaves, in key order). leaf, if not nil, sees each leaf in key order. Audit returns
+// the pages the walk reached, and the first fix error.
+func (t *Tree) Audit(report func(rule string, id storage.PageID, msg string), leaf func(n *Node)) (map[storage.PageID]bool, error) {
+	add := func(rule string, id storage.PageID, format string, args ...any) {
+		report(rule, id, fmt.Sprintf(format, args...))
 	}
+	reached := make(map[storage.PageID]bool)
 	var leaves []storage.PageID
-	if err := t.checkNode(rootID, int(level), nil, nil, &leaves); err != nil {
-		return err
-	}
-	return t.checkLeafChain(leaves)
-}
-
-// checkNode verifies one subtree: key ordering, level decrease, child
-// typing, and that child keys lie within [lowBound, highBound).
-func (t *Tree) checkNode(id storage.PageID, level int, lowBound, highBound []byte, leaves *[]storage.PageID) error {
-	f, err := t.pager.Fix(id)
+	root, _ := t.Root()
+	err := Walk(t.pager, root, func(n *Node) (Step, error) {
+		p := n.Page
+		if n.Slot < 0 && p.Type() != storage.PageInternal {
+			add("node-type", n.ID, "root is %v, want internal", p.Type())
+			return Stop, nil
+		}
+		if reached[n.ID] {
+			add("cycle", n.ID, "page reached twice in tree walk")
+			return SkipChildren, nil
+		}
+		reached[n.ID] = true
+		if p.ID() != n.ID {
+			add("self-id", n.ID, "header id is %d", p.ID())
+		}
+		if err := kv.Verify(p); err != nil {
+			add("key-order", n.ID, "%v", err)
+		}
+		if p.Version() != storage.PageFormatVersion {
+			add("page-version", n.ID, "format v%d, want v%d", p.Version(), storage.PageFormatVersion)
+		}
+		if err := p.CheckSlots(); err != nil {
+			add("slot-dir", n.ID, "%v", err)
+		}
+		slots := p.NumSlots()
+		switch p.Type() {
+		case storage.PageLeaf:
+			if n.Level != 0 {
+				add("level", n.ID, "leaf at expected level %d", n.Level)
+			}
+			if slots > 0 {
+				if first := kv.SlotKey(p, 0); n.Low != nil && kv.Compare(first, n.Low) < 0 {
+					add("bounds", n.ID, "first key %q below separator %q", first, n.Low)
+				}
+				if last := kv.SlotKey(p, slots-1); n.High != nil && kv.Compare(last, n.High) >= 0 {
+					add("bounds", n.ID, "last key %q not below separator %q", last, n.High)
+				}
+			}
+			leaves = append(leaves, n.ID)
+			if leaf != nil {
+				leaf(n)
+			}
+		case storage.PageInternal:
+			if int(p.Aux()) != n.Level {
+				add("level", n.ID, "internal level %d, expected %d", p.Aux(), n.Level)
+			}
+			if slots == 0 {
+				add("empty-internal", n.ID, "internal page has no entries")
+			}
+			for i := 0; i < slots; i++ {
+				key := kv.SlotKey(p, i)
+				if n.Low != nil && kv.Compare(key, n.Low) < 0 {
+					add("bounds", n.ID, "entry %q below separator %q", key, n.Low)
+				}
+				if n.High != nil && kv.Compare(key, n.High) >= 0 {
+					add("bounds", n.ID, "entry %q not below separator %q", key, n.High)
+				}
+			}
+		default:
+			add("node-type", n.ID, "type %v inside the tree", p.Type())
+		}
+		return Descend, nil
+	})
 	if err != nil {
-		return err
+		return reached, err
 	}
-	defer t.pager.Unfix(f)
-	p := f.Data()
-	if p.ID() != id {
-		return fmt.Errorf("btree: page %d self-id is %d", id, p.ID())
-	}
-	if err := kv.Verify(p); err != nil {
-		return err
-	}
-	if p.Type() == storage.PageLeaf {
-		if level != 0 {
-			return fmt.Errorf("btree: leaf %d at expected level %d", id, level)
-		}
-		n := p.NumSlots()
-		if n > 0 {
-			if lowBound != nil && kv.Compare(kv.SlotKey(p, 0), lowBound) < 0 {
-				return fmt.Errorf("btree: leaf %d key %q below bound %q", id, kv.SlotKey(p, 0), lowBound)
-			}
-			if highBound != nil && kv.Compare(kv.SlotKey(p, n-1), highBound) >= 0 {
-				return fmt.Errorf("btree: leaf %d key %q not below bound %q", id, kv.SlotKey(p, n-1), highBound)
-			}
-		}
-		*leaves = append(*leaves, id)
-		return nil
-	}
-	if p.Type() != storage.PageInternal {
-		return fmt.Errorf("btree: page %d has type %v inside the tree", id, p.Type())
-	}
-	if int(p.Aux()) != level {
-		return fmt.Errorf("btree: internal %d level %d, expected %d", id, p.Aux(), level)
-	}
-	n := p.NumSlots()
-	if n == 0 {
-		return fmt.Errorf("btree: internal page %d is empty", id)
-	}
-	for i := 0; i < n; i++ {
-		key, child := kv.DecodeIndexCell(p.Cell(i))
-		if lowBound != nil && kv.Compare(key, lowBound) < 0 {
-			return fmt.Errorf("btree: internal %d entry %q below bound %q", id, key, lowBound)
-		}
-		if highBound != nil && kv.Compare(key, highBound) >= 0 {
-			return fmt.Errorf("btree: internal %d entry %q not below bound %q", id, key, highBound)
-		}
-		childLow := key
-		if i == 0 {
-			// The leftmost child may hold keys below its entry key
-			// (low-mark routing): inherit this node's lower bound.
-			childLow = lowBound
-		}
-		childHigh := highBound
-		if i+1 < n {
-			childHigh = kv.SlotKey(p, i+1)
-		}
-		if err := t.checkNode(child, level-1, childLow, childHigh, leaves); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkLeafChain verifies the two-way side pointers visit exactly the
-// leaves in key order.
-func (t *Tree) checkLeafChain(leaves []storage.PageID) error {
+	// The chain rule reads each leaf again, in key order, once the walk
+	// has listed them: the page fixes the rules have always made, so a
+	// bounded pool misses where it did, and so do the fault-point hits
+	// that crash schedules are pinned to.
 	for i, id := range leaves {
 		f, err := t.pager.Fix(id)
 		if err != nil {
-			return err
+			return reached, err
 		}
+		f.RLock()
 		prev, next := f.Data().Prev(), f.Data().Next()
+		f.RUnlock()
 		t.pager.Unfix(f)
 		var wantPrev, wantNext storage.PageID
 		if i > 0 {
@@ -132,62 +144,38 @@ func (t *Tree) checkLeafChain(leaves []storage.PageID) error {
 			wantNext = leaves[i+1]
 		}
 		if prev != wantPrev {
-			return fmt.Errorf("btree: leaf %d prev = %d, want %d", id, prev, wantPrev)
+			add("chain", id, "prev = %d, want %d", prev, wantPrev)
 		}
 		if next != wantNext {
-			return fmt.Errorf("btree: leaf %d next = %d, want %d", id, next, wantNext)
+			add("chain", id, "next = %d, want %d", next, wantNext)
 		}
 	}
-	return nil
+	return reached, nil
 }
 
 // GatherStats walks the quiescent tree and returns physical statistics.
 func (t *Tree) GatherStats() (Stats, error) {
 	var s Stats
-	rootID, _ := t.Root()
-	rootF, err := t.pager.Fix(rootID)
-	if err != nil {
-		return s, err
-	}
-	s.Height = int(rootF.Data().Aux()) + 1
-	t.pager.Unfix(rootF)
-
-	var walk func(id storage.PageID) error
 	minFill := 1.0
-	walk = func(id storage.PageID) error {
-		f, err := t.pager.Fix(id)
-		if err != nil {
-			return err
+	root, _ := t.Root()
+	err := Walk(t.pager, root, func(n *Node) (Step, error) {
+		p := n.Page
+		if n.Slot < 0 {
+			s.Height = n.Level + 1
 		}
-		p := f.Data()
-		if p.Type() == storage.PageLeaf {
-			s.LeafPages++
-			s.Records += p.NumSlots()
-			fill := p.FillFactor()
-			s.AvgLeafFill += fill
-			if fill < minFill {
-				minFill = fill
-			}
-			s.LeafIDs = append(s.LeafIDs, id)
-			t.pager.Unfix(f)
-			return nil
+		if p.Type() != storage.PageLeaf {
+			s.InternalPages++
+			return Descend, nil
 		}
-		s.InternalPages++
-		n := p.NumSlots()
-		children := make([]storage.PageID, 0, n)
-		for i := 0; i < n; i++ {
-			_, child := kv.DecodeIndexCell(p.Cell(i))
-			children = append(children, child)
-		}
-		t.pager.Unfix(f)
-		for _, c := range children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(rootID); err != nil {
+		s.LeafPages++
+		s.Records += p.NumSlots()
+		fill := p.FillFactor()
+		s.AvgLeafFill += fill
+		minFill = min(minFill, fill)
+		s.LeafIDs = append(s.LeafIDs, n.ID)
+		return Descend, nil
+	})
+	if err != nil {
 		return s, err
 	}
 	if s.LeafPages > 0 {
@@ -332,38 +320,19 @@ func (t *Tree) GatherRangeOccupancy(n int) ([]RangeOccupancy, error) {
 // CollectAll returns every record in the tree in key order (test
 // support; quiescent tree only).
 func (t *Tree) CollectAll() (keys, vals [][]byte, err error) {
-	rootID, _ := t.Root()
-	var walk func(id storage.PageID) error
-	walk = func(id storage.PageID) error {
-		f, err := t.pager.Fix(id)
-		if err != nil {
-			return err
+	root, _ := t.Root()
+	err = Walk(t.pager, root, func(n *Node) (Step, error) {
+		if n.Page.Type() != storage.PageLeaf {
+			return Descend, nil
 		}
-		p := f.Data()
-		if p.Type() == storage.PageLeaf {
-			for i := 0; i < p.NumSlots(); i++ {
-				k, v := kv.DecodeLeafCell(p.Cell(i))
-				keys = append(keys, append([]byte(nil), k...))
-				vals = append(vals, append([]byte(nil), v...))
-			}
-			t.pager.Unfix(f)
-			return nil
+		for i := 0; i < n.Page.NumSlots(); i++ {
+			k, v := kv.DecodeLeafCell(n.Page.Cell(i))
+			keys = append(keys, append([]byte(nil), k...))
+			vals = append(vals, append([]byte(nil), v...))
 		}
-		n := p.NumSlots()
-		children := make([]storage.PageID, 0, n)
-		for i := 0; i < n; i++ {
-			_, child := kv.DecodeIndexCell(p.Cell(i))
-			children = append(children, child)
-		}
-		t.pager.Unfix(f)
-		for _, c := range children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(rootID); err != nil {
+		return Descend, nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	return keys, vals, nil

@@ -3,14 +3,14 @@ package check
 import (
 	"repro"
 	"repro/internal/btree"
-	"repro/internal/kv"
 	"repro/internal/storage"
 )
 
 // TreeOptions tunes which invariants the structure oracle asserts.
 // The zero value checks everything unconditional: the WAL rule, the
-// tree walk (key order, separators, levels, typing, self ids, cycles),
-// the sibling chain, the seek model, and free-map agreement.
+// structure rules DB.Check applies (btree.Tree.Audit: key order,
+// separators, levels, typing, self ids, page format, slot directory,
+// cycles, the sibling chain), the seek model, and free-map agreement.
 type TreeOptions struct {
 	// NoSync skips the log flush + FlushAll that normally makes the
 	// disk authoritative before structural checks. Only for tests that
@@ -82,158 +82,32 @@ func TreeWith(db *repro.DB, opts TreeOptions) *Report {
 		}
 	}
 
-	// --- Anchor and root.
-	rootID, _ := t.Root()
+	// --- Anchor.
 	_, sideHead := t.ReorgState()
-	if err := disk.Read(btree.AnchorPage, buf); err == nil {
-		if storage.Page(buf).Type() != storage.PageAnchor {
-			rep.Add("anchor", btree.AnchorPage, "type %v, want anchor",
-				storage.Page(buf).Type())
-		}
+	if err := disk.Read(btree.AnchorPage, buf); err != nil {
+		rep.Add("io", btree.AnchorPage, "raw read failed: %v", err)
+	} else if typ := storage.Page(buf).Type(); typ != storage.PageAnchor {
+		rep.Add("anchor", btree.AnchorPage, "type %v, want anchor", typ)
 	}
 
-	// --- Recursive walk: bounds, levels, typing, self ids, in-page
-	// order, cycles. Collects leaves in key order with their base page.
-	visited := make(map[storage.PageID]bool)
+	// --- The structure rules DB.Check applies (btree.Tree.Audit), in
+	// one walk that also gathers the leaves in key order with their base
+	// page for the extras below.
 	var leaves []leafInfo
-	var walk func(id storage.PageID, level int, low, high []byte, base storage.PageID)
-	walk = func(id storage.PageID, level int, low, high []byte, base storage.PageID) {
-		if visited[id] {
-			rep.Add("cycle", id, "page reached twice in tree walk")
-			return
-		}
-		visited[id] = true
-		f, err := pager.Fix(id)
-		if err != nil {
-			rep.Add("io", id, "fix: %v", err)
-			return
-		}
-		p := f.Data()
-		if p.ID() != id {
-			rep.Add("self-id", id, "header id is %d", p.ID())
-		}
-		if err := kv.Verify(p); err != nil {
-			rep.Add("key-order", id, "%v", err)
-		}
-		if p.Version() != storage.PageFormatVersion {
-			rep.Add("page-version", id, "format v%d, want v%d",
-				p.Version(), storage.PageFormatVersion)
-		}
-		if err := p.CheckSlots(); err != nil {
-			rep.Add("slot-dir", id, "%v", err)
-		}
-		if p.Type() == storage.PageLeaf {
-			if level != 0 {
-				rep.Add("level", id, "leaf at expected level %d", level)
-			}
-			n := p.NumSlots()
-			if n > 0 {
-				if low != nil && kv.Compare(kv.SlotKey(p, 0), low) < 0 {
-					rep.Add("bounds", id, "first key %q below separator %q",
-						kv.SlotKey(p, 0), low)
-				}
-				if high != nil && kv.Compare(kv.SlotKey(p, n-1), high) >= 0 {
-					rep.Add("bounds", id, "last key %q not below separator %q",
-						kv.SlotKey(p, n-1), high)
-				}
-			}
-			leaves = append(leaves, leafInfo{
-				id: id, base: base,
-				payload: p.UsedBytes() + storage.SlotSize*p.NumSlots(),
-			})
-			pager.Unfix(f)
-			return
-		}
-		if p.Type() != storage.PageInternal {
-			rep.Add("node-type", id, "type %v inside the tree", p.Type())
-			pager.Unfix(f)
-			return
-		}
-		if int(p.Aux()) != level {
-			rep.Add("level", id, "internal level %d, expected %d", p.Aux(), level)
-		}
-		n := p.NumSlots()
-		if n == 0 {
-			rep.Add("empty-internal", id, "internal page has no entries")
-			pager.Unfix(f)
-			return
-		}
-		type entry struct {
-			key       []byte
-			child     storage.PageID
-			low, high []byte
-		}
-		entries := make([]entry, 0, n)
-		for i := 0; i < n; i++ {
-			key, child := kv.DecodeIndexCell(p.Cell(i))
-			if low != nil && kv.Compare(key, low) < 0 {
-				rep.Add("bounds", id, "entry %q below separator %q", key, low)
-			}
-			if high != nil && kv.Compare(key, high) >= 0 {
-				rep.Add("bounds", id, "entry %q not below separator %q", key, high)
-			}
-			e := entry{key: append([]byte(nil), key...), child: child}
-			entries = append(entries, e)
-		}
-		for i := range entries {
-			// Low-mark routing: the leftmost child inherits this node's
-			// own lower bound, not its entry key.
-			entries[i].low = entries[i].key
-			if i == 0 {
-				entries[i].low = low
-			}
-			entries[i].high = high
-			if i+1 < n {
-				entries[i].high = entries[i+1].key
-			}
-		}
-		pager.Unfix(f)
-		childBase := base
-		if level == 1 {
-			childBase = id // this node is the leaves' base page
-		}
-		for _, e := range entries {
-			walk(e.child, level-1, e.low, e.high, childBase)
-		}
-	}
-
-	rootF, err := pager.Fix(rootID)
+	visited, err := t.Audit(func(rule string, id storage.PageID, msg string) {
+		rep.Add(rule, id, "%s", msg)
+	}, func(n *btree.Node) {
+		leaves = append(leaves, leafInfo{
+			id: n.ID, base: n.Base,
+			payload: n.Page.UsedBytes() + storage.SlotSize*n.Page.NumSlots(),
+		})
+	})
 	if err != nil {
-		rep.Add("io", rootID, "fix root: %v", err)
+		rep.Add("io", 0, "tree walk: %v", err)
 		return rep
 	}
-	rootLevel := int(rootF.Data().Aux())
-	rootType := rootF.Data().Type()
-	pager.Unfix(rootF)
-	if rootType != storage.PageInternal {
-		rep.Add("node-type", rootID, "root is %v, want internal", rootType)
-		return rep
-	}
-	walk(rootID, rootLevel, nil, nil, 0)
-
-	// --- Sibling chain: two-way pointers must visit exactly the leaves
-	// in key order.
-	for i, lf := range leaves {
-		f, err := pager.Fix(lf.id)
-		if err != nil {
-			rep.Add("io", lf.id, "fix: %v", err)
-			continue
-		}
-		prev, next := f.Data().Prev(), f.Data().Next()
-		pager.Unfix(f)
-		var wantPrev, wantNext storage.PageID
-		if i > 0 {
-			wantPrev = leaves[i-1].id
-		}
-		if i+1 < len(leaves) {
-			wantNext = leaves[i+1].id
-		}
-		if prev != wantPrev {
-			rep.Add("chain", lf.id, "prev = %d, want %d", prev, wantPrev)
-		}
-		if next != wantNext {
-			rep.Add("chain", lf.id, "next = %d, want %d", next, wantNext)
-		}
+	if len(visited) == 0 {
+		return rep // the root is not an internal page: nothing was walked
 	}
 
 	// --- Post-Pass-1: no mergeable adjacent pair within a base page's

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro"
@@ -17,6 +18,22 @@ func hasRule(rep *check.Report, rule string) bool {
 		}
 	}
 	return false
+}
+
+// checkFails asserts that DB.Check, which applies the same structure
+// rules as the oracle, fails on db and names one of rules.
+func checkFails(t *testing.T, db *repro.DB, rules ...string) {
+	t.Helper()
+	err := db.Check()
+	if err == nil {
+		t.Fatalf("DB.Check passed a tree the oracle flags %v", rules)
+	}
+	for _, rule := range rules {
+		if strings.Contains(err.Error(), rule+":") {
+			return
+		}
+	}
+	t.Fatalf("DB.Check error %q names none of %v", err, rules)
 }
 
 func openLoaded(t *testing.T, records int) *repro.DB {
@@ -170,6 +187,7 @@ func TestOracleDetectsBrokenSiblingChain(t *testing.T) {
 	if rep := check.Tree(db); !hasRule(rep, "chain") {
 		t.Fatalf("stale sibling link not flagged:\n%s", rep)
 	}
+	checkFails(t, db, "chain")
 }
 
 func TestOracleDetectsKeyOrderCorruption(t *testing.T) {
@@ -188,6 +206,7 @@ func TestOracleDetectsKeyOrderCorruption(t *testing.T) {
 	if !hasRule(rep, "key-order") && !hasRule(rep, "bounds") {
 		t.Fatalf("in-page key disorder not flagged:\n%s", rep)
 	}
+	checkFails(t, db, "key-order", "bounds")
 }
 
 func TestOracleDetectsFreeMapDrift(t *testing.T) {
@@ -231,4 +250,37 @@ func TestOracleDetectsLevelCorruption(t *testing.T) {
 	if !hasRule(rep, "level") {
 		t.Fatalf("level corruption not flagged:\n%s", rep)
 	}
+	checkFails(t, db, "level")
+}
+
+func TestOracleDetectsPageVersion(t *testing.T) {
+	db := openLoaded(t, 200)
+	st, err := db.GatherStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptLeaf(t, db, st.LeafIDs[1], func(p storage.Page) {
+		p[18] = 0 // the header's format-version byte: a pre-versioned page
+	})
+	if rep := check.Tree(db); !hasRule(rep, "page-version") {
+		t.Fatalf("stale page format not flagged:\n%s", rep)
+	}
+	checkFails(t, db, "page-version")
+}
+
+func TestOracleDetectsPageReachedTwice(t *testing.T) {
+	db := openLoaded(t, 200)
+	rootID, _ := db.Tree().Root()
+	corruptLeaf(t, db, rootID, func(p storage.Page) {
+		_, first := kv.DecodeIndexCell(p.Cell(0))
+		key, _ := kv.DecodeIndexCell(p.Cell(1))
+		key = append([]byte(nil), key...)
+		if err := kv.IndexReplace(p, key, key, first); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rep := check.Tree(db); !hasRule(rep, "cycle") {
+		t.Fatalf("page reached twice not flagged:\n%s", rep)
+	}
+	checkFails(t, db, "cycle")
 }

@@ -199,9 +199,18 @@ func (r *Reorganizer) RebuildInternal() (err error) {
 		} else {
 			r.pass3.setAllRead()
 		}
+		base.RLock()
+		baseID, baseLSN := base.ID(), base.Data().LSN()
+		base.RUnlock()
 		h.Drop(base)
 
-		for _, e := range entries {
+		for i, e := range entries {
+			// The builder appends: a key not above the last one would
+			// land below the separator it already posted.
+			if (basesRead > 0 || i > 0) && kv.Compare(e.key, lastKey) <= 0 {
+				return fmt.Errorf("pass3: base %d (page LSN %d, CK %q) hands key %q, not above the last key %q",
+					baseID, baseLSN, lowMark, e.key, lastKey)
+			}
 			if err := b.add(e.key, e.child); err != nil {
 				return err
 			}
@@ -400,36 +409,17 @@ func (r *Reorganizer) discardOldInternals(oldRoot storage.PageID) error {
 // read is an error, never a shorter list.
 func internalsUnder(pg *storage.Pager, root storage.PageID) ([]storage.PageID, error) {
 	var internals []storage.PageID
-	var walk func(id storage.PageID) error
-	walk = func(id storage.PageID) error {
-		f, err := pg.Fix(id)
-		if err != nil {
-			return err
+	err := btree.Walk(pg, root, func(n *btree.Node) (btree.Step, error) {
+		if n.Page.Type() != storage.PageInternal {
+			return btree.SkipChildren, nil
 		}
-		f.RLock()
-		p := f.Data()
-		var children []storage.PageID
-		internal := p.Type() == storage.PageInternal
-		if internal && p.Aux() > 1 {
-			for i := 0; i < p.NumSlots(); i++ {
-				_, c := kv.DecodeIndexCell(p.Cell(i))
-				children = append(children, c)
-			}
+		internals = append(internals, n.ID)
+		if n.Page.Aux() <= 1 {
+			return btree.SkipChildren, nil
 		}
-		f.RUnlock()
-		pg.Unfix(f)
-		if !internal {
-			return nil
-		}
-		internals = append(internals, id)
-		for _, c := range children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(root); err != nil {
+		return btree.Descend, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return internals, nil

@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/fault"
+	"repro/internal/kv"
 	"repro/internal/sidefile"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -131,5 +135,84 @@ func TestPass3FailureFreesWhatItBuilt(t *testing.T) {
 	}
 	if freed == 0 {
 		t.Error("no Dealloc logged for the failed pass's pages")
+	}
+}
+
+// TestPass3NamesOutOfOrderBaseKey: a base page whose low mark sits
+// below the previous base page's last key (hand-corrupted here) stops
+// pass 3 with an error naming the base page, its page LSN and CK,
+// before the builder places the key below a separator it posted; the
+// failed pass cleans up after itself.
+func TestPass3NamesOutOfOrderBaseKey(t *testing.T) {
+	e := newEnv(t, 512)
+	for i := 0; i < 4000; i++ {
+		e.put(t, i)
+	}
+	root, _ := e.tree.Root()
+	var bases []storage.PageID
+	err := btree.Walk(e.pager, root, func(n *btree.Node) (btree.Step, error) {
+		if n.Level > 1 {
+			return btree.Descend, nil
+		}
+		bases = append(bases, n.ID)
+		return btree.SkipChildren, nil
+	})
+	if err != nil || len(bases) < 2 {
+		t.Fatalf("want two base pages, have %d (%v)", len(bases), err)
+	}
+	edit := func(id storage.PageID, fn func(p storage.Page)) {
+		f, err := e.pager.Fix(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Lock()
+		fn(f.Data())
+		f.Unlock()
+		e.pager.MarkDirty(f, 0)
+		e.pager.Unfix(f)
+	}
+	// lower sits strictly between the first base's last two keys.
+	var lower, lowMark []byte
+	var child storage.PageID
+	edit(bases[0], func(p storage.Page) {
+		n := p.NumSlots()
+		if n < 2 {
+			t.Fatalf("base %d has %d entries", bases[0], n)
+		}
+		lower = append(append([]byte(nil), kv.SlotKey(p, n-2)...), 0)
+	})
+	edit(bases[1], func(p storage.Page) {
+		k, c := kv.DecodeIndexCell(p.Cell(0))
+		lowMark, child = append([]byte(nil), k...), c
+		if err := kv.IndexReplace(p, lowMark, lower, child); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	err = New(e.tree, DefaultConfig()).RebuildInternal()
+	want := fmt.Sprintf("pass3: base %d (page LSN ", bases[1])
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("CK %q", lower)) {
+		t.Fatalf("pass 3 over out-of-order bases returned %v, want an error naming base %d and CK %q",
+			err, bases[1], lower)
+	}
+	if bit, head := e.tree.ReorgState(); bit || head != storage.InvalidPage {
+		t.Errorf("reorg bit %v, side-file head %d after the failed pass", bit, head)
+	}
+	if r, _ := e.tree.Root(); r != root {
+		t.Errorf("root moved %d -> %d", root, r)
+	}
+	edit(bases[1], func(p storage.Page) {
+		if err := kv.IndexReplace(p, lower, lowMark, child); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := e.tree.Check(); err != nil {
+		t.Fatalf("tree after the failed pass: %v", err)
+	}
+	if err := New(e.tree, DefaultConfig()).RebuildInternal(); err != nil {
+		t.Fatalf("pass 3 over the repaired tree: %v", err)
+	}
+	if err := e.tree.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
