@@ -62,6 +62,30 @@ func BenchmarkInsertBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnInsertMany runs one explicit transaction of 4 096
+// Inserts per iteration. The transaction ends up holding two locks per
+// record (the leaf's IX and the record's X), so a lock manager whose
+// bookkeeping grows with the locks an owner holds shows here first;
+// ns/record is the per-insert cost.
+func BenchmarkTxnInsertMany(b *testing.B) {
+	const perTxn = 4096
+	db, _ := repro.Open(repro.Options{PageSize: 4096})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := db.Begin()
+		for j := 0; j < perTxn; j++ {
+			k := i*perTxn + j
+			if err := tx.Insert(workload.Key(k), workload.Value(k, 48)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perTxn), "ns/record")
+}
+
 func BenchmarkGet(b *testing.B) {
 	db, _ := repro.Open(repro.Options{PageSize: 4096})
 	const n = 20000

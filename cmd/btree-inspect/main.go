@@ -205,6 +205,8 @@ func dumpMetrics(db *repro.DB) {
 		occ.Free.HighWater, occ.Free.Allocated, occ.Free.Free,
 		occ.Free.FreeRuns, occ.Free.LargestFreeRun)
 
+	fmt.Printf("\nruntime mutex wait: %d ns in total\n", snap.Counters[metrics.RuntimeMutexWaitNs])
+
 	wa := snap.WriteAmp
 	fmt.Printf("\nwrite amplification: logical %d B, WAL %d B (%.2fx), pages %d B (%.2fx), total %.2fx\n",
 		wa.LogicalBytes, wa.WALBytes, wa.WALAmp, wa.PageBytes, wa.PageAmp, wa.TotalAmp)

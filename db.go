@@ -914,9 +914,10 @@ func (db *DB) LockStats() *lock.Stats { return db.locks.Stats() }
 
 // PerfCounters snapshots the concurrent-hot-path counters: buffer-pool
 // shard traffic (hits, misses, CLOCK eviction work, shard-mutex
-// contention) and WAL group-commit effectiveness (forced writes
-// performed vs. saved, batch volume). All sources are atomics, so the
-// snapshot never contends with running transactions.
+// contention), WAL group-commit effectiveness (forced writes performed
+// vs. saved, batch volume) and the lock manager's trips through its
+// mutex. Every source but lock.trips is an atomic; lock.trips is read
+// under the lock manager's mutex, one short acquisition per snapshot.
 func (db *DB) PerfCounters() *metrics.Counters {
 	c := metrics.New()
 	ps := db.pager.Stats()
@@ -945,6 +946,7 @@ func (db *DB) PerfCounters() *metrics.Counters {
 	c.Add(metrics.WALBytesSinceCheckpoint, db.log.BytesSinceCheckpoint())
 	c.Add(metrics.CkptAuto, db.ckptAuto.Load())
 	c.Add(metrics.CkptFailed, db.ckptFailed.Load())
+	c.Add(metrics.LockTrips, db.locks.Trips())
 	if db.daemon != nil {
 		for name, v := range db.daemon.Metrics().Snapshot() {
 			c.Add(name, v)
@@ -1000,12 +1002,15 @@ func (db *DB) Occupancy(n int) (obs.Occupancy, error) {
 // appended and page bytes written to disk) and, with observability on,
 // one latency quantile row per operation kind that has a sample and the
 // trace-ring event count. With observability off Latencies is nil and
-// the logical byte count 0.
+// the logical byte count 0. Counters adds to PerfCounters the Go
+// runtime's cumulative mutex wait (runtime.mutex_wait_ns), whose growth
+// between two snapshots is the contention between them.
 func (db *DB) MetricsSnapshot() obs.MetricsSnapshot {
 	snap := obs.MetricsSnapshot{
 		TSUnixNano: time.Now().UnixNano(),
 		Counters:   db.PerfCounters().Snapshot(),
 	}
+	snap.Counters[metrics.RuntimeMutexWaitNs] = obs.MutexWaitNanos()
 	wa := obs.WriteAmp{
 		WALBytes:  db.log.BytesAppended(),
 		PageBytes: db.disk.Stats().Snapshot().BytesWritten,

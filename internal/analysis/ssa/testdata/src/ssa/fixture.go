@@ -5,10 +5,10 @@ package ssafix
 
 import "errors"
 
-//vet:hotpath -- marker carried through to Function.Doc
-//
 // Root returns through a call embedded in the return statement; the
 // builder must still emit a Call instruction for helper.
+//
+//vet:hotpath -- marker carried through to Function.Doc
 func Root(xs []int) (int, error) {
 	if len(xs) == 0 {
 		return 0, errors.New("empty")

@@ -118,12 +118,12 @@ func (t *Tree) InsertBatch(tx *txn.Txn, keys, vals [][]byte) error {
 	return nil
 }
 
-//vet:hotpath -- the InsertBatch leaf-run inner loop (PR 7's 1.9x)
-//
 // applyBatchLogged applies a run of inserts to one leaf under a single
 // frame latch, validating, logging and applying each in order. It
 // returns how many were applied; on error the remainder of the run is
 // untouched (the failing record is at index "applied" of idx).
+//
+//vet:hotpath -- the InsertBatch leaf-run inner loop (PR 7's 1.9x)
 func (t *Tree) applyBatchLogged(tx *txn.Txn, f *storage.Frame, keys, vals [][]byte, idx []int) (int, error) {
 	f.Lock()
 	defer f.Unlock()

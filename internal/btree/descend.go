@@ -14,8 +14,6 @@ import (
 // reader waited out one reorganization unit; units are short).
 const maxDescendRetries = 10000
 
-//vet:hotpath -- the shared point-descent under Get and modify (PR 7)
-//
 // descendToLeaf implements the reader/updater descent of §4.1.2/4.1.3:
 // S lock-coupling down to the base page, then leafMode (S or X) on the
 // leaf with the forgo-on-RX protocol — on an RX conflict the base lock
@@ -24,10 +22,14 @@ const maxDescendRetries = 10000
 // from the base page.
 //
 // h must be empty. On success the leaf is returned pinned in h; its
-// leafMode lock is the transaction's, not h's. The base page is given
-// back, after copying the key of its entry past the leaf's into *bound
+// leafMode lock is the transaction's, not h's. The base page's lock is
+// given back by the same lock-manager call that grants the leaf's, and
+// its pin once the leaf is pinned (see Hold.Couple); before that call
+// the key of the base's entry past the leaf's is copied into *bound
 // when bound is non-nil (nil when the leaf hangs off the base's last
 // entry). On error, what the descent took is in h.
+//
+//vet:hotpath -- the shared point-descent under Get and modify (PR 7)
 func (t *Tree) descendToLeaf(h *Hold, key []byte, leafMode lock.Mode, bound *[]byte) (*storage.Frame, error) {
 	from := storage.InvalidPage
 	for retries := 0; retries <= maxDescendRetries; retries++ {
@@ -40,9 +42,17 @@ func (t *Tree) descendToLeaf(h *Hold, key []byte, leafMode lock.Mode, bound *[]b
 		if child == storage.InvalidPage {
 			return nil, fmt.Errorf("btree: internal page %d has no entries", base.ID())
 		}
+		// The base lock goes in the call that grants the leaf's, so
+		// the routing key past the leaf is copied first.
+		if bound != nil {
+			*bound = nil
+			if slot >= 0 && slot+1 < p.NumSlots() {
+				*bound = append((*bound)[:0], kv.SlotKey(p, slot+1)...)
+			}
+		}
 		// The leaf lock is the transaction's, held to its end: it
 		// never enters h, so no failure below gives it back early.
-		err = t.locks.LockOpts(h.owner, pageRes(child), leafMode, lock.Opt{ForgoOnRX: true})
+		err = h.handOff(pageRes(base.ID()), lock.None, pageRes(child), leafMode, lock.Opt{ForgoOnRX: true})
 		if errors.Is(err, lock.ErrReorgConflict) {
 			// Forgo: release the base S lock, wait for the reorganizer
 			// via instant RS, then re-lock and re-route from the base.
@@ -64,13 +74,7 @@ func (t *Tree) descendToLeaf(h *Hold, key []byte, leafMode lock.Mode, bound *[]b
 		if err != nil {
 			return nil, err
 		}
-		if bound != nil {
-			*bound = nil
-			if slot >= 0 && slot+1 < p.NumSlots() {
-				*bound = append((*bound)[:0], kv.SlotKey(p, slot+1)...)
-			}
-		}
-		h.Drop(base)
+		h.Unpin(base)
 		return leaf, nil
 	}
 	return nil, fmt.Errorf("btree: descent did not converge on key %q", key)

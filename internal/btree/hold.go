@@ -57,17 +57,55 @@ func (h *Hold) Fix(id storage.PageID) (*storage.Frame, error) {
 // fresh allocation).
 func (h *Hold) Pin(f *storage.Frame) { h.pins.add(f) }
 
-// Couple is one step of lock coupling: it locks child in mode and pins
-// it, then gives back parent. On failure parent stays held.
+// Couple is one step of lock coupling: it locks child in mode, pins it
+// and gives back parent, in that order. Locking the child and releasing
+// the parent's lock is one lock-manager call, so the parent stays
+// pinned, unlocked, until the child is pinned. No structure
+// modification can free it meanwhile: a page is freed only with its
+// subtree, and the child's lock keeps that out (the pager refuses to
+// free a pinned page). If the lock fails parent stays held; if the pin
+// fails, the parent's lock is already given back and its pin is still
+// in the hold.
 func (h *Hold) Couple(parent *storage.Frame, child storage.PageID, mode lock.Mode) (*storage.Frame, error) {
-	if err := h.Lock(pageRes(child), mode); err != nil {
+	res := pageRes(child)
+	if h.locks.index(res) >= 0 {
+		// No second request for a page the hold has.
+		f, err := h.Fix(child)
+		if err == nil {
+			h.Drop(parent)
+		}
+		return f, err
+	}
+	if err := h.handOff(pageRes(parent.ID()), lock.None, res, mode, lock.Opt{}); err != nil {
 		return nil, err
 	}
+	h.locks.add(res)
 	f, err := h.Fix(child)
 	if err == nil {
-		h.Drop(parent)
+		h.Unpin(parent)
 	}
 	return f, err
+}
+
+// handOff takes mode on res under opt and, in the same lock-manager
+// call, gives back parent once res is granted: it releases parent's
+// lock and takes it out of the hold when parentTo is None (a parent the
+// hold does not have is left alone), and downgrades parent to parentTo
+// otherwise. res does not enter the hold. On failure nothing changes.
+func (h *Hold) handOff(parent lock.Resource, parentTo lock.Mode, res lock.Resource, mode lock.Mode, opt lock.Opt) error {
+	i := -1
+	if parentTo == lock.None {
+		if i = h.locks.index(parent); i < 0 {
+			parent = lock.Resource{}
+		}
+	}
+	if err := h.t.locks.Couple(h.owner, res, mode, opt, parent, parentTo); err != nil {
+		return err
+	}
+	if i >= 0 {
+		h.locks.remove(i)
+	}
+	return nil
 }
 
 // Drop gives back one page early: its lock and one pin.

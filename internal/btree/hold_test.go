@@ -12,9 +12,11 @@ import (
 
 // TestOneReleasePath pins the shape of page-lock release: in the
 // product code of this package and of internal/core, no call passes a
-// pageRes(...) argument to an Unlock outside Hold's methods. Every walk
-// records the page locks it takes in a Hold and gives them back through
-// it, so no exit path keeps its own list of locks to let go.
+// pageRes(...) argument to an Unlock, and no call reaches the lock
+// manager's Couple (which releases or downgrades a parent), outside
+// Hold's methods. Every walk records the page locks it takes in a Hold
+// and gives them back through it, so no exit path keeps its own list of
+// locks to let go.
 func TestOneReleasePath(t *testing.T) {
 	var found []string
 	fset := token.NewFileSet()
@@ -38,7 +40,7 @@ func TestOneReleasePath(t *testing.T) {
 					continue
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok && isPageUnlock(call) {
+					if call, ok := n.(*ast.CallExpr); ok && (isPageUnlock(call) || isManagerCouple(call)) {
 						found = append(found, fset.Position(call.Pos()).String())
 					}
 					return true
@@ -47,7 +49,7 @@ func TestOneReleasePath(t *testing.T) {
 		}
 	}
 	if len(found) > 0 {
-		t.Errorf("%d page Unlock calls outside Hold's methods:\n%s",
+		t.Errorf("%d page releases outside Hold's methods:\n%s",
 			len(found), strings.Join(found, "\n"))
 	}
 }
@@ -78,4 +80,12 @@ func isPageUnlock(call *ast.CallExpr) bool {
 		}
 	}
 	return false
+}
+
+// isManagerCouple reports X.Couple(owner, res, mode, opt, parent,
+// parentTo): the lock manager's coupling step, told from Hold.Couple
+// (three arguments) by its arity.
+func isManagerCouple(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Couple" && len(call.Args) == 6
 }

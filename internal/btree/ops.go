@@ -85,11 +85,11 @@ func (t *Tree) applyLogged(tx *txn.Txn, f *storage.Frame, u wal.Update) (emptied
 	return p.NumSlots() == 0, nil
 }
 
-//vet:hotpath -- the point-read descent must stay allocation-free (PR 7)
-//
 // Get returns the value for key (a copy), taking an IS tree lock,
 // lock-coupling to the leaf with the forgo-on-RX protocol, an IS page
 // lock and an S record lock held to end of transaction.
+//
+//vet:hotpath -- the point-read descent must stay allocation-free (PR 7)
 func (t *Tree) Get(tx *txn.Txn, key []byte) ([]byte, bool, error) {
 	owner := tx.ID()
 	if err := t.lockTree(owner, lock.IS); err != nil {

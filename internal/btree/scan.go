@@ -131,8 +131,11 @@ func (t *Tree) scanChain(h *Hold, leaf *storage.Frame, b *scanBuf, hi []byte,
 			b.seek = append(b.seek[:0], k...)
 		}
 
-		// Couple to the next leaf before releasing the current one.
-		lockErr := h.LockOpts(pageRes(next), lock.S, lock.Opt{ForgoOnRX: true})
+		// Couple to the next leaf: one lock-manager call takes S on it
+		// and, once granted, downgrades the current leaf to IS. Like
+		// the descent's leaf lock, the next leaf's is the
+		// transaction's from the start.
+		lockErr := h.handOff(pageRes(leaf.ID()), lock.IS, pageRes(next), lock.S, lock.Opt{ForgoOnRX: true})
 		if errors.Is(lockErr, lock.ErrReorgConflict) {
 			// Forgo, then wait the reorganizer out before the caller
 			// re-seeks past b.seek. Re-seeking at once would spin: the
@@ -158,11 +161,10 @@ func (t *Tree) scanChain(h *Hold, leaf *storage.Frame, b *scanBuf, hi []byte,
 			return true, lockErr
 		}
 		nf, err := h.Fix(next)
-		t.finishLeaf(h, leaf)
+		h.Unpin(leaf)
 		if err != nil {
 			return true, err
 		}
-		h.Keep(pageRes(next))
 		leaf = nf
 	}
 }

@@ -76,8 +76,6 @@ func SlotKey(p storage.Page, i int) []byte {
 // the final bisection steps.
 const linearCutoff = 8
 
-//vet:hotpath -- every descent level runs one Search; zero allocations
-//
 // Search finds key in the key-ordered page p. It returns the slot where
 // key is (found = true) or where it would be inserted (found = false).
 //
@@ -89,6 +87,8 @@ const linearCutoff = 8
 // or with a short full-compare scan over the leading short-key region
 // (below the stem: at most the stem-prefix keys, typically just the ""
 // low mark).
+//
+//vet:hotpath -- every descent level runs one Search; zero allocations
 func Search(p storage.Page, key []byte) (slot int, found bool) {
 	n := p.NumSlots()
 	if n == 0 {

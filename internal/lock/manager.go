@@ -118,15 +118,17 @@ func (h *lockHead) holderMode(owner uint64) Mode {
 	return None
 }
 
-// setHolder grants or updates owner's mode.
-func (h *lockHead) setHolder(owner uint64, mode Mode) {
+// setHolder grants or updates owner's mode, reporting whether owner is
+// a new holder.
+func (h *lockHead) setHolder(owner uint64, mode Mode) (added bool) {
 	for i := range h.holders {
 		if h.holders[i].owner == owner {
 			h.holders[i].mode = mode
-			return
+			return false
 		}
 	}
 	h.holders = append(h.holders, holderEntry{owner, mode})
+	return true
 }
 
 // removeHolder drops owner's grant, reporting whether it was present.
@@ -142,43 +144,23 @@ func (h *lockHead) removeHolder(owner uint64) bool {
 	return false
 }
 
-// heldEntry is one (resource, mode) pair in an owner's held index.
-type heldEntry struct {
-	res  Resource
-	mode Mode
-}
-
-// ownerHeld is the per-owner lock index backing ReleaseAll; a slice for
-// the same reason as lockHead.holders (transactions hold few locks).
+// ownerHeld is one owner's held index, backing ReleaseAll: the
+// resources it holds, in grant order. Modes live only in the lock
+// heads, and a head's holder list says whether the owner holds a
+// resource, so no operation searches this list but an early release.
 type ownerHeld struct {
-	entries []heldEntry
+	res []Resource
 }
 
-func (oh *ownerHeld) get(res Resource) Mode {
-	for i := range oh.entries {
-		if oh.entries[i].res == res {
-			return oh.entries[i].mode
-		}
-	}
-	return None
-}
-
-func (oh *ownerHeld) set(res Resource, mode Mode) {
-	for i := range oh.entries {
-		if oh.entries[i].res == res {
-			oh.entries[i].mode = mode
-			return
-		}
-	}
-	oh.entries = append(oh.entries, heldEntry{res, mode})
-}
-
+// remove drops res, searching from the newest end and keeping the rest
+// in grant order. Early releases are lock coupling's, and coupling
+// always gives back one of the two newest entries, so the search stops
+// within two steps however many locks the owner holds.
 func (oh *ownerHeld) remove(res Resource) {
-	for i := range oh.entries {
-		if oh.entries[i].res == res {
-			last := len(oh.entries) - 1
-			oh.entries[i] = oh.entries[last]
-			oh.entries = oh.entries[:last]
+	for i := len(oh.res) - 1; i >= 0; i-- {
+		if oh.res[i] == res {
+			copy(oh.res[i:], oh.res[i+1:])
+			oh.res = oh.res[:len(oh.res)-1]
 			return
 		}
 	}
@@ -245,8 +227,9 @@ func (t *resTable) put(res Resource, h *lockHead) {
 	}
 }
 
-//vet:coldpath -- doubling the probe table is amortized O(1) per put
-// and a grown table never shrinks.
+// grow doubles the probe table and re-inserts every head.
+//
+//vet:coldpath -- doubling the probe table is amortized O(1) per put and a grown table never shrinks
 func (t *resTable) grow() {
 	old := t.slots
 	t.slots = make([]resSlot, 2*len(old))
@@ -293,7 +276,10 @@ func (t *resTable) del(res Resource) {
 
 // Manager is the lock manager.
 type Manager struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// trips counts acquisitions of mu (Trips' own excepted): each is
+	// one trip of a caller through the lock manager.
+	trips    int64
 	table    *resTable
 	reorg    map[uint64]bool
 	aborting map[uint64]bool
@@ -341,12 +327,22 @@ func NewManager() *Manager {
 // Stats returns the manager's contention counters.
 func (m *Manager) Stats() *Stats { return &m.stats }
 
+// Trips returns how many times a call has taken the manager's mutex.
+// The count is a plain field written under the mutex, so reading it
+// takes the mutex too (and is not itself counted).
+func (m *Manager) Trips() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.trips
+}
+
 // SetObserver wires the manager's observability handles: wait-time
 // histograms (user and reorganizer) and the trace ring for forgo and
 // deadlock-victim events. Call before the manager sees traffic; any
 // argument may be nil to disable that signal.
 func (m *Manager) SetObserver(userWait, reorgWait *obs.Histogram, ring *obs.Ring) {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
 	m.hUserWait = userWait
 	m.hReorgWait = reorgWait
@@ -357,6 +353,7 @@ func (m *Manager) SetObserver(userWait, reorgWait *obs.Histogram, ring *obs.Ring
 // preferred deadlock victim and its waits are accounted separately.
 func (m *Manager) SetReorg(owner uint64, isReorg bool) {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
 	if isReorg {
 		m.reorg[owner] = true
@@ -374,6 +371,7 @@ func (m *Manager) SetReorg(owner uint64, isReorg bool) {
 // cleared by ReleaseAll at end of transaction.
 func (m *Manager) SetAborting(owner uint64, isAborting bool) {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
 	if isAborting {
 		m.aborting[owner] = true
@@ -385,9 +383,10 @@ func (m *Manager) SetAborting(owner uint64, isAborting bool) {
 // Held returns the mode owner currently holds on res (None if none).
 func (m *Manager) Held(owner uint64, res Resource) Mode {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
-	if oh := m.held[owner]; oh != nil {
-		return oh.get(res)
+	if h := m.table.get(res); h != nil {
+		return h.holderMode(owner)
 	}
 	return None
 }
@@ -405,7 +404,20 @@ func (m *Manager) LockInstant(owner uint64, res Resource, mode Mode) error {
 
 // LockOpts acquires mode on res for owner under the given options.
 func (m *Manager) LockOpts(owner uint64, res Resource, mode Mode, opt Opt) error {
+	return m.Couple(owner, res, mode, opt, Resource{}, None)
+}
+
+// Couple is one lock-coupling step in one trip through the manager: it
+// acquires mode on res for owner under opt and, only once that
+// succeeds, gives back parent: it releases it when parentTo is None and
+// downgrades it to parentTo otherwise. A request that blocks waits
+// holding parent, as a separate lock and release would, and gives it
+// back after the grant. A forgo, a deadlock, a timeout or a NoWait
+// refusal leaves parent held. The zero Resource as parent means there
+// is none.
+func (m *Manager) Couple(owner uint64, res Resource, mode Mode, opt Opt, parent Resource, parentTo Mode) error {
 	m.mu.Lock()
+	m.trips++
 	h := m.table.get(res)
 	if h == nil {
 		h = m.newHeadLocked()
@@ -414,8 +426,10 @@ func (m *Manager) LockOpts(owner uint64, res Resource, mode Mode, opt Opt) error
 
 	cur := h.holderMode(owner)
 	if !opt.Instant && cur != None && Covers(cur, mode) {
+		// Already held strongly enough.
+		m.handBackLocked(owner, parent, parentTo)
 		m.mu.Unlock()
-		return nil // already held strongly enough
+		return nil
 	}
 	eff := mode
 	upgrade := false
@@ -425,10 +439,13 @@ func (m *Manager) LockOpts(owner uint64, res Resource, mode Mode, opt Opt) error
 	}
 
 	if m.grantableLocked(h, owner, eff, upgrade) {
-		if !opt.Instant {
-			m.setHeldLocked(h, owner, res, eff)
+		if opt.Instant {
+			m.dropIfIdleLocked(res, h)
+		} else {
+			m.grantLocked(h, owner, res, eff)
 		}
 		m.stats.Grants.Add(1)
+		m.handBackLocked(owner, parent, parentTo)
 		m.mu.Unlock()
 		return nil
 	}
@@ -447,16 +464,21 @@ func (m *Manager) LockOpts(owner uint64, res Resource, mode Mode, opt Opt) error
 		m.mu.Unlock()
 		return ErrWouldBlock
 	}
-	return m.blockAndWait(h, owner, res, mode, eff, upgrade, opt)
+	err := m.blockAndWait(h, owner, res, mode, eff, upgrade, opt)
+	if err == nil && parent != (Resource{}) {
+		m.mu.Lock()
+		m.trips++
+		m.handBackLocked(owner, parent, parentTo)
+		m.mu.Unlock()
+	}
+	return err
 }
 
-//vet:coldpath -- a blocked request parks on a channel until a release
-// wakes it; the wait dominates every allocation here, and the fast
-// path never reaches this function.
-//
 // blockAndWait queues a waiter for res, runs deadlock detection, and
 // sleeps until granted, aborted, or timed out. Entered with m.mu held;
 // returns with it released.
+//
+//vet:coldpath -- a blocked request parks on a channel until a release wakes it; the wait dominates every allocation here, and the fast path never reaches this function
 func (m *Manager) blockAndWait(h *lockHead, owner uint64, res Resource, mode, eff Mode, upgrade bool, opt Opt) error {
 	w := &waiter{owner: owner, res: res, mode: eff, instant: opt.Instant,
 		upgrade: upgrade, ch: make(chan error, 1)}
@@ -486,6 +508,7 @@ func (m *Manager) blockAndWait(h *lockHead, owner uint64, res Resource, mode, ef
 	case err = <-w.ch:
 	case <-time.After(timeout):
 		m.mu.Lock()
+		m.trips++
 		// Remove from the queue if still present (a grant may have
 		// raced with the timeout; prefer the grant).
 		select {
@@ -526,6 +549,7 @@ func (m *Manager) blockAndWait(h *lockHead, owner uint64, res Resource, mode, ef
 // Unlock releases owner's lock on res entirely.
 func (m *Manager) Unlock(owner uint64, res Resource) {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
 	m.unlockLocked(owner, res)
 }
@@ -535,13 +559,9 @@ func (m *Manager) Unlock(owner uint64, res Resource) {
 // waiters.
 func (m *Manager) Downgrade(owner uint64, res Resource, to Mode) {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
-	h := m.table.get(res)
-	if h == nil || h.holderMode(owner) == None {
-		return
-	}
-	m.setHeldLocked(h, owner, res, to)
-	m.wakeLocked(res, h)
+	m.downgradeLocked(owner, res, to)
 }
 
 // ReleaseAll drops every lock owner holds (end of transaction). The
@@ -550,6 +570,7 @@ func (m *Manager) Downgrade(owner uint64, res Resource, to Mode) {
 // iterated here must not be in that pool yet.
 func (m *Manager) ReleaseAll(owner uint64) {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
 	delete(m.aborting, owner)
 	oh := m.heldOf(owner)
@@ -557,8 +578,11 @@ func (m *Manager) ReleaseAll(owner uint64) {
 		return
 	}
 	m.dropHeldLocked(owner)
-	for i := range oh.entries {
-		m.releaseResLocked(owner, oh.entries[i].res)
+	for _, res := range oh.res {
+		if h := m.table.get(res); h != nil && h.removeHolder(owner) {
+			m.wakeLocked(res, h)
+			m.dropIfIdleLocked(res, h)
+		}
 	}
 	m.recycleHeldLocked(oh)
 }
@@ -566,14 +590,15 @@ func (m *Manager) ReleaseAll(owner uint64) {
 // HeldResources returns a snapshot of owner's locks.
 func (m *Manager) HeldResources(owner uint64) map[Resource]Mode {
 	m.mu.Lock()
+	m.trips++
 	defer m.mu.Unlock()
 	oh := m.held[owner]
 	if oh == nil {
 		return map[Resource]Mode{}
 	}
-	out := make(map[Resource]Mode, len(oh.entries))
-	for _, e := range oh.entries {
-		out[e.res] = e.mode
+	out := make(map[Resource]Mode, len(oh.res))
+	for _, res := range oh.res {
+		out[res] = m.table.get(res).holderMode(owner)
 	}
 	return out
 }
@@ -623,8 +648,12 @@ func (m *Manager) dropHeldLocked(owner uint64) {
 	}
 }
 
-func (m *Manager) setHeldLocked(h *lockHead, owner uint64, res Resource, mode Mode) {
-	h.setHolder(owner, mode)
+// grantLocked records owner as holding res in mode. Only a new holder
+// enters the owner's held index; an upgrade changes the head alone.
+func (m *Manager) grantLocked(h *lockHead, owner uint64, res Resource, mode Mode) {
+	if !h.setHolder(owner, mode) {
+		return
+	}
 	oh := m.heldOf(owner)
 	if oh == nil {
 		if n := len(m.heldPool); n > 0 {
@@ -637,40 +666,61 @@ func (m *Manager) setHeldLocked(h *lockHead, owner uint64, res Resource, mode Mo
 		m.held[owner] = oh
 		m.heldOwner, m.heldCache = owner, oh
 	}
-	oh.set(res, mode)
+	oh.res = append(oh.res, res)
 }
 
 // recycleHeldLocked returns a detached per-owner held index to the pool.
 func (m *Manager) recycleHeldLocked(oh *ownerHeld) {
 	if oh != nil && len(m.heldPool) < maxPooled {
-		oh.entries = oh.entries[:0]
+		oh.res = oh.res[:0]
 		m.heldPool = append(m.heldPool, oh)
 	}
 }
 
+// unlockLocked releases owner's lock on res, if it holds one, and
+// wakes the waiters it was blocking.
 func (m *Manager) unlockLocked(owner uint64, res Resource) {
+	h := m.table.get(res)
+	if h == nil || !h.removeHolder(owner) {
+		return
+	}
 	if oh := m.heldOf(owner); oh != nil {
 		oh.remove(res)
-		if len(oh.entries) == 0 {
+		if len(oh.res) == 0 {
 			m.dropHeldLocked(owner)
 			m.recycleHeldLocked(oh)
 		}
 	}
-	m.releaseResLocked(owner, res)
+	m.wakeLocked(res, h)
+	m.dropIfIdleLocked(res, h)
 }
 
-// releaseResLocked removes owner from res's lock head and wakes
-// waiters, without touching the per-owner held index (ReleaseAll
-// detaches that index wholesale).
-func (m *Manager) releaseResLocked(owner uint64, res Resource) {
+// downgradeLocked replaces owner's mode on res with to, if it holds
+// res, and wakes newly compatible waiters.
+func (m *Manager) downgradeLocked(owner uint64, res Resource, to Mode) {
 	h := m.table.get(res)
-	if h == nil {
+	if h == nil || h.holderMode(owner) == None {
 		return
 	}
-	if !h.removeHolder(owner) {
-		return
-	}
+	h.setHolder(owner, to)
 	m.wakeLocked(res, h)
+}
+
+// handBackLocked gives back a coupling step's parent: it releases it
+// (to None) or downgrades it. The zero Resource is no parent.
+func (m *Manager) handBackLocked(owner uint64, parent Resource, to Mode) {
+	switch {
+	case parent == Resource{}:
+	case to == None:
+		m.unlockLocked(owner, parent)
+	default:
+		m.downgradeLocked(owner, parent, to)
+	}
+}
+
+// dropIfIdleLocked removes res's head from the table once nobody holds
+// or waits for it.
+func (m *Manager) dropIfIdleLocked(res Resource, h *lockHead) {
 	if len(h.holders) == 0 && len(h.queue) == 0 {
 		m.table.del(res)
 		m.recycleHeadLocked(h)
@@ -722,8 +772,7 @@ func (m *Manager) wakeLocked(res Resource, h *lockHead) {
 		h.queue = h.queue[1:]
 		delete(m.waiting, w.owner)
 		if !w.instant {
-			cur := h.holderMode(w.owner)
-			m.setHeldLocked(h, w.owner, res, combine(cur, w.mode))
+			m.grantLocked(h, w.owner, res, combine(h.holderMode(w.owner), w.mode))
 		}
 		m.stats.Grants.Add(1)
 		w.ch <- nil

@@ -135,6 +135,14 @@ const (
 	CkptFailed              = "ckpt.failed"
 )
 
+// Lock-manager and runtime contention counters: trips through the lock
+// manager's mutex (DB.PerfCounters), and the Go runtime's cumulative
+// mutex wait across the process (DB.MetricsSnapshot).
+const (
+	LockTrips          = "lock.trips"
+	RuntimeMutexWaitNs = "runtime.mutex_wait_ns"
+)
+
 // Autonomous-reorganization daemon counters (internal/daemon).
 const (
 	DaemonTicks      = "daemon.ticks"

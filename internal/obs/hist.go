@@ -68,9 +68,7 @@ func bucketOf(ns int64) int {
 
 // Record adds one duration sample.
 //
-// the lock manager; it must never allocate or take a lock.
-//
-//vet:hotpath -- latency recording runs inside the point descent and
+//vet:hotpath -- latency recording runs inside the point descent and the lock manager; it must never allocate or take a lock
 func (h *Histogram) Record(d time.Duration) {
 	h.stripes[stripeHint()][bucketOf(int64(d))].Add(1)
 }

@@ -122,9 +122,7 @@ func NewRing(capacity int) *Ring {
 // Emit appends one event. Wait-free: one fetch-add claims the ticket,
 // five atomic stores publish the payload.
 //
-// the descent's forgo path; Emit must not allocate, lock, or block.
-//
-//vet:hotpath -- events are emitted under pool shard mutexes and inside
+//vet:hotpath -- events are emitted under pool shard mutexes and inside the descent's forgo path; Emit must not allocate, lock, or block
 func (r *Ring) Emit(t EventType, a, b uint64) {
 	tk := r.pos.Add(1) - 1
 	s := &r.slots[tk&r.mask]

@@ -388,13 +388,11 @@ func (p *Pager) Fix(id PageID) (*Frame, error) {
 	}
 }
 
-//vet:coldpath -- a pool miss reads the page from disk; the I/O, not
-// the frame allocation, dominates, and hit rates keep misses off the
-// steady-state descent.
-//
 // fixMiss finishes Fix's miss path once room is reserved: publish a
 // loading frame, then read the page from disk outside every pool lock.
 // Entered with sh locked; always returns with it unlocked.
+//
+//vet:coldpath -- a pool miss reads the page from disk; the I/O, not the frame allocation, dominates, and hit rates keep misses off the steady-state descent
 func (p *Pager) fixMiss(sh *shard, id PageID) (*Frame, error) {
 	// Miss with room reserved: publish a loading frame under the
 	// write latch so a second fixer can pin it but must wait for the
@@ -464,9 +462,6 @@ func (p *Pager) MarkDirty(f *Frame, lsn uint64) {
 	}
 }
 
-//vet:coldpath -- runs only on a pool miss with a full shard; the
-// victim flush I/O dominates the bookkeeping allocations.
-//
 // makeRoom ensures the shard has room for one more frame, evicting a
 // CLOCK victim if the shard is at capacity. It is called with the
 // shard mutex held. held=true means the mutex is still held and the
@@ -476,6 +471,8 @@ func (p *Pager) MarkDirty(f *Frame, lsn uint64) {
 // the shard); the caller must re-check the page table. grow=true asks
 // the caller to insert past capacity this once — the graceful
 // degradation for a transient eviction fault or a flush failure.
+//
+//vet:coldpath -- runs only on a pool miss with a full shard; the victim flush I/O dominates the bookkeeping allocations
 func (p *Pager) makeRoom(sh *shard) (held, grow bool) {
 	if sh.cap <= 0 || len(sh.frames) < sh.cap {
 		return true, false

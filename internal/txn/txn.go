@@ -218,14 +218,12 @@ func (t *Txn) Status() Status {
 	return t.status
 }
 
-//vet:coldpath -- accounting boundary: the WAL allocates each record's
-// encoded image by design; log-append cost is measured on its own
-// (BenchmarkLog*) and is not part of the descent's allocation budget.
-//
 // LogUpdate appends an update record chained to this transaction and
 // returns its LSN. The caller applies the change to the page itself
 // (or uses pageops.Apply). The first update carries PrevLSN 0 — it is
 // the transaction's begin — and registers the transaction.
+//
+//vet:coldpath -- accounting boundary: the WAL allocates each record's encoded image by design; log-append cost is measured on its own (BenchmarkLog*) and is not part of the descent's allocation budget
 func (t *Txn) LogUpdate(u wal.Update) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -159,6 +159,38 @@ func TestObsDisabled(t *testing.T) {
 	}
 }
 
+// TestMetricsSnapshotMutexWait: every snapshot carries the runtime's
+// cumulative mutex wait and the lock manager's trips, and neither
+// shrinks from one snapshot to the next.
+func TestMetricsSnapshotMutexWait(t *testing.T) {
+	db, err := Open(Options{PageSize: 1024})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	first := db.MetricsSnapshot().Counters
+	for i := 0; i < 200; i++ {
+		if err := db.Insert(workload.Key(i), workload.Value(i, 32)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	second := db.MetricsSnapshot().Counters
+	for _, name := range []string{metrics.RuntimeMutexWaitNs, metrics.LockTrips} {
+		a, ok1 := first[name]
+		b, ok2 := second[name]
+		if !ok1 || !ok2 {
+			t.Fatalf("%s missing from MetricsSnapshot counters", name)
+		}
+		if b < a {
+			t.Errorf("%s fell from %d to %d", name, a, b)
+		}
+	}
+	if second[metrics.LockTrips] <= first[metrics.LockTrips] {
+		t.Errorf("lock.trips did not grow over 200 inserts: %d -> %d",
+			first[metrics.LockTrips], second[metrics.LockTrips])
+	}
+}
+
 // TestDebugEndpoint serves /metrics and /trace on Options.DebugAddr:
 // the snapshot's log counter is the one PerfCounters reports at
 // quiescence, the trace holds the run's events, and Close stops the
