@@ -909,7 +909,10 @@ func (db *DB) IOStats() IOSnapshot { return db.disk.Stats().Snapshot() }
 // LogBytes returns the total log volume appended.
 func (db *DB) LogBytes() int64 { return db.log.BytesAppended() }
 
-// LockStats exposes the lock manager's contention counters.
+// LockStats exposes the lock manager's contention counters. They are a
+// snapshot taken at the call: Grants is summed from the lock manager's
+// stripes then, so call LockStats again after the work it should count
+// rather than keeping the pointer.
 func (db *DB) LockStats() *lock.Stats { return db.locks.Stats() }
 
 // PerfCounters snapshots the concurrent-hot-path counters: buffer-pool

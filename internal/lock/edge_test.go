@@ -126,3 +126,26 @@ func TestInstantRSNotGrantedEver(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUpgradeThatConflictsLessWakesQueue: the lattice's supremum of IS
+// and R is R, which conflicts with less than IS does. An owner whose IS
+// blocks a queued R and who then asks for R itself is granted at once;
+// the queued R is compatible with the new mode and must be granted too,
+// not left for the watchdog.
+func TestUpgradeThatConflictsLessWakesQueue(t *testing.T) {
+	m := NewManager()
+	m.Timeout = time.Second
+	base := PageRes(204)
+	if err := m.Lock(1, base, IS); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- m.Lock(2, base, R) }()
+	time.Sleep(20 * time.Millisecond)
+	if err := m.Lock(1, base, R); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("queued R: %v", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -82,16 +83,25 @@ type Stats struct {
 	ReorgWaitNanos atomic.Int64
 	Deadlocks      atomic.Int64
 	Forgoes        atomic.Int64
-	Grants         atomic.Int64
+	// Grants is counted per stripe under the stripe's mutex and summed
+	// into this field by Manager.Stats when it is called.
+	Grants atomic.Int64
 }
 
+// waiter is one queued request. queued, added and the head's queue
+// change only under the stripe of res.
 type waiter struct {
 	owner   uint64
 	res     Resource
 	mode    Mode
 	instant bool
 	upgrade bool
-	ch      chan error
+	// queued is true while the request sits in its head's queue.
+	queued bool
+	// added is set by the grant when it made owner a new holder of res:
+	// the woken owner then appends res to its own held list.
+	added bool
+	ch    chan error
 }
 
 // holderEntry records one owner's granted mode on a resource. Holders
@@ -144,10 +154,43 @@ func (h *lockHead) removeHolder(owner uint64) bool {
 	return false
 }
 
-// ownerHeld is one owner's held index, backing ReleaseAll: the
-// resources it holds, in grant order. Modes live only in the lock
-// heads, and a head's holder list says whether the owner holds a
-// resource, so no operation searches this list but an early release.
+// grantable reports whether owner's request for mode can be granted
+// now. Strict FIFO: a non-upgrade request also waits behind any queued
+// request; an upgrade, and a queue head being woken, are checked
+// against the holders only.
+func (h *lockHead) grantable(owner uint64, mode Mode, upgrade bool) bool {
+	if !upgrade && len(h.queue) > 0 {
+		return false
+	}
+	for _, e := range h.holders {
+		if e.owner != owner && !Compatible(e.mode, mode) {
+			return false
+		}
+	}
+	return true
+}
+
+// rxConflict reports whether owner's conflict on h involves an RX lock
+// (held or queued ahead), triggering the forgo protocol.
+func (h *lockHead) rxConflict(owner uint64) bool {
+	for _, e := range h.holders {
+		if e.owner != owner && e.mode == RX {
+			return true
+		}
+	}
+	for _, w := range h.queue {
+		if w.owner != owner && w.mode == RX {
+			return true
+		}
+	}
+	return false
+}
+
+// ownerHeld is one owner's held list, backing ReleaseAll: the resources
+// it holds, in grant order. Modes live only in the lock heads, and a
+// head's holder list says whether the owner holds a resource, so no
+// operation searches this list but an early release. Only the owner's
+// own goroutine reads or writes it.
 type ownerHeld struct {
 	res []Resource
 }
@@ -166,7 +209,21 @@ func (oh *ownerHeld) remove(res Resource) {
 	}
 }
 
-// resSlot is one entry of the manager's open-addressing lock table.
+// ownerSlot is where an owner's held list lives while it holds a lock.
+// owner is atomic because any goroutine may read it to find or claim its
+// own slot; held is read and written only by the goroutine of the owner
+// the slot names. A slot keeps its list's storage from owner to owner,
+// which is how held lists are recycled; base is the slot's first
+// storage, which a list grown past maxHeldCap returns to. The padding
+// keeps two slots off one cache line.
+type ownerSlot struct {
+	owner atomic.Uint64 // owner id + 1; 0 marks a free slot
+	held  ownerHeld
+	base  []Resource
+	_     [cacheLine - 56]byte
+}
+
+// resSlot is one entry of a stripe's open-addressing lock table.
 type resSlot struct {
 	head *lockHead // nil => empty slot
 	res  Resource
@@ -184,17 +241,22 @@ type resTable struct {
 	n     int
 }
 
-// resHash mixes a resource into a probe start. IDs are sequential
-// (page ids, txn ids), so a multiplicative mix spreads them; Space sits
-// in the top byte to separate the name spaces before mixing.
+// resHash mixes a resource into a stripe and a probe start. IDs are
+// sequential (page ids, txn ids), so a multiplicative mix spreads them;
+// Space sits in the top byte to separate the name spaces before mixing.
+// The stripe is the product's top bits (which the final xor leaves as
+// they are), the probe start its low bits, so the resources of one
+// stripe still spread over that stripe's table.
 func resHash(r Resource) uint64 {
 	h := r.ID ^ uint64(r.Space)<<56
 	h *= 0x9E3779B97F4A7C15
 	return h ^ h>>29
 }
 
-func newResTable() *resTable {
-	return &resTable{slots: make([]resSlot, 256), mask: 255}
+// init gives an empty table n slots (a power of two).
+func (t *resTable) init(n int) {
+	t.slots = make([]resSlot, n)
+	t.mask = uint64(n - 1)
 }
 
 func (t *resTable) get(res Resource) *lockHead {
@@ -274,32 +336,88 @@ func (t *resTable) del(res Resource) {
 	t.n--
 }
 
-// Manager is the lock manager.
-type Manager struct {
+const (
+	// stripeBits sets the number of stripes the lock heads are split
+	// into by resource hash. Measured with BenchmarkGetLockPath and the
+	// benchmark's mem-hot workload on two cores (DESIGN §7).
+	stripeBits = 4
+	nStripes   = 1 << stripeBits
+	// ownerSlots is the size of the owner-slot table. An owner's held
+	// list sits in slot owner % ownerSlots unless another live owner has
+	// that slot; owner ids are handed out in sequence, so owners that
+	// run at the same time rarely collide.
+	ownerSlots = 64
+	cacheLine  = 64
+	// stripeTableSlots is the initial size of each stripe's lock table.
+	stripeTableSlots = 32
+	// maxPooled caps each stripe's pool of recycled lock heads.
+	maxPooled = 64
+	// heldChunk is the room each owner slot starts with, in locks: a
+	// point operation holds three or four, a scan one more per leaf.
+	heldChunk = 32
+	// maxHeldCap caps the capacity of a held list a slot keeps: a list
+	// grown by one large transaction (a batch, a long delete) goes to
+	// the collector and the slot returns to its first storage.
+	maxHeldCap = 256
+)
+
+// stripeState is one stripe of the manager: the lock heads of the
+// resources that hash to it and everything a grant on them touches,
+// all under mu.
+type stripeState struct {
 	mu sync.Mutex
-	// trips counts acquisitions of mu (Trips' own excepted): each is
-	// one trip of a caller through the lock manager.
-	trips    int64
-	table    *resTable
-	reorg    map[uint64]bool
-	aborting map[uint64]bool
-	held     map[uint64]*ownerHeld // per-owner index for ReleaseAll
-	waiting  map[uint64]*waiter
-	stats    Stats
+	// trips counts the calls whose first critical section is this
+	// stripe's; grants counts the requests granted here. Trips and
+	// Stats sum them.
+	trips  int64
+	grants int64
+	table  resTable
+	// heads recycles empty lock heads. A head lives exactly as long as
+	// its resource is locked (a descent locks and unlocks a handful of
+	// pages), so without reuse the lock manager would dominate the
+	// allocation profile of the hot path.
+	heads []*lockHead
+	// waiting maps an owner to its queued request on this stripe.
+	waiting map[uint64]*waiter
+}
 
-	// heldOwner/heldCache memoise the last m.held lookup: an operation
-	// takes several locks for one owner back to back, so under m.mu a
-	// one-entry cache hits almost always and skips the map.
-	heldOwner uint64
-	heldCache *ownerHeld
+// stripe pads a stripeState to whole cache lines, so that two stripes'
+// mutexes never share one.
+type stripe struct {
+	stripeState
+	_ [(cacheLine - unsafe.Sizeof(stripeState{})%cacheLine) % cacheLine]byte
+}
 
-	// headPool and heldPool recycle the per-resource lock heads and
-	// per-owner held indexes. Both live exactly as long as a lock is
-	// held (a descent locks and unlocks a handful of pages, every
-	// transaction builds and drops a held index), so without reuse the
-	// lock manager dominates the allocation profile of the hot path.
-	headPool []*lockHead
-	heldPool []*ownerHeld
+// Manager is the lock manager.
+//
+// Its lock heads are split by resource into stripes, each under its own
+// mutex, so requests on different resources do not serialise. An
+// owner's held list lives outside the stripes, in an owner slot that
+// only the owner's goroutine writes: an owner's calls must come from
+// one goroutine at a time, as a transaction's and the reorganizer's do.
+// The mutex order is simple: a call holds at most one stripe mutex at a
+// time, except deadlock detection, which takes every stripe in
+// ascending order and nothing else.
+type Manager struct {
+	stripes [nStripes]stripe
+	owners  [ownerSlots]ownerSlot
+
+	// spill holds the held lists of owners whose slot another owner had
+	// when they took their first lock; nSpill counts them, so the usual
+	// lookup never looks.
+	spill  sync.Map // uint64 -> *ownerHeld
+	nSpill atomic.Int32
+
+	// reorg and aborting flag owners (values are struct{}): set rarely,
+	// read on the blocking path and by deadlock detection. nAborting
+	// lets ReleaseAll skip clearing a flag nobody has.
+	reorg     sync.Map
+	aborting  sync.Map
+	nAborting atomic.Int32
+
+	// otherTrips counts the calls that take no stripe.
+	otherTrips atomic.Int64
+	stats      Stats
 
 	// Timeout is the watchdog on a single wait (default 10s).
 	Timeout time.Duration
@@ -314,26 +432,54 @@ type Manager struct {
 
 // NewManager returns an empty lock manager.
 func NewManager() *Manager {
-	return &Manager{
-		table:    newResTable(),
-		reorg:    make(map[uint64]bool),
-		aborting: make(map[uint64]bool),
-		held:     make(map[uint64]*ownerHeld),
-		waiting:  make(map[uint64]*waiter),
-		Timeout:  10 * time.Second,
+	m := &Manager{Timeout: 10 * time.Second}
+	for i := range m.stripes {
+		m.stripes[i].table.init(stripeTableSlots)
 	}
+	// Every slot starts with room for heldChunk locks, from one array,
+	// so no transaction that holds fewer allocates for its list.
+	chunks := make([]Resource, ownerSlots*heldChunk)
+	for i := range m.owners {
+		s := &m.owners[i]
+		s.base = chunks[i*heldChunk : i*heldChunk : (i+1)*heldChunk]
+		s.held.res = s.base
+	}
+	return m
 }
 
-// Stats returns the manager's contention counters.
-func (m *Manager) Stats() *Stats { return &m.stats }
+// stripeOf returns the stripe res hashes to.
+func (m *Manager) stripeOf(res Resource) *stripe {
+	return &m.stripes[resHash(res)>>(64-stripeBits)]
+}
 
-// Trips returns how many times a call has taken the manager's mutex.
-// The count is a plain field written under the mutex, so reading it
-// takes the mutex too (and is not itself counted).
+// Stats returns the manager's contention counters. Grants is summed
+// from the stripes when Stats is called; the other counters count as
+// events happen.
+func (m *Manager) Stats() *Stats {
+	var grants int64
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		st.mu.Lock()
+		grants += st.grants
+		st.mu.Unlock()
+	}
+	m.stats.Grants.Store(grants)
+	return &m.stats
+}
+
+// Trips returns how many calls have gone through the manager (Trips'
+// and Stats' own excepted), one per call however many stripes it
+// takes. Each stripe's count is a plain field under its mutex, so
+// reading them takes the mutexes too.
 func (m *Manager) Trips() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.trips
+	n := m.otherTrips.Load()
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		st.mu.Lock()
+		n += st.trips
+		st.mu.Unlock()
+	}
+	return n
 }
 
 // SetObserver wires the manager's observability handles: wait-time
@@ -341,9 +487,7 @@ func (m *Manager) Trips() int64 {
 // deadlock-victim events. Call before the manager sees traffic; any
 // argument may be nil to disable that signal.
 func (m *Manager) SetObserver(userWait, reorgWait *obs.Histogram, ring *obs.Ring) {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
+	m.otherTrips.Add(1)
 	m.hUserWait = userWait
 	m.hReorgWait = reorgWait
 	m.ring = ring
@@ -352,13 +496,11 @@ func (m *Manager) SetObserver(userWait, reorgWait *obs.Histogram, ring *obs.Ring
 // SetReorg flags owner as the reorganization process: it becomes the
 // preferred deadlock victim and its waits are accounted separately.
 func (m *Manager) SetReorg(owner uint64, isReorg bool) {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
+	m.otherTrips.Add(1)
 	if isReorg {
-		m.reorg[owner] = true
+		m.reorg.Store(owner, struct{}{})
 	} else {
-		delete(m.reorg, owner)
+		m.reorg.Delete(owner)
 	}
 }
 
@@ -370,22 +512,33 @@ func (m *Manager) SetReorg(owner uint64, isReorg bool) {
 // locks, which only forward operations (SMOs) hold. The flag is
 // cleared by ReleaseAll at end of transaction.
 func (m *Manager) SetAborting(owner uint64, isAborting bool) {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
-	if isAborting {
-		m.aborting[owner] = true
-	} else {
-		delete(m.aborting, owner)
+	m.otherTrips.Add(1)
+	m.setAborting(owner, isAborting)
+}
+
+func (m *Manager) setAborting(owner uint64, on bool) {
+	if on {
+		if _, had := m.aborting.LoadOrStore(owner, struct{}{}); !had {
+			m.nAborting.Add(1)
+		}
+	} else if _, had := m.aborting.LoadAndDelete(owner); had {
+		m.nAborting.Add(-1)
 	}
+}
+
+// flagged reports whether owner is in flags (m.reorg or m.aborting).
+func flagged(flags *sync.Map, owner uint64) bool {
+	_, ok := flags.Load(owner)
+	return ok
 }
 
 // Held returns the mode owner currently holds on res (None if none).
 func (m *Manager) Held(owner uint64, res Resource) Mode {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
-	if h := m.table.get(res); h != nil {
+	st := m.stripeOf(res)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.trips++
+	if h := st.table.get(res); h != nil {
 		return h.holderMode(owner)
 	}
 	return None
@@ -407,28 +560,30 @@ func (m *Manager) LockOpts(owner uint64, res Resource, mode Mode, opt Opt) error
 	return m.Couple(owner, res, mode, opt, Resource{}, None)
 }
 
-// Couple is one lock-coupling step in one trip through the manager: it
+// Couple is one lock-coupling step in one call to the manager: it
 // acquires mode on res for owner under opt and, only once that
 // succeeds, gives back parent: it releases it when parentTo is None and
 // downgrades it to parentTo otherwise. A request that blocks waits
 // holding parent, as a separate lock and release would, and gives it
 // back after the grant. A forgo, a deadlock, a timeout or a NoWait
 // refusal leaves parent held. The zero Resource as parent means there
-// is none.
+// is none. The grant takes res's stripe; the hand-back happens in the
+// same critical section when parent hashes to that stripe and in a
+// second one otherwise.
 func (m *Manager) Couple(owner uint64, res Resource, mode Mode, opt Opt, parent Resource, parentTo Mode) error {
-	m.mu.Lock()
-	m.trips++
-	h := m.table.get(res)
+	st := m.stripeOf(res)
+	st.mu.Lock()
+	st.trips++
+	h := st.table.get(res)
 	if h == nil {
-		h = m.newHeadLocked()
-		m.table.put(res, h)
+		h = st.newHeadLocked()
+		st.table.put(res, h)
 	}
 
 	cur := h.holderMode(owner)
 	if !opt.Instant && cur != None && Covers(cur, mode) {
 		// Already held strongly enough.
-		m.handBackLocked(owner, parent, parentTo)
-		m.mu.Unlock()
+		m.handBack(st, owner, parent, parentTo)
 		return nil
 	}
 	eff := mode
@@ -438,99 +593,137 @@ func (m *Manager) Couple(owner uint64, res Resource, mode Mode, opt Opt, parent 
 		upgrade = true
 	}
 
-	if m.grantableLocked(h, owner, eff, upgrade) {
-		if opt.Instant {
-			m.dropIfIdleLocked(res, h)
-		} else {
-			m.grantLocked(h, owner, res, eff)
+	if h.grantable(owner, eff, upgrade) {
+		added := false
+		switch {
+		case opt.Instant:
+			st.dropIfIdleLocked(res, h)
+		case upgrade:
+			// The lattice's supremum can conflict with less than the
+			// mode it replaces (IS to R), so a queued request may have
+			// become grantable.
+			h.setHolder(owner, eff)
+			st.wakeLocked(res, h)
+		default:
+			added = h.setHolder(owner, eff)
 		}
-		m.stats.Grants.Add(1)
-		m.handBackLocked(owner, parent, parentTo)
-		m.mu.Unlock()
+		st.grants++
+		m.handBack(st, owner, parent, parentTo)
+		if added {
+			m.addHeld(owner, res)
+		}
 		return nil
 	}
 
 	// Not immediately grantable.
-	if opt.ForgoOnRX && m.rxConflictLocked(h, owner) {
+	if opt.ForgoOnRX && h.rxConflict(owner) {
+		st.mu.Unlock()
 		m.stats.Forgoes.Add(1)
-		ring := m.ring
-		m.mu.Unlock()
-		if ring != nil {
+		if ring := m.ring; ring != nil {
 			ring.Emit(obs.EvForgo, owner, res.ID)
 		}
 		return ErrReorgConflict
 	}
 	if opt.NoWait {
-		m.mu.Unlock()
+		st.mu.Unlock()
 		return ErrWouldBlock
 	}
-	err := m.blockAndWait(h, owner, res, mode, eff, upgrade, opt)
+	err := m.blockAndWait(st, h, owner, res, mode, eff, upgrade, opt)
 	if err == nil && parent != (Resource{}) {
-		m.mu.Lock()
-		m.trips++
-		m.handBackLocked(owner, parent, parentTo)
-		m.mu.Unlock()
+		pst := m.stripeOf(parent)
+		pst.mu.Lock()
+		m.handBack(pst, owner, parent, parentTo)
 	}
 	return err
 }
 
+// handBack gives back a coupling step's parent and leaves st, which the
+// caller holds: in st's own critical section when parent hashes to st,
+// in a second one otherwise. The zero Resource is no parent.
+func (m *Manager) handBack(st *stripe, owner uint64, parent Resource, to Mode) {
+	if parent == (Resource{}) {
+		st.mu.Unlock()
+		return
+	}
+	pst := m.stripeOf(parent)
+	released := false
+	if pst == st {
+		released = st.handBackLocked(owner, parent, to)
+	}
+	st.mu.Unlock()
+	if pst != st {
+		pst.mu.Lock()
+		released = pst.handBackLocked(owner, parent, to)
+		pst.mu.Unlock()
+	}
+	if released {
+		m.removeHeld(owner, parent)
+	}
+}
+
 // blockAndWait queues a waiter for res, runs deadlock detection, and
-// sleeps until granted, aborted, or timed out. Entered with m.mu held;
-// returns with it released.
+// sleeps until granted, aborted, or timed out. Entered with st (res's
+// stripe) held; returns with it released. A grant that made owner a
+// new holder is appended to owner's held list here, by the woken
+// owner itself.
 //
 //vet:coldpath -- a blocked request parks on a channel until a release wakes it; the wait dominates every allocation here, and the fast path never reaches this function
-func (m *Manager) blockAndWait(h *lockHead, owner uint64, res Resource, mode, eff Mode, upgrade bool, opt Opt) error {
+func (m *Manager) blockAndWait(st *stripe, h *lockHead, owner uint64, res Resource, mode, eff Mode, upgrade bool, opt Opt) error {
 	w := &waiter{owner: owner, res: res, mode: eff, instant: opt.Instant,
-		upgrade: upgrade, ch: make(chan error, 1)}
+		upgrade: upgrade, queued: true, ch: make(chan error, 1)}
 	if upgrade {
 		// Upgrades jump the queue to avoid upgrade starvation.
 		h.queue = append([]*waiter{w}, h.queue...)
 	} else {
 		h.queue = append(h.queue, w)
 	}
-	m.waiting[owner] = w
-
-	// Deadlock detection on block.
-	if victim := m.detectLocked(); victim != nil {
-		m.abortWaitLocked(victim, ErrDeadlock)
+	if st.waiting == nil {
+		st.waiting = make(map[uint64]*waiter)
 	}
+	st.waiting[owner] = w
+	st.mu.Unlock()
 
-	isReorg := m.reorg[owner]
-	m.mu.Unlock()
+	// Deadlock detection on block, over all stripes at once. The request
+	// was queued before its stripe was let go, so a later blocker's
+	// detection sees it; if it has been granted or victimised since, it
+	// closes no cycle and there is nothing to look for. Requests that
+	// block at the same time can close more than one cycle before either
+	// detection runs, so each breaks every cycle it finds.
+	m.lockAll()
+	if w.queued {
+		for victim := m.detectLocked(); victim != nil; victim = m.detectLocked() {
+			m.abortWaitLocked(victim, ErrDeadlock)
+		}
+	}
+	m.unlockAll()
 
 	start := time.Now()
 	timeout := m.Timeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
+	timer := time.NewTimer(timeout)
 	var err error
 	select {
 	case err = <-w.ch:
-	case <-time.After(timeout):
-		m.mu.Lock()
-		m.trips++
+	case <-timer.C:
+		st.mu.Lock()
 		// Remove from the queue if still present (a grant may have
 		// raced with the timeout; prefer the grant).
 		select {
 		case err = <-w.ch:
 		default:
-			var holders []string
-			if h := m.table.get(res); h != nil {
-				for _, e := range h.holders {
-					holders = append(holders, fmt.Sprintf("%d:%v", e.owner, e.mode))
-				}
-				for _, q := range h.queue {
-					holders = append(holders, fmt.Sprintf("q%d:%v", q.owner, q.mode))
-				}
-			}
-			err = fmt.Errorf("%w: owner %d mode %v on %v (held/queued: %v)",
-				ErrTimeout, owner, mode, res, holders)
-			m.removeWaiterLocked(w)
+			err = st.timeoutErrorLocked(w, mode)
+			st.removeWaiterLocked(w)
 		}
-		m.mu.Unlock()
+		st.mu.Unlock()
+	}
+	timer.Stop()
+	if err == nil && w.added {
+		m.addHeld(owner, res)
 	}
 	d := time.Since(start).Nanoseconds()
-	if isReorg {
+	if flagged(&m.reorg, owner) {
 		m.stats.ReorgWaits.Add(1)
 		m.stats.ReorgWaitNanos.Add(d)
 		if h := m.hReorgWait; h != nil {
@@ -548,252 +741,251 @@ func (m *Manager) blockAndWait(h *lockHead, owner uint64, res Resource, mode, ef
 
 // Unlock releases owner's lock on res entirely.
 func (m *Manager) Unlock(owner uint64, res Resource) {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
-	m.unlockLocked(owner, res)
+	st := m.stripeOf(res)
+	st.mu.Lock()
+	st.trips++
+	released := st.unlockLocked(owner, res)
+	st.mu.Unlock()
+	if released {
+		m.removeHeld(owner, res)
+	}
 }
 
 // Downgrade replaces owner's lock on res with a weaker mode (e.g. the
 // reader protocol's S -> IS on a leaf) and wakes newly compatible
 // waiters.
 func (m *Manager) Downgrade(owner uint64, res Resource, to Mode) {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
-	m.downgradeLocked(owner, res, to)
+	st := m.stripeOf(res)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.trips++
+	st.downgradeLocked(owner, res, to)
 }
 
-// ReleaseAll drops every lock owner holds (end of transaction). The
-// held index is detached before any waiters are woken: a grant during
-// wakeLocked may allocate a held map from the pool, and the map being
-// iterated here must not be in that pool yet.
+// ReleaseAll drops every lock owner holds (end of transaction) and
+// clears its aborting flag. It takes each stripe the held list touches
+// once: each pass takes the stripe of the first resource left, releases
+// every listed resource of that stripe and keeps the rest for the next
+// pass.
 func (m *Manager) ReleaseAll(owner uint64) {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
-	delete(m.aborting, owner)
+	if m.nAborting.Load() > 0 {
+		m.setAborting(owner, false)
+	}
 	oh := m.heldOf(owner)
 	if oh == nil {
+		m.otherTrips.Add(1)
 		return
 	}
-	m.dropHeldLocked(owner)
-	for _, res := range oh.res {
-		if h := m.table.get(res); h != nil && h.removeHolder(owner) {
-			m.wakeLocked(res, h)
-			m.dropIfIdleLocked(res, h)
+	trip := int64(1)
+	for rest := oh.res; len(rest) > 0; {
+		st := m.stripeOf(rest[0])
+		st.mu.Lock()
+		st.trips += trip
+		trip = 0
+		keep := rest[:0]
+		for _, res := range rest {
+			if m.stripeOf(res) != st {
+				keep = append(keep, res)
+			} else if h := st.table.get(res); h != nil && h.removeHolder(owner) {
+				st.wakeLocked(res, h)
+				st.dropIfIdleLocked(res, h)
+			}
 		}
+		st.mu.Unlock()
+		rest = keep
 	}
-	m.recycleHeldLocked(oh)
+	m.detachHeld(owner, oh)
 }
 
-// HeldResources returns a snapshot of owner's locks.
+// HeldResources returns a snapshot of owner's locks. Call it from
+// owner's goroutine, or once owner makes no calls.
 func (m *Manager) HeldResources(owner uint64) map[Resource]Mode {
-	m.mu.Lock()
-	m.trips++
-	defer m.mu.Unlock()
-	oh := m.held[owner]
+	oh := m.heldOf(owner)
 	if oh == nil {
+		m.otherTrips.Add(1)
 		return map[Resource]Mode{}
 	}
 	out := make(map[Resource]Mode, len(oh.res))
+	trip := int64(1)
 	for _, res := range oh.res {
-		out[res] = m.table.get(res).holderMode(owner)
+		st := m.stripeOf(res)
+		st.mu.Lock()
+		st.trips += trip
+		trip = 0
+		out[res] = st.table.get(res).holderMode(owner)
+		st.mu.Unlock()
 	}
 	return out
 }
 
-// --- internals (all require m.mu) ---
+// --- owner-local held lists (only the owner's goroutine calls these) ---
 
-const maxPooled = 1024
+// heldOf returns owner's held list, nil if owner holds nothing.
+func (m *Manager) heldOf(owner uint64) *ownerHeld {
+	if s := &m.owners[owner%ownerSlots]; s.owner.Load() == owner+1 {
+		return &s.held
+	}
+	if m.nSpill.Load() == 0 {
+		return nil
+	}
+	return m.spilled(owner)
+}
+
+// addHeld appends res to owner's held list, giving owner a list first
+// if it holds nothing yet: its slot's, or a spilled one when another
+// owner has the slot.
+func (m *Manager) addHeld(owner uint64, res Resource) {
+	oh := m.heldOf(owner)
+	if oh == nil {
+		if s := &m.owners[owner%ownerSlots]; s.owner.CompareAndSwap(0, owner+1) {
+			oh = &s.held
+		} else {
+			oh = m.spillHeld(owner)
+		}
+	}
+	oh.res = append(oh.res, res)
+}
+
+// removeHeld drops res from owner's held list, and the list itself
+// once it is empty.
+func (m *Manager) removeHeld(owner uint64, res Resource) {
+	if oh := m.heldOf(owner); oh != nil {
+		oh.remove(res)
+		if len(oh.res) == 0 {
+			m.detachHeld(owner, oh)
+		}
+	}
+}
+
+// detachHeld empties owner's list and frees its slot (or spill entry).
+// A slot keeps its list's storage for the next owner unless a large
+// transaction grew it past maxHeldCap.
+func (m *Manager) detachHeld(owner uint64, oh *ownerHeld) {
+	s := &m.owners[owner%ownerSlots]
+	if oh != &s.held {
+		m.unspill(owner)
+		return
+	}
+	if cap(oh.res) > maxHeldCap {
+		oh.res = s.base
+	}
+	oh.res = oh.res[:0]
+	s.owner.Store(0)
+}
+
+// spilled returns the held list of an owner that did not get its slot.
+//
+//vet:coldpath -- only an owner whose slot another live owner holds gets here
+func (m *Manager) spilled(owner uint64) *ownerHeld {
+	if v, ok := m.spill.Load(owner); ok {
+		return v.(*ownerHeld)
+	}
+	return nil
+}
+
+// spillHeld gives a list to an owner whose slot another owner holds.
+//
+//vet:coldpath -- slots collide only when live owner ids are ownerSlots apart
+func (m *Manager) spillHeld(owner uint64) *ownerHeld {
+	oh := &ownerHeld{}
+	m.spill.Store(owner, oh)
+	m.nSpill.Add(1)
+	return oh
+}
+
+// unspill drops a spilled owner's entry.
+//
+//vet:coldpath -- the release side of spillHeld
+func (m *Manager) unspill(owner uint64) {
+	if _, ok := m.spill.LoadAndDelete(owner); ok {
+		m.nSpill.Add(-1)
+	}
+}
+
+// --- stripe internals (all require st.mu) ---
 
 // newHeadLocked returns a recycled (empty) lock head or a fresh one.
-func (m *Manager) newHeadLocked() *lockHead {
-	if n := len(m.headPool); n > 0 {
-		h := m.headPool[n-1]
-		m.headPool = m.headPool[:n-1]
+func (st *stripe) newHeadLocked() *lockHead {
+	if n := len(st.heads); n > 0 {
+		h := st.heads[n-1]
+		st.heads = st.heads[:n-1]
 		return h
 	}
 	//vet:allow(hotalloc) -- pool-miss fallback; steady state recycles heads
 	return &lockHead{}
 }
 
-// recycleHeadLocked returns an empty lock head to the pool.
-func (m *Manager) recycleHeadLocked(h *lockHead) {
-	if len(m.headPool) < maxPooled {
-		h.holders = h.holders[:0]
-		h.queue = nil
-		m.headPool = append(m.headPool, h)
-	}
-}
-
-// heldOf returns owner's held index through the one-entry cache (nil
-// if owner holds nothing). Requires m.mu.
-func (m *Manager) heldOf(owner uint64) *ownerHeld {
-	if m.heldCache != nil && m.heldOwner == owner {
-		return m.heldCache
-	}
-	oh := m.held[owner]
-	if oh != nil {
-		m.heldOwner, m.heldCache = owner, oh
-	}
-	return oh
-}
-
-// dropHeldLocked removes owner's held index from the map and cache.
-func (m *Manager) dropHeldLocked(owner uint64) {
-	delete(m.held, owner)
-	if m.heldOwner == owner {
-		m.heldCache = nil
-	}
-}
-
-// grantLocked records owner as holding res in mode. Only a new holder
-// enters the owner's held index; an upgrade changes the head alone.
-func (m *Manager) grantLocked(h *lockHead, owner uint64, res Resource, mode Mode) {
-	if !h.setHolder(owner, mode) {
-		return
-	}
-	oh := m.heldOf(owner)
-	if oh == nil {
-		if n := len(m.heldPool); n > 0 {
-			oh = m.heldPool[n-1]
-			m.heldPool = m.heldPool[:n-1]
-		} else {
-			//vet:allow(hotalloc) -- pool-miss fallback; steady state recycles held maps
-			oh = &ownerHeld{}
+// dropIfIdleLocked removes res's head from the table once nobody holds
+// or waits for it, and recycles it.
+func (st *stripe) dropIfIdleLocked(res Resource, h *lockHead) {
+	if len(h.holders) == 0 && len(h.queue) == 0 {
+		st.table.del(res)
+		if len(st.heads) < maxPooled {
+			h.holders = h.holders[:0]
+			h.queue = nil
+			st.heads = append(st.heads, h)
 		}
-		m.held[owner] = oh
-		m.heldOwner, m.heldCache = owner, oh
-	}
-	oh.res = append(oh.res, res)
-}
-
-// recycleHeldLocked returns a detached per-owner held index to the pool.
-func (m *Manager) recycleHeldLocked(oh *ownerHeld) {
-	if oh != nil && len(m.heldPool) < maxPooled {
-		oh.res = oh.res[:0]
-		m.heldPool = append(m.heldPool, oh)
 	}
 }
 
-// unlockLocked releases owner's lock on res, if it holds one, and
-// wakes the waiters it was blocking.
-func (m *Manager) unlockLocked(owner uint64, res Resource) {
-	h := m.table.get(res)
+// unlockLocked releases owner's lock on res, if it holds one, wakes the
+// waiters it was blocking, and reports whether it held one (the caller
+// then drops res from owner's held list).
+func (st *stripe) unlockLocked(owner uint64, res Resource) bool {
+	h := st.table.get(res)
 	if h == nil || !h.removeHolder(owner) {
-		return
+		return false
 	}
-	if oh := m.heldOf(owner); oh != nil {
-		oh.remove(res)
-		if len(oh.res) == 0 {
-			m.dropHeldLocked(owner)
-			m.recycleHeldLocked(oh)
-		}
+	st.wakeLocked(res, h)
+	st.dropIfIdleLocked(res, h)
+	return true
+}
+
+// handBackLocked releases owner's lock on parent (to None) or
+// downgrades it, and reports whether it released one.
+func (st *stripe) handBackLocked(owner uint64, parent Resource, to Mode) bool {
+	if to == None {
+		return st.unlockLocked(owner, parent)
 	}
-	m.wakeLocked(res, h)
-	m.dropIfIdleLocked(res, h)
+	st.downgradeLocked(owner, parent, to)
+	return false
 }
 
 // downgradeLocked replaces owner's mode on res with to, if it holds
 // res, and wakes newly compatible waiters.
-func (m *Manager) downgradeLocked(owner uint64, res Resource, to Mode) {
-	h := m.table.get(res)
+func (st *stripe) downgradeLocked(owner uint64, res Resource, to Mode) {
+	h := st.table.get(res)
 	if h == nil || h.holderMode(owner) == None {
 		return
 	}
 	h.setHolder(owner, to)
-	m.wakeLocked(res, h)
-}
-
-// handBackLocked gives back a coupling step's parent: it releases it
-// (to None) or downgrades it. The zero Resource is no parent.
-func (m *Manager) handBackLocked(owner uint64, parent Resource, to Mode) {
-	switch {
-	case parent == Resource{}:
-	case to == None:
-		m.unlockLocked(owner, parent)
-	default:
-		m.downgradeLocked(owner, parent, to)
-	}
-}
-
-// dropIfIdleLocked removes res's head from the table once nobody holds
-// or waits for it.
-func (m *Manager) dropIfIdleLocked(res Resource, h *lockHead) {
-	if len(h.holders) == 0 && len(h.queue) == 0 {
-		m.table.del(res)
-		m.recycleHeadLocked(h)
-	}
-}
-
-// grantableLocked reports whether owner's request for mode on h can be
-// granted now. Strict FIFO: a non-upgrade request also waits behind any
-// queued request.
-func (m *Manager) grantableLocked(h *lockHead, owner uint64, mode Mode, upgrade bool) bool {
-	if !upgrade && len(h.queue) > 0 {
-		return false
-	}
-	for _, e := range h.holders {
-		if e.owner == owner {
-			continue
-		}
-		if !Compatible(e.mode, mode) {
-			return false
-		}
-	}
-	return true
-}
-
-// rxConflictLocked reports whether owner's conflict on h involves an RX
-// lock (held or queued ahead), triggering the forgo protocol.
-func (m *Manager) rxConflictLocked(h *lockHead, owner uint64) bool {
-	for _, e := range h.holders {
-		if e.owner != owner && e.mode == RX {
-			return true
-		}
-	}
-	for _, w := range h.queue {
-		if w.owner != owner && w.mode == RX {
-			return true
-		}
-	}
-	return false
+	st.wakeLocked(res, h)
 }
 
 // wakeLocked grants queued requests on res in FIFO order until the head
-// cannot be granted.
-func (m *Manager) wakeLocked(res Resource, h *lockHead) {
+// cannot be granted. It does not touch the woken owners' held lists:
+// it marks a waiter added and the owner appends for itself.
+func (st *stripe) wakeLocked(res Resource, h *lockHead) {
 	for len(h.queue) > 0 {
 		w := h.queue[0]
-		if !m.grantableHeadLocked(h, w) {
+		if !h.grantable(w.owner, w.mode, true) {
 			return
 		}
 		h.queue = h.queue[1:]
-		delete(m.waiting, w.owner)
+		w.queued = false
+		delete(st.waiting, w.owner)
 		if !w.instant {
-			m.grantLocked(h, w.owner, res, combine(h.holderMode(w.owner), w.mode))
+			w.added = h.setHolder(w.owner, combine(h.holderMode(w.owner), w.mode))
 		}
-		m.stats.Grants.Add(1)
+		st.grants++
 		w.ch <- nil
 	}
 }
 
-// grantableHeadLocked checks the queue head against holders only.
-func (m *Manager) grantableHeadLocked(h *lockHead, w *waiter) bool {
-	for _, e := range h.holders {
-		if e.owner == w.owner {
-			continue
-		}
-		if !Compatible(e.mode, w.mode) {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *Manager) removeWaiterLocked(w *waiter) {
-	h := m.table.get(w.res)
+// removeWaiterLocked takes w out of its head's queue and wakes the
+// requests it was holding back.
+func (st *stripe) removeWaiterLocked(w *waiter) {
+	h := st.table.get(w.res)
 	if h == nil {
 		return
 	}
@@ -803,9 +995,43 @@ func (m *Manager) removeWaiterLocked(w *waiter) {
 			break
 		}
 	}
-	delete(m.waiting, w.owner)
+	w.queued = false
+	delete(st.waiting, w.owner)
 	// Removing a blocker may make successors grantable.
-	m.wakeLocked(w.res, h)
+	st.wakeLocked(w.res, h)
+	st.dropIfIdleLocked(w.res, h)
+}
+
+// timeoutErrorLocked describes a wait that timed out, with the holders
+// and queue of its resource.
+func (st *stripe) timeoutErrorLocked(w *waiter, mode Mode) error {
+	var holders []string
+	if h := st.table.get(w.res); h != nil {
+		for _, e := range h.holders {
+			holders = append(holders, fmt.Sprintf("%d:%v", e.owner, e.mode))
+		}
+		for _, q := range h.queue {
+			holders = append(holders, fmt.Sprintf("q%d:%v", q.owner, q.mode))
+		}
+	}
+	return fmt.Errorf("%w: owner %d mode %v on %v (held/queued: %v)",
+		ErrTimeout, w.owner, mode, w.res, holders)
+}
+
+// --- deadlock detection (all stripes held) ---
+
+// lockAll takes every stripe in ascending order: the one place the
+// manager holds more than one stripe mutex.
+func (m *Manager) lockAll() {
+	for i := range m.stripes {
+		m.stripes[i].mu.Lock()
+	}
+}
+
+func (m *Manager) unlockAll() {
+	for i := range m.stripes {
+		m.stripes[i].mu.Unlock()
+	}
 }
 
 func (m *Manager) abortWaitLocked(w *waiter, err error) {
@@ -813,7 +1039,7 @@ func (m *Manager) abortWaitLocked(w *waiter, err error) {
 	if m.ring != nil {
 		m.ring.Emit(obs.EvDeadlockVictim, w.owner, w.res.ID)
 	}
-	m.removeWaiterLocked(w)
+	m.stripeOf(w.res).removeWaiterLocked(w)
 	w.ch <- err
 }
 
@@ -824,6 +1050,12 @@ func (m *Manager) abortWaitLocked(w *waiter, err error) {
 // reorganizer in the cycle if one exists (§4.1: "we always force the
 // reorganizer to give up"), else the youngest (largest id) owner.
 func (m *Manager) detectLocked() *waiter {
+	waiting := make(map[uint64]*waiter)
+	for i := range m.stripes {
+		for o, w := range m.stripes[i].waiting {
+			waiting[o] = w
+		}
+	}
 	edges := make(map[uint64]map[uint64]bool)
 	addEdge := func(from, to uint64) {
 		if from == to {
@@ -836,8 +1068,8 @@ func (m *Manager) detectLocked() *waiter {
 		}
 		s[to] = true
 	}
-	for owner, w := range m.waiting {
-		h := m.table.get(w.res)
+	for owner, w := range waiting {
+		h := m.stripeOf(w.res).table.get(w.res)
 		if h == nil {
 			continue
 		}
@@ -900,14 +1132,14 @@ func (m *Manager) detectLocked() *waiter {
 	var victim uint64
 	var found bool
 	for _, o := range cycle {
-		if m.reorg[o] && m.waiting[o] != nil {
+		if flagged(&m.reorg, o) && waiting[o] != nil {
 			victim, found = o, true
 			break
 		}
 	}
 	if !found {
 		for _, o := range cycle {
-			if m.waiting[o] == nil || m.aborting[o] {
+			if waiting[o] == nil || flagged(&m.aborting, o) {
 				continue
 			}
 			if !found || o > victim {
@@ -920,7 +1152,7 @@ func (m *Manager) detectLocked() *waiter {
 		// undo waits only on forward-held X locks); victimise the
 		// youngest rather than leave the cycle undetected.
 		for _, o := range cycle {
-			if m.waiting[o] == nil {
+			if waiting[o] == nil {
 				continue
 			}
 			if !found || o > victim {
@@ -931,5 +1163,5 @@ func (m *Manager) detectLocked() *waiter {
 	if !found {
 		return nil
 	}
-	return m.waiting[victim]
+	return waiting[victim]
 }

@@ -3,6 +3,7 @@ package lock
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -328,7 +329,7 @@ func TestDeadlockSparesAbortingOwner(t *testing.T) {
 	}
 	m.ReleaseAll(2)
 	// ReleaseAll clears the flag: owner 2 is victimisable again.
-	if m.aborting[2] {
+	if flagged(&m.aborting, 2) {
 		t.Error("aborting flag survived ReleaseAll")
 	}
 }
@@ -342,14 +343,16 @@ func TestReleaseAllWakesWaiters(t *testing.T) {
 	if err := m.Lock(1, res2, X); err != nil {
 		t.Fatal(err)
 	}
+	// One waiter per resource, each its own owner: an owner's calls come
+	// from one goroutine at a time.
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	for _, r := range []Resource{res1, res2} {
+	for i, r := range []Resource{res1, res2} {
 		wg.Add(1)
-		go func(r Resource) {
+		go func(owner uint64, r Resource) {
 			defer wg.Done()
-			errs <- m.Lock(2, r, S)
-		}(r)
+			errs <- m.Lock(owner, r, S)
+		}(uint64(2+i), r)
 	}
 	time.Sleep(20 * time.Millisecond)
 	m.ReleaseAll(1)
@@ -481,6 +484,45 @@ func BenchmarkLockManager(b *testing.B) {
 				b.Fatal(err)
 			}
 			m.Unlock(owner, res)
+		}
+	})
+}
+
+// BenchmarkGetLockPath replays a point Get's lock calls on a tree whose
+// root is at level 2 (TestLockTripsPerOp's Get): tree IS, root S, an
+// S-couple to the base page, an IS-couple to the leaf, record S and
+// ReleaseAll. Each op is a fresh owner, as each Get is a fresh
+// transaction. The goroutines share the tree and the root and each
+// takes its own base page, leaf and records, so the only conflicts are
+// on the manager's own state: run it at -cpu 1,2 to see whether a
+// second client adds throughput.
+func BenchmarkGetLockPath(b *testing.B) {
+	m := NewManager()
+	var owners, workers atomic.Uint64
+	tree, root := TreeRes(1), PageRes(1)
+	b.RunParallel(func(pb *testing.PB) {
+		g := workers.Add(1)
+		base, leaf := PageRes(1000+g), PageRes(1000000+g)
+		for i := uint64(0); pb.Next(); i++ {
+			owner := owners.Add(1)
+			err := m.Lock(owner, tree, IS)
+			if err == nil {
+				err = m.Lock(owner, root, S)
+			}
+			if err == nil {
+				err = m.Couple(owner, base, S, Opt{}, root, None)
+			}
+			if err == nil {
+				err = m.Couple(owner, leaf, IS, Opt{}, base, None)
+			}
+			if err == nil {
+				err = m.Lock(owner, RecordRes(g<<32|i&0xffff), S)
+			}
+			m.ReleaseAll(owner)
+			if err != nil {
+				b.Error(err)
+				return
+			}
 		}
 	})
 }

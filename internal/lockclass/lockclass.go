@@ -28,7 +28,7 @@ var Classes = map[string]string{
 	"repro.DB.mu":           "repro.db",
 	"repro.backoffMu":       "repro.backoff",
 	"fault.Injector.mu":     "fault.injector",
-	"lock.Manager.mu":       "lock.manager",
+	"lock.stripe.mu":        "lock.manager",
 	"wal.Log.mu":            "wal.log",
 	"wal.Log.rngMu":         "wal.rng",
 	"txn.Txn.mu":            "txn.txn",
