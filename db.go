@@ -172,6 +172,9 @@ type DB struct {
 	// ErrReorgBusy instead of silently overwriting db.reorg under a
 	// concurrent checkpoint.
 	reorgBusy bool
+	// closed is set by the first Close (guarded by mu): a second Close
+	// is a no-op.
+	closed bool
 
 	// ckptMu serializes checkpoints, manual and automatic alike, so the
 	// last checkpoint record in the log is always that of the last
@@ -837,13 +840,24 @@ func (db *DB) takeCheckpoint() error {
 	return err
 }
 
-// Close shuts the database down cleanly: the log is forced, dirty
-// pages are flushed, the buffer pool is verified quiescent — a pin
-// leaked anywhere in the session surfaces here as an error — and every
-// file handle is released. The handle-closing steps run even when an
+// Close shuts the database down cleanly: the log is forced, a
+// checkpoint flushes the dirty pages and truncates the log behind them
+// (so reopening replays nothing: the automatic checkpoints' byte
+// interval can leave tens of thousands of small records to redo), the
+// buffer pool is verified quiescent — a pin leaked anywhere in the
+// session surfaces here as an error — and every file handle is
+// released. The handle-closing steps run even when an
 // earlier step failed (a read-only directory must not leak
-// descriptors); all failures are joined into the returned error.
+// descriptors); all failures are joined into the returned error. A
+// second Close does nothing.
 func (db *DB) Close() error {
+	db.mu.Lock()
+	closed := db.closed
+	db.closed = true
+	db.mu.Unlock()
+	if closed {
+		return nil
+	}
 	// Stop the reorganization daemon first and deterministically: its
 	// stop signal doubles as every in-flight increment's Yield hook, so
 	// the running slice drains at its next unit boundary before the
@@ -858,7 +872,7 @@ func (db *DB) Close() error {
 	flushErr := db.log.Flush()
 	var pageErr error
 	if flushErr == nil {
-		pageErr = db.pager.FlushAll()
+		pageErr = db.checkpoint(false)
 	}
 	db.tree.Close() // drop the cached root pin before the pool's leak check
 	return errors.Join(flushErr, pageErr, db.pager.Close(), db.log.Close())

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -50,6 +51,44 @@ func TestFileBackendDurability(t *testing.T) {
 	}
 	if err := db.Check(); err != nil {
 		t.Fatalf("invariant check after reopen: %v", err)
+	}
+}
+
+// TestFileBackendCloseCheckpoints: a clean Close ends in a checkpoint,
+// so reopening replays nothing but that checkpoint's own record, however
+// many records the session logged below the automatic checkpoints' byte
+// interval.
+func TestFileBackendCloseCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	db := openFileDB(t, dir, Options{})
+	if err := workload.Load(db, 500, 32, "random", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	db = openFileDB(t, dir, Options{})
+	defer db.Close()
+	cpLSN, cp, ok := db.log.LastCheckpoint()
+	if !ok {
+		t.Fatal("no checkpoint in the reopened log")
+	}
+	redo := cp.RedoLSN
+	if redo == 0 {
+		redo = cpLSN
+	}
+	replayed := 0
+	if err := db.log.Iterate(redo, func(wal.LSN, wal.Record) error {
+		replayed++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if replayed != 1 {
+		t.Errorf("reopen after Close replays %d records from the redo point, want the checkpoint alone", replayed)
+	}
+	if v, err := db.Get(workload.Key(0)); err != nil || string(v) != string(workload.Value(0, 32)) {
+		t.Errorf("key 0 after reopen: %q, %v", v, err)
 	}
 }
 

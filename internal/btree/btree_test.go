@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/kv"
 	"repro/internal/lock"
@@ -198,6 +199,66 @@ func TestUpdateReplacesValue(t *testing.T) {
 		t.Error("update of missing key succeeded")
 	}
 	_ = e.tree.Abort(tx2)
+}
+
+// TestCommitSkipsDeferredLock: only a delete that empties its leaf
+// defers a free to commit, so the commit of a transaction that deferred
+// nothing must not take the tree-wide deferredMu — with it held
+// elsewhere, such a commit still finishes — while one that did defer
+// still runs its free.
+func TestCommitSkipsDeferredLock(t *testing.T) {
+	e := newEnv(t, 512)
+	e.put(t, 1)
+	e.tree.deferredMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		tx := e.txns.Begin()
+		if _, _, err := e.tree.Get(tx, key(1)); err != nil {
+			done <- err
+			return
+		}
+		if err := e.tree.Update(tx, key(1), val(2)); err != nil {
+			done <- err
+			return
+		}
+		done <- e.tree.Commit(tx)
+	}()
+	select {
+	case err := <-done:
+		e.tree.deferredMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		e.tree.deferredMu.Unlock()
+		t.Fatal("a commit that deferred nothing waited on deferredMu")
+	}
+
+	// The emptying delete still frees its leaf at commit.
+	before, err := e.tree.GatherStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := e.txns.Begin()
+	if err := e.tree.Delete(tx, key(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !tx.Deferred() {
+		t.Fatal("a delete that emptied its leaf deferred nothing")
+	}
+	if err := e.tree.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.tree.deferredKeys) != 0 {
+		t.Errorf("deferred frees left behind: %v", e.tree.deferredKeys)
+	}
+	after, err := e.tree.GatherStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Records != 0 || before.Records != 1 {
+		t.Errorf("records %d -> %d, want 1 -> 0", before.Records, after.Records)
+	}
 }
 
 func TestDeleteAndFreeAtEmpty(t *testing.T) {

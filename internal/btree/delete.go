@@ -20,21 +20,28 @@ type freeHint struct {
 	key  []byte
 }
 
-func (t *Tree) deferFree(owner uint64, leaf storage.PageID, key []byte) {
+func (t *Tree) deferFree(tx *txn.Txn, leaf storage.PageID, key []byte) {
+	tx.MarkDeferred()
 	t.deferredMu.Lock()
 	defer t.deferredMu.Unlock()
 	if t.deferredKeys == nil {
 		t.deferredKeys = make(map[uint64][]freeHint)
 	}
-	t.deferredKeys[owner] = append(t.deferredKeys[owner],
+	t.deferredKeys[tx.ID()] = append(t.deferredKeys[tx.ID()],
 		freeHint{leaf: leaf, key: append([]byte(nil), key...)})
 }
 
-func (t *Tree) takeDeferred(owner uint64) []freeHint {
+// takeDeferred removes and returns tx's deferred frees. Only a delete
+// that empties its leaf defers one, so a transaction that deferred
+// nothing never takes the tree-wide deferredMu.
+func (t *Tree) takeDeferred(tx *txn.Txn) []freeHint {
+	if !tx.Deferred() {
+		return nil
+	}
 	t.deferredMu.Lock()
 	defer t.deferredMu.Unlock()
-	hints := t.deferredKeys[owner]
-	delete(t.deferredKeys, owner)
+	hints := t.deferredKeys[tx.ID()]
+	delete(t.deferredKeys, tx.ID())
 	return hints
 }
 
@@ -43,7 +50,7 @@ func (t *Tree) takeDeferred(owner uint64) []freeHint {
 // reorganizer or another transaction simply leaves the empty page for
 // the next reorganization pass.
 func (t *Tree) Commit(tx *txn.Txn) error {
-	for _, hint := range t.takeDeferred(tx.ID()) {
+	for _, hint := range t.takeDeferred(tx) {
 		if err := t.freeLeafSMO(tx, hint); err != nil {
 			return err
 		}
@@ -53,7 +60,7 @@ func (t *Tree) Commit(tx *txn.Txn) error {
 
 // Abort discards deferred frees and rolls the transaction back.
 func (t *Tree) Abort(tx *txn.Txn) error {
-	t.takeDeferred(tx.ID())
+	t.takeDeferred(tx)
 	return tx.Abort()
 }
 

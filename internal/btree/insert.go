@@ -133,9 +133,11 @@ func (t *Tree) insertSMO(tx *txn.Txn, u wal.Update) error {
 // the separator into parent, which the caller guarantees has room. Both
 // frames arrive X-locked and pinned in h. On success the half covering
 // key is returned X-locked and pinned in h; the other half is given
-// back. The split is logged as one atomic wal.Split record. On error
-// the new right page is freed again and what else the split took stays
-// in h.
+// back. The split is logged as one atomic wal.Split record of keys and
+// page ids; the moved cells go from child to the right page in the
+// apply, which makes child wait on disk for it (careful writing). On
+// error the new right page is freed again and what else the split took
+// stays in h.
 func (t *Tree) splitChild(h *Hold, parent, child *storage.Frame, key []byte) (*storage.Frame, error) {
 	owner := h.owner
 
@@ -160,10 +162,6 @@ func (t *Tree) splitChild(h *Hold, parent, child *storage.Frame, key []byte) (*s
 		sep = kv.Separator(kv.SlotKey(cp, mid-1), kv.SlotKey(cp, mid))
 	} else {
 		sep = append([]byte(nil), kv.SlotKey(cp, mid)...)
-	}
-	moved := make([][]byte, 0, n-mid)
-	for i := mid; i < n; i++ {
-		moved = append(moved, append([]byte(nil), cp.Cell(i)...))
 	}
 	oldNext := cp.Next()
 	child.RUnlock()
@@ -260,7 +258,6 @@ func (t *Tree) splitChild(h *Hold, parent, child *storage.Frame, key []byte) (*s
 		Right:      rightID,
 		Level:      level,
 		Sep:        sep,
-		Moved:      moved,
 		RightNext:  oldNext,
 		NextPage:   oldNext,
 		Base:       parent.ID(),
@@ -294,7 +291,8 @@ func (t *Tree) splitChild(h *Hold, parent, child *storage.Frame, key []byte) (*s
 
 // splitRoot grows the tree by one level while keeping the root page id
 // (so the anchor only changes at the pass-3 switch). The caller holds X
-// on the root; the two new pages are pinned in h while they are built.
+// on the root; the two new pages are pinned in h while the apply fills
+// them from the root's cells.
 func (t *Tree) splitRoot(h *Hold, root *storage.Frame) error {
 	root.RLock()
 	p := root.Data()
@@ -308,14 +306,6 @@ func (t *Tree) splitRoot(h *Hold, root *storage.Frame) error {
 	// The root is internal: its entry keys are subtree low bounds, so
 	// the middle key moves up untruncated (see splitChild).
 	sep := append([]byte(nil), kv.SlotKey(p, mid)...)
-	low := make([][]byte, 0, mid)
-	hi := make([][]byte, 0, n-mid)
-	for i := 0; i < mid; i++ {
-		low = append(low, append([]byte(nil), p.Cell(i)...))
-	}
-	for i := mid; i < n; i++ {
-		hi = append(hi, append([]byte(nil), p.Cell(i)...))
-	}
 	root.RUnlock()
 
 	lowF, err := t.pager.Allocate(storage.PageInternal)
@@ -329,7 +319,7 @@ func (t *Tree) splitRoot(h *Hold, root *storage.Frame) error {
 	}
 	h.Pin(hiF)
 	s := wal.RootSplit{Root: root.ID(), Low: lowF.ID(), High: hiF.ID(),
-		Level: level, Sep: sep, LowCells: low, HiCells: hi}
+		Level: level, Sep: sep}
 	err = t.LogSMO(s)
 	h.Unpin(lowF)
 	h.Unpin(hiF)

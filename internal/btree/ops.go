@@ -158,7 +158,7 @@ func (t *Tree) modify(tx *txn.Txn, u wal.Update) error {
 		u.Page = leaf.ID()
 		emptied, err := t.applyLogged(tx, leaf, u)
 		if emptied {
-			t.deferFree(owner, leaf.ID(), u.Key)
+			t.deferFree(tx, leaf.ID(), u.Key)
 		}
 		h.Release()
 		if errors.Is(err, storage.ErrPageFull) {

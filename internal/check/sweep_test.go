@@ -7,7 +7,15 @@ import (
 
 // The sweep programs' hit counts and (sorted) fault-point sets are pinned
 // exactly: a change that moves a fault hit re-derives them, and a
-// refactor of the harness must not move any.
+// refactor of the harness must not move any. Log format 5 (splits log
+// no cells, the old page waits on disk for the new one) moved them:
+// evictions write 4 more pages (a split's new page ahead of the page it
+// was split from; a pager.flush and a disk.write hit each: 1 357 ->
+// 1 365 mem, 1 237 -> 1 245 daemon), and on files the smaller log
+// leaves one segment fewer to truncate (1 360 -> 1 367). With a
+// checkpoint every 512 log bytes the smaller log takes fewer
+// checkpoints: 8 appends, 7 forces and 8 page writes fewer, and one
+// truncation fewer on files (1 560 -> 1 529 mem, 1 565 -> 1 533 file).
 var (
 	// passesPoints is every fault point the passes program reaches on
 	// the in-memory backend: every reorganization unit type and the
@@ -60,7 +68,7 @@ func TestCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep failed: %v", err)
 	}
-	pinned(t, res, 1357, passesPoints)
+	pinned(t, res, 1365, passesPoints)
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
@@ -127,7 +135,7 @@ func TestCrashSweepDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatalf("daemon sweep failed: %v", err)
 	}
-	pinned(t, res, 1237, daemonPoints)
+	pinned(t, res, 1245, daemonPoints)
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
@@ -162,7 +170,7 @@ func TestCrashSweepFileBackend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("file-backend sweep failed: %v", err)
 	}
-	pinned(t, res, 1360, filePoints)
+	pinned(t, res, 1367, filePoints)
 	if res.CrashRuns == 0 {
 		t.Error("no crash runs performed")
 	}
@@ -186,12 +194,12 @@ func TestCrashSweepAutoCheckpoint(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			cfg := SweepConfig{CheckpointEvery: 512, Torn: true, Stride: 3, SecondCrashStride: 8,
 				Logf: t.Logf}
-			hits, points := 1560, passesPoints
+			hits, points := 1529, passesPoints
 			if backend == "file" {
 				cfg.Dir = t.TempDir()
 				cfg.WALSegmentBytes = 4096
 				cfg.Stride = 13
-				hits, points = 1565, filePoints
+				hits, points = 1533, filePoints
 			}
 			if testing.Short() {
 				cfg.Stride *= 4

@@ -285,6 +285,11 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 	fa.RLock()
 	imgA := append([]byte(nil), fa.Data()...)
 	fa.RUnlock()
+	// A may still wait on B (B is the page a split of A filled): B's
+	// image goes to disk first, or the two would wait on each other.
+	if err := pg.PrepareWriteDep(pb, pa); err != nil {
+		return err
+	}
 	sw := wal.ReorgSwap{Unit: b.Unit, PrevLSN: r.table.prevLSN(),
 		PageA: pa, PageB: pb, ImageA: imgA}
 	lsn := r.tree.Log().Append(sw)

@@ -158,6 +158,12 @@ func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame, cells [
 	}
 	recs := cells
 	if r.cfg.CarefulWriting {
+		// dest may still wait on org (org is the page a split of dest
+		// filled): org's image goes to disk first, or the two would wait
+		// on each other.
+		if err := r.tree.Pager().PrepareWriteDep(org.ID(), dest.ID()); err != nil {
+			return err
+		}
 		recs = make([][]byte, 0, len(cells))
 		for _, c := range cells {
 			k, _ := kv.DecodeLeafCell(c)
@@ -181,22 +187,23 @@ func (r *Reorganizer) moveRecords(unit uint64, org, dest *storage.Frame, cells [
 	}
 	dest.Data().SetLSN(lsn)
 	r.tree.Pager().MarkDirty(dest, lsn)
+	// Under careful writing the source waits for the destination's next
+	// image, registered under the destination's latch so that image is
+	// one that holds the moved records; the source empties only after,
+	// so a concurrent flush — a checkpoint's — never writes the emptied
+	// source without the dependency in force.
+	if r.cfg.CarefulWriting {
+		r.tree.Pager().AddWriteDep(org.ID(), dest.ID())
+	}
 	dest.Unlock()
 	if err != nil {
 		return err
 	}
 
-	// The source empties, is marked dirty and (under careful writing)
-	// waits for the destination on disk in one step under its latch, so
-	// a concurrent flush — a checkpoint's — never writes the emptied
-	// source without the dependency in force.
 	org.Lock()
 	org.Data().TruncateCells(0)
 	org.Data().SetLSN(lsn)
 	r.tree.Pager().MarkDirty(org, lsn)
-	if r.cfg.CarefulWriting {
-		r.tree.Pager().AddWriteDep(org.ID(), dest.ID())
-	}
 	org.Unlock()
 	r.c.recordsMoved.Add(int64(len(cells)))
 	return nil

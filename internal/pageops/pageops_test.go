@@ -155,8 +155,6 @@ func TestApplySplitIdempotentPerPage(t *testing.T) {
 	pg.Unfix(lf)
 
 	s := wal.Split{Left: left, Right: right, Level: 0, Sep: []byte("m"),
-		Moved: [][]byte{kv.EncodeLeafCell([]byte("m"), []byte("v-m")),
-			kv.EncodeLeafCell([]byte("z"), []byte("v-z"))},
 		Base: baseID}
 	if err := ApplySplit(pg, s, 50); err != nil {
 		t.Fatal(err)

@@ -42,27 +42,25 @@ func withPage(pg *storage.Pager, id storage.PageID, lsn uint64, fn func(p storag
 	return nil
 }
 
-// ApplySplit applies a Split record at lsn. Each affected page is
-// handled independently under the pageLSN test, so the operation is
-// atomic with respect to recovery: replaying it any number of times
-// from any partial state converges.
+// ApplySplit applies a Split record at lsn, live and at redo. Each
+// affected page is handled under its own pageLSN test, so replaying it
+// any number of times from any partial state converges. The record
+// carries no cells: Right is built from Left's cells at or above Sep in
+// Left's current image, and Left then waits on disk for Right's image
+// (careful writing, paper §5; see fillFrom).
 func ApplySplit(pg *storage.Pager, s wal.Split, lsn uint64) error {
 	pageType := storage.PageLeaf
 	if s.Level > 0 {
 		pageType = storage.PageInternal
 	}
-	// Right: fresh page built from the moved cells.
-	err := withPage(pg, s.Right, lsn, func(p storage.Page) error {
-		storage.FormatPage(p, pageType, s.Right)
-		p.SetAux(s.Level)
-		for i, cell := range s.Moved {
-			if err := p.InsertCell(i, cell); err != nil {
-				return fmt.Errorf("pageops: split right insert: %w", err)
-			}
+	err := fillFrom(pg, s.Left, s.Right, lsn, func(lp, rp storage.Page) error {
+		cut, _ := kv.Search(lp, s.Sep)
+		if err := buildFrom(rp, pageType, s.Right, s.Level, lp, cut, lp.NumSlots()); err != nil {
+			return fmt.Errorf("pageops: split right insert: %w", err)
 		}
 		if s.Level == 0 {
-			p.SetNext(s.RightNext)
-			p.SetPrev(s.Left)
+			rp.SetNext(s.RightNext)
+			rp.SetPrev(s.Left)
 		}
 		return nil
 	})
@@ -117,34 +115,33 @@ func ApplySplit(pg *storage.Pager, s wal.Split, lsn uint64) error {
 	return nil
 }
 
-// ApplyRootSplit applies a RootSplit record at lsn.
+// ApplyRootSplit applies a RootSplit record at lsn: Low and High are
+// built from the root's cells below and at or above Sep, each one
+// waited on by the root (see fillFrom), then the root becomes their
+// parent.
 func ApplyRootSplit(pg *storage.Pager, s wal.RootSplit, lsn uint64) error {
 	childType := storage.PageLeaf
 	if s.Level > 0 {
 		childType = storage.PageInternal
 	}
-	build := func(id storage.PageID, cells [][]byte) error {
-		return withPage(pg, id, lsn, func(p storage.Page) error {
-			storage.FormatPage(p, childType, id)
-			p.SetAux(s.Level)
-			for i, cell := range cells {
-				if err := p.InsertCell(i, cell); err != nil {
-					return fmt.Errorf("pageops: root split child %d: %w", id, err)
-				}
-			}
-			return nil
-		})
+	err := fillFrom(pg, s.Root, s.Low, lsn, func(rp, p storage.Page) error {
+		cut, _ := kv.Search(rp, s.Sep)
+		return buildFrom(p, childType, s.Low, s.Level, rp, 0, cut)
+	})
+	if err != nil {
+		return fmt.Errorf("pageops: root split child %d: %w", s.Low, err)
 	}
-	if err := build(s.Low, s.LowCells); err != nil {
-		return err
-	}
-	if err := build(s.High, s.HiCells); err != nil {
-		return err
+	err = fillFrom(pg, s.Root, s.High, lsn, func(rp, p storage.Page) error {
+		cut, _ := kv.Search(rp, s.Sep)
+		return buildFrom(p, childType, s.High, s.Level, rp, cut, rp.NumSlots())
+	})
+	if err != nil {
+		return fmt.Errorf("pageops: root split child %d: %w", s.High, err)
 	}
 	return withPage(pg, s.Root, lsn, func(p storage.Page) error {
 		var lowMark []byte
-		if len(s.LowCells) > 0 {
-			lowMark = kv.CellKey(childType, s.LowCells[0])
+		if p.NumSlots() > 0 {
+			lowMark = append(lowMark, kv.SlotKey(p, 0)...)
 		}
 		storage.FormatPage(p, storage.PageInternal, s.Root)
 		p.SetAux(s.Level + 1)
@@ -153,6 +150,60 @@ func ApplyRootSplit(pg *storage.Pager, s wal.RootSplit, lsn uint64) error {
 		}
 		return kv.IndexInsert(p, s.Sep, s.High)
 	})
+}
+
+// fillFrom builds page to at lsn from cells of page from, under both
+// write latches, if to's pageLSN shows it still needs it, and makes from
+// wait on disk for to's image: from gives those cells away after, and
+// under careful writing its image without them never reaches disk
+// before to's image with them. So whenever to still needs building,
+// from still holds the cells — unless from's pageLSN is past lsn too,
+// which only a write that broke that order leaves: a careful-writing
+// violation, reported rather than redone from cells that are gone.
+func fillFrom(pg *storage.Pager, from, to storage.PageID, lsn uint64,
+	build func(from, to storage.Page) error) error {
+	ff, err := pg.Fix(from)
+	if err != nil {
+		return err
+	}
+	defer pg.Unfix(ff)
+	tf, err := pg.Fix(to)
+	if err != nil {
+		return err
+	}
+	defer pg.Unfix(tf)
+	ff.Lock()
+	defer ff.Unlock()
+	tf.Lock()
+	defer tf.Unlock()
+	if tf.Data().LSN() >= lsn {
+		return nil
+	}
+	if ff.Data().LSN() >= lsn {
+		return fmt.Errorf("pageops: careful-writing violation on split of %d: it reached disk before new page %d",
+			from, to)
+	}
+	if err := build(ff.Data(), tf.Data()); err != nil {
+		return err
+	}
+	tf.Data().SetLSN(lsn)
+	pg.MarkDirty(tf, lsn)
+	pg.AddWriteDep(from, to)
+	return nil
+}
+
+// buildFrom formats p as page id of the given type and level and fills
+// it with src's cells [from, to).
+func buildFrom(p storage.Page, typ storage.PageType, id storage.PageID, level uint32,
+	src storage.Page, from, to int) error {
+	storage.FormatPage(p, typ, id)
+	p.SetAux(level)
+	for i := from; i < to; i++ {
+		if err := p.InsertCell(i-from, src.Cell(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ApplyFreeChain applies a FreeChain record at lsn: unlink the entry

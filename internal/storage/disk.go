@@ -73,9 +73,17 @@ type Disk interface {
 	Write(id PageID, data []byte) error
 	// MarkFree stamps the stable image of id as a free page without
 	// charging data I/O: freeing is an allocation-bitmap update in a
-	// real system, not a page transfer. The free image carries lsn so
-	// redo can order deallocation against later reuse of the page.
+	// real system, not a page transfer. The free image carries lsn, or
+	// the stable image's own LSN if that is higher, so redo can order
+	// deallocation against later reuse of the page.
 	MarkFree(id PageID, lsn uint64)
+	// StableLSN returns the pageLSN of id's stable image without
+	// charging I/O (0 for a page never written or an image that fails
+	// its integrity check). Allocation starts a fresh page there, so a
+	// page's LSN never goes backwards across deallocation and reuse:
+	// redo can tell any image written after a logged change from one
+	// written before it.
+	StableLSN(id PageID) uint64
 	// ScanTypes reads the header type of every page without charging
 	// I/O; it is used to rebuild the free map at restart (a real system
 	// would keep an allocation bitmap; the scan stands in for reading
@@ -203,8 +211,9 @@ func (d *MemDisk) Write(id PageID, data []byte) error {
 }
 
 // MarkFree stamps the stable image of id as a free page without
-// charging data I/O. The free image carries lsn so redo can order
-// deallocation against later reuse of the page.
+// charging data I/O. The free image carries lsn (or the image's own
+// LSN, if higher) so redo can order deallocation against later reuse
+// of the page.
 func (d *MemDisk) MarkFree(id PageID, lsn uint64) {
 	if id == InvalidPage {
 		return
@@ -215,8 +224,20 @@ func (d *MemDisk) MarkFree(id PageID, lsn uint64) {
 	if d.pages[id] == nil {
 		d.pages[id] = make([]byte, d.pageSize)
 	}
+	lsn = max(lsn, Page(d.pages[id]).LSN())
 	FormatPage(d.pages[id], PageFree, id)
 	Page(d.pages[id]).SetLSN(lsn)
+}
+
+// StableLSN returns the pageLSN of id's stable image (0 if never
+// written) without charging I/O.
+func (d *MemDisk) StableLSN(id PageID) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if PageID(len(d.pages)) <= id || d.pages[id] == nil {
+		return 0
+	}
+	return Page(d.pages[id]).LSN()
 }
 
 // ScanTypes reads the header type of every page without charging I/O.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"path/filepath"
 	"testing"
 )
 
@@ -145,5 +146,45 @@ func TestSnapshotSeeks(t *testing.T) {
 	// Seeks: 3 (cold), 9 (gap), 2 (backwards); 4, 5, 10 are sequential.
 	if s.Seeks != 3 {
 		t.Errorf("seeks = %d, want 3", s.Seeks)
+	}
+}
+
+// TestStableLSNNeverGoesBackwards: on both backends a free stamp keeps
+// the higher of its LSN and the stable image's, and StableLSN reads it
+// back without charging I/O, so a page's stable LSN only grows across
+// deallocation and reuse (redo of a split tells an old incarnation
+// from a new one by it).
+func TestStableLSNNeverGoesBackwards(t *testing.T) {
+	for _, backend := range []string{"mem", "file"} {
+		var d Disk = NewDisk(MinPageSize)
+		if backend == "file" {
+			fd := openFileDisk(t, filepath.Join(t.TempDir(), "pages.db"), MinPageSize)
+			defer fd.Close()
+			d = fd
+		}
+		if got := d.StableLSN(4); got != 0 {
+			t.Errorf("%s: never-written page has stable LSN %d, want 0", backend, got)
+		}
+		img := make(Page, MinPageSize)
+		FormatPage(img, PageLeaf, 4)
+		img.SetLSN(50)
+		if err := d.Write(4, img); err != nil {
+			t.Fatal(err)
+		}
+		s0 := d.Stats().Snapshot()
+		for _, step := range []struct {
+			free, want uint64
+		}{{0, 50}, {30, 50}, {80, 80}} {
+			d.MarkFree(4, step.free)
+			if got := d.StableLSN(4); got != step.want {
+				t.Errorf("%s: MarkFree(%d) left stable LSN %d, want %d", backend, step.free, got, step.want)
+			}
+			if typ := d.ScanTypes()[4]; typ != PageFree {
+				t.Errorf("%s: MarkFree(%d) left type %v", backend, step.free, typ)
+			}
+		}
+		if s1 := d.Stats().Snapshot(); s1.Reads != s0.Reads || s1.Writes != s0.Writes {
+			t.Errorf("%s: StableLSN and MarkFree charged I/O", backend)
+		}
 	}
 }

@@ -290,8 +290,8 @@ func (d *FileDisk) buildFrame(id PageID, data []byte) []byte {
 
 // MarkFree stamps the stable image of id as a free page without
 // charging data I/O (the byte counters still see the media traffic).
-// The free image carries lsn so redo can order deallocation against
-// later reuse of the page.
+// The free image carries lsn (or the slot's own LSN, if higher) so redo
+// can order deallocation against later reuse of the page.
 func (d *FileDisk) MarkFree(id PageID, lsn uint64) {
 	if id == InvalidPage {
 		return
@@ -301,6 +301,7 @@ func (d *FileDisk) MarkFree(id PageID, lsn uint64) {
 	if d.closed {
 		return
 	}
+	lsn = max(lsn, d.stableLSNLocked(id))
 	img := make([]byte, d.pageSize)
 	FormatPage(img, PageFree, id)
 	Page(img).SetLSN(lsn)
@@ -311,6 +312,32 @@ func (d *FileDisk) MarkFree(id PageID, lsn uint64) {
 	if id >= d.extent {
 		d.extent = id + 1
 	}
+}
+
+// StableLSN returns the pageLSN of id's slot without charging I/O: 0
+// for a slot never written, or one that fails its CRC or id check (a
+// torn slot carries no LSN redo could trust).
+func (d *FileDisk) StableLSN(id PageID) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return 0
+	}
+	return d.stableLSNLocked(id)
+}
+
+func (d *FileDisk) stableLSNLocked(id PageID) uint64 {
+	if id == InvalidPage || id >= d.extent {
+		return 0
+	}
+	frame := make([]byte, d.slotSize)
+	n, err := d.f.ReadAt(frame, d.slotOff(id))
+	if (err != nil && !errors.Is(err, io.EOF)) || n < int(d.slotSize) ||
+		binary.LittleEndian.Uint32(frame[:4]) != frameCRC(frame) ||
+		PageID(binary.LittleEndian.Uint32(frame[4:8])) != id {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(frame[8:16])
 }
 
 // ScanTypes reads the header type of every page without charging I/O;

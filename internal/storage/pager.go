@@ -1,10 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,11 +122,20 @@ type Pager struct {
 	allocMu sync.Mutex
 	free    *FreeMap
 
-	// depMu guards deps. deps[p] is the set of pages that must be stable
-	// on disk before p may be flushed or deallocated (Lomet–Tuttle
-	// careful writing).
-	depMu sync.Mutex
-	deps  map[PageID]map[PageID]struct{}
+	// depMu guards the careful-write dependency graph (Lomet–Tuttle):
+	// deps[p] maps each page p waits on to the number of the image of
+	// it that must be on media before p may be flushed or deallocated;
+	// targets holds the image count of every page some page waits on;
+	// unsynced lists the target images written since the Sync that
+	// last covered them.
+	depMu    sync.Mutex
+	deps     map[PageID]map[PageID]uint64
+	targets  map[PageID]*depTarget
+	unsynced []writtenImage
+	// syncEpoch counts page-file Syncs begun. An image whose write
+	// returned while it read e is on media once a Sync that began after
+	// it (epoch e+1 or later) has returned.
+	syncEpoch atomic.Uint64
 
 	// rngMu guards retryRNG, which jitters the transient-I/O backoff;
 	// backoff runs with no pool locks held, so the RNG needs its own
@@ -172,7 +182,8 @@ func NewPager(disk Disk, capacity int, wal LogFlusher) *Pager {
 		mask:     uint64(n - 1),
 		free:     NewFreeMap(),
 		retryRNG: rand.New(rand.NewSource(0x5eed)),
-		deps:     make(map[PageID]map[PageID]struct{}),
+		deps:     make(map[PageID]map[PageID]uint64),
+		targets:  make(map[PageID]*depTarget),
 	}
 	perShard := 0
 	if capacity > 0 {
@@ -252,11 +263,13 @@ func (s *shard) remove(f *Frame) {
 
 // clockPick advances the clock hand to the next evictable frame
 // (unpinned, not mid-eviction, reference bit clear), clearing reference
-// bits as it sweeps. It returns nil when two full sweeps find nothing —
-// the caller grows the pool past capacity (the soft cap that keeps the
-// simulation robust when everything is pinned). Caller holds the shard
-// mutex.
-func (s *shard) clockPick(st *PoolStats) *Frame {
+// bits as it sweeps. The first sweep also passes over dirty frames that
+// wait on a careful-write dependency not yet on media, whose flush
+// would cost a dependency write and a Sync; the second takes them. It
+// returns nil when two full sweeps find nothing — the caller grows the
+// pool past capacity (the soft cap that keeps the simulation robust
+// when everything is pinned). Caller holds the shard mutex.
+func (p *Pager) clockPick(s *shard) *Frame {
 	if len(s.ring) == 0 {
 		return nil
 	}
@@ -264,12 +277,15 @@ func (s *shard) clockPick(st *PoolStats) *Frame {
 	for i := 0; i < steps; i++ {
 		f := s.ring[s.hand]
 		s.hand = (s.hand + 1) % len(s.ring)
-		st.EvictionScans.Add(1)
+		p.stats.EvictionScans.Add(1)
 		if f == nil || f.pin.Load() > 0 || f.evicting {
 			continue
 		}
 		if f.ref {
 			f.ref = false
+			continue
+		}
+		if i < len(s.ring) && f.dirty.Load() && len(p.openDeps(f.id)) > 0 {
 			continue
 		}
 		return f
@@ -477,7 +493,7 @@ func (p *Pager) makeRoom(sh *shard) (held, grow bool) {
 	if sh.cap <= 0 || len(sh.frames) < sh.cap {
 		return true, false
 	}
-	f := sh.clockPick(&p.stats)
+	f := p.clockPick(sh)
 	if f == nil {
 		return true, false // everything pinned: grow past capacity
 	}
@@ -514,54 +530,201 @@ func (p *Pager) makeRoom(sh *shard) (held, grow bool) {
 	return false, faulted || flushErr != nil
 }
 
+// depTarget is the careful-write state of a page other pages wait on.
+// Images are numbered in the order they are taken for writing, so an
+// edge can name the first image that carries the change it waits for.
+type depTarget struct {
+	images  uint64 // images of the page taken for writing so far
+	durable uint64 // the highest-numbered of them known to be on media
+	waiters int    // edges that point at the page
+}
+
+// writtenImage is a target image written but not yet known to be on
+// media: epoch is syncEpoch as read after its write returned.
+type writtenImage struct {
+	t     *depTarget
+	image uint64
+	epoch uint64
+}
+
 // AddWriteDep records that page must not reach disk (by flush or
-// eviction) or be deallocated before dependsOn is stable. This is the
-// careful-writing primitive: it lets MOVE log records carry only keys,
-// because the source page image cannot overtake the destination page.
+// eviction) or be stamped free before the next image of dependsOn is on
+// media. This is the careful-writing primitive (paper §5, after
+// Lomet–Tuttle): a MOVE logs only keys and a split logs no cells,
+// because the page they empty cannot overtake the page they fill. The
+// caller holds dependsOn's write latch, after the change page's image
+// will rely on, so dependsOn's next image carries it; and must have
+// called PrepareWriteDep if dependsOn may already wait on page.
 func (p *Pager) AddWriteDep(page, dependsOn PageID) {
 	p.depMu.Lock()
 	invariant.LockAcquire("storage.dep")
 	defer p.depMu.Unlock()
 	defer invariant.LockRelease("storage.dep")
-	s, ok := p.deps[page]
-	if !ok {
-		s = make(map[PageID]struct{})
+	t := p.targets[dependsOn]
+	if t == nil {
+		t = &depTarget{}
+		p.targets[dependsOn] = t
+	}
+	need := t.images + 1
+	s := p.deps[page]
+	if s == nil {
+		s = make(map[PageID]uint64)
 		p.deps[page] = s
 	}
-	s[dependsOn] = struct{}{}
-}
-
-// snapshotDeps returns page's current dependency set in ascending order
-// (deterministic flush cascades for the crash sweep).
-func (p *Pager) snapshotDeps(page PageID) []PageID {
-	p.depMu.Lock()
-	invariant.LockAcquire("storage.dep")
-	defer p.depMu.Unlock()
-	defer invariant.LockRelease("storage.dep")
-	return sortedDeps(p.deps[page])
-}
-
-// clearDep removes one satisfied dependency edge.
-func (p *Pager) clearDep(page, dep PageID) {
-	p.depMu.Lock()
-	invariant.LockAcquire("storage.dep")
-	defer p.depMu.Unlock()
-	defer invariant.LockRelease("storage.dep")
-	if s, ok := p.deps[page]; ok {
-		delete(s, dep)
-		if len(s) == 0 {
-			delete(p.deps, page)
-		}
+	if old, ok := s[dependsOn]; !ok {
+		t.waiters++
+		s[dependsOn] = need
+	} else if need > old {
+		s[dependsOn] = need
 	}
 }
 
-// hasDeps reports whether page still has unsatisfied dependencies.
-func (p *Pager) hasDeps(page PageID) bool {
+// PrepareWriteDep makes page's current image durable if dependsOn
+// already waits on page, directly or through other pages, so that the
+// edge page -> dependsOn about to be added closes no cycle. Call it
+// before changing page, holding no latch: a unit that moves a page's
+// records back into the page it was split from meets the split's edge
+// pointing the other way.
+func (p *Pager) PrepareWriteDep(page, dependsOn PageID) error {
+	if !p.reaches(dependsOn, page) {
+		return nil
+	}
+	if f := p.lookup(page); f != nil {
+		if err := p.flushFrame(f, make(map[PageID]bool)); err != nil {
+			return err
+		}
+	}
+	return p.sync()
+}
+
+// reaches reports whether from waits on to through open edges.
+func (p *Pager) reaches(from, to PageID) bool {
 	p.depMu.Lock()
 	invariant.LockAcquire("storage.dep")
 	defer p.depMu.Unlock()
 	defer invariant.LockRelease("storage.dep")
-	return len(p.deps[page]) > 0
+	if len(p.deps[from]) == 0 || p.targets[to] == nil {
+		return false
+	}
+	seen := map[PageID]bool{from: true}
+	stack := []PageID{from}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for dep, need := range p.deps[id] {
+			if p.targets[dep].durable >= need || seen[dep] {
+				continue
+			}
+			if dep == to {
+				return true
+			}
+			seen[dep] = true
+			stack = append(stack, dep)
+		}
+	}
+	return false
+}
+
+// openDeps drops page's satisfied edges and returns the pages it still
+// waits on, in ascending order (deterministic flush cascades for the
+// crash sweep).
+func (p *Pager) openDeps(page PageID) []PageID {
+	p.depMu.Lock()
+	invariant.LockAcquire("storage.dep")
+	defer p.depMu.Unlock()
+	defer invariant.LockRelease("storage.dep")
+	var open []PageID
+	for dep, need := range p.deps[page] {
+		t := p.targets[dep]
+		if t.durable < need {
+			open = append(open, dep)
+			continue
+		}
+		delete(p.deps[page], dep)
+		if t.waiters--; t.waiters == 0 {
+			delete(p.targets, dep)
+		}
+	}
+	if len(p.deps[page]) == 0 {
+		delete(p.deps, page)
+	}
+	slices.Sort(open)
+	return open
+}
+
+// depWait classifies page's open edges after their targets were
+// flushed: toSync reports one whose image is written and waits only for
+// a Sync; unwritten lists targets with no such image yet.
+func (p *Pager) depWait(page PageID) (toSync bool, unwritten []PageID) {
+	p.depMu.Lock()
+	invariant.LockAcquire("storage.dep")
+	defer p.depMu.Unlock()
+	defer invariant.LockRelease("storage.dep")
+	for dep, need := range p.deps[page] {
+		switch t := p.targets[dep]; {
+		case t.durable >= need:
+		case t.images >= need:
+			toSync = true
+		default:
+			unwritten = append(unwritten, dep)
+		}
+	}
+	return toSync, unwritten
+}
+
+// takeImage numbers the image of id about to be written, if some page
+// waits on id. The caller holds id's frame latch (or, deallocating,
+// its flushMu with the frame about to leave the pool).
+func (p *Pager) takeImage(id PageID) (*depTarget, uint64) {
+	p.depMu.Lock()
+	invariant.LockAcquire("storage.dep")
+	defer p.depMu.Unlock()
+	defer invariant.LockRelease("storage.dep")
+	t := p.targets[id]
+	if t == nil {
+		return nil, 0
+	}
+	t.images++
+	return t, t.images
+}
+
+// wrote records that a numbered image's write returned; the next Sync
+// to begin makes it durable.
+func (p *Pager) wrote(t *depTarget, image uint64) {
+	if t == nil {
+		return
+	}
+	epoch := p.syncEpoch.Load()
+	p.depMu.Lock()
+	invariant.LockAcquire("storage.dep")
+	p.unsynced = append(p.unsynced, writtenImage{t: t, image: image, epoch: epoch})
+	invariant.LockRelease("storage.dep")
+	p.depMu.Unlock()
+}
+
+// sync forces the page file to media and marks durable every target
+// image whose write returned before it began: one Sync is the barrier
+// for every dependency written ahead of it, whoever wrote it.
+func (p *Pager) sync() error {
+	epoch := p.syncEpoch.Add(1)
+	if err := p.disk.Sync(); err != nil {
+		return err
+	}
+	p.depMu.Lock()
+	invariant.LockAcquire("storage.dep")
+	defer p.depMu.Unlock()
+	defer invariant.LockRelease("storage.dep")
+	kept := p.unsynced[:0]
+	for _, w := range p.unsynced {
+		if w.epoch >= epoch {
+			kept = append(kept, w)
+		} else if w.image > w.t.durable {
+			w.t.durable = w.image
+		}
+	}
+	clear(p.unsynced[len(kept):])
+	p.unsynced = kept
+	return nil
 }
 
 // flushFrame writes the frame to disk, first flushing (in dependency
@@ -604,7 +767,7 @@ func (p *Pager) flushFrame(f *Frame, visiting map[PageID]bool) error {
 	// needs it, so one that arrived after flushDeps is seen here and
 	// flushed before the image is taken.
 	f.RLock()
-	for p.hasDeps(f.id) {
+	for len(p.openDeps(f.id)) > 0 {
 		f.RUnlock()
 		if err := p.flushDeps(f.id, visiting); err != nil {
 			return err
@@ -613,6 +776,7 @@ func (p *Pager) flushFrame(f *Frame, visiting map[PageID]bool) error {
 	}
 	lsn := f.data.LSN()
 	img := append([]byte(nil), f.data...)
+	target, image := p.takeImage(f.id)
 	f.dirty.Store(false)
 	f.RUnlock()
 
@@ -635,54 +799,57 @@ func (p *Pager) flushFrame(f *Frame, visiting map[PageID]bool) error {
 		f.dirty.Store(true)
 		return err
 	}
+	p.wrote(target, image)
 	return nil
 }
 
-// flushDeps flushes, in dependency order, every page that page id
-// carefully depends on, until none remain: a dependency registered while
-// the previous batch was flushing is picked up by the re-check. Called
-// with id's flushMu held.
+// flushDeps writes every page that page id waits on, directly or
+// through other pages, in flushOrder, and Syncs when an image id waits
+// on is written but not yet covered, until id waits on nothing: an edge
+// registered while the previous batch was flushing is picked up by the
+// re-check, and a target another flusher already wrote and synced costs
+// nothing. Called with id's flushMu held (or, deallocating, with
+// id out of every writer's reach).
 func (p *Pager) flushDeps(id PageID, visiting map[PageID]bool) error {
-	depsFlushed := false
 	for {
-		deps := p.snapshotDeps(id)
-		for _, dep := range deps {
-			df := p.lookup(dep)
-			if df != nil && df.dirty.Load() {
+		open := p.openDeps(id)
+		if len(open) == 0 {
+			return nil
+		}
+		for _, dep := range p.flushOrder(open) {
+			if df := p.lookup(dep); df != nil {
 				if err := p.flushFrame(df, visiting); err != nil {
 					return err
 				}
-				depsFlushed = true
 			}
-			p.clearDep(id, dep)
 		}
-		if !p.hasDeps(id) {
-			break
+		toSync, unwritten := p.depWait(id)
+		for _, dep := range unwritten {
+			// Only an edge registered since names a target not yet
+			// written, and its target is dirty: the next pass writes
+			// it. AddWriteDep runs under the target's latch with its
+			// change, a flush numbers the image before it clears the
+			// dirty bit, eviction writes a frame before it leaves the
+			// pool and Deallocate numbers the free stamp before: a
+			// target found clean or gone and still unwritten after
+			// that would never be written.
+			if df := p.lookup(dep); df != nil && df.dirty.Load() {
+				continue
+			}
+			if _, still := p.depWait(id); slices.Contains(still, dep) {
+				return fmt.Errorf("storage: page %d waits on an image of page %d that is never written", id, dep)
+			}
+		}
+		if toSync {
+			// Careful-write barrier: the OS may reorder file writes
+			// across a power failure, so the dependency images must be
+			// forced to media before this page's image may land (no-op
+			// on the in-memory backend, where Write is already stable).
+			if err := p.sync(); err != nil {
+				return err
+			}
 		}
 	}
-	if depsFlushed {
-		// Careful-write barrier: the OS may reorder file writes across a
-		// power failure, so the dependency images must be forced to media
-		// before this page's image may land (no-op on the in-memory
-		// backend, where Write is already stable).
-		return p.disk.Sync()
-	}
-	return nil
-}
-
-// sortedDeps returns the dependency set in ascending page-id order so
-// flush cascades hit fault points in a reproducible sequence (Go map
-// iteration order would break sweep determinism).
-func sortedDeps(set map[PageID]struct{}) []PageID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]PageID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // FlushPage forces page id (and its careful-write dependencies) to
@@ -696,10 +863,14 @@ func (p *Pager) FlushPage(id PageID) error {
 	return p.flushFrame(f, make(map[PageID]bool))
 }
 
-// FlushAll forces every dirty frame to disk (checkpoint support),
+// FlushAll forces every dirty frame to media (checkpoint support),
 // including the frame of every page change that was logged before the
-// call, even if its writer has yet to mark it dirty. Frames are flushed
-// in ascending page-id order for determinism.
+// call, even if its writer has yet to mark it dirty. It writes in
+// flushOrder — a page after everything it waits on — so the flushes
+// share one Sync per level of the dependency chains instead of one per
+// dependent page, and ends with one Sync whenever it wrote a page: a
+// checkpoint truncates the log behind the pages it flushed, so they
+// must be on media, not only written.
 func (p *Pager) FlushAll() error {
 	var ids []PageID
 	for _, sh := range p.shards {
@@ -713,8 +884,8 @@ func (p *Pager) FlushAll() error {
 		}
 		sh.unlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	wrote := false
+	for _, id := range p.flushOrder(ids) {
 		f := p.lookup(id)
 		if f == nil {
 			continue
@@ -733,8 +904,59 @@ func (p *Pager) FlushAll() error {
 		if err := p.flushFrame(f, make(map[PageID]bool)); err != nil {
 			return err
 		}
+		wrote = true
 	}
-	return nil
+	if !wrote {
+		return nil
+	}
+	return p.sync()
+}
+
+// flushOrder returns ids and every page they wait on through open
+// edges, each after everything it waits on (by the length of the
+// longest chain of open edges that starts at it, then by page id, so
+// the order is deterministic). Written in this order, the pages of one
+// level share a Sync — the first of the next level to be flushed finds
+// its targets written and syncs once for all of them — so a dependency
+// graph costs one Sync per level, not one per page that waits. A run of
+// splits in which each new page splits again before a flush makes a
+// chain as long as the run, and each of its links is a barrier of its
+// own.
+func (p *Pager) flushOrder(ids []PageID) []PageID {
+	p.depMu.Lock()
+	invariant.LockAcquire("storage.dep")
+	defer p.depMu.Unlock()
+	defer invariant.LockRelease("storage.dep")
+	level := make(map[PageID]int, len(ids))
+	var depth func(id PageID) int
+	depth = func(id PageID) int {
+		if l, ok := level[id]; ok {
+			return l
+		}
+		level[id] = 0 // a cycle ends here; flushFrame reports it
+		l := 0
+		for dep, need := range p.deps[id] {
+			if p.targets[dep].durable < need {
+				l = max(l, depth(dep)+1)
+			}
+		}
+		level[id] = l
+		return l
+	}
+	for _, id := range ids {
+		depth(id)
+	}
+	order := make([]PageID, 0, len(level))
+	for id := range level {
+		order = append(order, id)
+	}
+	slices.SortFunc(order, func(a, b PageID) int {
+		if c := cmp.Compare(level[a], level[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }
 
 // Close verifies the pool is quiescent (every pin taken must have been
@@ -763,7 +985,7 @@ func (p *Pager) Close() error {
 		for id := range leaked {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		pinErr = fmt.Errorf("storage: close with leaked pins on pages %v", ids)
 	}
 	return errors.Join(pinErr, p.disk.Sync(), p.disk.Close())
@@ -825,7 +1047,11 @@ func (p *Pager) AllocateAt(id PageID, typ PageType) (*Frame, error) {
 	return p.fixFresh(id, typ)
 }
 
+// fixFresh returns a pinned, dirty frame for the just-allocated page
+// id, formatted as typ and stamped with its stable image's LSN (see
+// Disk.StableLSN).
 func (p *Pager) fixFresh(id PageID, typ PageType) (*Frame, error) {
+	lsn := p.disk.StableLSN(id)
 	sh := p.shardFor(id)
 	grow := false
 	for {
@@ -842,7 +1068,9 @@ func (p *Pager) fixFresh(id PageID, typ PageType) (*Frame, error) {
 			f.ref = true
 			sh.unlock()
 			f.Lock()
+			lsn = max(lsn, f.data.LSN())
 			FormatPage(f.data, typ, id)
+			f.data.SetLSN(lsn)
 			f.Unlock()
 			f.dirty.Store(true)
 			return f, nil
@@ -859,6 +1087,7 @@ func (p *Pager) fixFresh(id PageID, typ PageType) (*Frame, error) {
 		p.pins.Inc(uint64(id))
 		f.dirty.Store(true)
 		FormatPage(f.data, typ, id)
+		f.data.SetLSN(lsn)
 		sh.insert(f)
 		sh.unlock()
 		return f, nil
@@ -870,7 +1099,8 @@ func (p *Pager) fixFresh(id PageID, typ PageType) (*Frame, error) {
 // flushes the page's dependencies before dropping it; the WAL rule
 // requires the log record covering the deallocation (lsn) to be
 // durable before the stable image is stamped free, or a crash could
-// leave an unredoable pointer to a wiped page. Pass lsn 0 for
+// leave an unredoable pointer to a wiped page. The free stamp is the
+// page's next image for any page that waits on it. Pass lsn 0 for
 // unlogged use.
 func (p *Pager) Deallocate(id PageID, lsn uint64) error {
 	sh := p.shardFor(id)
@@ -883,21 +1113,11 @@ func (p *Pager) Deallocate(id PageID, lsn uint64) error {
 	sh.unlock()
 
 	// Flush the pages this one depends on (its copied-out contents).
-	depsFlushed := false
-	for _, dep := range p.snapshotDeps(id) {
-		df := p.lookup(dep)
-		if df != nil && df.dirty.Load() {
-			if err := p.flushFrame(df, make(map[PageID]bool)); err != nil {
-				return err
-			}
-			depsFlushed = true
-		}
-		p.clearDep(id, dep)
+	if err := p.flushDeps(id, make(map[PageID]bool)); err != nil {
+		return err
 	}
-	if depsFlushed {
-		// Careful-write barrier: the copied-out contents must be on media
-		// before the stable image is stamped free.
-		if err := p.disk.Sync(); err != nil {
+	if p.wal != nil && lsn != 0 {
+		if err := p.wal.FlushTo(lsn); err != nil {
 			return err
 		}
 	}
@@ -905,31 +1125,33 @@ func (p *Pager) Deallocate(id PageID, lsn uint64) error {
 	if f != nil {
 		// flushMu fences any in-flight flush of the old image: once we
 		// hold it and the frame is out of the table, a late flusher's
-		// residency re-check makes its write a no-op.
+		// residency re-check makes its write a no-op. The frame leaves
+		// the table only after the free stamp is written, so a page
+		// waiting on this one either finds the frame (and waits on
+		// flushMu) or finds the stamp's image recorded.
 		f.flushMu.Lock()
+		defer f.flushMu.Unlock()
 		sh.lock(&p.stats)
-		if sh.frames[id] == f {
-			if f.pin.Load() > 0 {
-				sh.unlock()
-				f.flushMu.Unlock()
-				return fmt.Errorf("storage: deallocate of pinned page %d", id)
-			}
-			sh.remove(f)
+		if sh.frames[id] == f && f.pin.Load() > 0 {
+			sh.unlock()
+			return fmt.Errorf("storage: deallocate of pinned page %d", id)
 		}
 		sh.unlock()
-		f.flushMu.Unlock()
-	}
-
-	if p.wal != nil && lsn != 0 {
-		if err := p.wal.FlushTo(lsn); err != nil {
-			return err
-		}
 	}
 	// Stamp the stable image as free (so restart scans rebuild the map)
 	// BEFORE releasing the id for reuse: once Free(id) runs, a
 	// concurrent Allocate may hand the id out and flush a fresh image,
 	// which a late MarkFree must not overwrite.
+	target, image := p.takeImage(id)
 	p.disk.MarkFree(id, lsn)
+	p.wrote(target, image)
+	if f != nil {
+		sh.lock(&p.stats)
+		if sh.frames[id] == f {
+			sh.remove(f)
+		}
+		sh.unlock()
+	}
 
 	p.allocMu.Lock()
 	invariant.LockAcquire("storage.alloc")
@@ -953,7 +1175,9 @@ func (p *Pager) Crash() {
 	}
 	p.depMu.Lock()
 	invariant.LockAcquire("storage.dep")
-	p.deps = make(map[PageID]map[PageID]struct{})
+	p.deps = make(map[PageID]map[PageID]uint64)
+	p.targets = make(map[PageID]*depTarget)
+	p.unsynced = nil
 	invariant.LockRelease("storage.dep")
 	p.depMu.Unlock()
 	p.allocMu.Lock()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -367,5 +368,228 @@ func TestFixInvalidPage(t *testing.T) {
 	p := NewPager(NewDisk(MinPageSize), 0, nil)
 	if _, err := p.Fix(InvalidPage); err == nil {
 		t.Error("Fix(0) should fail")
+	}
+}
+
+// depPair allocates a dirty page and a page that waits on it, as a
+// split leaves them, and returns their ids unpinned.
+func depPair(t *testing.T, p *Pager) (page, target PageID) {
+	t.Helper()
+	tf, err := p.Allocate(PageLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := p.Allocate(PageLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MarkDirty(tf, 1)
+	p.MarkDirty(pf, 1)
+	p.AddWriteDep(pf.ID(), tf.ID())
+	p.Unfix(tf)
+	p.Unfix(pf)
+	return pf.ID(), tf.ID()
+}
+
+func filePager(t *testing.T) (*Pager, *FileDisk) {
+	t.Helper()
+	d := openFileDisk(t, filepath.Join(t.TempDir(), "pages.db"), MinPageSize)
+	t.Cleanup(func() { d.Close() })
+	return NewPager(d, 0, nil), d
+}
+
+// TestFlushAllSyncsOncePerRound: FlushAll writes every target in one
+// round and every page waiting on them in the next, one Sync after each
+// round, however many dependencies there are — and its last Sync is what
+// makes a checkpoint's pages durable.
+func TestFlushAllSyncsOncePerRound(t *testing.T) {
+	p, d := filePager(t)
+	var pairs [][2]PageID
+	for i := 0; i < 4; i++ {
+		page, target := depPair(t, p)
+		pairs = append(pairs, [2]PageID{page, target})
+	}
+	s0 := d.Stats().Snapshot()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	s1 := d.Stats().Snapshot()
+	if w := s1.Writes - s0.Writes; w != 8 {
+		t.Errorf("FlushAll wrote %d pages, want 8", w)
+	}
+	if n := s1.Fsyncs - s0.Fsyncs; n != 2 {
+		t.Errorf("FlushAll synced %d times for 4 dependencies, want 2 (one per round)", n)
+	}
+	for _, pr := range pairs {
+		if d.StableLSN(pr[1]) != 1 {
+			t.Errorf("target %d not written", pr[1])
+		}
+	}
+
+	// A run of splits, each new page split again before a flush, leaves
+	// a chain: every link is a barrier of its own, one round each.
+	var chain []PageID
+	for i := 0; i < 5; i++ {
+		f, err := p.Allocate(PageLeaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.MarkDirty(f, 2)
+		chain = append(chain, f.ID())
+		p.Unfix(f)
+	}
+	for i := 0; i+1 < len(chain); i++ {
+		p.AddWriteDep(chain[i], chain[i+1])
+	}
+	s0 = d.Stats().Snapshot()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Stats().Snapshot().Fsyncs - s0.Fsyncs; n != int64(len(chain)) {
+		t.Errorf("FlushAll synced %d times for a chain of %d pages, want one per page", n, len(chain))
+	}
+}
+
+// TestWrittenTargetStillSynced: a target written (by an eviction, say)
+// but not yet synced is not durable; the page waiting on it syncs before
+// it is written, and a target synced since costs nothing more.
+func TestWrittenTargetStillSynced(t *testing.T) {
+	p, d := filePager(t)
+	page, target := depPair(t, p)
+	if err := p.FlushPage(target); err != nil {
+		t.Fatal(err)
+	}
+	s0 := d.Stats().Snapshot()
+	if err := p.FlushPage(page); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Stats().Snapshot().Fsyncs - s0.Fsyncs; n != 1 {
+		t.Errorf("flushing a page whose target was written but not synced synced %d times, want 1", n)
+	}
+
+	page, target = depPair(t, p)
+	if err := p.FlushPage(target); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.sync(); err != nil {
+		t.Fatal(err)
+	}
+	s0 = d.Stats().Snapshot()
+	if err := p.FlushPage(page); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Stats().Snapshot().Fsyncs - s0.Fsyncs; n != 0 {
+		t.Errorf("flushing a page whose target is already durable synced %d times, want 0", n)
+	}
+}
+
+// TestPrepareWriteDepBreaksCycle: a page about to wait on a page that
+// already waits on it (a unit moving a split's new page back into the
+// old one) is written and synced first, so no dependency cycle forms.
+func TestPrepareWriteDepBreaksCycle(t *testing.T) {
+	p, d := filePager(t)
+	old, fresh := depPair(t, p)
+	// Without the preparation the reverse edge closes a cycle.
+	p.AddWriteDep(fresh, old)
+	if err := p.FlushPage(old); err == nil {
+		t.Fatal("a dependency cycle flushed without error")
+	}
+
+	p, d = filePager(t)
+	old, fresh = depPair(t, p)
+	if err := p.PrepareWriteDep(fresh, old); err != nil {
+		t.Fatal(err)
+	}
+	if d.StableLSN(fresh) != 1 {
+		t.Fatal("PrepareWriteDep did not write the page about to wait")
+	}
+	f, err := p.Fix(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Lock()
+	p.MarkDirty(f, 2)
+	p.AddWriteDep(fresh, old)
+	f.Unlock()
+	p.Unfix(f)
+	if err := p.FlushAll(); err != nil {
+		t.Fatalf("FlushAll after PrepareWriteDep: %v", err)
+	}
+	// A pair with no edge between them needs no preparation.
+	s0 := d.Stats().Snapshot()
+	if err := p.PrepareWriteDep(old, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if s1 := d.Stats().Snapshot(); s1.Writes != s0.Writes || s1.Fsyncs != s0.Fsyncs {
+		t.Error("PrepareWriteDep wrote or synced with no cycle to break")
+	}
+}
+
+// TestClockPassesOverWaitingVictims: CLOCK's first sweep passes over a
+// dirty frame that waits on an image not yet on media and takes the
+// next frame instead.
+func TestClockPassesOverWaitingVictims(t *testing.T) {
+	p := NewPager(NewDisk(MinPageSize), 4, nil)
+	if p.ShardCount() != 1 {
+		t.Fatalf("%d shards, want 1", p.ShardCount())
+	}
+	waiting, target := depPair(t, p) // slots 1 and 0
+	var others []PageID
+	for i := 0; i < 2; i++ {
+		f, err := p.Allocate(PageLeaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, f.ID())
+		p.Unfix(f)
+	}
+	// The first eviction clears every reference bit and takes the
+	// target (slot 0), writing it without a Sync.
+	f, err := p.Allocate(PageLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unfix(f)
+	if p.lookup(target) != nil {
+		t.Fatal("first eviction did not take the target")
+	}
+	// The hand now points at the waiting page: the next eviction
+	// passes over it.
+	f, err = p.Allocate(PageLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unfix(f)
+	if p.lookup(waiting) == nil {
+		t.Error("CLOCK evicted the page that waits on an unsynced image")
+	}
+	if p.lookup(others[0]) != nil {
+		t.Errorf("CLOCK kept page %d and evicted another", others[0])
+	}
+}
+
+// TestFreshPageStartsAtStableLSN: a page allocated again starts at the
+// LSN of its free stamp, not at 0, so an image of it flushed before its
+// first logged change still reads as newer than anything logged against
+// its earlier incarnation.
+func TestFreshPageStartsAtStableLSN(t *testing.T) {
+	p := NewPager(NewDisk(MinPageSize), 0, nil)
+	f, err := p.Allocate(PageLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID()
+	p.Unfix(f)
+	if err := p.Deallocate(id, 40); err != nil {
+		t.Fatal(err)
+	}
+	f, err = p.Allocate(PageInternal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Unfix(f)
+	if f.ID() != id || f.Data().LSN() != 40 || f.Data().Type() != PageInternal {
+		t.Errorf("reallocated page %d: LSN %d type %v, want page %d at LSN 40",
+			f.ID(), f.Data().LSN(), f.Data().Type(), id)
 	}
 }

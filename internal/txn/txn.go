@@ -53,6 +53,10 @@ type Txn struct {
 	// update record; Commit still owes the log force and the lock
 	// release.
 	inRecord bool
+	// deferred is set when work waits for the transaction's end (the
+	// tree's free-at-empty, run at commit); only the owning goroutine
+	// touches it.
+	deferred bool
 }
 
 // Undoer applies the compensating operation for one logged update,
@@ -254,6 +258,12 @@ func (t *Txn) MarkSingleRecord() { t.single = true }
 // the transaction is marked single-record and has logged nothing. Only
 // the owning goroutine writes the fields it reads.
 func (t *Txn) OneShot() bool { return t.single && t.lastLSN == 0 }
+
+// MarkDeferred records that work waits for the transaction's end;
+// Deferred reports it, so a transaction that deferred nothing — every
+// Get, nearly every write — skips the lookup at commit.
+func (t *Txn) MarkDeferred()  { t.deferred = true }
+func (t *Txn) Deferred() bool { return t.deferred }
 
 // LogCommitted appends u as a committed update — the whole transaction
 // in one redo-only record, without PrevLSN or before-image — and returns

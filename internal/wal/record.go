@@ -281,15 +281,17 @@ type SwitchRoot struct {
 // Split is a logically-atomic structure modification: one record
 // describes the whole page split so recovery can redo each affected
 // page independently (per-page pageLSN tests) with no partial-SMO
-// states. Left keeps keys < Sep; Right receives Moved (full cells).
-// For leaf splits (Level 0) the side pointers are rewired; Base
-// receives the (Sep -> Right) entry.
+// states. Left keeps keys < Sep; Right receives Left's cells at or
+// above Sep. The record carries no cells: under careful writing (§5)
+// Left's truncated image cannot reach disk before Right's, so Right is
+// always rebuilt from Left's current image. For leaf splits (Level 0)
+// the side pointers are rewired; Base receives the (Sep -> Right)
+// entry.
 type Split struct {
 	Left      storage.PageID
 	Right     storage.PageID
 	Level     uint32
 	Sep       []byte
-	Moved     [][]byte
 	RightNext storage.PageID // old Left.next
 	NextPage  storage.PageID // page whose Prev becomes Right (0 if none)
 	Base      storage.PageID // parent receiving the new entry
@@ -304,15 +306,14 @@ type Split struct {
 // RootSplit grows the tree one level while keeping the root's page id
 // (the anchor's root pointer changes only at the pass-3 switch). The
 // root's current cells are divided at Sep into new pages Low and High
-// and the root becomes their parent.
+// and the root becomes their parent. Like Split it carries no cells:
+// the root's rewritten image waits on disk for Low's and High's.
 type RootSplit struct {
-	Root     storage.PageID
-	Low      storage.PageID
-	High     storage.PageID
-	Level    uint32 // level of Low/High (root becomes Level+1)
-	Sep      []byte
-	LowCells [][]byte // full cells for Low (keys < Sep)
-	HiCells  [][]byte // full cells for High
+	Root  storage.PageID
+	Low   storage.PageID
+	High  storage.PageID
+	Level uint32 // level of Low/High (root becomes Level+1)
+	Sep   []byte
 }
 
 // FreeChain is the free-at-empty structure modification [JS93]: an
@@ -402,7 +403,7 @@ func (u Update) recordType() Type {
 	return TUpdate
 }
 
-// --- encoding (log format 4) ---
+// --- encoding (log format 5) ---
 //
 // A record is its type byte followed by its fields in declaration order
 // (a Committed update leaves out PrevLSN and OldVal, and its flag is its
@@ -685,11 +686,11 @@ func appendRecord(dst []byte, r Record) []byte {
 			uv(v.NextTxnID).uv(v.RedoLSN)
 	case Split:
 		e = e.u8(uint8(TSplit)).page(v.Left).page(v.Right).uv(uint64(v.Level)).
-			bytes(v.Sep).list(v.Moved).page(v.RightNext).page(v.NextPage).page(v.Base).
+			bytes(v.Sep).page(v.RightNext).page(v.NextPage).page(v.Base).
 			bytes(v.BaseOldKey).bytes(v.BaseNewKey)
 	case RootSplit:
 		e = e.u8(uint8(TRootSplit)).page(v.Root).page(v.Low).page(v.High).
-			uv(uint64(v.Level)).bytes(v.Sep).list(v.LowCells).list(v.HiCells)
+			uv(uint64(v.Level)).bytes(v.Sep)
 	case PageImages:
 		e = e.u8(uint8(TPageImages)).pages(v.Pages).list(v.Images).pages(v.Dealloc)
 	case FreeChain:
@@ -784,13 +785,12 @@ func Decode(b []byte) (Record, error) {
 		r = c
 	case TSplit:
 		r = Split{Left: d.page(), Right: d.page(), Level: d.u32(),
-			Sep: d.bytesv(), Moved: d.list(), RightNext: d.page(),
+			Sep: d.bytesv(), RightNext: d.page(),
 			NextPage: d.page(), Base: d.page(), BaseOldKey: d.bytesv(),
 			BaseNewKey: d.bytesv()}
 	case TRootSplit:
 		r = RootSplit{Root: d.page(), Low: d.page(), High: d.page(),
-			Level: d.u32(), Sep: d.bytesv(), LowCells: d.list(),
-			HiCells: d.list()}
+			Level: d.u32(), Sep: d.bytesv()}
 	case TFreeChain:
 		r = FreeChain{Survivor: d.page(), EntryKey: d.bytesv(),
 			Dealloc: d.pagesv(), Leaf: d.page(), PrevLeaf: d.page(),

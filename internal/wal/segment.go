@@ -24,6 +24,18 @@ import (
 // and replaying past it could apply garbage, so recovery refuses.
 var ErrWALCorrupt = errors.New("wal: corrupt log record (mid-stream)")
 
+// VersionError refuses a segment written in a log format this build
+// does not read (an older build's log must be recovered by that build).
+type VersionError struct {
+	Segment string // file name of the refused segment
+	Version uint32 // format version its header names
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("wal: scan %s: segment version %d unsupported (this build reads %d)",
+		e.Segment, e.Version, segVersion)
+}
+
 // castagnoli is the CRC32C table for WAL record frames (same
 // polynomial as the page-frame checksums in internal/storage).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -34,9 +46,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 //	off  size  field
 //	  0     8  magic "RBTWSEG1"
-//	  8     4  format version (little-endian, currently 4: records are
-//	           varint- and front-coded and a transaction has no begin
-//	           record, see Encode; older versions are refused)
+//	  8     4  format version (little-endian, currently 5: records are
+//	           varint- and front-coded, a transaction has no begin
+//	           record and a split logs no cells, see Encode; older
+//	           versions are refused with a *VersionError)
 //	 12     4  reserved (zero)
 //	 16     8  firstLSN — LSN of the first record in this segment
 //	 24     8  creation time (unix nanoseconds)
@@ -65,7 +78,7 @@ const (
 	segHeaderSize = 32
 	recFrameSize  = 9
 	segMagic      = "RBTWSEG1"
-	segVersion    = 4
+	segVersion    = 5
 	segSuffix     = ".wal"
 
 	recFull   = 1
@@ -411,7 +424,7 @@ func scanSegment(path string, last bool) (segmentInfo, scanResult, error) {
 		return info, res, fmt.Errorf("wal: scan %s: bad segment header: %w", filepath.Base(path), ErrWALCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != segVersion {
-		return info, res, fmt.Errorf("wal: scan %s: segment version %d unsupported", filepath.Base(path), v)
+		return info, res, &VersionError{Segment: filepath.Base(path), Version: v}
 	}
 	info.name = filepath.Base(path)
 	info.firstLSN = binary.LittleEndian.Uint64(data[16:])

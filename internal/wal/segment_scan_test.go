@@ -270,11 +270,12 @@ func TestSegmentNonFinalDamageRefuses(t *testing.T) {
 }
 
 // TestSegmentOldVersionRefuses opens directories whose segment says
-// format version 2 (fixed-width record fields) or 3 (a begin record per
-// transaction, whose type byte format 4 reads as retired): the header
-// check refuses them rather than misread a record.
+// format version 2 (fixed-width record fields), 3 (a begin record per
+// transaction) or 4 (splits that log their moved cells, which format 5
+// would misread): the header check refuses them with a *VersionError
+// rather than misread a record.
 func TestSegmentOldVersionRefuses(t *testing.T) {
-	for _, version := range []uint32{2, 3} {
+	for _, version := range []uint32{2, 3, 4} {
 		dir := t.TempDir()
 		l := openSeg(t, dir, SegmentOptions{})
 		l.Append(Checkpoint{NextTxnID: 3, RedoLSN: 1})
@@ -291,9 +292,13 @@ func TestSegmentOldVersionRefuses(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = OpenSegmentedLog(dir, SegmentOptions{})
+		var verr *VersionError
+		if !errors.As(err, &verr) || verr.Version != version {
+			t.Fatalf("open over a version-%d segment = %v, want a *VersionError", version, err)
+		}
 		want := fmt.Sprintf("segment version %d unsupported", version)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("open over a version-%d segment = %v, want the version error", version, err)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("open over a version-%d segment = %v, want %q in it", version, err, want)
 		}
 	}
 }

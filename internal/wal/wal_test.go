@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/kv"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -53,11 +52,9 @@ func allRecordSamples() []Record {
 				LastLSN: 140, HasLK: true, LK: []byte("kk")},
 			NextTxnID: 12, RedoLSN: 90,
 		},
-		Split{Left: 5, Right: 6, Level: 0, Sep: []byte("m"),
-			Moved: [][]byte{[]byte("cell1"), []byte("cell2")}, RightNext: 9,
+		Split{Left: 5, Right: 6, Level: 0, Sep: []byte("m"), RightNext: 9,
 			NextPage: 9, Base: 4, BaseOldKey: []byte("zz"), BaseNewKey: []byte("a")},
-		RootSplit{Root: 2, Low: 10, High: 11, Level: 1, Sep: []byte("m"),
-			LowCells: [][]byte{[]byte("a")}, HiCells: [][]byte{[]byte("z")}},
+		RootSplit{Root: 2, Low: 10, High: 11, Level: 1, Sep: []byte("m")},
 		FreeChain{Survivor: 2, EntryKey: []byte("k"), Dealloc: []storage.PageID{7, 8},
 			Leaf: 8, PrevLeaf: 6, NextLeaf: 9},
 		PageImages{Pages: []storage.PageID{7, 8},
@@ -433,7 +430,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 	}
 	for _, edge := range frontCodingEdges {
 		roundTrip(ReorgMove{Unit: 1, Full: true, Records: edge})
-		roundTrip(RootSplit{LowCells: edge, HiCells: edge})
+		roundTrip(ReorgMove{Unit: 1, Records: edge})
 	}
 	f := func(seed int64) bool {
 		g := recordGen{rand.New(rand.NewSource(seed))}
@@ -492,13 +489,9 @@ func FuzzDecode(f *testing.F) {
 // wal_bytes_per_op. The log adds a 4-byte length to each payload.
 func TestEncodedSizes(t *testing.T) {
 	key, val := workload.Key(123456), workload.Value(123456, 48)
-	var keys, cells [][]byte
+	var keys [][]byte
 	for i := 0; i < 10; i++ {
 		keys = append(keys, workload.Key(1000+i))
-	}
-	for i := 0; i < 28; i++ {
-		k := 4 * (4000 + i) // a leaf of a tree loaded at stride 4
-		cells = append(cells, kv.EncodeLeafCell(workload.Key(k), workload.Value(k, 48)))
 	}
 	for _, tc := range []struct {
 		name string
@@ -518,8 +511,10 @@ func TestEncodedSizes(t *testing.T) {
 			Key: key, Committed: true}, 21},
 		{"keys-only move of ten keys", ReorgMove{Unit: 1000, PrevLSN: 1 << 27, Org: 5000, Dest: 5001,
 			Records: keys}, 54},
-		{"28-cell leaf split", Split{Left: 5000, Right: 5001, Sep: workload.Key(4 * 4000),
-			Moved: cells, RightNext: 5002, NextPage: 5002, Base: 40}, 1479},
+		// A split logs no cells (format 5): the 28 moved cells of a leaf
+		// of a tree loaded at stride 4 made this record 1 479 bytes.
+		{"leaf split", Split{Left: 5000, Right: 5001, Sep: workload.Key(4 * 4000),
+			RightNext: 5002, NextPage: 5002, Base: 40}, 26},
 	} {
 		if got := len(Encode(tc.r)); got != tc.want {
 			t.Errorf("%s: %d bytes, want %d", tc.name, got, tc.want)
