@@ -206,6 +206,9 @@ func dumpMetrics(db *repro.DB) {
 		occ.Free.FreeRuns, occ.Free.LargestFreeRun)
 
 	fmt.Printf("\nruntime mutex wait: %d ns in total\n", snap.Counters[metrics.RuntimeMutexWaitNs])
+	fmt.Printf("reorganizer walk retries: pass 1 %d, pass 2 %d, pass 3 %d\n",
+		snap.Counters[metrics.Pass1WalkRetries], snap.Counters[metrics.Pass2WalkRetries],
+		snap.Counters[metrics.Pass3WalkRetries])
 
 	wa := snap.WriteAmp
 	fmt.Printf("\nwrite amplification: logical %d B, WAL %d B (%.2fx), pages %d B (%.2fx), total %.2fx\n",

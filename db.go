@@ -187,6 +187,10 @@ type DB struct {
 	ckptAuto    atomic.Int64
 	ckptFailed  atomic.Int64
 
+	// walkRetries sums the reorganizer's walk retries by pass over every
+	// reorganization and increment this database ran.
+	walkRetries [len(metrics.WalkRetries)]atomic.Int64
+
 	// Autonomous reorganization daemon (nil when Options.Daemon unset).
 	daemon *daemon.Daemon
 
@@ -652,6 +656,9 @@ func (db *DB) runReorg(r *core.Reorganizer, run func() error) error {
 		defer db.releaseReorg()
 		return run()
 	}()
+	for i, name := range metrics.WalkRetries {
+		db.walkRetries[i].Add(r.Metrics().Get(name))
+	}
 	db.maybeCheckpoint()
 	return err
 }
@@ -932,9 +939,10 @@ func (db *DB) LockStats() *lock.Stats { return db.locks.Stats() }
 // PerfCounters snapshots the concurrent-hot-path counters: buffer-pool
 // shard traffic (hits, misses, CLOCK eviction work, shard-mutex
 // contention), WAL group-commit effectiveness (forced writes performed
-// vs. saved, batch volume) and the lock manager's trips through its
-// mutex. Every source but lock.trips is an atomic; lock.trips is read
-// under the lock manager's mutex, one short acquisition per snapshot.
+// vs. saved, batch volume), the lock manager's trips through its mutex
+// and the reorganizer's walk retries by pass. Every source but
+// lock.trips is an atomic; lock.trips is read under the lock manager's
+// mutex, one short acquisition per snapshot.
 func (db *DB) PerfCounters() *metrics.Counters {
 	c := metrics.New()
 	ps := db.pager.Stats()
@@ -964,6 +972,9 @@ func (db *DB) PerfCounters() *metrics.Counters {
 	c.Add(metrics.CkptAuto, db.ckptAuto.Load())
 	c.Add(metrics.CkptFailed, db.ckptFailed.Load())
 	c.Add(metrics.LockTrips, db.locks.Trips())
+	for i, name := range metrics.WalkRetries {
+		c.Add(name, db.walkRetries[i].Load())
+	}
 	if db.daemon != nil {
 		for name, v := range db.daemon.Metrics().Snapshot() {
 			c.Add(name, v)

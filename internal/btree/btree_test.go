@@ -530,57 +530,50 @@ func TestStatsReflectSparseness(t *testing.T) {
 	}
 }
 
+// TestGetNextBaseIteration walks the bases left to right with the base
+// cursor (the paper's Get_Next) and checks that it hands every base
+// entry once, in key order, and that its frontier only grows.
 func TestGetNextBaseIteration(t *testing.T) {
 	e := newEnv(t, 512)
 	for i := 0; i < 800; i++ {
 		e.put(t, i)
 	}
-	// Iterate base pages left to right with DescendToBase/NextBase (the
-	// paper's Get_Next) and verify full coverage.
 	h := e.tree.NewHold(e.txns.NextOwnerID())
 	defer h.Release()
+	c := e.tree.NewCursor(0, nil)
 	seen := map[storage.PageID]bool{}
-	base, err := e.tree.DescendToBase(&h, 0, nil, lock.S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lowMarks []string
-	for base != nil {
-		id := base.ID()
-		if seen[id] {
-			t.Fatalf("base %d visited twice", id)
-		}
-		seen[id] = true
-		base.RLock()
-		lm := append([]byte(nil), kv.SlotKey(base.Data(), 0)...)
-		base.RUnlock()
-		lowMarks = append(lowMarks, string(lm))
-		h.Drop(base)
-		base, err = e.tree.NextBase(&h, 0, lm, lock.S)
+	var got []BaseEntry
+	for {
+		from := c.F
+		base, entries, err := c.Next(&h, lock.S)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !sort.StringsAreSorted(lowMarks) {
-		t.Error("base low marks not visited in ascending order")
-	}
-	s, _ := e.tree.GatherStats()
-	// Every leaf hangs under exactly one base page; the number of base
-	// pages must match what we visited.
-	baseCount := 0
-	rootID, _ := e.tree.Root()
-	err = Walk(e.pager, rootID, func(n *Node) (Step, error) {
-		if n.Page.Type() == storage.PageInternal && n.Page.Aux() == 1 {
-			baseCount++
-			return SkipChildren, nil
+		if base == nil {
+			break
 		}
-		return Descend, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		if seen[base.ID()] {
+			t.Fatalf("base %d visited twice", base.ID())
+		}
+		seen[base.ID()] = true
+		if !c.Done && from != nil && kv.Compare(c.F, from) <= 0 {
+			t.Fatalf("frontier went from %q to %q", from, c.F)
+		}
+		got = append(got, entries...)
+		h.Drop(base)
 	}
-	if len(seen) != baseCount {
-		t.Errorf("visited %d base pages, tree has %d (leaves=%d)", len(seen), baseCount, s.LeafPages)
+	want := treeBaseEntries(t, e)
+	if len(got) != len(want) {
+		t.Fatalf("cursor handed %d entries, tree has %d", len(got), len(want))
+	}
+	for i := range want {
+		if kv.Compare(got[i].Key, want[i].Key) != 0 || got[i].Leaf != want[i].Leaf {
+			t.Fatalf("entry %d: handed (%q, %d), tree has (%q, %d)",
+				i, got[i].Key, got[i].Leaf, want[i].Key, want[i].Leaf)
+		}
+	}
+	if len(seen) < 2 {
+		t.Fatalf("tree has %d bases, want several", len(seen))
 	}
 }
 

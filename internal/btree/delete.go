@@ -7,6 +7,7 @@ import (
 	"repro/internal/kv"
 	"repro/internal/lock"
 	"repro/internal/obs"
+	"repro/internal/pageops"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -198,7 +199,8 @@ func (t *Tree) freeLeafSMO(tx *txn.Txn, hint freeHint) error {
 	baseID := base.f.ID()
 	var hookRelease func()
 	if h2 := t.reorgHook(); h2 != nil {
-		hookOp := wal.Update{Page: baseID, Op: wal.OpDelete, Key: leafEntryKey}
+		hookOp := wal.Update{Page: baseID, Op: wal.OpDelete, Key: leafEntryKey,
+			NewVal: pageops.EncodeChild(child)}
 		rel, err := h2.OnBaseUpdate(owner, hookOp)
 		if errors.Is(err, ErrSwitched) {
 			return nil // new tree was built from post-free state

@@ -33,7 +33,7 @@ const maxDescendRetries = 10000
 func (t *Tree) descendToLeaf(h *Hold, key []byte, leafMode lock.Mode, bound *[]byte) (*storage.Frame, error) {
 	from := storage.InvalidPage
 	for retries := 0; retries <= maxDescendRetries; retries++ {
-		base, err := t.DescendToBase(h, from, key, lock.S)
+		base, err := t.DescendToBase(h, from, key, lock.S, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -84,9 +84,11 @@ func (t *Tree) descendToLeaf(h *Hold, key []byte, leafMode lock.Mode, bound *[]b
 // to the base page covering key and takes mode on it: the reorganizer
 // uses R for passes 1–2 and S for pass 3, which walks the old tree
 // while the anchor changes. The base is returned pinned, locked in mode
-// (the lattice upgrades the coupling S), and recorded in h. On error h
-// is left as it was.
-func (t *Tree) DescendToBase(h *Hold, root storage.PageID, key []byte, mode lock.Mode) (f *storage.Frame, err error) {
+// (the lattice upgrades the coupling S), and recorded in h. When b is
+// non-nil (and zero) the base's routing bounds, as its ancestors gave
+// them on the way down, are copied into it. On error h is left as it
+// was.
+func (t *Tree) DescendToBase(h *Hold, root storage.PageID, key []byte, mode lock.Mode, b *Bounds) (f *storage.Frame, err error) {
 	defer h.undo(h.mark(), &err)
 	if root == storage.InvalidPage {
 		root, _ = t.Root()
@@ -111,9 +113,12 @@ func (t *Tree) DescendToBase(h *Hold, root storage.PageID, key []byte, mode lock
 			}
 			return f, nil
 		}
-		child, _ := kv.ChildFor(p, key)
+		child, slot := kv.ChildFor(p, key)
 		if child == storage.InvalidPage {
 			return nil, fmt.Errorf("btree: internal page %d has no entries", f.ID())
+		}
+		if b != nil {
+			b.narrow(p, slot)
 		}
 		if f, err = h.Couple(f, child, lock.S); err != nil {
 			return nil, err
@@ -121,114 +126,86 @@ func (t *Tree) DescendToBase(h *Hold, root storage.PageID, key []byte, mode lock
 	}
 }
 
-// NextBase implements the paper's Get_Next(k) (§7.1) from root (0
-// means the current root; pass 3 keeps walking the old tree's bases
-// whatever the anchor says): it returns the base page whose low mark is
-// the smallest one greater than k, locked in mode and recorded in h, or
-// nil when k's base is the last. It S-lock-couples down while keeping
-// the path locked so sibling navigation is consistent with concurrent
-// splits. On error h is left as it was.
-func (t *Tree) NextBase(h *Hold, root storage.PageID, k []byte, mode lock.Mode) (_ *storage.Frame, err error) {
-	defer h.undo(h.mark(), &err)
-	if root == storage.InvalidPage {
-		root, _ = t.Root()
-	}
-	type node struct {
-		f    *storage.Frame
-		slot int // routing slot used at this node
-	}
-	var path []node
-	dropPath := func() {
-		for _, n := range path {
-			h.Drop(n.f)
-		}
-	}
-	fixLocked := func(id storage.PageID) (*storage.Frame, error) {
-		if err := h.Lock(pageRes(id), lock.S); err != nil {
-			return nil, err
-		}
-		return h.Fix(id)
-	}
+// Bounds are a page's routing bounds [Low, High) as its parent gives
+// them (see Node); nil is unbounded.
+type Bounds struct{ Low, High []byte }
 
-	f, err := fixLocked(root)
+// narrow makes b the bounds of internal page p's child at slot, b being
+// p's: the leftmost child keeps p's Low and the rightmost p's High.
+//
+//vet:coldpath -- only a descent asked for bounds (the reorganizer's base cursor) copies them; a Get's passes nil
+func (b *Bounds) narrow(p storage.Page, slot int) {
+	if slot > 0 {
+		b.Low = append([]byte(nil), kv.SlotKey(p, slot)...)
+	}
+	if slot+1 < p.NumSlots() {
+		b.High = append([]byte(nil), kv.SlotKey(p, slot+1)...)
+	}
+}
+
+// BaseEntry is one entry of a base page: the key it is stored under and
+// its leaf.
+type BaseEntry struct {
+	Key  []byte
+	Leaf storage.PageID
+}
+
+// Cursor is the paper's Get_Next(k) (§7.1): it hands the tree's base
+// entries in key order, one base page at a time, by a frontier key F.
+// Next descends from the root by F, so a base freed, split or merged
+// between two calls costs nothing: the walk resumes by key, not by
+// page.
+type Cursor struct {
+	t    *Tree
+	root storage.PageID
+	// F is the frontier. Once Next has returned, every entry from the
+	// start base up to F that a base held when the cursor read it has
+	// been handed.
+	F []byte
+	// Done is set once the rightmost base has been handed.
+	Done bool
+	// started is set by the first Next: before it, nothing is handed.
+	started bool
+}
+
+// NewCursor returns a cursor over the tree rooted at root (0 means the
+// current root, read at each Next) that starts at the base covering
+// from.
+func (t *Tree) NewCursor(root storage.PageID, from []byte) *Cursor {
+	return &Cursor{t: t, root: root, F: from}
+}
+
+// Next descends from the root by F, with no page locked when it asks
+// for the root, to the base covering F and takes mode on it. It returns
+// the base, pinned and recorded in h, with its entries, and moves F to
+// the base's high routing bound (Done when there is none) while the
+// base is still held. It returns nil once Done. A failed Next leaves h
+// and F as they were and may simply be called again.
+//
+// The entries in [Low, F) are left out: a base whose range now reaches
+// F was read before, and a freed neighbour's range passed to it. Every
+// other entry of the base is handed, one below Low too: it breaks the
+// tree's ordering, and the caller's order check must see it.
+func (c *Cursor) Next(h *Hold, mode lock.Mode) (*storage.Frame, []BaseEntry, error) {
+	if c.Done {
+		return nil, nil, nil
+	}
+	var b Bounds
+	base, err := c.t.DescendToBase(h, c.root, c.F, mode, &b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	path = append(path, node{f: f})
-
-	// Route down to the level-2 node (the parent of base pages),
-	// keeping the whole path S-locked for sibling navigation.
-	for {
-		cur := &path[len(path)-1]
-		cur.f.RLock()
-		p := cur.f.Data()
-		level := p.Aux()
-		child, slot := kv.ChildFor(p, k)
-		cur.f.RUnlock()
-		cur.slot = slot
-		if level == 1 {
-			// The tree has a single base page (it is the root): there
-			// is no next base.
-			dropPath()
-			return nil, nil
-		}
-		if child == storage.InvalidPage {
-			return nil, fmt.Errorf("btree: internal page %d empty in NextBase", cur.f.ID())
-		}
-		if level == 2 {
-			break
-		}
-		cf, err := fixLocked(child)
-		if err != nil {
-			return nil, err
-		}
-		path = append(path, node{f: cf})
-	}
-
-	// Climb from the level-2 node to the lowest ancestor with a right
-	// sibling of the routing slot, then descend leftmost to base level.
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		n.f.RLock()
-		slots := n.f.Data().NumSlots()
-		var nextChild storage.PageID
-		if n.slot+1 < slots {
-			_, nextChild = kv.DecodeIndexCell(n.f.Data().Cell(n.slot + 1))
-		}
-		n.f.RUnlock()
-		if nextChild == storage.InvalidPage {
+	base.RLock()
+	p := base.Data()
+	var entries []BaseEntry
+	for i := 0; i < p.NumSlots(); i++ {
+		k, leaf := kv.DecodeIndexCell(p.Cell(i))
+		if c.started && kv.Compare(k, c.F) < 0 && kv.Compare(k, b.Low) >= 0 {
 			continue
 		}
-		// Descend leftmost from nextChild to the base level.
-		cur, err := fixLocked(nextChild)
-		if err != nil {
-			return nil, err
-		}
-		for {
-			cur.RLock()
-			level := cur.Data().Aux()
-			var first storage.PageID
-			if cur.Data().NumSlots() > 0 {
-				_, first = kv.DecodeIndexCell(cur.Data().Cell(0))
-			}
-			cur.RUnlock()
-			if level == 1 {
-				dropPath()
-				if mode != lock.S {
-					if err := t.locks.Lock(h.owner, pageRes(cur.ID()), mode); err != nil {
-						return nil, err
-					}
-				}
-				return cur, nil
-			}
-			if first == storage.InvalidPage {
-				return nil, fmt.Errorf("btree: empty internal %d in NextBase descent", cur.ID())
-			}
-			if cur, err = h.Couple(cur, first, lock.S); err != nil {
-				return nil, err
-			}
-		}
+		entries = append(entries, BaseEntry{Key: append([]byte(nil), k...), Leaf: leaf})
 	}
-	dropPath()
-	return nil, nil // k's base is the rightmost
+	base.RUnlock()
+	c.F, c.Done, c.started = b.High, b.High == nil, true
+	return base, entries, nil
 }

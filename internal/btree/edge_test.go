@@ -112,8 +112,8 @@ func TestRepeatedDeleteInsertCycles(t *testing.T) {
 	}
 }
 
-// TestGetNextBaseAfterAllKeys: NextBase walks every base exactly once
-// and returns nil past the last one.
+// TestGetNextBaseAfterAllKeys: the base cursor walks every base exactly
+// once and hands nothing past the last one, however often it is asked.
 func TestGetNextBaseAfterAllKeys(t *testing.T) {
 	e := newEnv(t, 512)
 	for i := 0; i < 400; i++ {
@@ -121,26 +121,28 @@ func TestGetNextBaseAfterAllKeys(t *testing.T) {
 	}
 	h := e.tree.NewHold(e.txns.NextOwnerID())
 	defer h.Release()
-	base, err := e.tree.DescendToBase(&h, 0, nil, lock.S)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := e.tree.NewCursor(0, nil)
 	steps := 0
-	for base != nil {
-		base.RLock()
-		lowMark := append([]byte(nil), kv.SlotKey(base.Data(), 0)...)
-		base.RUnlock()
-		h.Drop(base)
-		base, err = e.tree.NextBase(&h, 0, lowMark, lock.S)
+	for {
+		base, _, err := c.Next(&h, lock.S)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if base == nil {
+			break
+		}
+		h.Drop(base)
 		steps++
 		if steps > 1000 {
-			t.Fatal("NextBase did not terminate")
+			t.Fatal("the cursor did not terminate")
 		}
 	}
 	if steps < 2 {
-		t.Skip("tree too small for multiple bases")
+		t.Fatalf("tree has %d bases, want several", steps)
+	}
+	for i := 0; i < 2; i++ {
+		if base, entries, err := c.Next(&h, lock.S); base != nil || entries != nil || err != nil {
+			t.Fatalf("Next past the last base = %v, %v, %v", base, entries, err)
+		}
 	}
 }

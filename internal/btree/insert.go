@@ -231,14 +231,19 @@ func (t *Tree) splitChild(h *Hold, parent, child *storage.Frame, key []byte) (*s
 	}
 	if parentLevel == 1 {
 		if h := t.reorgHook(); h != nil {
-			ops := []wal.Update{{Page: parent.ID(), Op: wal.OpInsert,
-				Key: sep, NewVal: pageops.EncodeChild(rightID)}}
+			// The lowered entry goes first: replayed against pass 3's
+			// new tree, its delete must find the child's entry before
+			// the separator lands beside it.
+			var ops []wal.Update
 			if baseOldKey != nil {
 				ops = append(ops,
-					wal.Update{Page: parent.ID(), Op: wal.OpDelete, Key: baseOldKey},
+					wal.Update{Page: parent.ID(), Op: wal.OpDelete,
+						Key: baseOldKey, NewVal: pageops.EncodeChild(child.ID())},
 					wal.Update{Page: parent.ID(), Op: wal.OpInsert,
 						Key: baseNewKey, NewVal: pageops.EncodeChild(child.ID())})
 			}
+			ops = append(ops, wal.Update{Page: parent.ID(), Op: wal.OpInsert,
+				Key: sep, NewVal: pageops.EncodeChild(rightID)})
 			for _, hookOp := range ops {
 				rel, err := h.OnBaseUpdate(owner, hookOp)
 				if err != nil {

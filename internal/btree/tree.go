@@ -47,7 +47,8 @@ const (
 // when the reorganizer has already read past its key.
 type ReorgHook interface {
 	// OnBaseUpdate is called with the base-page entry operation about
-	// to be applied to the old tree. When the operation must also reach
+	// to be applied to the old tree; op.NewVal encodes the entry's
+	// child, for a delete too. When the operation must also reach
 	// the side file, the hook appends it there under an IX table lock
 	// and returns a non-nil release function the caller invokes after
 	// applying the base change (so the table lock spans both).

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/kv"
 	"repro/internal/storage"
@@ -318,35 +319,58 @@ func isFullErr(err error) bool {
 	return errors.Is(err, storage.ErrPageFull)
 }
 
-// newTreeDelete removes the entry with exactly this key from the new
-// tree (missing keys are ignored: the build may never have seen it).
-func newTreeDelete(pg *storage.Pager, root storage.PageID, key []byte) error {
-	id := root
-	for {
-		f, err := pg.Fix(id)
+// delete removes leaf child's entry from the private new tree rooted at
+// root: the entry key routes to. That is the entry with exactly this
+// key, or, when pass 3 handed a base's first entry under the bound its
+// base routes it from, the entry under that bound, which the stored key
+// still routes to. Any other entry there means the side
+// file and the new tree disagree. A page the delete empties is freed
+// with a logged Dealloc and leaves its parent in turn, as free-at-empty
+// cascades in the old tree; the root keeps its last entry.
+func (b *builder) delete(root storage.PageID, key []byte, child storage.PageID) error {
+	var path []storage.PageID // root to base
+	for id := root; id != storage.InvalidPage; {
+		path = append(path, id)
+		f, err := b.pg.Fix(id)
 		if err != nil {
 			return err
 		}
 		f.RLock()
-		level := f.Data().Aux()
-		f.RUnlock()
-		if level == 1 {
-			f.Lock()
-			if slot, found := kv.Search(f.Data(), key); found {
-				_ = f.Data().DeleteCell(slot)
-			}
-			f.Unlock()
-			pg.MarkDirty(f, 0)
-			pg.Unfix(f)
-			return nil
+		if f.Data().Aux() > 1 {
+			id, _ = kv.ChildFor(f.Data(), key)
+		} else {
+			id = storage.InvalidPage
 		}
-		f.RLock()
-		child, _ := kv.ChildFor(f.Data(), key)
 		f.RUnlock()
-		pg.Unfix(f)
-		if child == storage.InvalidPage {
-			return nil
-		}
-		id = child
+		b.pg.Unfix(f)
 	}
+	for i := len(path) - 1; i >= 0; i-- {
+		f, err := b.pg.Fix(path[i])
+		if err != nil {
+			return err
+		}
+		f.Lock()
+		got, slot := kv.ChildFor(f.Data(), key)
+		emptied := got == child && f.Data().NumSlots() == 1 && i > 0
+		if got == child && !emptied {
+			_ = f.Data().DeleteCell(slot)
+		}
+		f.Unlock()
+		b.pg.MarkDirty(f, 0)
+		b.pg.Unfix(f)
+		if got != child {
+			return fmt.Errorf("core: side-file delete of %q (page %d): new-tree page %d routes it to page %d",
+				key, child, path[i], got)
+		}
+		if !emptied {
+			return nil
+		}
+		lsn := b.log.Append(wal.Dealloc{Page: path[i]})
+		if err := b.pg.Deallocate(path[i], lsn); err != nil {
+			return err
+		}
+		b.allocated = slices.DeleteFunc(b.allocated, func(id storage.PageID) bool { return id == path[i] })
+		child = path[i]
+	}
+	return nil
 }

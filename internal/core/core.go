@@ -205,6 +205,9 @@ type counterHandles struct {
 	pass3Bases      *atomic.Int64
 	pass3SideApply  *atomic.Int64
 	pass3Stable     *atomic.Int64
+	pass1Retries    *atomic.Int64
+	pass2Retries    *atomic.Int64
+	pass3Retries    *atomic.Int64
 }
 
 func resolveCounters(m *metrics.Counters) counterHandles {
@@ -221,6 +224,9 @@ func resolveCounters(m *metrics.Counters) counterHandles {
 		pass3Bases:      m.Handle(metrics.Pass3Bases),
 		pass3SideApply:  m.Handle(metrics.Pass3SideApply),
 		pass3Stable:     m.Handle(metrics.Pass3Stable),
+		pass1Retries:    m.Handle(metrics.Pass1WalkRetries),
+		pass2Retries:    m.Handle(metrics.Pass2WalkRetries),
+		pass3Retries:    m.Handle(metrics.Pass3WalkRetries),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/btree"
@@ -490,4 +491,27 @@ func TestPass3SideFileCatchUp(t *testing.T) {
 	}
 	t.Logf("inserted during pass 3: %d, side applies: %d",
 		len(inserted), r.Metrics().Get("pass3.side.applied"))
+}
+
+// TestRetryWalkCountsRetries: a walk that loses two deadlocks and a
+// lock timeout is made again each time and counted three times; a
+// failure that is not a lock conflict ends the walk uncounted.
+func TestRetryWalkCountsRetries(t *testing.T) {
+	var retries atomic.Int64
+	fails := []error{lock.ErrDeadlock, lock.ErrTimeout, lock.ErrDeadlock}
+	calls := 0
+	v, err := retryWalk(&retries, func() (int, error) {
+		calls++
+		if calls <= len(fails) {
+			return 0, fails[calls-1]
+		}
+		return calls, nil
+	})
+	if err != nil || v != 4 || retries.Load() != 3 {
+		t.Fatalf("retryWalk = %d, %v; %d retries counted; want 4, nil, 3", v, err, retries.Load())
+	}
+	broken := errors.New("page unreadable")
+	if _, err := retryWalk(&retries, func() (int, error) { return 0, broken }); !errors.Is(err, broken) || retries.Load() != 3 {
+		t.Fatalf("retryWalk = %v with %d retries counted; want %v, 3", err, retries.Load(), broken)
+	}
 }

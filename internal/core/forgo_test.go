@@ -151,12 +151,12 @@ func TestForgoDeadlockVictimIsReorganizerEndToEnd(t *testing.T) {
 	if len(leaves) < 3 {
 		t.Fatalf("only %d leaves; need several to form a unit", len(leaves))
 	}
-	leaf1 := leaves[0].page
+	leaf1 := leaves[0].Leaf
 	k1 := leafFirstKey(t, e, leaf1)
 
 	// Park an uncommitted X on leaf2 by inserting a key routed there.
 	txA := e.txns.Begin()
-	hot := append(append([]byte(nil), leaves[1].key...), 'a')
+	hot := append(append([]byte(nil), leaves[1].Key...), 'a')
 	if err := e.tree.Insert(txA, hot, []byte("parked")); err != nil {
 		t.Fatal(err)
 	}

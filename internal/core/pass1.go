@@ -6,29 +6,12 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
-
-// baseEntry is one (low key, leaf) entry of a base page.
-type baseEntry struct {
-	key   []byte
-	child storage.PageID
-}
-
-func readBaseEntries(f *storage.Frame) []baseEntry {
-	f.RLock()
-	defer f.RUnlock()
-	p := f.Data()
-	out := make([]baseEntry, 0, p.NumSlots())
-	for i := 0; i < p.NumSlots(); i++ {
-		k, c := kv.DecodeIndexCell(p.Cell(i))
-		out = append(out, baseEntry{key: append([]byte(nil), k...), child: c})
-	}
-	return out
-}
 
 // CompactLeaves is pass 1: walk the base pages left to right (R lock on
 // one base at a time), grouping consecutive sparse leaves whose records
@@ -47,29 +30,21 @@ func (r *Reorganizer) CompactLeaves() error {
 
 	// Start from the leftmost base, or resume from LK: the base
 	// covering the largest finished key.
-	base, err := retryWalk(r.tree.DescendToBase, &h, 0, r.cfg.StartKey, lock.R)
-	if err != nil {
-		return fmt.Errorf("pass1 first base: %w", err)
-	}
-	for base != nil {
-		entries := readBaseEntries(base)
-		if err := r.compactBase(base, entries); err != nil {
-			return err
-		}
-		var lowMark []byte
-		if len(entries) > 0 {
-			lowMark = entries[0].key
-		}
-		h.Drop(base)
-		if r.stopped {
-			return nil
-		}
-		base, err = retryWalk(r.tree.NextBase, &h, 0, lowMark, lock.R)
+	cur := r.tree.NewCursor(0, r.cfg.StartKey)
+	for {
+		base, entries, err := nextBase(cur, &h, lock.R, r.c.pass1Retries)
 		if err != nil {
 			return fmt.Errorf("pass1 next base: %w", err)
 		}
+		if base == nil {
+			return nil
+		}
+		err = r.compactBase(base, entries)
+		h.Drop(base)
+		if err != nil || r.stopped {
+			return err
+		}
 	}
-	return nil
 }
 
 // maxUnitRetries bounds the deadlock retries of one unit position.
@@ -77,14 +52,14 @@ const maxUnitRetries = 3
 
 // compactBase forms and executes compaction units under one base page.
 // The caller holds R on the base.
-func (r *Reorganizer) compactBase(base *storage.Frame, entries []baseEntry) error {
+func (r *Reorganizer) compactBase(base *storage.Frame, entries []btree.BaseEntry) error {
 	capacity := r.leafCapacity()
 	i := 0
 	retries := 0
 	for i < len(entries) {
 		// Unit boundary: stop cleanly when the increment's key range,
 		// unit budget, or yield hook says so. No unit is in flight here.
-		if len(r.cfg.EndKey) > 0 && bytes.Compare(entries[i].key, r.cfg.EndKey) >= 0 {
+		if len(r.cfg.EndKey) > 0 && bytes.Compare(entries[i].Key, r.cfg.EndKey) >= 0 {
 			r.stopped = true
 			return nil
 		}
@@ -115,7 +90,7 @@ func (r *Reorganizer) compactBase(base *storage.Frame, entries []baseEntry) erro
 // starts at entries[i] — acquire, BEGIN, body, END — and reports how
 // many entries the group covered. A leaf that fills a page by itself is
 // a group of one: no unit runs. The caller holds R on the base.
-func (r *Reorganizer) compactUnit(base *storage.Frame, entries []baseEntry, i, capacity int) (int, error) {
+func (r *Reorganizer) compactUnit(base *storage.Frame, entries []btree.BaseEntry, i, capacity int) (int, error) {
 	u := &unit{Hold: r.tree.NewHold(r.owner), r: r}
 	n, err := r.compactGroup(u, base, entries, i, capacity)
 	u.release()
@@ -127,7 +102,7 @@ func (r *Reorganizer) compactUnit(base *storage.Frame, entries []baseEntry, i, c
 
 // compactGroup is compactUnit up to END: whatever it locks and pins is
 // recorded in u, on every way out.
-func (r *Reorganizer) compactGroup(u *unit, base *storage.Frame, entries []baseEntry, i, capacity int) (int, error) {
+func (r *Reorganizer) compactGroup(u *unit, base *storage.Frame, entries []btree.BaseEntry, i, capacity int) (int, error) {
 	frames, err := r.acquireGroup(u, entries[i:], capacity)
 	n := len(frames)
 	if err != nil || n < 2 {
@@ -191,14 +166,14 @@ func (r *Reorganizer) compactGroup(u *unit, base *storage.Frame, entries []baseE
 // while their combined payload fits the target capacity, and returns
 // the frames of those that do; the leaf that no longer fits is dropped
 // again.
-func (r *Reorganizer) acquireGroup(u *unit, entries []baseEntry, capacity int) ([]*storage.Frame, error) {
+func (r *Reorganizer) acquireGroup(u *unit, entries []btree.BaseEntry, capacity int) ([]*storage.Frame, error) {
 	var frames []*storage.Frame
 	total := 0
 	for _, e := range entries {
-		if err := u.lock(e.child, lock.RX); err != nil {
+		if err := u.lock(e.Leaf, lock.RX); err != nil {
 			return nil, err
 		}
-		f, err := u.Fix(e.child)
+		f, err := u.Fix(e.Leaf)
 		if err != nil {
 			return nil, err
 		}

@@ -13,13 +13,6 @@ import (
 	"repro/internal/wal"
 )
 
-// leafPos is one leaf in key order: the base entry key that routes to
-// it and its current page.
-type leafPos struct {
-	key  []byte
-	page storage.PageID
-}
-
 // SwapLeaves is pass 2: put the (compacted) leaves into key order on
 // disk. For each out-of-place leaf it prefers a Move to a well-placed
 // empty page (cheaper logging, one base page) and otherwise Swaps with
@@ -48,10 +41,10 @@ func (r *Reorganizer) SwapLeaves() error {
 	pos := make(map[storage.PageID]int, n)
 	maxID := storage.PageID(0)
 	for k, l := range leaves {
-		cur[k] = l.page
-		pos[l.page] = k
-		if l.page > maxID {
-			maxID = l.page
+		cur[k] = l.Leaf
+		pos[l.Leaf] = k
+		if l.Leaf > maxID {
+			maxID = l.Leaf
 		}
 	}
 
@@ -69,7 +62,7 @@ func (r *Reorganizer) SwapLeaves() error {
 		}
 		free := r.tree.Pager().FirstFreeIn(prevAssigned, maxID+1)
 		if free != storage.InvalidPage && (minOcc == 0 || free < minOcc) && free != cur[k] {
-			moved, err := r.moveUnit(leaves[k].key, cur[k], free)
+			moved, err := r.moveUnit(leaves[k].Key, cur[k], free)
 			if err != nil {
 				return fmt.Errorf("pass2 move: %w", err)
 			}
@@ -98,7 +91,7 @@ func (r *Reorganizer) SwapLeaves() error {
 			prevAssigned = cur[k]
 			continue
 		}
-		swapped, err := r.swapUnit(leaves[k].key, cur[k], leaves[m].key, minOcc)
+		swapped, err := r.swapUnit(leaves[k].Key, cur[k], leaves[m].Key, minOcc)
 		if err != nil {
 			return fmt.Errorf("pass2 swap: %w", err)
 		}
@@ -112,24 +105,19 @@ func (r *Reorganizer) SwapLeaves() error {
 	return nil
 }
 
-// collectLeaves gathers (entry key, leaf page) pairs in key order by
-// walking the base pages under R locks, one at a time, in h.
-func (r *Reorganizer) collectLeaves(h *btree.Hold) ([]leafPos, error) {
-	var out []leafPos
-	base, err := retryWalk(r.tree.DescendToBase, h, 0, nil, lock.R)
-	for base != nil && err == nil {
-		entries := readBaseEntries(base)
-		for _, e := range entries {
-			out = append(out, leafPos{key: e.key, page: e.child})
+// collectLeaves gathers the base entries in key order, walking the
+// base pages under R locks, one at a time, in h.
+func (r *Reorganizer) collectLeaves(h *btree.Hold) ([]btree.BaseEntry, error) {
+	var out []btree.BaseEntry
+	cur := r.tree.NewCursor(0, nil)
+	for {
+		base, entries, err := nextBase(cur, h, lock.R, r.c.pass2Retries)
+		if base == nil || err != nil {
+			return out, err
 		}
-		var lowMark []byte
-		if len(entries) > 0 {
-			lowMark = entries[0].key
-		}
+		out = append(out, entries...)
 		h.Drop(base)
-		base, err = retryWalk(r.tree.NextBase, h, 0, lowMark, lock.R)
 	}
-	return out, err
 }
 
 // verifyEntry checks, under the held base lock, that the base routes
@@ -157,7 +145,9 @@ func (r *Reorganizer) moveUnit(key []byte, from, to storage.PageID) (bool, error
 
 // moveLeaf is moveUnit up to END; a skip comes back as errUnitAborted.
 func (r *Reorganizer) moveLeaf(u *unit, key []byte, from, to storage.PageID) error {
-	base, err := retryWalk(r.tree.DescendToBase, &u.Hold, 0, key, lock.R)
+	base, err := retryWalk(r.c.pass2Retries, func() (*storage.Frame, error) {
+		return r.tree.DescendToBase(&u.Hold, 0, key, lock.R, nil)
+	})
 	if err != nil {
 		return err
 	}
@@ -217,14 +207,16 @@ func (r *Reorganizer) swapPair(u *unit, ka []byte, pa storage.PageID, kb []byte,
 	locks := r.tree.Locks()
 	pg := r.tree.Pager()
 
-	baseA, err := retryWalk(r.tree.DescendToBase, &u.Hold, 0, ka, lock.R)
+	baseA, err := retryWalk(r.c.pass2Retries, func() (*storage.Frame, error) {
+		return r.tree.DescendToBase(&u.Hold, 0, ka, lock.R, nil)
+	})
 	if err != nil {
 		return err
 	}
 	// The second descent can deadlock against updaters while R is held
 	// on baseA; skip the unit in that case rather than retrying under
 	// the held lock.
-	baseB, err := r.tree.DescendToBase(&u.Hold, 0, kb, lock.R)
+	baseB, err := r.tree.DescendToBase(&u.Hold, 0, kb, lock.R, nil)
 	if isTransient(err) {
 		return errUnitAborted
 	}

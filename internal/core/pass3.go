@@ -20,8 +20,8 @@ type pass3State struct {
 	mu       sync.Mutex
 	active   bool
 	switched bool
-	allRead  bool   // every base page has been read: all updates go to the side file
-	ck       []byte // low mark of the base page currently being read
+	allRead  bool   // the cursor is past the last base: all updates go to the side file
+	ck       []byte // CK, the base cursor's frontier: changes below it go to the side file
 	sf       *sidefile.SideFile
 }
 
@@ -33,16 +33,10 @@ func (s *pass3State) start(sf *sidefile.SideFile) {
 	s.sf = sf
 }
 
-func (s *pass3State) setCK(ck []byte) {
+func (s *pass3State) setCK(ck []byte, allRead bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ck = append([]byte(nil), ck...)
-}
-
-func (s *pass3State) setAllRead() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.allRead = true
+	s.ck, s.allRead = ck, allRead
 }
 
 func (s *pass3State) setSwitched() {
@@ -95,11 +89,7 @@ func (r *Reorganizer) OnBaseUpdate(owner uint64, op wal.Update) (func(), error) 
 	if err != nil {
 		return nil, err
 	}
-	var child storage.PageID
-	if op.Op == wal.OpInsert {
-		child = pageops.DecodeChild(op.NewVal)
-	}
-	if err := sf.Append(owner, op.Op, op.Key, child); err != nil {
+	if err := sf.Append(owner, op.Op, op.Key, pageops.DecodeChild(op.NewVal)); err != nil {
 		locks.Unlock(owner, lock.SideFileRes())
 		return nil, err
 	}
@@ -150,71 +140,47 @@ func (r *Reorganizer) RebuildInternal() (err error) {
 	r.tree.SetReorgHook(r)
 
 	// Read the old tree's base pages left to right, one S lock at a
-	// time, feeding every entry into the bulk builder. CK tracks the
-	// base being read; it is advanced before the S lock is released.
-	base, err := retryWalk(r.tree.DescendToBase, &h, oldRoot, nil, lock.S)
-	if err != nil {
-		return fmt.Errorf("pass3 first base: %w", err)
-	}
+	// time, feeding every entry into the bulk builder. CK is the base
+	// cursor's frontier, advanced past a base before its S lock is given
+	// back: an updater side-files a base change iff its key is below CK
+	// (DESIGN §5).
+	cur := r.tree.NewCursor(oldRoot, nil)
 	basesRead := 0
-	var lastKey []byte
-	for base != nil {
-		entries := readBaseEntries(base)
-		if len(entries) > 0 {
-			r.pass3.setCK(entries[0].key)
+	var lastKey []byte // keys are never empty
+	for {
+		ck := cur.F
+		base, entries, err := nextBase(cur, &h, lock.S, r.c.pass3Retries)
+		if err != nil {
+			return fmt.Errorf("pass3 next base: %w", err)
 		}
-		var next *storage.Frame
-		var lowMark []byte
-		if len(entries) > 0 {
-			lowMark = entries[0].key
+		if base == nil {
+			break
 		}
-		// Couple to the next base so CK can be advanced before this S
-		// lock is released (§7.1). If the couple is victimised, the
-		// current base must be RELEASED before retrying — holding it
-		// would pin the deadlock cycle in place — and then re-read,
-		// since updates may hit it while unlocked (CK still names it,
-		// so they are not in the side file).
-		for tries := 0; ; tries++ {
-			next, err = r.tree.NextBase(&h, oldRoot, lowMark, lock.S)
-			if err == nil {
-				break
-			}
-			if !isTransient(err) || tries > 1000 {
-				return fmt.Errorf("pass3 next base: %w", err)
-			}
-			h.Drop(base)
-			retryBackoff(tries)
-			base, err = retryWalk(r.tree.DescendToBase, &h, oldRoot, lowMark, lock.S)
-			if err != nil {
-				return fmt.Errorf("pass3 re-acquire base: %w", err)
-			}
-			entries = readBaseEntries(base)
-		}
-		if next != nil {
-			nextEntries := readBaseEntries(next)
-			if len(nextEntries) > 0 {
-				// Advance CK before giving up the S lock (§7.1).
-				r.pass3.setCK(nextEntries[0].key)
-			}
-		} else {
-			r.pass3.setAllRead()
-		}
+		r.pass3.setCK(cur.F, cur.Done)
 		base.RLock()
 		baseID, baseLSN := base.ID(), base.Data().LSN()
+		// A base's first entry can be stored above the bound its base
+		// routes it from (the leaf before it was freed, and keys of the
+		// freed range reach it by the leftmost-child rule): the new tree
+		// routes it from the bound.
+		if len(entries) > 0 && ck != nil && kv.Compare(entries[0].Key, ck) > 0 &&
+			kv.Compare(entries[0].Key, kv.SlotKey(base.Data(), 0)) == 0 {
+			entries[0].Key = ck
+		}
 		base.RUnlock()
 		h.Drop(base)
 
-		for i, e := range entries {
+		for _, e := range entries {
 			// The builder appends: a key not above the last one would
 			// land below the separator it already posted.
-			if (basesRead > 0 || i > 0) && kv.Compare(e.key, lastKey) <= 0 {
+			if lastKey != nil && kv.Compare(e.Key, lastKey) <= 0 {
 				return fmt.Errorf("pass3: base %d (page LSN %d, CK %q) hands key %q, not above the last key %q",
-					baseID, baseLSN, lowMark, e.key, lastKey)
+					baseID, baseLSN, ck, e.Key, lastKey)
 			}
-			if err := b.add(e.key, e.child); err != nil {
+			if err := b.add(e.Key, e.Leaf); err != nil {
 				return err
 			}
-			lastKey = e.key
+			lastKey = e.Key
 		}
 		r.c.pass3Bases.Add(1)
 		if err := r.event("pass3.base"); err != nil {
@@ -226,7 +192,6 @@ func (r *Reorganizer) RebuildInternal() (err error) {
 				return err
 			}
 		}
-		base = next
 	}
 
 	newRoot, err := b.finish()
@@ -379,7 +344,7 @@ func (r *Reorganizer) applySideEntry(b *builder, newRoot *storage.PageID, e side
 		*newRoot = root
 		return nil
 	case wal.OpDelete:
-		return newTreeDelete(r.tree.Pager(), *newRoot, e.Key)
+		return b.delete(*newRoot, e.Key, e.Child)
 	default:
 		return fmt.Errorf("core: side entry op %v", e.Op)
 	}

@@ -140,8 +140,8 @@ func TestPass3FailureFreesWhatItBuilt(t *testing.T) {
 
 // TestPass3NamesOutOfOrderBaseKey: a base page whose low mark sits
 // below the previous base page's last key (hand-corrupted here) stops
-// pass 3 with an error naming the base page, its page LSN and CK,
-// before the builder places the key below a separator it posted; the
+// pass 3 with an error naming the base page, its page LSN and CK (the
+// base cursor's frontier, the base's low routing bound), before the builder places the key below a separator it posted; the
 // failed pass cleans up after itself.
 func TestPass3NamesOutOfOrderBaseKey(t *testing.T) {
 	e := newEnv(t, 512)
@@ -191,9 +191,9 @@ func TestPass3NamesOutOfOrderBaseKey(t *testing.T) {
 
 	err = New(e.tree, DefaultConfig()).RebuildInternal()
 	want := fmt.Sprintf("pass3: base %d (page LSN ", bases[1])
-	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("CK %q", lower)) {
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("CK %q", lowMark)) {
 		t.Fatalf("pass 3 over out-of-order bases returned %v, want an error naming base %d and CK %q",
-			err, bases[1], lower)
+			err, bases[1], lowMark)
 	}
 	if bit, head := e.tree.ReorgState(); bit || head != storage.InvalidPage {
 		t.Errorf("reorg bit %v, side-file head %d after the failed pass", bit, head)

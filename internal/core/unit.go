@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/btree"
@@ -41,19 +42,30 @@ func retryBackoff(tries int) {
 	time.Sleep(d)
 }
 
-// retryWalk runs a base-page walk, Tree.DescendToBase or Tree.NextBase,
-// retrying the transient lock failures of a reorganizer that is always
-// the deadlock victim (§4.1). A failed walk leaves h as it found it.
-func retryWalk(walk func(*btree.Hold, storage.PageID, []byte, lock.Mode) (*storage.Frame, error),
-	h *btree.Hold, root storage.PageID, k []byte, mode lock.Mode) (*storage.Frame, error) {
+// retryWalk runs walk, a descent to a base page, retrying the transient
+// lock failures of a reorganizer that is always the deadlock victim
+// (§4.1), and counts each retry in retries. A failed descent leaves its
+// hold as it found it, so a retry starts clean.
+func retryWalk[T any](retries *atomic.Int64, walk func() (T, error)) (T, error) {
 	for tries := 0; ; tries++ {
-		f, err := walk(h, root, k, mode)
-		if err != nil && isTransient(err) && tries < 1000 {
-			retryBackoff(tries)
-			continue
+		v, err := walk()
+		if err == nil || !isTransient(err) || tries >= 1000 {
+			return v, err
 		}
-		return f, err
+		retries.Add(1)
+		retryBackoff(tries)
 	}
+}
+
+// nextBase is cur.Next under retryWalk: the next base page, locked in
+// mode and held in h, with its entries; nil when the walk is over.
+func nextBase(cur *btree.Cursor, h *btree.Hold, mode lock.Mode, retries *atomic.Int64) (*storage.Frame, []btree.BaseEntry, error) {
+	var entries []btree.BaseEntry
+	base, err := retryWalk(retries, func() (base *storage.Frame, err error) {
+		base, entries, err = cur.Next(h, mode)
+		return base, err
+	})
+	return base, entries, err
 }
 
 // unit is one reorganization unit's hold on the system: the page locks

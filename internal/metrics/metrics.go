@@ -94,6 +94,18 @@ const (
 	BaselineOps     = "baseline.block.ops"
 )
 
+// Walk retries by pass: the reorganizer's descents to a base page that
+// lost a deadlock or timed out and were made again (DB.PerfCounters
+// sums them over every reorganization the database ran).
+const (
+	Pass1WalkRetries = "pass1.walk.retries"
+	Pass2WalkRetries = "pass2.walk.retries"
+	Pass3WalkRetries = "pass3.walk.retries"
+)
+
+// WalkRetries lists the walk-retry counters, pass 1 first.
+var WalkRetries = [...]string{Pass1WalkRetries, Pass2WalkRetries, Pass3WalkRetries}
+
 // Counter names for the concurrent hot path: buffer-pool sharding and
 // WAL group commit (surfaced by DB.PerfCounters and btree-inspect).
 const (

@@ -506,8 +506,13 @@ func (p *Pager) makeRoom(sh *shard) (held, grow bool) {
 	var flushErr error
 	wasDirty := uint64(0)
 	faulted := p.injector().Hit(fault.PagerEvict) != nil
+	// A flush clears the dirty bit when it copies the image, before its
+	// write lands: the decision is taken under flushMu, so a frame never
+	// leaves the pool while a write of it is in flight (a miss would read
+	// the older disk image).
+	f.flushMu.Lock()
 	if !faulted && f.dirty.Load() {
-		flushErr = p.flushFrame(f, make(map[PageID]bool))
+		flushErr = p.flushLocked(f, make(map[PageID]bool))
 		if flushErr == nil {
 			p.stats.DirtyEvictions.Add(1)
 			wasDirty = 1
@@ -524,6 +529,7 @@ func (p *Pager) makeRoom(sh *shard) (held, grow bool) {
 		evicted = true
 	}
 	sh.unlock()
+	f.flushMu.Unlock()
 	if evicted && p.ring != nil {
 		p.ring.Emit(obs.EvPageEvict, uint64(f.id), wasDirty)
 	}
@@ -737,11 +743,15 @@ func (p *Pager) flushFrame(f *Frame, visiting map[PageID]bool) error {
 	if visiting[f.id] {
 		return fmt.Errorf("storage: careful-write dependency cycle through page %d", f.id)
 	}
-	visiting[f.id] = true
-	defer delete(visiting, f.id)
-
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
+	return p.flushLocked(f, visiting)
+}
+
+// flushLocked is flushFrame with f's flushMu held.
+func (p *Pager) flushLocked(f *Frame, visiting map[PageID]bool) error {
+	visiting[f.id] = true
+	defer delete(visiting, f.id)
 
 	if err := p.flushDeps(f.id, visiting); err != nil {
 		return err

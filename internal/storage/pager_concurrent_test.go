@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestPagerConcurrentFixUnfix drives many goroutines fixing, dirtying
@@ -166,5 +167,108 @@ func TestPagerConcurrentAllocateDeallocate(t *testing.T) {
 		if n == 0 && int(id) < len(types) && types[id] != PageFree {
 			t.Errorf("freed page %d has stable type %v", id, types[id])
 		}
+	}
+}
+
+// stallingWAL blocks the first FlushTo after arm until release is
+// closed, announcing the stall on stalled: a flush held between taking
+// its image (dirty bit cleared) and writing it.
+type stallingWAL struct {
+	mu      sync.Mutex
+	armed   bool
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (w *stallingWAL) arm() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.armed = true
+	w.stalled = make(chan struct{})
+	w.release = make(chan struct{})
+}
+
+func (w *stallingWAL) FlushTo(uint64) error {
+	w.mu.Lock()
+	stall := w.armed
+	w.armed = false
+	w.mu.Unlock()
+	if stall {
+		close(w.stalled)
+		<-w.release
+	}
+	return nil
+}
+
+// TestEvictionWaitsForFlushInFlight: a flush clears the dirty bit when
+// it copies the page, before its write lands. An eviction in that
+// window must not take the frame as clean, or the next miss reads the
+// older disk image and the flushed change is lost.
+func TestEvictionWaitsForFlushInFlight(t *testing.T) {
+	w := &stallingWAL{}
+	p := NewPager(NewDisk(MinPageSize), 1, w)
+	f, err := p.Allocate(PageLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID()
+	p.Unfix(f)
+	if err := p.FlushPage(id); err != nil { // version 1 on disk
+		t.Fatal(err)
+	}
+	f, err = p.Fix(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Lock()
+	if err := f.Data().InsertCell(0, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	p.MarkDirty(f, 7)
+	f.Unlock()
+	p.Unfix(f)
+
+	w.arm()
+	flushed := make(chan error, 1)
+	go func() { flushed <- p.FlushPage(id) }()
+	<-w.stalled // version 2 copied, dirty cleared, not yet written
+
+	// The pool holds one frame: the next allocation evicts page id.
+	evicted := make(chan error, 1)
+	go func() {
+		g, err := p.Allocate(PageLeaf)
+		if err == nil {
+			p.Unfix(g)
+		}
+		evicted <- err
+	}()
+	var evictErr error
+	waited := true
+	select {
+	case evictErr = <-evicted: // the eviction did not wait for the flush
+		waited = false
+	case <-time.After(100 * time.Millisecond): // it waits, as it must
+	}
+
+	f, err = p.Fix(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.RLock()
+	n := f.Data().NumSlots()
+	f.RUnlock()
+	p.Unfix(f)
+	close(w.release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if waited {
+		evictErr = <-evicted
+	}
+	if evictErr != nil {
+		t.Fatal(evictErr)
+	}
+	if n != 1 {
+		t.Fatalf("page %d re-fixed during its flush has %d cells, want the flushed image's 1", id, n)
 	}
 }

@@ -160,8 +160,9 @@ func TestObsDisabled(t *testing.T) {
 }
 
 // TestMetricsSnapshotMutexWait: every snapshot carries the runtime's
-// cumulative mutex wait and the lock manager's trips, and neither
-// shrinks from one snapshot to the next.
+// cumulative mutex wait, the lock manager's trips and the
+// reorganizer's walk retries, and none shrinks from one snapshot to
+// the next.
 func TestMetricsSnapshotMutexWait(t *testing.T) {
 	db, err := Open(Options{PageSize: 1024})
 	if err != nil {
@@ -175,7 +176,7 @@ func TestMetricsSnapshotMutexWait(t *testing.T) {
 		}
 	}
 	second := db.MetricsSnapshot().Counters
-	for _, name := range []string{metrics.RuntimeMutexWaitNs, metrics.LockTrips} {
+	for _, name := range append([]string{metrics.RuntimeMutexWaitNs, metrics.LockTrips}, metrics.WalkRetries[:]...) {
 		a, ok1 := first[name]
 		b, ok2 := second[name]
 		if !ok1 || !ok2 {
